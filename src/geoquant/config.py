@@ -26,6 +26,10 @@ class Tolerances:
     spectrum_invariance: float = 1e-10
     #: closed forms versus their quadrature oracles, relative
     quadrature_match: float = 1e-8
+    #: relative goal of the spin oracle's radial quadrature (no absolute floor)
+    quadrature_goal: float = 1e-12
+    #: oracle Gram off-diagonals below this fraction of sqrt(G_ii G_jj) are zeroed
+    quadrature_zero: float = 1e-14
     #: distance to the nearest integer accepted by integrality checks
     integer_window: float = 1e-6
     #: admissible boundary-band mass for transforms, relative to total

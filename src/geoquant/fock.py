@@ -20,9 +20,9 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import PolarizationViolation
-from .linalg import GramMatrix, OperatorMatrix
+from .linalg import GramMatrix, OperatorMatrix, prune_offdiagonal
 
 __all__ = [
     "FockBasis",
@@ -97,41 +97,40 @@ def fock_gram(basis: FockBasis) -> GramMatrix:
     return GramMatrix(np.diag(diag).astype(complex), basis.basis_id)
 
 
-def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64) -> GramMatrix:
+def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
+                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram matrix by numerical quadrature; slow cross-check mode.
 
     Each complex axis contributes a polar integral with the Gaussian weight
     exp(-r^2 / 2 hbar) and measure r dr dtheta / (2 pi hbar); axes factorize,
     so entries are products of per-axis radial/angular quadratures.  The
     radial part uses adaptive quadrature, the angular part the trapezoid rule
-    (exact for the trigonometric integrands at these mode counts).
+    (exact for the trigonometric integrands while ``n_angular`` exceeds the
+    maximal degree).  Per axis the radial integral depends only on
+    k = m_a + m'_a and the angular mean only on m'_a - m_a, so both are
+    tabulated once (2D+1 quadratures for degree D) and the entries are filled
+    from the tables.  Off-diagonal roundoff is zeroed by
+    :func:`~geoquant.linalg.prune_offdiagonal` with ``tolerances.quadrature_zero``.
     """
     hbar = basis.hbar
     max_m = basis.max_degree
-
-    radial = np.empty((max_m + 1, max_m + 1))
-    for ma in range(max_m + 1):
-        for mb in range(max_m + 1):
-            val, _ = integrate.quad(
-                lambda r, k=ma + mb: r ** (k + 1) * np.exp(-r * r / (2.0 * hbar)),
-                0.0, np.inf)
-            radial[ma, mb] = val / hbar
+    if n_angular <= max_m:
+        raise ValueError(f"n_angular={n_angular} aliases degree {max_m}; "
+                         "need n_angular > max_degree")
+    radial = np.array([
+        integrate.quad(lambda r, k=k: r ** (k + 1) * np.exp(-r * r / (2.0 * hbar)),
+                       0.0, np.inf)[0] / hbar
+        for k in range(2 * max_m + 1)])
     theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
-    angular = np.empty((max_m + 1, max_m + 1), dtype=complex)
-    for ma in range(max_m + 1):
-        for mb in range(max_m + 1):
-            angular[ma, mb] = np.mean(np.exp(1j * (mb - ma) * theta))
+    angular = np.array([np.mean(np.exp(1j * d * theta))
+                        for d in range(-max_m, max_m + 1)])
 
-    dim = basis.dim
-    entries = np.zeros((dim, dim), dtype=complex)
-    for i, mi in enumerate(basis.indices):
-        for j, mj in enumerate(basis.indices):
-            val = 1.0 + 0.0j
-            for ma, mb in zip(mi, mj):
-                val *= radial[ma, mb] * angular[ma, mb]
-            entries[i, j] = val
-    entries[np.abs(entries) < 1e-14 * np.max(np.abs(entries))] = 0.0
-    return GramMatrix(entries, basis.basis_id)
+    idx = np.array(basis.indices)
+    entries = np.ones((basis.dim, basis.dim), dtype=complex)
+    for m in idx.T:  # one complex axis at a time
+        entries *= radial[np.add.outer(m, m)] * angular[max_m - np.subtract.outer(m, m)]
+    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
+                      basis.basis_id, tolerances)
 
 
 def op_raise(basis: FockBasis, axis: int = 0) -> OperatorMatrix:

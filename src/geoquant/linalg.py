@@ -6,6 +6,11 @@ bases raises :class:`~geoquant.errors.BasisMismatch`.  Entries are dense
 configuration grids) and may be ``scipy.sparse`` matrices for phase-space
 grid discretizations, whose dimension makes dense storage pointless; the
 spectral routines densify on demand.
+
+A :class:`GramMatrix` is validated once, at construction: a diagonal Gram
+from its diagonal (positive real parts), a non-diagonal one by a dense
+``eigvalsh`` (sparse entries up to 4096 rows); a larger non-diagonal sparse
+Gram is rejected.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "gram_inner",
     "gram_norm",
     "apply",
+    "prune_offdiagonal",
 ]
 
 _DENSE_EIG_LIMIT = 4096
@@ -77,7 +83,17 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian positive-definite matrix of basis inner products."""
+    """Hermitian positive-definite matrix of basis inner products.
+
+    Construction checks Hermiticity entrywise against
+    ``tolerances.gram_hermiticity`` and then positivity by one rule.  A
+    diagonal Gram, dense or sparse and of any size, is positive definite iff
+    the real parts of its diagonal are positive; those are exactly its
+    eigenvalues, so no eigensolver runs.  A non-diagonal Gram is densified
+    and its smallest eigenvalue taken by ``eigvalsh``; for sparse entries
+    that is done up to ``_DENSE_EIG_LIMIT`` rows, and larger non-diagonal
+    sparse Grams are rejected.  Diagonality is tested once and stored.
+    """
 
     entries: object
     basis_id: str
@@ -87,33 +103,28 @@ class GramMatrix:
         if not _is_square(self.entries):
             raise ValueError("Gram entries must be a square matrix")
         tol = self.tolerances.gram_hermiticity
-        if sp.issparse(self.entries):
+        sparse = sp.issparse(self.entries)
+        if sparse:
             g = self.entries.tocsr()
-            object.__setattr__(self, "entries", g)
             herm = abs(g - g.conj().T)
-            if herm.nnz and herm.max() > tol:
-                raise DegenerateGram("Gram matrix is not Hermitian")
-            if self.dim <= _DENSE_EIG_LIMIT:
-                self._check_positive(_as_dense(g))
-            else:
-                diag = g.diagonal()
-                offdiag = g - sp.diags(diag)
-                if offdiag.nnz:
-                    raise DegenerateGram(
-                        "large sparse Gram matrices must be diagonal")
-                if np.any(diag.real <= 0):
-                    raise DegenerateGram("Gram diagonal is not positive")
+            asymmetry = herm.max() if herm.nnz else 0.0
         else:
             g = np.asarray(self.entries, dtype=complex)
-            object.__setattr__(self, "entries", g)
-            if np.max(np.abs(g - g.conj().T)) > tol:
-                raise DegenerateGram("Gram matrix is not Hermitian")
-            self._check_positive(g)
-
-    @staticmethod
-    def _check_positive(g: np.ndarray):
-        eigmin = scipy.linalg.eigvalsh(g)[0]
-        if eigmin <= 0:
+            asymmetry = np.max(np.abs(g - g.conj().T))
+        object.__setattr__(self, "entries", g)
+        if asymmetry > tol:
+            raise DegenerateGram("Gram matrix is not Hermitian")
+        diag = g.diagonal()
+        nnz = g.count_nonzero() if sparse else np.count_nonzero(g)
+        diagonal = nnz == np.count_nonzero(diag)
+        object.__setattr__(self, "_diagonal", diagonal)
+        if diagonal:
+            eigmin = float(np.min(diag.real))
+        elif not sparse or self.dim <= _DENSE_EIG_LIMIT:
+            eigmin = scipy.linalg.eigvalsh(_as_dense(g))[0]
+        else:
+            raise DegenerateGram("large sparse Gram matrices must be diagonal")
+        if not eigmin > 0:
             raise DegenerateGram(f"Gram matrix not positive definite (min eig {eigmin:.3e})")
 
     @property
@@ -122,9 +133,7 @@ class GramMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        if sp.issparse(self.entries):
-            return (self.entries - sp.diags(self.entries.diagonal())).nnz == 0
-        return not np.any(self.entries - np.diag(np.diag(self.entries)))
+        return self._diagonal
 
     def diagonal(self) -> np.ndarray:
         return np.asarray(self.entries.diagonal() if sp.issparse(self.entries)
@@ -159,8 +168,6 @@ def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
     ah = a.entries.conj().T
     if gram.is_diagonal:
         d = gram.diagonal()
-        if np.any(d.real <= 0):
-            raise DegenerateGram("Gram diagonal is not positive")
         if sp.issparse(ah):
             scaled = sp.diags(1.0 / d) @ ah @ sp.diags(d)
         else:
@@ -231,3 +238,17 @@ def gram_norm(v: np.ndarray, gram: GramMatrix) -> float:
 def apply(a: OperatorMatrix, v: np.ndarray) -> np.ndarray:
     """Apply the operator to a coefficient vector."""
     return np.asarray(a.entries @ v)
+
+
+def prune_offdiagonal(entries: np.ndarray, rel: float) -> np.ndarray:
+    """Zero off-diagonal entries below ``rel * sqrt(|G_ii G_jj|)``, in place.
+
+    Cauchy-Schwarz bounds a Gram entry |G_ij| by sqrt(G_ii G_jj), so this
+    clears quadrature roundoff at every scale of the diagonal, however small
+    its entries, and never touches the diagonal itself.
+    """
+    scale = np.sqrt(np.abs(np.diag(entries)))
+    small = np.abs(entries) < rel * np.outer(scale, scale)
+    np.fill_diagonal(small, False)
+    entries[small] = 0.0
+    return entries

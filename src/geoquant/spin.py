@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .linalg import GramMatrix, OperatorMatrix
+from .config import DEFAULT_TOLERANCES, Tolerances
+from .linalg import GramMatrix, OperatorMatrix, prune_offdiagonal
 
 __all__ = [
     "SpinBasis",
@@ -69,26 +70,35 @@ def spin_gram(basis: SpinBasis) -> GramMatrix:
     return GramMatrix(np.diag(diag).astype(complex), basis.basis_id)
 
 
-def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64) -> GramMatrix:
+def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,
+                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram by numerical quadrature of the sector weight; cross-check mode.
 
-    Radial part: 2 * Integral_0^inf R^(m+m'+1) / (1+R^2)^(n+2) dR via
-    adaptive quadrature after u = R^2; angular part: trapezoid average of
-    exp(i (m'-m) Theta), which kills the off-diagonal entries.
+    Radial part: 2 * Integral_0^inf R^(m+m'+1) / (1+R^2)^(n+2) dR, which the
+    substitution x = R^2 / (1+R^2) maps onto the finite interval as
+    Integral_0^1 x^(k/2) (1-x)^(n-k/2) dx with k = m + m'; adaptive quadrature
+    runs to the relative goal ``tolerances.quadrature_goal`` with no absolute
+    floor, since entries reach 1e-16 at n=48.  Angular part: trapezoid
+    average of exp(i (m'-m) Theta) over ``n_angular`` points, which kills the
+    off-diagonal entries as long as ``n_angular > n``.  The radial integral
+    depends only on k and the angular mean only on m' - m, so both are
+    tabulated once (2n+1 quadratures) and the entries are filled from the
+    tables.  Off-diagonal roundoff is zeroed by
+    :func:`~geoquant.linalg.prune_offdiagonal` with ``tolerances.quadrature_zero``.
     """
     n = basis.n_sector
-    dim = basis.dim
+    if n_angular <= n:
+        raise ValueError(f"n_angular={n_angular} aliases sector {n}; need n_angular > n")
+    radial = np.array([
+        integrate.quad(lambda x, k=k: x ** (k / 2.0) * (1.0 - x) ** (n - k / 2.0),
+                       0.0, 1.0, epsabs=0.0, epsrel=tolerances.quadrature_goal)[0]
+        for k in range(2 * n + 1)])
     theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
-    entries = np.zeros((dim, dim), dtype=complex)
-    for ma in range(dim):
-        for mb in range(dim):
-            radial, _ = integrate.quad(
-                lambda u, k=ma + mb: u ** (k / 2.0) / (1.0 + u) ** (n + 2),
-                0.0, np.inf)
-            angular = np.mean(np.exp(1j * (mb - ma) * theta))
-            entries[ma, mb] = radial * angular
-    entries[np.abs(entries) < 1e-14] = 0.0
-    return GramMatrix(entries, basis.basis_id)
+    angular = np.array([np.mean(np.exp(1j * d * theta)) for d in range(-n, n + 1)])
+    m = np.arange(n + 1)
+    entries = radial[np.add.outer(m, m)] * angular[n - np.subtract.outer(m, m)]
+    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
+                      basis.basis_id, tolerances)
 
 
 def orthonormal_basis(basis: SpinBasis) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoquant import fock
 from geoquant.errors import PolarizationViolation
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
@@ -165,3 +166,25 @@ def test_hermitian_c_two_axes():
     gram = fock_gram(basis)
     diff = adjoint_wrt(out, gram).entries - out.entries
     assert np.linalg.norm(diff) < 1e-10  # number-type block never truncates
+
+
+@pytest.mark.parametrize("n, degree", [(1, 6), (2, 4)])
+def test_gram_quadrature_tabulates_one_radial_integral_per_k(monkeypatch, n, degree):
+    calls = []
+    original = fock.integrate.quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock.integrate, "quad", counting)
+    basis = FockBasis(n, degree)
+    quad = np.diag(fock_gram_quadrature(basis).entries).real
+    assert len(calls) == 2 * degree + 1
+    closed = np.diag(fock_gram(basis).entries).real
+    assert np.max(np.abs(quad - closed) / closed) < 1e-8
+
+
+def test_gram_quadrature_rejects_aliasing_angular_rule():
+    with pytest.raises(ValueError, match="n_angular"):
+        fock_gram_quadrature(FockBasis(1, 4), n_angular=4)

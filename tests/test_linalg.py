@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from geoquant.errors import BasisMismatch, DegenerateGram, EigenFailure
 from geoquant.linalg import (GramMatrix, OperatorMatrix, adjoint_wrt,
-                             commutator, gram_inner, gram_norm, real_spectrum,
-                             spectrum)
+                             commutator, gram_inner, gram_norm,
+                             prune_offdiagonal, real_spectrum, spectrum)
+from geoquant.prequant import PhaseSpaceGrid, liouville_gram
 
 
 def op(entries, basis="b"):
@@ -148,3 +151,72 @@ def test_hbar_power_tag_adds_in_commutators():
     a = OperatorMatrix(np.eye(2), "b", hbar_power=1)
     b = OperatorMatrix(np.ones((2, 2)), "b", hbar_power=2)
     assert commutator(a, b).hbar_power == 3
+
+
+@pytest.fixture
+def no_eigvalsh(monkeypatch):
+    """Make any dense eigenvalue validation fail loudly."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagonal Gram must not call eigvalsh")
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", forbidden)
+
+
+def test_diagonal_grams_are_validated_from_the_diagonal(no_eigvalsh):
+    dense = GramMatrix(np.diag([3.0, 7.0, 0.5]).astype(complex), "b")
+    small = GramMatrix(sp.diags(np.linspace(1.0, 2.0, 4096)).tocsr(), "b")
+    assert dense.is_diagonal and small.is_diagonal
+    assert adjoint_wrt(op(np.eye(3)), dense).entries.shape == (3, 3)
+
+
+def test_liouville_gram_at_the_dense_limit_skips_eigvalsh(no_eigvalsh):
+    grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 64, 64)
+    gram = liouville_gram(grid, 1.0)
+    assert gram.dim == 4096 and gram.is_diagonal
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0])
+def test_diagonal_gram_with_nonpositive_entry_raises(no_eigvalsh, bad):
+    with pytest.raises(DegenerateGram, match=r"not positive definite \(min eig"):
+        GramMatrix(np.diag([1.0, bad, 3.0]).astype(complex), "b")
+    with pytest.raises(DegenerateGram, match=r"not positive definite \(min eig"):
+        GramMatrix(sp.diags([1.0, bad, 3.0]).tocsr(), "b")
+
+
+def test_nondiagonal_indefinite_gram_raises_through_eigvalsh(monkeypatch):
+    calls = []
+    original = scipy.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+    g = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)  # eigenvalues -1, 3
+    with pytest.raises(DegenerateGram, match=r"min eig -1\.000e\+00"):
+        GramMatrix(g, "b")
+    assert len(calls) == 1
+    assert not GramMatrix(g + 2 * np.eye(2), "b").is_diagonal
+
+
+def test_large_nondiagonal_sparse_gram_is_rejected(no_eigvalsh):
+    dim = 4097
+    g = sp.diags([np.full(dim - 1, 0.1), np.full(dim, 2.0), np.full(dim - 1, 0.1)],
+                 [-1, 0, 1]).tocsr()
+    with pytest.raises(DegenerateGram, match="must be diagonal"):
+        GramMatrix(g, "b")
+
+
+def test_explicit_zeros_do_not_make_a_gram_nondiagonal(no_eigvalsh):
+    g = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), (np.array([0, 0, 1]),
+                                                   np.array([0, 1, 1]))), shape=(2, 2))
+    assert g.nnz == 3
+    assert GramMatrix(g, "b").is_diagonal
+
+
+def test_prune_offdiagonal_is_relative_to_the_diagonal():
+    g = np.array([[1.0, 0.5, 1e-36], [0.5, 1.0, 1e-23], [1e-36, 1e-23, 1e-20]],
+                 dtype=complex)
+    pruned = prune_offdiagonal(g.copy(), 1e-14)
+    assert np.array_equal(np.diag(pruned), np.diag(g))  # 1e-20 survives
+    assert pruned[0, 2] == pruned[2, 0] == 0.0  # below 1e-14 * sqrt(1 * 1e-20)
+    assert pruned[1, 2] == 1e-23 and pruned[0, 1] == 0.5

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from geoquant import demos
+from geoquant.demos import RunConfig, run_demo
 from geoquant.linalg import GramMatrix, real_spectrum
 from geoquant.prequant import (SectorSpec, cylinder_momentum_operator,
                                cylinder_spectrum, weil_admissible)
@@ -83,3 +85,26 @@ def test_sector_validation():
         SectorSpec("sphere", s=-1.0)
     with pytest.raises(ValueError):
         SectorSpec("torus")
+
+
+def _relabeling_checks(report):
+    return {c.name: c for c in report.checks if c.name.startswith("sector-relabeling")}
+
+
+def test_cylinder_demo_relabeling_at_rounding_sensitive_lambda():
+    # rounding both spectra to 12 decimals used to split 3 of 128 values here
+    cfg = RunConfig(demo="cylinder", hbar=0.5, k_max=64, lam=0.8894878343490003)
+    report = run_demo(cfg)
+    checks = _relabeling_checks(report)
+    assert report.passed
+    assert checks["sector-relabeling"].value < cfg.tolerances.exact
+    assert checks["sector-relabeling-control"].value == pytest.approx(0.25)
+
+
+def test_cylinder_demo_relabeling_fails_when_lambda_is_ignored(monkeypatch):
+    def lambda_blind(sector, k_max):
+        return cylinder_spectrum(SectorSpec("cylinder", hbar=sector.hbar, lam=0.0), k_max)
+
+    monkeypatch.setattr(demos, "cylinder_spectrum", lambda_blind)
+    checks = _relabeling_checks(run_demo(RunConfig(demo="cylinder", lam=0.5)))
+    assert not checks["sector-relabeling"].passed

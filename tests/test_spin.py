@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from geoquant import spin
 from geoquant.linalg import adjoint_wrt, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
                            check_su2, orthonormal_basis, spin_gram,
@@ -146,3 +147,36 @@ def test_sector_one_is_unitarily_the_standard_half_spin():
 def test_metaplectic_choice_is_recorded():
     assert METAPLECTIC_CORRECTION_APPLIED is False
     assert check_su2(SpinBasis(2)).metaplectic_correction_applied is False
+
+
+@pytest.mark.parametrize("n", [28, 32, 48, 63])
+def test_quadrature_matches_closed_form_in_large_sectors(n):
+    # entries reach 6e-16 at n=48 and 2e-20 at n=63; an absolute quadrature
+    # floor or a zeroing threshold relative to the largest entry loses them
+    basis = SpinBasis(n)
+    closed = np.diag(spin_gram(basis).entries).real
+    quad = spin_gram_quadrature(basis)
+    assert quad.is_diagonal
+    rel = np.max(np.abs(np.diag(quad.entries).real - closed) / closed)
+    assert rel < 1e-13
+
+
+def test_quadrature_tabulates_one_radial_integral_per_k(monkeypatch):
+    calls = []
+    original = spin.integrate.quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spin.integrate, "quad", counting)
+    for n in (0, 5, 12):
+        calls.clear()
+        spin_gram_quadrature(SpinBasis(n))
+        assert len(calls) == 2 * n + 1
+
+
+def test_quadrature_rejects_aliasing_angular_rule():
+    with pytest.raises(ValueError, match="n_angular"):
+        spin_gram_quadrature(SpinBasis(8), n_angular=8)
+    assert spin_gram_quadrature(SpinBasis(8), n_angular=9).is_diagonal
