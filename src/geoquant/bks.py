@@ -10,7 +10,12 @@ t is the 2n-dimensional oscillatory integral
 
 The momentum integral is evaluated after the substitution y = t p / m as a
 quadratic-phase integral with panels uniform in phase and Gauss-Legendre
-nodes per panel; node doubling guards every evaluation.  The t -> 0+ limit
+nodes per panel; node doubling guards every evaluation.  When the q nodes lie
+on psi's sample lattice, the y rule folds into a chirp stencil on that
+lattice which depends only on (spacing, chirp rate, y range, panel
+resolution), not on the states; :func:`_chirp_stencil` memoises it, so
+pairings that share a geometry (the times of a Richardson panel across
+states of equal support) build it once.  The t -> 0+ limit
 of the pairing carries the principal-branch Fresnel phase exp(i pi n/4);
 differentiating at t = 0 and conjugating turns that into the factor
 exp(-i pi n/4) multiplying hbar^2/2m in the recovered generator, which is
@@ -20,6 +25,7 @@ what :func:`schrodinger_residual` measures as ``c_fit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
 _GL_POINTS = 12
 _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _SUPPORT_CUTOFF = 1e-15
+_STENCIL_CACHE_SIZE = 64  # chirp stencils held; each is one complex per offset
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,6 @@ def _tail_mass(samples: np.ndarray, band: int = 2) -> float:
     return float(np.sum(np.abs(samples[mask]) ** 2)) / total
 
 
-def _mirror_grid(grid: ConfigGrid) -> ConfigGrid:
-    return ConfigGrid(grid.mins, grid.maxs, grid.counts, grid.boundary, grid.scheme)
-
-
 def _fourier_apply(state: PolarizedState, target: ConfigGrid, sign: float,
                    out_polarization: str,
                    tolerances: Tolerances) -> PolarizedState:
@@ -178,7 +181,7 @@ def fourier_project(phi_p: PolarizedState, target: ConfigGrid | None = None,
     """Momentum to position: (2 pi hbar)^(-n/2) Integral phi(p) e^{+i p.q/hbar} d^n p."""
     if phi_p.polarization != "momentum":
         raise ValueError("fourier_project expects a momentum-polarized state")
-    return _fourier_apply(phi_p, target or _mirror_grid(phi_p.grid), +1.0,
+    return _fourier_apply(phi_p, target or phi_p.grid, +1.0,
                           "position", tolerances)
 
 
@@ -187,7 +190,7 @@ def fourier_project_back(psi_q: PolarizedState, target: ConfigGrid | None = None
     """Position to momentum with the opposite kernel sign; inverse of the above."""
     if psi_q.polarization != "position":
         raise ValueError("fourier_project_back expects a position-polarized state")
-    return _fourier_apply(psi_q, target or _mirror_grid(psi_q.grid), -1.0,
+    return _fourier_apply(psi_q, target or psi_q.grid, -1.0,
                           "momentum", tolerances)
 
 
@@ -248,25 +251,17 @@ class _UniformInterpolant:
             return None
         return idx.astype(np.int64)
 
-    def correlate_conj(self, m_idx: np.ndarray, y: np.ndarray,
-                       kernel: np.ndarray) -> np.ndarray:
-        """sum_j kernel_j * conj(self(x_m + y_j)) for lattice points x_m.
+    def correlate_conj(self, m_idx: np.ndarray, s_min: int,
+                       coeff: np.ndarray) -> np.ndarray:
+        """sum_s coeff_s * conj(vals[m + s_min + s]) for lattice indices m.
 
-        Because the evaluation points share the sample lattice, the Lagrange
-        fractions depend on y alone; the double sum collapses to a short
-        correlation of the conjugated samples with a kernel-weighted stencil
-        histogram, which is orders of magnitude cheaper than pointwise
-        evaluation.
+        ``(s_min, coeff)`` is a :func:`_chirp_stencil` on this lattice's
+        spacing: because the evaluation points share the sample lattice, the
+        Lagrange fractions depend on y alone and the double sum over q and y
+        collapses to this short correlation of the conjugated samples with the
+        (memoised) stencil, which is orders of magnitude cheaper than
+        pointwise evaluation.
         """
-        if y.size == 0:
-            return np.zeros(m_idx.size, dtype=complex)
-        posy = y / self.h
-        b = np.floor(posy).astype(np.int64)
-        weights = self._lagrange_weights(posy - b)
-        s_min = int(b.min()) - 2
-        coeff = np.zeros(int(b.max()) + 3 - s_min + 1, dtype=complex)
-        for k, w in zip(range(-2, 4), weights):
-            np.add.at(coeff, b + k - s_min, kernel * w)
         start = m_idx + s_min
         pad_left = max(0, -int(start.min()))
         pad_right = max(0, int(start.max()) + coeff.size - self.vals.size)
@@ -316,6 +311,41 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
     return nodes, weights
 
 
+def _chirp_rule(y_lo: float, y_hi: float, a: float, theta_max: float,
+                h_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y_j and kernel w_j e^{i a y_j^2} of the phase-panel rule."""
+    nodes, weights = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
+    return nodes, weights * np.exp(1j * a * nodes**2)
+
+
+@lru_cache(maxsize=_STENCIL_CACHE_SIZE)
+def _chirp_stencil(h: float, a: float, y_lo: float, y_hi: float,
+                   theta_max: float, h_max: float) -> tuple[int, np.ndarray]:
+    """The chirp rule on [y_lo, y_hi] folded onto a lattice of spacing h.
+
+    Returns ``(s_min, coeff)`` such that, for f sampled on any lattice of
+    spacing h and x one of its nodes,
+
+        sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_s coeff_s f(x + (s_min + s) h)
+
+    with f(x + y_j) the order-6 Lagrange interpolant.  The stencil depends on
+    nothing but the arguments, so it is memoised: a hit returns exactly what
+    a miss computes.  ``coeff`` is read-only because every pairing with the
+    same geometry shares it; the node and weight arrays behind it (millions
+    of entries for small t at the fine resolution) are not kept.
+    """
+    y, kernel = _chirp_rule(y_lo, y_hi, a, theta_max, h_max)
+    posy = y / h
+    b = np.floor(posy).astype(np.int64)
+    weights = _UniformInterpolant._lagrange_weights(posy - b)
+    s_min = int(b.min()) - 2
+    coeff = np.zeros(int(b.max()) + 3 - s_min + 1, dtype=complex)
+    for k, w in zip(range(-2, 4), weights):
+        np.add.at(coeff, b + k - s_min, kernel * w)
+    coeff.flags.writeable = False
+    return s_min, coeff
+
+
 @dataclass(frozen=True)
 class PairingResult:
     """Value of the pairing with its half-form prefactor and convergence data."""
@@ -327,18 +357,21 @@ class PairingResult:
     doubling_delta: float = 0.0
 
 
-def _pairing_value(interp: _UniformInterpolant,
-                   q_nodes: np.ndarray, q_weights: np.ndarray,
+def _pairing_value(interp: _UniformInterpolant, q_nodes: np.ndarray,
+                   m_idx: np.ndarray | None, q_weights: np.ndarray,
                    t: float, hbar: float, mass: float,
                    y_lo: float, y_hi: float,
                    theta_max: float, h_max: float) -> complex:
+    """One resolution of the pairing; ``m_idx`` holds the lattice indices of
+    the q nodes, or None when they are off psi's lattice."""
     a = mass / (2.0 * hbar * t)
-    y_nodes, y_weights = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
-    kernel = y_weights * np.exp(1j * a * y_nodes**2)
-    m_idx = interp.lattice_offsets(q_nodes)
     if m_idx is not None:
-        inner = interp.correlate_conj(m_idx, y_nodes, kernel)
+        # plain floats keep the memo key hashable for 0-d array arguments
+        s_min, coeff = _chirp_stencil(interp.h, float(a), y_lo, y_hi,
+                                      float(theta_max), float(h_max))
+        inner = interp.correlate_conj(m_idx, s_min, coeff)
     else:
+        y_nodes, kernel = _chirp_rule(y_lo, y_hi, a, theta_max, h_max)
         inner = np.zeros(q_nodes.size, dtype=complex)
         chunk = max(1, int(4e6) // max(q_nodes.size, 1))
         for start in range(0, y_nodes.size, chunk):
@@ -385,13 +418,14 @@ def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
     q_nodes = q_axis[q_mask]
     q_weights = chi_q.samples.reshape(-1)[q_mask] * chi_grid.spacings[0]
     x_lo, x_hi = _support_bounds(psi_grid.axis(0), psi_q.samples.reshape(-1), h_psi)
-    y_lo, y_hi = x_lo - q_nodes[-1], x_hi - q_nodes[0]
+    y_lo, y_hi = float(x_lo - q_nodes[-1]), float(x_hi - q_nodes[0])
     if h_max is None:
         h_max = 8.0 * h_psi
 
-    coarse = _pairing_value(interp, q_nodes, q_weights, t, hbar, mass,
+    m_idx = interp.lattice_offsets(q_nodes)
+    coarse = _pairing_value(interp, q_nodes, m_idx, q_weights, t, hbar, mass,
                             y_lo, y_hi, theta_max, h_max)
-    fine = _pairing_value(interp, q_nodes, q_weights, t, hbar, mass,
+    fine = _pairing_value(interp, q_nodes, m_idx, q_weights, t, hbar, mass,
                           y_lo, y_hi, theta_max / 2.0, h_max / 2.0)
     delta = abs(fine - coarse)
     scale = max(abs(fine), 1e-3 * psi_q.norm() * chi_q.norm())

@@ -104,8 +104,10 @@ def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
     Each complex axis contributes a polar integral with the Gaussian weight
     exp(-r^2 / 2 hbar) and measure r dr dtheta / (2 pi hbar); axes factorize,
     so entries are products of per-axis radial/angular quadratures.  The
-    radial part uses adaptive quadrature, the angular part the trapezoid rule
-    (exact for the trigonometric integrands while ``n_angular`` exceeds the
+    radial part uses adaptive quadrature to the relative goal
+    ``tolerances.quadrature_goal`` with no absolute floor, since entries
+    (2 hbar)^m m! fall far below QUADPACK's default floor at small hbar; the
+    angular part uses the trapezoid rule (exact for the trigonometric integrands while ``n_angular`` exceeds the
     maximal degree).  Per axis the radial integral depends only on
     k = m_a + m'_a and the angular mean only on m'_a - m_a, so both are
     tabulated once (2D+1 quadratures for degree D) and the entries are filled
@@ -119,7 +121,8 @@ def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
                          "need n_angular > max_degree")
     radial = np.array([
         integrate.quad(lambda r, k=k: r ** (k + 1) * np.exp(-r * r / (2.0 * hbar)),
-                       0.0, np.inf)[0] / hbar
+                       0.0, np.inf, epsabs=0.0,
+                       epsrel=tolerances.quadrature_goal)[0] / hbar
         for k in range(2 * max_m + 1)])
     theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
     angular = np.array([np.mean(np.exp(1j * d * theta))

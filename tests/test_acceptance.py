@@ -22,6 +22,8 @@ from geoquant.prequant import (Observable, PhaseSpaceGrid, SectorSpec,
                                interior_test_states, prequantum_evolve,
                                weil_admissible)
 
+from cylinder_relabeling import lambda_blind, relabeling_residual
+
 TOL_GRID = 1e-6
 TOL_EXACT = 1e-10
 TOL_BKS = 1e-3
@@ -81,12 +83,12 @@ def test_criterion_3_cylinder_sectors():
         spec = cylinder_spectrum(sector, k_max)
         expected = np.sort(np.arange(-k_max, k_max + 1) + lam)
         exact = exact and np.array_equal(spec, expected)
-        # lambda + 1 relabels k -> k + 1: set equality on the shared range
-        shifted = set(np.round(spec + 1.0, 12))
-        shared = set(np.round(spec, 12)) & shifted
-        exact = exact and len(shared) == 2 * k_max
+        # lambda + 1 relabels k -> k + 1 on the shared modes
+        exact = exact and relabeling_residual(cylinder_spectrum, lam, k_max) < TOL_EXACT
+    # negative control: a spectrum that ignores lambda is no relabeling
+    control = relabeling_residual(lambda_blind, 0.25, k_max)
     elapsed = time.perf_counter() - start
-    ok = exact and elapsed < 1.0
+    ok = exact and control > TOL_EXACT and elapsed < 1.0
     assert _verdict(3, "cylinder-sectors", ok, f"t={elapsed:.2f}s")
 
 

@@ -6,8 +6,9 @@ from geoquant.errors import (QuadratureFailure, SupportEscapesGrid,
                              UnsupportedObservable)
 from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           fourier_project_back, gaussian_state,
-                          richardson_extrapolate, windowed_plane_wave)
-from geoquant.bks import _phase_panels
+                          richardson_extrapolate, state_projected_rate,
+                          windowed_plane_wave)
+from geoquant.bks import _chirp_stencil, _phase_panels
 from geoquant.halfform import ConfigGrid
 
 TOL = DEFAULT_TOLERANCES
@@ -182,8 +183,65 @@ def test_quadrature_guard_raises_on_coarse_panels():
     grid = line(count=512, extent=16.0)
     psi = gaussian_state(grid, width=1.0)
     chi = gaussian_state(grid, width=1.0)
-    with pytest.raises(QuadratureFailure):
-        bks_pairing(psi, chi, 0.02, theta_max=600 * np.pi, h_max=40.0)
+    _chirp_stencil.cache_clear()
+    for _ in range(2):  # the second call finds both stencils memoised
+        with pytest.raises(QuadratureFailure):
+            bks_pairing(psi, chi, 0.02, theta_max=600 * np.pi, h_max=40.0)
+    assert _chirp_stencil.cache_info().hits == 2
+
+
+def test_off_lattice_pairing_matches_gaussian_oracle():
+    # chi's nodes miss psi's lattice, so psi is interpolated pointwise
+    psi_grid = line(count=512, extent=16.0)
+    chi_grid = ConfigGrid.line(-15.0, 15.0, 400)
+    s, r, b = 1.0, 1.3, 0.8
+    phase = np.exp(1j * np.pi / 3)  # the pairing is conjugate-linear in psi
+    psi = PolarizedState(phase * np.exp(-psi_grid.axis(0) ** 2 / (2 * s**2)),
+                         psi_grid, "position")
+    chi = PolarizedState(np.exp(-(chi_grid.axis(0) - b) ** 2 / (2 * r**2)),
+                         chi_grid, "position")
+    _chirp_stencil.cache_clear()
+    for t in (0.4, 0.2):
+        oracle = np.conj(phase) * gaussian_pairing_oracle(s, r, b, t)
+        assert abs(bks_pairing(psi, chi, t).value - oracle) / abs(oracle) < 1e-8
+    assert _chirp_stencil.cache_info().misses == 0
+
+
+def test_chirp_stencil_hit_equals_miss_and_is_read_only():
+    args = (0.0625, 12.5, -17.3, 16.9, 1.5 * np.pi, 0.5)
+    _chirp_stencil.cache_clear()
+    miss = _chirp_stencil(*args)
+    hit = _chirp_stencil(*args)
+    assert _chirp_stencil.cache_info()[:2] == (1, 1)
+    fresh = _chirp_stencil.__wrapped__(*args)
+    assert hit[0] == fresh[0] == miss[0]
+    assert hit[1].shape == fresh[1].shape
+    assert np.all(hit[1] == fresh[1])
+    assert not hit[1].flags.writeable
+    with pytest.raises(ValueError):
+        hit[1][0] = 0.0
+    # one complex per lattice offset of the y range, not per quadrature node
+    assert hit[1].size <= (args[3] - args[2]) / args[0] + 7
+
+
+def test_pairing_accepts_zero_dimensional_arrays():
+    grid = line(count=512, extent=16.0)
+    psi = gaussian_state(grid, width=1.0)
+    chi = gaussian_state(grid, width=1.2, center=0.5)
+    as_arrays = bks_pairing(psi, chi, np.array(0.1), theta_max=np.array(1.5 * np.pi))
+    assert as_arrays.value == bks_pairing(psi, chi, 0.1).value
+
+
+def test_plane_wave_rates_share_stencils_across_wavenumbers():
+    # criterion 8's waves share one support width, so their 24 stencil calls
+    # (3 waves x 4 times x coarse and fine) need only 8 distinct stencils
+    grid = line(count=640, extent=40.0)
+    _chirp_stencil.cache_clear()
+    for k in (1, 2, 3):
+        state = windowed_plane_wave(grid, k=k, flat_halfwidth=20.0, taper_width=16.0)
+        state_projected_rate(state, [0.32, 0.16, 0.08, 0.04])
+    info = _chirp_stencil.cache_info()
+    assert (info.misses, info.hits) == (8, 16)
 
 
 def test_pairing_rejects_dimension_two():

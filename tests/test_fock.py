@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from geoquant import fock
+from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import PolarizationViolation
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
@@ -38,6 +41,19 @@ def test_gram_quadrature_oracle_matches_closed_form():
         assert np.max(np.abs(offdiag)) < 1e-12 * closed.max()
         assert np.max(np.abs(np.diag(quad).real - closed) / closed) < 1e-10
         assert np.diag(quad).real[0] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("hbar", [0.01, 0.001])
+def test_gram_quadrature_holds_at_small_hbar(hbar):
+    """Entries (2 hbar)^m m! sink below QUADPACK's default absolute floor."""
+    basis = FockBasis(1, 8, hbar=hbar)
+    closed = np.diag(fock_gram(basis).entries).real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        quad = np.diag(fock_gram_quadrature(basis).entries).real
+    assert np.max(np.abs(quad - closed) / closed) < 1e-12
+    report = run_demo(RunConfig(demo="fock", hbar=hbar))
+    assert {c.name: c.passed for c in report.checks}["gram-quadrature"]
 
 
 def test_gram_quadrature_two_axes():

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from geoquant import demos
+from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.linalg import GramMatrix, real_spectrum
 from geoquant.prequant import (SectorSpec, cylinder_momentum_operator,
                                cylinder_spectrum, weil_admissible)
+
+from cylinder_relabeling import lambda_blind, relabeling_residual
 
 
 def sphere(s, hbar=1.0):
@@ -58,14 +61,14 @@ def test_cylinder_hbar_scaling():
 
 
 def test_lambda_shift_relabels_modes():
-    """lambda and lambda + 1 give the same spectrum on the shared range."""
-    k_max = 5
-    lam = 0.3
-    base = cylinder_spectrum(SectorSpec("cylinder", lam=lam), k_max)
-    # lambda + 1 with modes k is lambda with modes k + 1
-    shifted = cylinder_spectrum(SectorSpec("cylinder", lam=lam), k_max) + 1.0
-    shared = set(np.round(base, 12)) & set(np.round(shifted, 12))
-    assert len(shared) == 2 * k_max
+    """lambda + 1 with modes k is lambda with modes k + 1."""
+    tol = DEFAULT_TOLERANCES.exact
+    # the second case splits 3 of 128 values when both spectra are rounded
+    # to 12 decimals
+    for lam, hbar, k_max in ((0.3, 1.0, 5), (0.8894878343490003, 0.5, 64)):
+        assert relabeling_residual(cylinder_spectrum, lam, k_max, hbar) < tol
+        # negative control: a spectrum that ignores lambda fails the relabeling
+        assert relabeling_residual(lambda_blind, lam, k_max, hbar) > tol
 
 
 def test_operator_is_diagonal_and_matches_spectrum():
@@ -102,9 +105,6 @@ def test_cylinder_demo_relabeling_at_rounding_sensitive_lambda():
 
 
 def test_cylinder_demo_relabeling_fails_when_lambda_is_ignored(monkeypatch):
-    def lambda_blind(sector, k_max):
-        return cylinder_spectrum(SectorSpec("cylinder", hbar=sector.hbar, lam=0.0), k_max)
-
     monkeypatch.setattr(demos, "cylinder_spectrum", lambda_blind)
     checks = _relabeling_checks(run_demo(RunConfig(demo="cylinder", lam=0.5)))
     assert not checks["sector-relabeling"].passed
