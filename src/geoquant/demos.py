@@ -23,6 +23,7 @@ from .prequant import (Observable, PhaseSpaceGrid, SectorSpec, check_dirac,
                        interior_test_states, prequantum_evolve,
                        selfadjoint_residual, weil_admissible)
 from .reporting import QuantReport
+from .stencil import SCHEMES
 
 DEMOS = ("prequant-flat", "weil-sphere", "cylinder", "fock", "spin",
          "canonical", "bks")
@@ -54,9 +55,10 @@ class RunConfig:
         if self.demo not in DEMOS:
             raise ConfigError(f"unknown demo {self.demo!r}; options: {DEMOS}",
                               field="demo")
-        checks = [("hbar", self.hbar > 0), ("mass", self.mass > 0),
+        checks = [("hbar", 0 < self.hbar < np.inf), ("mass", 0 < self.mass < np.inf),
                   ("n_sector", self.n_sector >= 0), ("degree", self.degree >= 1),
-                  ("lambda", 0.0 <= self.lam < 1.0), ("extent", self.extent > 0),
+                  ("lambda", 0.0 <= self.lam < 1.0), ("extent", 0 < self.extent < np.inf),
+                  ("scheme", self.scheme in SCHEMES),
                   ("grid_q", self.grid_q >= 8), ("grid_p", self.grid_p >= 8),
                   ("grid_points", self.grid_points >= 16),
                   ("k_max", self.k_max >= 0), ("n_pairs", self.n_pairs >= 1),

@@ -16,17 +16,16 @@ rejected; their evolution belongs to the pairing machinery in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegreeOverflow, PolarizationViolation
+from .grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
+                   lifted_derivatives, worst_residual, worst_symmetry_defect)
 from .linalg import GramMatrix, OperatorMatrix
 from .polynomials import Polynomial
 from .prequant.observables import DEGREE_CAP, Observable
-from .stencil import SCHEMES, derivative_matrix_1d
 
 __all__ = [
     "ConfigGrid",
@@ -42,7 +41,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConfigGrid:
+class ConfigGrid(UniformGrid):
     """Uniform cell-centered grid over configuration space, n = 1 or 2."""
 
     mins: tuple[float, ...]
@@ -59,14 +58,7 @@ class ConfigGrid:
             raise ValueError("configuration dimension must be 1 or 2")
         if len(self.maxs) != self.n or len(self.counts) != self.n:
             raise ValueError("mins/maxs/counts must have equal length")
-        if any(c < 16 for c in self.counts):
-            raise ValueError("grids need at least 16 points per axis")
-        if any(hi <= lo for lo, hi in zip(self.mins, self.maxs)):
-            raise ValueError("grid extents must have positive length")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("zero", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+        self._validate(min_count=16)
 
     @classmethod
     def line(cls, lo: float, hi: float, count: int, boundary: str = "zero",
@@ -78,54 +70,10 @@ class ConfigGrid:
         return len(self.mins)
 
     @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / c for lo, hi, c in zip(self.mins, self.maxs, self.counts))
-
-    def axis(self, i: int) -> np.ndarray:
-        h = self.spacings[i]
-        return self.mins[i] + (np.arange(self.counts[i]) + 0.5) * h
-
-    def axes(self) -> list[np.ndarray]:
-        return [self.axis(i) for i in range(self.n)]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.counts
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.counts))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
-
-    def coordinate_fields(self) -> list[np.ndarray]:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return [m.reshape(-1) for m in mesh]
-
-    @property
     def basis_id(self) -> str:
         spans = "x".join(f"[{lo:g},{hi:g}]{c}"
                          for lo, hi, c in zip(self.mins, self.maxs, self.counts))
         return f"cfggrid/n{self.n}/{spans}/{self.scheme}/{self.boundary}"
-
-
-@lru_cache(maxsize=64)
-def _axis_derivatives(grid: ConfigGrid) -> list[sp.csr_matrix]:
-    out = []
-    for i in range(grid.n):
-        d = sp.csr_matrix(derivative_matrix_1d(
-            grid.counts[i], grid.spacings[i], grid.scheme, grid.boundary))
-        left = int(np.prod(grid.counts[:i], dtype=int))
-        right = int(np.prod(grid.counts[i + 1:], dtype=int))
-        out.append(sp.kron(sp.identity(left, format="csr"),
-                           sp.kron(d, sp.identity(right, format="csr"), format="csr"),
-                           format="csr").astype(complex))
-    return out
-
-
-CoefficientFn = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -155,34 +103,23 @@ class LinearInP:
                    for comp in (self.u, *self.v))
 
 
-def _samples(grid: ConfigGrid, comp) -> np.ndarray:
-    coords = grid.coordinate_fields()
-    if comp is None:
-        return np.zeros(grid.size)
-    if isinstance(comp, Polynomial):
-        return np.asarray(comp.evaluate(*coords)) * np.ones(grid.size)
-    return np.asarray(comp(*coords), dtype=float) * np.ones(grid.size)
-
-
 def divergence(f: LinearInP, grid: ConfigGrid) -> tuple[np.ndarray, str]:
     """div(v) sampled on the grid and the evaluation path used.
 
     Polynomial components are differentiated exactly ("analytic"); callables
     fall back to the grid stencil ("stencil").
     """
-    if all(comp is None for comp in f.v):
-        return np.zeros(grid.size), "analytic"
-    if f.all_polynomial():
+    if f.all_polynomial() or all(comp is None for comp in f.v):
         total = Polynomial.zero(grid.n)
         for a, comp in enumerate(f.v):
             if comp is not None:
                 total = total + comp.differentiate(a)
-        return _samples(grid, total if not total.is_zero else None), "analytic"
-    derivs = _axis_derivatives(grid)
+        return grid.sample([total])[0].real, "analytic"
+    derivs = lifted_derivatives(grid)
     total = np.zeros(grid.size, dtype=complex)
-    for a, comp in enumerate(f.v):
-        if comp is not None:
-            total = total + derivs[a] @ _samples(grid, comp).astype(complex)
+    for a, field in enumerate(grid.sample(f.v)):
+        if f.v[a] is not None:
+            total = total + derivs[a] @ field
     return total.real, "stencil"
 
 
@@ -196,48 +133,24 @@ def quantize_halfform(f: LinearInP, grid: ConfigGrid, hbar: float,
     """
     if f.n != grid.n:
         raise ValueError(f"observable has n={f.n} but grid has n={grid.n}")
-    derivs = _axis_derivatives(grid)
-    total = sp.csr_matrix((grid.size, grid.size), dtype=complex)
-    for a, comp in enumerate(f.v):
-        if comp is None:
-            continue
-        va = _samples(grid, comp)
-        if np.any(va):
-            total = total + (-1j * hbar) * (sp.diags(va.astype(complex)) @ derivs[a])
-    scalar = _samples(grid, f.u).astype(complex)
+    scalar, *fields = grid.sample([f.u, *f.v])
+    terms = [(-1j * hbar, va, a) for a, va in enumerate(fields) if np.any(va)]
     if include_divergence_term:
         div, _ = divergence(f, grid)
         scalar = scalar - 0.5j * hbar * div
-    total = total + sp.diags(scalar)
-    return OperatorMatrix(np.asarray(total.todense()), grid.basis_id)
+    entries = FirstOrderOperator(grid, terms, scalar).matrix().todense()
+    return OperatorMatrix(np.asarray(entries), grid.basis_id)
 
 
 def config_gram(grid: ConfigGrid) -> GramMatrix:
-    """Diagonal Gram of the grid quadrature (measure d^n q)."""
-    return GramMatrix(np.eye(grid.size, dtype=complex) * grid.cell_volume,
-                      grid.basis_id)
+    """Sparse diagonal Gram of the grid quadrature (measure d^n q)."""
+    return diagonal_gram(grid, grid.cell_volume)
 
 
 def interior_config_states(grid: ConfigGrid, count: int = 4, seed: int = 5,
                            modulated: bool = True) -> list[np.ndarray]:
     """Normalized smooth bumps compactly supported away from the boundary."""
-    rng = np.random.default_rng(seed)
-    mesh = np.meshgrid(*grid.axes(), indexing="ij")
-    states = []
-    for _ in range(count):
-        psi = np.ones(grid.shape, dtype=complex)
-        for i, x in enumerate(mesh):
-            half = (grid.maxs[i] - grid.mins[i]) / 2
-            mid = (grid.maxs[i] + grid.mins[i]) / 2
-            sigma = half * rng.uniform(0.09, 0.11)
-            center = mid + half * rng.uniform(-0.2, 0.2)
-            psi = psi * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-            if modulated:
-                k = rng.uniform(-2.0, 2.0) * np.pi / half
-                psi = psi * np.exp(1j * k * (x - mid))
-        flat = psi.reshape(-1)
-        states.append(flat / np.linalg.norm(flat))
-    return states
+    return interior_states(grid, count, seed, modulated)
 
 
 def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int = 0,
@@ -253,31 +166,19 @@ def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int
     if states is None:
         states = interior_config_states(grid, seed=seed)
     delta = 1.0 if a == b else 0.0
-    worst = 0.0
-    for v in states:
-        r = q_op @ (p_op @ v) - p_op @ (q_op @ v) - 1j * hbar * delta * v
-        worst = max(worst, float(np.linalg.norm(r) / np.linalg.norm(v)))
-    return worst
+    return worst_residual(
+        lambda v: q_op @ (p_op @ v) - p_op @ (q_op @ v) - 1j * hbar * delta * v, states)
 
 
 def check_selfadjoint(f: LinearInP, grid: ConfigGrid, hbar: float,
                       states: list[np.ndarray] | None = None, seed: int = 5,
                       include_divergence_term: bool = True) -> float:
-    """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel.
-
-    The panel includes each state paired with itself, so a genuine asymmetry
-    of order hbar cannot hide behind small overlaps.
-    """
+    """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel."""
     op = quantize_halfform(f, grid, hbar,
                            include_divergence_term=include_divergence_term).entries
     if states is None:
         states = interior_config_states(grid, seed=seed)
-    worst = 0.0
-    for i, u in enumerate(states):
-        for v in states[i:]:
-            defect = np.vdot(u, op @ v) - np.vdot(op @ u, v)
-            worst = max(worst, abs(defect) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return worst
+    return worst_symmetry_defect(lambda v: op @ v, states)
 
 
 def reject_nonlinear(f: Observable) -> LinearInP:

@@ -52,16 +52,10 @@ def _as_dense(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square operator in a declared basis.
-
-    ``hbar_power`` is a bookkeeping tag for the physical dimension carried by
-    the entries; all operators built by this package store fully numeric
-    entries and leave the tag at zero.
-    """
+    """Square operator in a declared basis."""
 
     entries: object
     basis_id: str
-    hbar_power: int = 0
 
     def __post_init__(self):
         if not _is_square(self.entries):
@@ -75,10 +69,6 @@ class OperatorMatrix:
 
     def dense(self) -> np.ndarray:
         return _as_dense(self.entries)
-
-    def _like(self, entries, hbar_power: int | None = None) -> "OperatorMatrix":
-        return OperatorMatrix(entries, self.basis_id,
-                              self.hbar_power if hbar_power is None else hbar_power)
 
 
 @dataclass(frozen=True)
@@ -155,8 +145,7 @@ def _require_same_basis(a, b):
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Return ``AB - BA`` in the common basis of ``a`` and ``b``."""
     _require_same_basis(a, b)
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries,
-                          a.basis_id, a.hbar_power + b.hbar_power)
+    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, a.basis_id)
 
 
 def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
@@ -172,13 +161,13 @@ def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
             scaled = sp.diags(1.0 / d) @ ah @ sp.diags(d)
         else:
             scaled = (ah * d[np.newaxis, :]) / d[:, np.newaxis]
-        return a._like(scaled)
+        return OperatorMatrix(scaled, a.basis_id)
     g = gram.dense()
     try:
         out = scipy.linalg.solve(g, _as_dense(ah) @ g, assume_a="her")
     except scipy.linalg.LinAlgError as exc:
         raise DegenerateGram(f"Gram solve failed: {exc}") from exc
-    return a._like(out)
+    return OperatorMatrix(out, a.basis_id)
 
 
 def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:

@@ -14,15 +14,14 @@ materializing matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import UnsupportedObservable
+from ..grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
+                    worst_residual, worst_symmetry_defect)
 from ..linalg import GramMatrix, OperatorMatrix
 from ..polynomials import Polynomial
-from ..stencil import SCHEMES, derivative_matrix_1d
 from .observables import Observable, ObservableKind, poisson_bracket
 
 __all__ = [
@@ -37,11 +36,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PhaseSpaceGrid:
+class PhaseSpaceGrid(UniformGrid):
     """Uniform cell-centered grid over (q, p) in n = 1 or 2 degrees of freedom.
 
     For n = 2 both q axes share the q extents and both p axes the p extents.
-    Spacing is ``(max - min) / count`` and samples sit at cell centers.
+    Spacing is ``(max - min) / count`` and samples sit at cell centers; the
+    axes are flattened in the order q_1..q_n, p_1..p_n.
     """
 
     q_min: float
@@ -57,50 +57,37 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only n = 1 or 2 degrees of freedom are supported")
-        if self.n_q < 8 or self.n_p < 8:
-            raise ValueError("grids need at least 8 points per axis")
-        if not (np.isfinite(self.q_min) and np.isfinite(self.q_max)
-                and np.isfinite(self.p_min) and np.isfinite(self.p_max)):
-            raise ValueError("grid extents must be finite")
-        if self.q_max <= self.q_min or self.p_max <= self.p_min:
-            raise ValueError("grid extents must have positive length")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("zero", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+        self._validate(min_count=8)
 
     @property
-    def h_q(self) -> float:
-        return (self.q_max - self.q_min) / self.n_q
+    def mins(self) -> tuple:
+        return (self.q_min,) * self.n + (self.p_min,) * self.n
 
     @property
-    def h_p(self) -> float:
-        return (self.p_max - self.p_min) / self.n_p
+    def maxs(self) -> tuple:
+        return (self.q_max,) * self.n + (self.p_max,) * self.n
 
     @property
-    def q_axis(self) -> np.ndarray:
-        return self.q_min + (np.arange(self.n_q) + 0.5) * self.h_q
-
-    @property
-    def p_axis(self) -> np.ndarray:
-        return self.p_min + (np.arange(self.n_p) + 0.5) * self.h_p
-
-    @property
-    def shape(self) -> tuple[int, ...]:
+    def counts(self) -> tuple[int, ...]:
         return (self.n_q,) * self.n + (self.n_p,) * self.n
 
     @property
-    def size(self) -> int:
-        return self.n_q**self.n * self.n_p**self.n
+    def h_q(self) -> float:
+        return self.spacings[0]
 
-    def axis_arrays(self) -> list[np.ndarray]:
-        """Axes in flatten order q_1..q_n, p_1..p_n."""
-        return [self.q_axis] * self.n + [self.p_axis] * self.n
+    @property
+    def h_p(self) -> float:
+        return self.spacings[-1]
 
-    def coordinate_fields(self) -> list[np.ndarray]:
-        """Flattened coordinate samples, one array per variable."""
-        mesh = np.meshgrid(*self.axis_arrays(), indexing="ij")
-        return [m.reshape(-1) for m in mesh]
+    @property
+    def q_axis(self) -> np.ndarray:
+        return self.axis(0)
+
+    @property
+    def p_axis(self) -> np.ndarray:
+        return self.axis(self.n)
+
+    axis_arrays = UniformGrid.axes
 
     @property
     def basis_id(self) -> str:
@@ -109,42 +96,31 @@ class PhaseSpaceGrid:
                 f"/{self.scheme}/{self.boundary}")
 
 
-@lru_cache(maxsize=32)
-def _axis_matrices_1d(grid: PhaseSpaceGrid) -> list:
-    """One-dimensional derivative matrix for each flattened axis."""
-    axes = [(grid.n_q, grid.h_q)] * grid.n + [(grid.n_p, grid.h_p)] * grid.n
-    return [derivative_matrix_1d(n, h, grid.scheme, grid.boundary)
-            for n, h in axes]
+def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
+    """Terms and scalar of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid."""
+    if f.kind is not ObservableKind.POLY_QP:
+        raise UnsupportedObservable("grid prequantization needs a POLY_QP observable")
+    if f.n != grid.n:
+        raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
+    n = grid.n
+    parts = []  # (factor, coefficient polynomial, axis)
+    scalar = Polynomial(2 * n, dict(f.poly.coeffs))
+    for a in range(n):
+        fp = f.dp(a)
+        fq = f.dq(a)
+        if not fp.is_zero:
+            parts.append((-1j * hbar, fp, a))
+            # theta contraction in the p.dq gauge: subtract p_a * df/dp_a
+            scalar = scalar - Polynomial.variable(2 * n, n + a) * fp
+        if not fq.is_zero:
+            parts.append((1j * hbar, fq, n + a))
+    *fields, scalar_field = grid.sample([poly for _, poly, _ in parts] + [scalar])
+    terms = [(factor, field, axis) for (factor, _, axis), field in zip(parts, fields)]
+    return terms, None if scalar.is_zero else scalar_field
 
 
-@lru_cache(maxsize=32)
-def _axis_derivatives(grid: PhaseSpaceGrid) -> list[sp.csr_matrix]:
-    """Sparse derivative along each flattened axis, built by Kronecker lifting."""
-    sizes = [grid.n_q] * grid.n + [grid.n_p] * grid.n
-    out = []
-    for i, d in enumerate(_axis_matrices_1d(grid)):
-        d = sp.csr_matrix(d)
-        left = int(np.prod(sizes[:i], dtype=int))
-        right = int(np.prod(sizes[i + 1:], dtype=int))
-        lifted = sp.kron(sp.identity(left, format="csr"),
-                         sp.kron(d, sp.identity(right, format="csr"), format="csr"),
-                         format="csr")
-        out.append(lifted.astype(complex))
-    return out
-
-
-def _apply_axis(mat, field: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 1D operator along one axis of a shaped field."""
-    if sp.issparse(mat):
-        moved = np.moveaxis(field, axis, 0)
-        flat = mat @ moved.reshape(moved.shape[0], -1)
-        return np.moveaxis(flat.reshape(moved.shape), 0, axis)
-    out = np.tensordot(mat, field, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
-
-
-class PrequantApplier:
-    """Matrix-free action of P_f on shaped grid fields.
+class PrequantApplier(FirstOrderOperator):
+    """Matrix-free action of P_f on flat or shaped grid fields.
 
     Equivalent to ``prequantize(...).entries @ v`` but applies the 1D
     derivative factors axis by axis, which keeps the commutation checks
@@ -152,49 +128,11 @@ class PrequantApplier:
     """
 
     def __init__(self, f: Observable, grid: PhaseSpaceGrid, hbar: float):
-        if f.kind is not ObservableKind.POLY_QP:
-            raise UnsupportedObservable("grid prequantization needs a POLY_QP observable")
-        if f.n != grid.n:
-            raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
-        self.grid = grid
+        super().__init__(grid, *_prequant_terms(f, grid, hbar))
         self.hbar = hbar
-        coords = grid.coordinate_fields()
-        self.terms = []  # (coefficient field, axis)
-        scalar = Polynomial(2 * grid.n, dict(f.poly.coeffs))
-        for a in range(grid.n):
-            fp = f.dp(a)
-            fq = f.dq(a)
-            if not fp.is_zero:
-                coeff = (-1j * hbar) * self._field(fp, coords)
-                self.terms.append((coeff, a))
-                scalar = scalar - Polynomial.variable(2 * grid.n, grid.n + a) * fp
-            if not fq.is_zero:
-                coeff = (1j * hbar) * self._field(fq, coords)
-                self.terms.append((coeff, grid.n + a))
-        self.scalar = self._field(scalar, coords) if not scalar.is_zero else None
-        self._mats = _axis_matrices_1d(grid)
-
-    def _field(self, poly: Polynomial, coords) -> np.ndarray:
-        vals = np.asarray(poly.evaluate(*coords), dtype=complex) * np.ones(self.grid.size)
-        return vals.reshape(self.grid.shape)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        field = np.asarray(v, dtype=complex).reshape(self.grid.shape)
-        out = np.zeros_like(field)
-        for coeff, axis in self.terms:
-            out += coeff * _apply_axis(self._mats[axis], field, axis)
-        if self.scalar is not None:
-            out += self.scalar * field
-        return out.reshape(np.asarray(v).shape)
-
-
-def _sample(grid: PhaseSpaceGrid, poly: Polynomial) -> np.ndarray:
-    return np.asarray(poly.evaluate(*grid.coordinate_fields()), dtype=complex) \
-        * np.ones(grid.size)
-
-
-def _mul(grid: PhaseSpaceGrid, poly: Polynomial) -> sp.csr_matrix:
-    return sp.diags(_sample(grid, poly)).tocsr()
+        return self.apply(v)
 
 
 def prequantize(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> OperatorMatrix:
@@ -202,62 +140,16 @@ def prequantize(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> OperatorMat
 
     Entries are sparse; ``.dense()`` materializes them for small grids.
     """
-    if f.kind is not ObservableKind.POLY_QP:
-        raise UnsupportedObservable("grid prequantization needs a POLY_QP observable")
-    if f.n != grid.n:
-        raise UnsupportedObservable(
-            f"observable has n={f.n} but grid has n={grid.n}")
-    derivs = _axis_derivatives(grid)
-    total = sp.csr_matrix((grid.size, grid.size), dtype=complex)
-    scalar = Polynomial(2 * grid.n, dict(f.poly.coeffs))
-    for a in range(grid.n):
-        fp = f.dp(a)
-        fq = f.dq(a)
-        if not fp.is_zero:
-            total = total + (-1j * hbar) * (_mul(grid, fp) @ derivs[a])
-            # theta contraction in the p.dq gauge: subtract p_a * df/dp_a
-            scalar = scalar - Polynomial.variable(2 * grid.n, grid.n + a) * fp
-        if not fq.is_zero:
-            total = total + (1j * hbar) * (_mul(grid, fq) @ derivs[grid.n + a])
-    if not scalar.is_zero:
-        total = total + _mul(grid, scalar)
-    return OperatorMatrix(total, grid.basis_id)
+    op = FirstOrderOperator(grid, *_prequant_terms(f, grid, hbar))
+    return OperatorMatrix(op.matrix(), grid.basis_id)
 
 
 def liouville_gram(grid: PhaseSpaceGrid, hbar: float) -> GramMatrix:
     """Diagonal Gram of the grid quadrature with Liouville normalization."""
-    weight = (grid.h_q * grid.h_p / (2.0 * np.pi * hbar)) ** grid.n
-    return GramMatrix(sp.identity(grid.size, format="csr") * weight, grid.basis_id)
+    return diagonal_gram(grid, (grid.h_q * grid.h_p / (2.0 * np.pi * hbar)) ** grid.n)
 
 
-def interior_test_states(grid: PhaseSpaceGrid, count: int = 4, seed: int = 7,
-                         modulated: bool = True) -> list[np.ndarray]:
-    """Smooth bumps supported in the inner 60 percent of each axis.
-
-    Gaussian envelopes with width 0.1 of the half-extent and centers within
-    0.2 of it keep the five-sigma support inside the inner region and the
-    boundary values at round-off level, so residual checks see no edge
-    artifacts.  Optional gentle plane-wave modulation exercises complex data.
-    """
-    rng = np.random.default_rng(seed)
-    mesh = [m for m in np.meshgrid(*grid.axis_arrays(), indexing="ij")]
-    halves = [(grid.q_max - grid.q_min) / 2] * grid.n \
-        + [(grid.p_max - grid.p_min) / 2] * grid.n
-    centers_axis = [(grid.q_max + grid.q_min) / 2] * grid.n \
-        + [(grid.p_max + grid.p_min) / 2] * grid.n
-    states = []
-    for _ in range(count):
-        psi = np.ones(grid.shape, dtype=complex)
-        for x, half, mid in zip(mesh, halves, centers_axis):
-            sigma = half * rng.uniform(0.09, 0.11)
-            center = mid + half * rng.uniform(-0.2, 0.2)
-            psi = psi * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-            if modulated:
-                k = rng.uniform(-2.0, 2.0) * np.pi / half
-                psi = psi * np.exp(1j * k * (x - mid))
-        flat = psi.reshape(-1)
-        states.append(flat / np.linalg.norm(flat))
-    return states
+interior_test_states = interior_states
 
 
 def check_dirac(f: Observable, g: Observable, grid: PhaseSpaceGrid, hbar: float,
@@ -273,11 +165,7 @@ def check_dirac(f: Observable, g: Observable, grid: PhaseSpaceGrid, hbar: float,
     pfg = PrequantApplier(poisson_bracket(f, g), grid, hbar)
     if states is None:
         states = interior_test_states(grid, seed=seed)
-    worst = 0.0
-    for v in states:
-        r = pf(pg(v)) - pg(pf(v)) + 1j * hbar * pfg(v)
-        worst = max(worst, float(np.linalg.norm(r) / np.linalg.norm(v)))
-    return worst
+    return worst_residual(lambda v: pf(pg(v)) - pg(pf(v)) + 1j * hbar * pfg(v), states)
 
 
 def selfadjoint_residual(f: Observable, grid: PhaseSpaceGrid, hbar: float,
@@ -288,12 +176,6 @@ def selfadjoint_residual(f: Observable, grid: PhaseSpaceGrid, hbar: float,
     The Liouville weight is constant on the grid, so it cancels from the
     normalized defect and the plain Euclidean inner product is used.
     """
-    pf = PrequantApplier(f, grid, hbar)
     if states is None:
         states = interior_test_states(grid, count=4, seed=seed)
-    worst = 0.0
-    for i, u in enumerate(states):
-        for v in states[i:]:
-            defect = np.vdot(u, pf(v)) - np.vdot(pf(u), v)
-            worst = max(worst, abs(defect) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return worst
+    return worst_symmetry_defect(PrequantApplier(f, grid, hbar), states)

@@ -121,8 +121,7 @@ class HamiltonianField:
 
 def hamiltonian_vector_field(f: Observable) -> HamiltonianField:
     """Hamiltonian vector field of a polynomial observable, by exact differentiation."""
-    poly = f._require_poly("hamiltonian_vector_field")
-    del poly
+    f._require_poly("hamiltonian_vector_field")
     dq = tuple(f.dp(a) for a in range(f.n))
     dp = tuple(-f.dq(a) for a in range(f.n))
     return HamiltonianField(f.n, dq, dp)
@@ -132,9 +131,8 @@ def poisson_bracket(f: Observable, g: Observable) -> Observable:
     """{f, g} = X_f[g]; antisymmetric, with {q, p} = -1 in these conventions."""
     if f.n != g.n:
         raise UnsupportedObservable("observables live on different phase spaces")
-    fp = f._require_poly("poisson_bracket")
-    gp = g._require_poly("poisson_bracket")
-    del fp, gp
+    f._require_poly("poisson_bracket")
+    g._require_poly("poisson_bracket")
     out = Polynomial.zero(2 * f.n)
     for a in range(f.n):
         out = out + f.dp(a) * g.dq(a) - f.dq(a) * g.dp(a)

@@ -1,6 +1,6 @@
 """Uniform-grid differentiation matrices.
 
-Centered finite differences of order 2/4/6/8 plus an FFT-based spectral
+A 4th-order centered finite-difference scheme plus an FFT-based spectral
 scheme.  Boundary handling: ``"zero"`` treats samples beyond the edge as
 zero (the stencil simply truncates), ``"periodic"`` wraps.  The spectral
 scheme always differentiates the periodic extension of the box; with states
@@ -20,18 +20,12 @@ __all__ = ["derivative_matrix_1d", "second_derivative_matrix_1d", "FD_SCHEMES"]
 
 # antisymmetric halves of the centered first-derivative stencils
 _FIRST_HALF = {
-    "fd2": [1.0 / 2.0],
     "fd4": [2.0 / 3.0, -1.0 / 12.0],
-    "fd6": [3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0],
-    "fd8": [4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0],
 }
 
 # center + symmetric halves of the second-derivative stencils
 _SECOND = {
-    "fd2": (-2.0, [1.0]),
     "fd4": (-5.0 / 2.0, [4.0 / 3.0, -1.0 / 12.0]),
-    "fd6": (-49.0 / 18.0, [3.0 / 2.0, -3.0 / 20.0, 1.0 / 90.0]),
-    "fd8": (-205.0 / 72.0, [8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0]),
 }
 
 FD_SCHEMES = tuple(_FIRST_HALF)

@@ -52,9 +52,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "lam: 0.5" in out  # the flag wins
 
 
-def test_invalid_config_exits_two(capsys):
+def test_invalid_config_exits_two(tmp_path, capsys):
     assert main(["cylinder", "--lambda", "1.2"]) == 2
     assert "lambda" in capsys.readouterr().err
+    cfg_file = tmp_path / "bad.json"
+    for demo, entries, name in [
+            ("prequant-flat", {"scheme": "bogus"}, "scheme"),
+            ("prequant-flat", {"scheme": "fd6"}, "scheme"),
+            ("canonical", {"extent": float("inf")}, "extent"),
+            ("canonical", {"hbar": float("inf")}, "hbar"),
+            ("bks", {"mass": float("inf")}, "mass")]:
+        cfg_file.write_text(json.dumps(entries))
+        assert main([demo, "--config", str(cfg_file)]) == 2, entries
+        assert f"[{name}]" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import PolarizationViolation
 from geoquant.halfform import (ConfigGrid, LinearInP,
                                check_canonical_commutator, check_selfadjoint,
-                               divergence, interior_config_states,
+                               config_gram, divergence, interior_config_states,
                                quantize_halfform, reject_nonlinear)
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import Observable, poisson_bracket
@@ -185,3 +186,13 @@ def test_grid_validation():
         ConfigGrid((-1.0,), (1.0,), (32,), scheme="bogus")
     with pytest.raises(ValueError):
         ConfigGrid((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (32, 32, 32))
+    with pytest.raises(ValueError):
+        ConfigGrid((-np.inf,), (1.0,), (32,))
+
+
+def test_config_gram_is_sparse_diagonal_with_the_cell_volume():
+    grid = ConfigGrid((-4.0, -2.0), (4.0, 2.0), (64, 64))
+    gram = config_gram(grid)
+    assert sp.issparse(gram.entries) and gram.is_diagonal
+    assert gram.basis_id == grid.basis_id
+    assert np.all(gram.diagonal() == grid.cell_volume)

@@ -147,12 +147,6 @@ def test_operator_requires_square():
         OperatorMatrix(np.zeros((2, 3)), "b")
 
 
-def test_hbar_power_tag_adds_in_commutators():
-    a = OperatorMatrix(np.eye(2), "b", hbar_power=1)
-    b = OperatorMatrix(np.ones((2, 2)), "b", hbar_power=2)
-    assert commutator(a, b).hbar_power == 3
-
-
 @pytest.fixture
 def no_eigvalsh(monkeypatch):
     """Make any dense eigenvalue validation fail loudly."""

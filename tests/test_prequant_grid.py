@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import geoquant.grid
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.linalg import commutator
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
@@ -100,6 +101,30 @@ def test_applier_matches_matrix():
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     direct = prequantize(f, grid, 0.9).entries @ v
     assert np.max(np.abs(direct - PrequantApplier(f, grid, 0.9)(v))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_applier_matches_assembled_matrix(n, scheme):
+    """Matrix-free and assembled P_f agree for a random quadratic."""
+    grid = PhaseSpaceGrid(-6.0, 6.0, -5.0, 5.0, 10, 8, n=n, scheme=scheme)
+    rng = np.random.default_rng(6 + n)
+    exponents = [e for e in np.ndindex(*(3,) * (2 * n)) if sum(e) <= 2]
+    f = Observable.from_terms(n, {e: rng.uniform(-1, 1) for e in exponents})
+    v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    direct = prequantize(f, grid, 0.8).entries @ v
+    applied = PrequantApplier(f, grid, 0.8)(v)
+    assert np.max(np.abs(direct - applied)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_matrix_free_checks_build_no_lifted_matrix(monkeypatch):
+    def forbidden(grid):
+        raise AssertionError("matrix-free application must not Kronecker-lift")
+    monkeypatch.setattr(geoquant.grid, "lifted_derivatives", forbidden)
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    q, p = Observable.coordinate(), Observable.momentum()
+    assert check_dirac(q, p, grid, 1.0) < TOL.grid
+    assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
 
 
 def test_commutator_matrix_route_matches_applier_route():
