@@ -126,7 +126,7 @@ def demo_prequant_flat(cfg: RunConfig) -> QuantReport:
     qm, pm = np.meshgrid(fgrid.q_axis, fgrid.p_axis, indexing="ij")
     psi = np.exp(-(qm**2 + pm**2) / (2 * sigma**2)).astype(complex)
     free = Observable.from_terms(1, {(0, 2): 1.0 / (2.0 * cfg.mass)})
-    evolved = prequantum_evolve(free, psi, 0.5, 1, fgrid, cfg.hbar)
+    evolved = prequantum_evolve(free, psi, 0.5, 1, fgrid, cfg.hbar, tolerances=tol)
     drift = abs(np.linalg.norm(evolved) - np.linalg.norm(psi)) / np.linalg.norm(psi)
     report.add_check("flow-unitarity", "<rho_t psi, rho_t psi> = <psi, psi>",
                      drift, tol.grid)

@@ -36,7 +36,11 @@ class DegreeOverflow(GeoquantError):
 
 
 class FlowEscapesGrid(GeoquantError):
-    """Too many grid points flow outside the grid extents during evolution."""
+    """A flow carries too many grid points, or too much mass, outside the grid.
+
+    ``escaped_fraction`` is the fraction of nodes that flowed out or, for
+    the mass guard, the squared-norm fraction carried across the edge.
+    """
 
     def __init__(self, message: str, *, escaped_fraction: float):
         super().__init__(message)

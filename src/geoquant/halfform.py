@@ -98,18 +98,15 @@ class LinearInP:
         v = tuple(v) if v is not None else (None,) * n
         return cls(n, u, v)
 
-    def all_polynomial(self) -> bool:
-        return all(comp is None or isinstance(comp, Polynomial)
-                   for comp in (self.u, *self.v))
-
 
 def divergence(f: LinearInP, grid: ConfigGrid) -> tuple[np.ndarray, str]:
     """div(v) sampled on the grid and the evaluation path used.
 
-    Polynomial components are differentiated exactly ("analytic"); callables
-    fall back to the grid stencil ("stencil").
+    Only v enters.  Polynomial (or absent) components are differentiated
+    exactly ("analytic"); a callable component sends the whole divergence
+    through the grid stencil ("stencil").
     """
-    if f.all_polynomial() or all(comp is None for comp in f.v):
+    if all(comp is None or isinstance(comp, Polynomial) for comp in f.v):
         total = Polynomial.zero(grid.n)
         for a, comp in enumerate(f.v):
             if comp is not None:
@@ -149,7 +146,7 @@ def config_gram(grid: ConfigGrid) -> GramMatrix:
 
 def interior_config_states(grid: ConfigGrid, count: int = 4, seed: int = 5,
                            modulated: bool = True) -> list[np.ndarray]:
-    """Normalized smooth bumps compactly supported away from the boundary."""
+    """Normalized smooth bumps at machine epsilon on the boundary (see ``interior_states``)."""
     return interior_states(grid, count, seed, modulated)
 
 

@@ -1,4 +1,4 @@
-"""Uniform-grid differentiation matrices.
+"""Uniform-grid differentiation: banded matrices, spectral symbols, one FFT kernel.
 
 A 4th-order centered finite-difference scheme plus an FFT-based spectral
 scheme.  Boundary handling: ``"zero"`` treats samples beyond the edge as
@@ -7,6 +7,11 @@ scheme always differentiates the periodic extension of the box; with states
 that vanish near the boundary the two conventions agree to the size of the
 tails, which is what every interior-test-vector check in this package relies
 on.
+
+Spectral operators are Fourier multipliers.  :func:`fft_apply` applies a
+symbol along one axis of a field by FFT; that is how the spectral derivative
+acts matrix-free and how prequantum flows shift rows of the phase grid.
+The dense spectral matrices are assembled from the same symbols.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["derivative_matrix_1d", "second_derivative_matrix_1d", "FD_SCHEMES"]
+__all__ = ["derivative_matrix_1d", "second_derivative_matrix_1d", "FD_SCHEMES",
+           "spectral_first_symbol", "spectral_shift_symbol", "fft_apply"]
 
 # antisymmetric halves of the centered first-derivative stencils
 _FIRST_HALF = {
@@ -65,19 +71,48 @@ def _spectral_wavenumbers(n: int, spacing: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _spectral_first(n: int, spacing: float) -> np.ndarray:
+def spectral_first_symbol(n: int, spacing: float) -> np.ndarray:
+    """Fourier symbol ``i*k`` of d/dx on n periodic samples, read-only."""
     k = _spectral_wavenumbers(n, spacing)
     if n % 2 == 0:
-        k = k.copy()
         k[n // 2] = 0.0  # odd symbol has no consistent Nyquist derivative
-    mat = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    symbol = 1j * k
+    symbol.flags.writeable = False
+    return symbol
+
+
+def spectral_shift_symbol(n: int, spacing: float, shifts: np.ndarray) -> np.ndarray:
+    """Fourier symbol ``exp(i*k*s)`` of ``f(x) -> f(x + s)`` on n periodic samples.
+
+    One row per wavenumber and one column per entry of ``shifts``, so each
+    column shifts one line of a field by its own amount.
+    """
+    return np.exp(1j * np.multiply.outer(_spectral_wavenumbers(n, spacing), shifts))
+
+
+def fft_apply(field: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
+    """``ifft(symbol * fft(field))`` along one axis of ``field``.
+
+    A 1D ``symbol`` (one entry per wavenumber of that axis) acts alike on
+    every line; a symbol of the field's shape acts line by line, as a shear's
+    per-row phase ramp does.
+    """
+    if symbol.ndim == 1:
+        shape = [1] * field.ndim
+        shape[axis] = -1
+        symbol = symbol.reshape(shape)
+    return np.fft.ifft(symbol * np.fft.fft(field, axis=axis), axis=axis)
+
+
+@lru_cache(maxsize=64)
+def _spectral_first(n: int, spacing: float) -> np.ndarray:
+    mat = fft_apply(np.eye(n), spectral_first_symbol(n, spacing), 0)
     return np.ascontiguousarray(mat.real)
 
 
 @lru_cache(maxsize=64)
 def _spectral_second(n: int, spacing: float) -> np.ndarray:
-    k = _spectral_wavenumbers(n, spacing)
-    mat = np.fft.ifft(-(k**2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    mat = fft_apply(np.eye(n), -_spectral_wavenumbers(n, spacing) ** 2, 0)
     return np.ascontiguousarray(mat.real)
 
 

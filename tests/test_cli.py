@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geoquant
 from geoquant.cli import main
 from geoquant.demos import DEMOS, RunConfig, run_demo
 from geoquant.errors import ConfigError
@@ -90,3 +95,14 @@ def test_float_formatting_is_twelve_digits():
     report = run_demo(RunConfig(demo="cylinder", lam=1.0 / 3.0))
     body = render_report(report)
     assert "0.333333333333" in body
+
+
+def test_cli_import_loads_no_interpolation():
+    """The evolution needs no splines, so the CLI's start-up does not import them."""
+    src = str(Path(geoquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, geoquant.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

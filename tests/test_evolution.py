@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import FlowEscapesGrid, UnsupportedObservable
 from geoquant.prequant import (Observable, PhaseSpaceGrid, classify_flow,
                                prequantum_evolve)
@@ -47,7 +48,7 @@ def test_coordinate_flow_shifts_momentum_with_phase():
     t = 0.4
     out = prequantum_evolve(Observable.coordinate(), psi, t, 1, grid, hbar)
     expected = np.exp(1j * q * t / hbar) * np.exp(-(q**2 + (p - t) ** 2) / 2)
-    # bicubic resampling limits the pointwise match; a wrong sign would be O(1)
+    # a loose pointwise bound suffices: a wrong sign would be O(1)
     assert np.max(np.abs(out - expected)) < 1e-5
 
 
@@ -108,6 +109,64 @@ def test_flow_escape_raises_with_fraction():
     with pytest.raises(FlowEscapesGrid) as err:
         prequantum_evolve(free, psi, 10.0, 1, grid, 1.0)
     assert 0.5 < err.value.escaped_fraction <= 1.0
+
+
+HARMONIC = Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5})
+FREE = Observable.from_terms(1, {(0, 2): 0.5})
+
+
+def modulated_gaussian(grid, q0=1.0, p0=-0.5, sigma=1.2, k=1.0):
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    return np.exp(-((q - q0) ** 2 + (p - p0) ** 2) / (2 * sigma**2) + 1j * k * q)
+
+
+@pytest.mark.parametrize("flow, t1, t2", [(HARMONIC, 0.9, 1.7), (FREE, 0.5, 0.7)],
+                         ids=["rotation", "free"])
+def test_group_law(flow, t1, t2):
+    # rotation: 0.9 + 1.7 > pi/2, so two one-sub-rotation steps make a two-sub-rotation one
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
+    psi = modulated_gaussian(grid)
+    stepped = prequantum_evolve(flow, prequantum_evolve(flow, psi, t1, 1, grid, 1.0),
+                                t2, 1, grid, 1.0)
+    direct = prequantum_evolve(flow, psi, t1 + t2, 1, grid, 1.0)
+    assert np.max(np.abs(stepped - direct)) < 1e-12
+
+
+def test_full_rotation_returns_the_state_times_its_phase():
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
+    psi = modulated_gaussian(grid)
+    hbar, const = 0.7, 0.3
+    f = Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5, (0, 0): const})
+    out = prequantum_evolve(f, psi, 2 * np.pi, 1, grid, hbar)
+    # the quadratic part's action vanishes over a period; the constant leaves exp(i c t / hbar)
+    assert np.max(np.abs(out - np.exp(1j * const * 2 * np.pi / hbar) * psi)) < 1e-12
+
+
+def test_rotation_past_a_quarter_turn_matches_closed_form():
+    """w = 2.5 > pi/2 runs as two sub-rotations of three shears each."""
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    t = 2.5
+    out = prequantum_evolve(HARMONIC, modulated_gaussian(grid), t, 1, grid, 1.0)
+    action = 0.5 * ((p**2 - q**2) * np.sin(2 * t) / 2 + p * q * (np.cos(2 * t) - 1))
+    qt = q * np.cos(t) + p * np.sin(t)
+    pt = p * np.cos(t) - q * np.sin(t)
+    pushed = np.exp(-((qt - 1.0) ** 2 + (pt + 0.5) ** 2) / (2 * 1.2**2) + 1j * qt)
+    assert np.max(np.abs(out - np.exp(-1j * action) * pushed)) < 1e-12
+
+
+def test_escaped_mass_raises_although_most_nodes_stay():
+    grid = grid_128()
+    psi = gaussian(grid, q0=-5.0)
+    q_flowed = grid.q_axis + 4.0  # the momentum flow moves every node by t = 4 in q
+    assert np.mean(q_flowed > grid.q_max) < 0.5
+    with pytest.raises(FlowEscapesGrid) as err:
+        prequantum_evolve(Observable.momentum(), psi, 4.0, 1, grid, 1.0)
+    assert err.value.escaped_fraction > 0.5  # the Gaussian's mass, not its nodes
+    # the bound is Tolerances.tail_mass: lifting it lets the zero-filled result through
+    loose = DEFAULT_TOLERANCES.override(tail_mass=1.0)
+    out = prequantum_evolve(Observable.momentum(), psi, 4.0, 1, grid, 1.0, tolerances=loose)
+    assert np.linalg.norm(out) < 0.5 * np.linalg.norm(psi)
 
 
 def test_unsupported_flow_rejected():

@@ -69,6 +69,16 @@ def test_canonical_commutator_spectral():
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
 
 
+def test_config_states_vanish_at_the_box_edge():
+    grid = line(count=256, extent=8.0, scheme="spectral")
+    for seed in range(8):
+        for v in interior_config_states(grid, count=16, seed=seed):
+            s = np.abs(v)
+            assert max(s[0], s[-1]) <= 1e-15 * s.max()
+    assert check_canonical_commutator(grid, 1.0,
+                                      states=interior_config_states(grid, seed=0)) < 1e-13
+
+
 def test_commutator_of_coordinates_vanishes_exactly():
     grid = line(count=32)
     qa = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0).entries
@@ -177,6 +187,15 @@ def test_divergence_paths():
     # interior agreement; the stencil is only approximate at the edges
     interior = slice(4, -4)
     assert np.max(np.abs(div_c[interior] - div[interior])) < 1e-10
+
+
+def test_divergence_path_depends_on_v_only():
+    """A callable u must not push a polynomial v onto the stencil."""
+    grid = line()
+    f = LinearInP.from_parts(1, u=np.cos, v=[q_var()])
+    div, path = divergence(f, grid)
+    assert path == "analytic"
+    assert np.array_equal(div, np.ones(grid.size))
 
 
 def test_grid_validation():

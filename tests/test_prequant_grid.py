@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import geoquant.grid
+import geoquant.stencil
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.linalg import commutator
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
@@ -87,6 +88,25 @@ def test_check_dirac_random_quadratics_spectral():
         assert check_dirac(f, g, grid, 1.0) < TOL.grid
 
 
+def test_interior_states_vanish_at_the_box_edge():
+    """Edge values sit at round-off, so the Dirac residual reads the operators.
+
+    A spectral derivative differentiates the periodic extension; an edge
+    value of 1e-12 of the peak gave residuals up to 1.6e-9 here, against a
+    round-off floor of 2e-12.
+    """
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128, scheme="spectral")
+    f = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.8, (0, 2): 0.3, (1, 0): 0.4})
+    g = Observable.from_terms(1, {(2, 0): -0.6, (1, 1): 0.7, (0, 2): 0.9, (0, 1): -0.2})
+    for seed in range(4):
+        states = interior_test_states(grid, count=16, seed=seed)
+        for v in states:
+            s = np.abs(v.reshape(grid.shape))
+            edge = max(s[[0, -1], :].max(), s[:, [0, -1]].max())
+            assert edge <= 1e-15 * s.max()
+        assert check_dirac(f, g, grid, 1.0, states=states) < 1e-11
+
+
 def test_check_dirac_qsquared_p():
     grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
     f = Observable.from_terms(1, {(2, 0): 1.0})
@@ -106,15 +126,66 @@ def test_applier_matches_matrix():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("scheme", ["fd4", "spectral"])
 def test_applier_matches_assembled_matrix(n, scheme):
-    """Matrix-free and assembled P_f agree for a random quadratic."""
-    grid = PhaseSpaceGrid(-6.0, 6.0, -5.0, 5.0, 10, 8, n=n, scheme=scheme)
-    rng = np.random.default_rng(6 + n)
-    exponents = [e for e in np.ndindex(*(3,) * (2 * n)) if sum(e) <= 2]
-    f = Observable.from_terms(n, {e: rng.uniform(-1, 1) for e in exponents})
-    v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    direct = prequantize(f, grid, 0.8).entries @ v
-    applied = PrequantApplier(f, grid, 0.8)(v)
-    assert np.max(np.abs(direct - applied)) < 1e-12 * np.max(np.abs(direct))
+    """Matrix-free and assembled P_f agree for a random quadratic.
+
+    Even and odd counts: the spectral Nyquist mode exists only at even N.
+    """
+    for n_q, n_p in ((10, 8), (9, 11)):
+        grid = PhaseSpaceGrid(-6.0, 6.0, -5.0, 5.0, n_q, n_p, n=n, scheme=scheme)
+        rng = np.random.default_rng(6 + n)
+        exponents = [e for e in np.ndindex(*(3,) * (2 * n)) if sum(e) <= 2]
+        f = Observable.from_terms(n, {e: rng.uniform(-1, 1) for e in exponents})
+        v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        direct = prequantize(f, grid, 0.8).entries @ v
+        applied = PrequantApplier(f, grid, 0.8)(v)
+        assert np.max(np.abs(direct - applied)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_spectral_apply_builds_no_dense_matrix(monkeypatch):
+    """The spectral derivative acts by FFT; the dense N x N matrix is assembly-only."""
+    def forbidden(n, spacing):
+        raise AssertionError("matrix-free application must not build the dense matrix")
+    monkeypatch.setattr(geoquant.stencil, "_spectral_first", forbidden)
+    # bypass the per-grid caches so an earlier assembly cannot hide a dense build
+    for name in ("derivative_matrices", "lifted_derivatives"):
+        monkeypatch.setattr(geoquant.grid, name, getattr(geoquant.grid, name).__wrapped__)
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    q, p = Observable.coordinate(), Observable.momentum()
+    assert check_dirac(q, p, grid, 1.0) < TOL.grid
+    assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
+    with pytest.raises(AssertionError):
+        prequantize(p, grid, 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_nan_state_fails_the_checks(scheme):
+    grid = PhaseSpaceGrid(-4, 4, -4, 4, 16, 16, scheme=scheme)
+    q, p = Observable.coordinate(), Observable.momentum()
+    nan_state = [np.full(grid.size, np.nan)]
+    assert np.isnan(check_dirac(q, p, grid, 1.0, states=nan_state))
+    assert np.isnan(selfadjoint_residual(p, grid, 1.0, states=nan_state))
+    # one NaN among finite states still poisons the worst value
+    mixed = interior_test_states(grid, count=2) + nan_state
+    assert np.isnan(check_dirac(q, p, grid, 1.0, states=mixed))
+    assert np.isnan(selfadjoint_residual(p, grid, 1.0, states=mixed))
+
+
+def test_symmetry_defect_applies_the_operator_once_per_state():
+    grid = small_grid(scheme="spectral")
+    applier = PrequantApplier(Observable.from_terms(1, {(1, 1): 1.0}), grid, 1.0)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return applier(v)
+    states = interior_test_states(grid, count=4)
+    worst = geoquant.grid.worst_symmetry_defect(counted, states)
+    assert len(calls) == 4
+    # the pairwise loop that applies the operator twice per pair gives the same bits
+    reference = max(abs(np.vdot(u, applier(v)) - np.vdot(applier(u), v))
+                    / (np.linalg.norm(u) * np.linalg.norm(v))
+                    for i, u in enumerate(states) for v in states[i:])
+    assert worst == reference
 
 
 def test_matrix_free_checks_build_no_lifted_matrix(monkeypatch):
