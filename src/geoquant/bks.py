@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
 from .halfform import ConfigGrid
-from .stencil import second_derivative_matrix_1d
+from .stencil import fft_apply, spectral_first_symbol
 
 __all__ = [
     "PolarizedState",
@@ -475,12 +475,6 @@ class SchrodingerFit:
     notes: dict = field(default_factory=dict)
 
 
-def _laplacian_dense(grid: ConfigGrid) -> np.ndarray:
-    mat = second_derivative_matrix_1d(grid.counts[0], grid.spacings[0],
-                                      "spectral", "periodic")
-    return np.asarray(mat, dtype=complex)
-
-
 def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
                        tolerances: Tolerances) -> tuple[np.ndarray, float, np.ndarray]:
     """Extrapolated weak derivatives D_j and overlaps <psi0, chi_j>."""
@@ -513,7 +507,8 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
     For each test state the pairing derivative at t = 0+ is extracted by
     Richardson extrapolation of ``(P(t) - e^{i pi n/4} <psi0, chi>) / t``;
     a single complex coefficient alpha is then fit by least squares to
-    ``D_j = alpha * <Lap psi0, chi_j>``.  Undoing the conjugation in the
+    ``D_j = alpha * <Lap psi0, chi_j>``, with Lap the spectral second
+    derivative applied by FFT.  Undoing the conjugation in the
     weak-form identification gives ``c_fit = i * hbar * conj(alpha)``, whose
     modulus should be hbar^2 / 2m and whose phase retains the principal
     Fresnel branch factor exp(-i pi n / 4).
@@ -527,8 +522,10 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
         test_states = _default_panel(psi0)
     derivs, spread_rel, _ = _panel_derivatives(psi0, t_list, test_states, tolerances)
 
-    lap = _laplacian_dense(psi0.grid) @ psi0.samples.reshape(-1)
-    cell = psi0.grid.cell_volume
+    grid = psi0.grid
+    lap = fft_apply(psi0.samples.reshape(-1),
+                    spectral_first_symbol(grid.counts[0], grid.spacings[0]) ** 2, 0)
+    cell = grid.cell_volume
     beta = np.array([np.vdot(lap, chi.samples.reshape(-1)) * cell
                      for chi in test_states])
     denom = np.vdot(beta, beta).real

@@ -20,10 +20,6 @@ class Tolerances:
     bks: float = 1e-3
     #: entrywise Hermiticity required of a Gram matrix at construction
     gram_hermiticity: float = 1e-12
-    #: double-adjoint round trip, relative Frobenius
-    adjoint_roundtrip: float = 1e-12
-    #: spectrum drift under a Gram-unitary change of basis
-    spectrum_invariance: float = 1e-10
     #: closed forms versus their quadrature oracles, relative
     quadrature_match: float = 1e-8
     #: relative goal of the Fock and spin oracles' radial quadratures (no absolute floor)

@@ -8,9 +8,11 @@ f = u(q) + v(q).p, quantizes to
     Q_f = -i*hbar * v.d/dq + u - (i*hbar/2) div(v),
 
 and the divergence term is exactly what makes Q_f symmetric for real u, v.
-Observables with any p-degree >= 2 do not preserve the polarization and are
-rejected; their evolution belongs to the pairing machinery in
-:mod:`geoquant.bks`.
+Q_f is one :class:`~geoquant.grid.FirstOrderOperator`:
+:func:`quantize_halfform` assembles its sparse matrix, and the commutator
+and symmetry checks apply it matrix-free.  Observables with any p-degree
+>= 2 do not preserve the polarization and are rejected; their evolution
+belongs to the pairing machinery in :mod:`geoquant.bks`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegreeOverflow, PolarizationViolation
-from .grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
-                   lifted_derivatives, worst_residual, worst_symmetry_defect)
+from .grid import (FirstOrderOperator, UniformGrid, _derivative_along, diagonal_gram,
+                   interior_states, worst_residual, worst_symmetry_defect)
 from .linalg import GramMatrix, OperatorMatrix
 from .polynomials import Polynomial
 from .prequant.observables import DEGREE_CAP, Observable
@@ -36,7 +38,6 @@ __all__ = [
     "check_canonical_commutator",
     "check_selfadjoint",
     "reject_nonlinear",
-    "interior_config_states",
 ]
 
 
@@ -104,7 +105,7 @@ def divergence(f: LinearInP, grid: ConfigGrid) -> tuple[np.ndarray, str]:
 
     Only v enters.  Polynomial (or absent) components are differentiated
     exactly ("analytic"); a callable component sends the whole divergence
-    through the grid stencil ("stencil").
+    through the grid's matrix-free derivative ("stencil").
     """
     if all(comp is None or isinstance(comp, Polynomial) for comp in f.v):
         total = Polynomial.zero(grid.n)
@@ -112,22 +113,16 @@ def divergence(f: LinearInP, grid: ConfigGrid) -> tuple[np.ndarray, str]:
             if comp is not None:
                 total = total + comp.differentiate(a)
         return grid.sample([total])[0].real, "analytic"
-    derivs = lifted_derivatives(grid)
-    total = np.zeros(grid.size, dtype=complex)
+    total = np.zeros(grid.shape, dtype=complex)
     for a, field in enumerate(grid.sample(f.v)):
         if f.v[a] is not None:
-            total = total + derivs[a] @ field
-    return total.real, "stencil"
+            total = total + _derivative_along(grid, field.reshape(grid.shape), a)
+    return total.reshape(-1).real, "stencil"
 
 
-def quantize_halfform(f: LinearInP, grid: ConfigGrid, hbar: float,
-                      include_divergence_term: bool = True) -> OperatorMatrix:
-    """Dense matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
-
-    ``include_divergence_term=False`` drops the half-form correction; it
-    exists as a negative control for the self-adjointness checks and is not
-    a physically meaningful operator.
-    """
+def _halfform_operator(f: LinearInP, grid: ConfigGrid, hbar: float,
+                       include_divergence_term: bool = True) -> FirstOrderOperator:
+    """-i*hbar v.d/dq + u - (i*hbar/2) div(v) as a grid operator description."""
     if f.n != grid.n:
         raise ValueError(f"observable has n={f.n} but grid has n={grid.n}")
     scalar, *fields = grid.sample([f.u, *f.v])
@@ -135,8 +130,20 @@ def quantize_halfform(f: LinearInP, grid: ConfigGrid, hbar: float,
     if include_divergence_term:
         div, _ = divergence(f, grid)
         scalar = scalar - 0.5j * hbar * div
-    entries = FirstOrderOperator(grid, terms, scalar).matrix().todense()
-    return OperatorMatrix(np.asarray(entries), grid.basis_id)
+    return FirstOrderOperator(grid, terms, scalar)
+
+
+def quantize_halfform(f: LinearInP, grid: ConfigGrid, hbar: float,
+                      include_divergence_term: bool = True) -> OperatorMatrix:
+    """Sparse matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
+
+    ``include_divergence_term=False`` drops the half-form correction; it
+    exists as a negative control for the self-adjointness checks and is not
+    a physically meaningful operator.  ``.dense()`` materializes the entries
+    for small grids.
+    """
+    op = _halfform_operator(f, grid, hbar, include_divergence_term)
+    return OperatorMatrix(op.matrix(), grid.basis_id)
 
 
 def config_gram(grid: ConfigGrid) -> GramMatrix:
@@ -144,38 +151,37 @@ def config_gram(grid: ConfigGrid) -> GramMatrix:
     return diagonal_gram(grid, grid.cell_volume)
 
 
-def interior_config_states(grid: ConfigGrid, count: int = 4, seed: int = 5,
-                           modulated: bool = True) -> list[np.ndarray]:
-    """Normalized smooth bumps at machine epsilon on the boundary (see ``interior_states``)."""
-    return interior_states(grid, count, seed, modulated)
-
-
 def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int = 0,
                                states: list[np.ndarray] | None = None,
                                seed: int = 5) -> float:
-    """Residual of [q^a, p^b] - i*hbar*delta_ab on interior test vectors."""
+    """Residual of [q^a, p^b] - i*hbar*delta_ab on interior test vectors.
+
+    Both operators act matrix-free, so the check runs at full grid sizes.
+    """
     n = grid.n
-    q_op = quantize_halfform(
-        LinearInP.from_parts(n, u=Polynomial.variable(n, a)), grid, hbar).entries
-    p_op = quantize_halfform(
+    q_op = _halfform_operator(
+        LinearInP.from_parts(n, u=Polynomial.variable(n, a)), grid, hbar).apply
+    p_op = _halfform_operator(
         LinearInP.from_parts(n, v=[Polynomial.constant(n, 1) if i == b else None
-                                   for i in range(n)]), grid, hbar).entries
+                                   for i in range(n)]), grid, hbar).apply
     if states is None:
-        states = interior_config_states(grid, seed=seed)
+        states = interior_states(grid, seed=seed)
     delta = 1.0 if a == b else 0.0
     return worst_residual(
-        lambda v: q_op @ (p_op @ v) - p_op @ (q_op @ v) - 1j * hbar * delta * v, states)
+        lambda v: q_op(p_op(v)) - p_op(q_op(v)) - 1j * hbar * delta * v, states)
 
 
 def check_selfadjoint(f: LinearInP, grid: ConfigGrid, hbar: float,
                       states: list[np.ndarray] | None = None, seed: int = 5,
                       include_divergence_term: bool = True) -> float:
-    """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel."""
-    op = quantize_halfform(f, grid, hbar,
-                           include_divergence_term=include_divergence_term).entries
+    """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel.
+
+    The operator acts matrix-free, as in :func:`check_canonical_commutator`.
+    """
+    op = _halfform_operator(f, grid, hbar, include_divergence_term)
     if states is None:
-        states = interior_config_states(grid, seed=seed)
-    return worst_symmetry_defect(lambda v: op @ v, states)
+        states = interior_states(grid, seed=seed)
+    return worst_symmetry_defect(op.apply, states)
 
 
 def reject_nonlinear(f: Observable) -> LinearInP:

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra with Gram-weighted inner products.
+"""Complex linear algebra with Gram-weighted inner products.
 
 Operators and Gram matrices are tagged with the basis they act in; mixing
 bases raises :class:`~geoquant.errors.BasisMismatch`.  Entries are dense
-``numpy`` arrays for the truncated analytic bases (Fock, sphere sectors,
-configuration grids) and may be ``scipy.sparse`` matrices for phase-space
-grid discretizations, whose dimension makes dense storage pointless; the
+``numpy`` arrays for the truncated analytic bases (Fock, sphere sectors)
+and ``scipy.sparse`` matrices for the phase-space and configuration grid
+discretizations, whose dimension makes dense storage pointless; the
 spectral routines densify on demand.
 
 A :class:`GramMatrix` is validated once, at construction: a diagonal Gram
@@ -33,7 +33,6 @@ __all__ = [
     "real_spectrum",
     "gram_inner",
     "gram_norm",
-    "apply",
     "prune_offdiagonal",
 ]
 
@@ -46,7 +45,7 @@ def _is_square(m) -> bool:
 
 def _as_dense(entries) -> np.ndarray:
     if sp.issparse(entries):
-        return np.asarray(entries.todense(), dtype=complex)
+        return np.asarray(entries.toarray(), dtype=complex)
     return np.asarray(entries, dtype=complex)
 
 
@@ -222,11 +221,6 @@ def gram_inner(u: np.ndarray, v: np.ndarray, gram: GramMatrix) -> complex:
 def gram_norm(v: np.ndarray, gram: GramMatrix) -> float:
     val = gram_inner(v, v, gram)
     return float(np.sqrt(max(val.real, 0.0)))
-
-
-def apply(a: OperatorMatrix, v: np.ndarray) -> np.ndarray:
-    """Apply the operator to a coefficient vector."""
-    return np.asarray(a.entries @ v)
 
 
 def prune_offdiagonal(entries: np.ndarray, rel: float) -> np.ndarray:

@@ -87,8 +87,6 @@ class PhaseSpaceGrid(UniformGrid):
     def p_axis(self) -> np.ndarray:
         return self.axis(self.n)
 
-    axis_arrays = UniformGrid.axes
-
     @property
     def basis_id(self) -> str:
         return (f"psgrid/n{self.n}/q[{self.q_min:g},{self.q_max:g}]x{self.n_q}"

@@ -1,17 +1,18 @@
 """Uniform-grid differentiation: banded matrices, spectral symbols, one FFT kernel.
 
-A 4th-order centered finite-difference scheme plus an FFT-based spectral
-scheme.  Boundary handling: ``"zero"`` treats samples beyond the edge as
-zero (the stencil simply truncates), ``"periodic"`` wraps.  The spectral
-scheme always differentiates the periodic extension of the box; with states
-that vanish near the boundary the two conventions agree to the size of the
-tails, which is what every interior-test-vector check in this package relies
-on.
+A 4th-order centered finite-difference first derivative plus an FFT-based
+spectral scheme.  Boundary handling: ``"zero"`` treats samples beyond the
+edge as zero (the stencil simply truncates), ``"periodic"`` wraps.  The
+spectral scheme always differentiates the periodic extension of the box;
+with states that vanish near the boundary the two conventions agree to the
+size of the tails, which is what every interior-test-vector check in this
+package relies on.
 
 Spectral operators are Fourier multipliers.  :func:`fft_apply` applies a
 symbol along one axis of a field by FFT; that is how the spectral derivative
 acts matrix-free and how prequantum flows shift rows of the phase grid.
-The dense spectral matrices are assembled from the same symbols.
+The one dense spectral matrix, of the first derivative, is built from the
+same symbol and only for assembling operator matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["derivative_matrix_1d", "second_derivative_matrix_1d", "FD_SCHEMES",
+__all__ = ["derivative_matrix_1d", "FD_SCHEMES",
            "spectral_first_symbol", "spectral_shift_symbol", "fft_apply"]
 
 # antisymmetric halves of the centered first-derivative stencils
@@ -29,17 +30,11 @@ _FIRST_HALF = {
     "fd4": [2.0 / 3.0, -1.0 / 12.0],
 }
 
-# center + symmetric halves of the second-derivative stencils
-_SECOND = {
-    "fd4": (-5.0 / 2.0, [4.0 / 3.0, -1.0 / 12.0]),
-}
-
 FD_SCHEMES = tuple(_FIRST_HALF)
 SCHEMES = FD_SCHEMES + ("spectral",)
 
 
-def _banded(n: int, spacing: float, center: float, half: list[float],
-            antisymmetric: bool, boundary: str) -> sp.csr_matrix:
+def _banded(n: int, spacing: float, half: list[float], boundary: str) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     idx = np.arange(n)
 
@@ -55,15 +50,13 @@ def _banded(n: int, spacing: float, center: float, half: list[float],
             cols.append(idx[lo:hi] + offset)
             vals.append(np.full(hi - lo, coeff))
 
-    if center:
-        put(0, center)
     for k, c in enumerate(half, start=1):
         put(k, c)
-        put(-k, -c if antisymmetric else c)
+        put(-k, -c)
     mat = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    return mat.multiply(1.0 / spacing if antisymmetric else 1.0 / spacing**2).tocsr()
+    return mat.multiply(1.0 / spacing).tocsr()
 
 
 def _spectral_wavenumbers(n: int, spacing: float) -> np.ndarray:
@@ -110,12 +103,6 @@ def _spectral_first(n: int, spacing: float) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-@lru_cache(maxsize=64)
-def _spectral_second(n: int, spacing: float) -> np.ndarray:
-    mat = fft_apply(np.eye(n), -_spectral_wavenumbers(n, spacing) ** 2, 0)
-    return np.ascontiguousarray(mat.real)
-
-
 def _validate(n: int, spacing: float, scheme: str, boundary: str):
     if n < 2:
         raise ValueError("need at least two samples")
@@ -133,14 +120,4 @@ def derivative_matrix_1d(n: int, spacing: float, scheme: str = "fd4",
     _validate(n, spacing, scheme, boundary)
     if scheme == "spectral":
         return _spectral_first(n, float(spacing))
-    return _banded(n, spacing, 0.0, _FIRST_HALF[scheme], True, boundary)
-
-
-def second_derivative_matrix_1d(n: int, spacing: float, scheme: str = "fd4",
-                                boundary: str = "zero"):
-    """Second-derivative matrix; sparse for fd schemes, dense for spectral."""
-    _validate(n, spacing, scheme, boundary)
-    if scheme == "spectral":
-        return _spectral_second(n, float(spacing))
-    center, half = _SECOND[scheme]
-    return _banded(n, spacing, center, half, False, boundary)
+    return _banded(n, spacing, _FIRST_HALF[scheme], boundary)

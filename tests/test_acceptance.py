@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from geoquant import bks, fock, halfform, spin
+from geoquant.grid import interior_states
 from geoquant.linalg import GramMatrix, commutator, real_spectrum
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, SectorSpec,
@@ -146,7 +147,7 @@ def test_criterion_5_spin_representation():
 def test_criterion_6_canonical_halfform_operators():
     start = time.perf_counter()
     grid = halfform.ConfigGrid.line(-8.0, 8.0, 256, scheme="spectral")
-    states = halfform.interior_config_states(grid, count=4, seed=0)
+    states = interior_states(grid, count=4, seed=0)
     comm = halfform.check_canonical_commutator(grid, 1.0, states=states)
 
     q_poly = Polynomial.variable(1, 0)

@@ -97,12 +97,17 @@ def test_float_formatting_is_twelve_digits():
     assert "0.333333333333" in body
 
 
-def test_cli_import_loads_no_interpolation():
-    """The evolution needs no splines, so the CLI's start-up does not import them."""
+def test_cli_import_loads_no_lazy_dependencies():
+    """The CLI's start-up imports neither splines nor sympy.
+
+    The evolution needs no splines, and only ``spin_derivation`` uses sympy,
+    importing it inside the function that derives the spin forms.
+    """
     src = str(Path(geoquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, geoquant.cli; print('scipy.interpolate' in sys.modules)"
+    probe = ("import sys, geoquant.cli; print(sorted(m for m in "
+             "('scipy.interpolate', 'sympy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import FlowEscapesGrid, UnsupportedObservable
 from geoquant.prequant import (Observable, PhaseSpaceGrid, classify_flow,
-                               prequantum_evolve)
+                               evolution, prequantum_evolve)
 
 
 def grid_128(extent=8.0):
@@ -100,6 +101,20 @@ def test_free_flow_unitary_within_grid_tolerance():
     for t in (0.5, 1.0, 2.0):
         out = prequantum_evolve(free, psi, t, 1, grid, 1.0)
         assert abs(np.linalg.norm(out) - n0) / n0 < 1e-6 * max(t, 1.0)
+
+
+def test_flipped_shear_fails_the_demo_flow_check(monkeypatch):
+    """A shear in the wrong direction keeps the norm but not the closed form."""
+    shears = evolution._shears
+    monkeypatch.setattr(evolution, "_shears", lambda spec, t: [
+        (axis, -offset, -slope) for axis, offset, slope in shears(spec, t)])
+    grid = grid_128(extent=12.0)
+    psi = gaussian(grid, sigma=1.5)
+    out = prequantum_evolve(Observable.from_terms(1, {(0, 2): 0.5}), psi, 0.5, 1, grid, 1.0)
+    assert abs(np.linalg.norm(out) / np.linalg.norm(psi) - 1.0) < 1e-12
+    report = run_demo(RunConfig(demo="prequant-flat", n_pairs=1))
+    check = next(c for c in report.checks if c.name == "flow-closed-form")
+    assert not check.passed and check.value > 0.1
 
 
 def test_flow_escape_raises_with_fraction():

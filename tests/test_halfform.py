@@ -1,13 +1,21 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import geoquant.grid
+import geoquant.stencil
+from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import PolarizationViolation
-from geoquant.halfform import (ConfigGrid, LinearInP,
+from geoquant.grid import interior_states
+from geoquant.halfform import (ConfigGrid, LinearInP, _halfform_operator,
                                check_canonical_commutator, check_selfadjoint,
-                               config_gram, divergence, interior_config_states,
-                               quantize_halfform, reject_nonlinear)
+                               config_gram, divergence, quantize_halfform,
+                               reject_nonlinear)
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import Observable, poisson_bracket
 from geoquant.stencil import derivative_matrix_1d
@@ -27,7 +35,7 @@ def q_var(n=1, axis=0):
 def test_pure_position_observable_is_multiplication():
     grid = line()
     op = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0)
-    assert np.allclose(op.entries, np.diag(grid.axis(0)))
+    assert np.allclose(op.dense(), np.diag(grid.axis(0)))
 
 
 def test_momentum_is_scaled_gradient():
@@ -36,7 +44,7 @@ def test_momentum_is_scaled_gradient():
     op = quantize_halfform(f, grid, hbar=0.7)
     d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0],
                                         "fd4", "zero").todense())
-    assert np.allclose(op.entries, -0.7j * d)
+    assert np.allclose(op.dense(), -0.7j * d)
 
 
 def test_dilation_gets_half_divergence():
@@ -46,7 +54,7 @@ def test_dilation_gets_half_divergence():
     d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0],
                                         "fd4", "zero").todense())
     expected = -1j * (np.diag(grid.axis(0)) @ d + 0.5 * np.eye(grid.size))
-    assert np.allclose(op.entries, expected)
+    assert np.allclose(op.dense(), expected)
 
 
 def test_quantization_is_linear_in_f():
@@ -64,6 +72,70 @@ def test_quantization_is_linear_in_f():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_assembled_matrix_matches_matrix_free_apply(n, scheme):
+    """quantize_halfform's sparse entries and the checks' apply are one operator."""
+    if n == 1:
+        grid = line(count=64, scheme=scheme)
+        f = LinearInP.from_parts(1, u=Polynomial(1, {(2,): 0.5}),
+                                 v=[Polynomial(1, {(0,): 1.0, (1,): -0.7})])
+    else:
+        grid = ConfigGrid((-5.0, -4.0), (5.0, 4.0), (24, 20), scheme=scheme)
+        f = LinearInP.from_parts(2, u=Polynomial(2, {(1, 1): 0.3}),
+                                 v=[Polynomial(2, {(0, 1): 1.0}),
+                                    Polynomial(2, {(2, 0): -0.4, (0, 0): 1.0})])
+    entries = quantize_halfform(f, grid, 0.8).entries
+    assert sp.issparse(entries)
+    op = _halfform_operator(f, grid, 0.8)
+    for v in interior_states(grid, count=3, seed=4):
+        direct = entries @ v
+        assert np.max(np.abs(direct - op.apply(v))) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_grid_checks_assemble_no_operator(monkeypatch):
+    """Checks apply operators matrix-free; only quantize_halfform assembles."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grid check assembled or densified an operator")
+    originals = (geoquant.grid.lifted_derivatives, geoquant.stencil._spectral_first)
+    for name, module in list(sys.modules.items()):
+        if name == "geoquant" or name.startswith("geoquant."):
+            for attr, value in list(vars(module).items()):
+                if any(value is orig for orig in originals):
+                    monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(geoquant.grid.FirstOrderOperator, "matrix", forbidden)
+    # bypass the per-grid cache so an earlier assembly cannot hide a dense build
+    monkeypatch.setattr(geoquant.grid, "derivative_matrices",
+                        geoquant.grid.derivative_matrices.__wrapped__)
+
+    grid = line(count=256, extent=8.0, scheme="spectral")
+    assert check_canonical_commutator(grid, 1.0) < TOL.grid
+    assert check_selfadjoint(LinearInP.from_parts(1, v=[q_var()]), grid, 1.0) < TOL.grid
+    for scheme in ("fd4", "spectral"):
+        div, path = divergence(LinearInP.from_parts(1, v=[lambda q: 1.5 * q**2]),
+                               line(scheme=scheme))
+        assert path == "stencil" and np.all(np.isfinite(div))
+    fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
+                               [0.32, 0.16, 0.08, 0.04, 0.02])
+    assert fit.ok
+    assert run_demo(RunConfig(demo="canonical")).passed
+    with pytest.raises(AssertionError):
+        quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0)
+
+
+def test_two_dimensional_checks_at_128_squared():
+    """A 128^2 spectral grid: a dense operator here would take 4.3 GB."""
+    grid = ConfigGrid((-8.0, -8.0), (8.0, 8.0), (128, 128), scheme="spectral")
+    start = time.perf_counter()
+    for a in range(2):
+        for b in range(2):
+            assert check_canonical_commutator(grid, 1.0, a=a, b=b) < TOL.grid
+    f = LinearInP.from_parts(2, v=[q_var(2, 0), q_var(2, 1)])
+    assert check_selfadjoint(f, grid, 1.0) < TOL.grid
+    assert check_selfadjoint(f, grid, 1.0, include_divergence_term=False) > 0.4
+    assert time.perf_counter() - start < 2.0
+
+
 def test_canonical_commutator_spectral():
     grid = line(count=256, extent=8.0, scheme="spectral")
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
@@ -72,18 +144,18 @@ def test_canonical_commutator_spectral():
 def test_config_states_vanish_at_the_box_edge():
     grid = line(count=256, extent=8.0, scheme="spectral")
     for seed in range(8):
-        for v in interior_config_states(grid, count=16, seed=seed):
+        for v in interior_states(grid, count=16, seed=seed):
             s = np.abs(v)
             assert max(s[0], s[-1]) <= 1e-15 * s.max()
     assert check_canonical_commutator(grid, 1.0,
-                                      states=interior_config_states(grid, seed=0)) < 1e-13
+                                      states=interior_states(grid, seed=0)) < 1e-13
 
 
 def test_commutator_of_coordinates_vanishes_exactly():
     grid = line(count=32)
-    qa = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0).entries
+    qa = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0).dense()
     qb = quantize_halfform(LinearInP.from_parts(1, u=Polynomial(1, {(2,): 1.0})),
-                           grid, 1.0).entries
+                           grid, 1.0).dense()
     assert not np.any(qa @ qb - qb @ qa)
 
 
@@ -147,7 +219,7 @@ def test_linear_in_p_closed_under_bracket_and_dirac():
     grid = line(count=192, extent=8.0, scheme="spectral")
     hbar = 1.0
     rng = np.random.default_rng(3)
-    states = interior_config_states(grid, count=3, seed=9)
+    states = interior_states(grid, count=3, seed=9)
     for _ in range(4):
         f_obs = Observable.from_terms(1, {
             (1, 0): rng.uniform(-1, 1), (2, 0): rng.uniform(-1, 1),
@@ -170,7 +242,7 @@ def test_fourth_order_convergence():
     residuals = {}
     for count in (64, 128):
         grid = line(count=count, extent=8.0, scheme="fd4")
-        states = interior_config_states(grid, count=3, seed=2, modulated=False)
+        states = interior_states(grid, count=3, seed=2, modulated=False)
         residuals[count] = check_selfadjoint(f, grid, 1.0, states=states)
     assert residuals[64] / residuals[128] > 8.0
 

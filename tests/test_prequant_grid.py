@@ -228,7 +228,7 @@ def test_liouville_gram_weight():
 
 def test_two_degrees_of_freedom_dirac():
     grid = PhaseSpaceGrid(-6, 6, -6, 6, 32, 32, n=2, scheme="spectral")
-    mesh = np.meshgrid(*grid.axis_arrays(), indexing="ij")
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
     sigma = 0.15 * 6.0
     bump = np.ones(grid.shape)
     for x in mesh:
