@@ -488,8 +488,8 @@ def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
     spread_rel = 0.0
     overlaps = np.empty(len(test_states), dtype=complex)
     for j, chi in enumerate(test_states):
-        base = branch * psi0.inner(chi)
         overlaps[j] = psi0.inner(chi)
+        base = branch * overlaps[j]
         g = np.empty(t_arr.size, dtype=complex)
         for i, t in enumerate(t_arr):
             pairing = bks_pairing(psi0, chi, float(t), tolerances=tolerances)

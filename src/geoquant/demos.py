@@ -332,7 +332,7 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
                      "i*hbar dpsi/dt = -(c*hbar^2/2m) lap(psi), |c| = 1",
                      abs(abs(fit.c_fit) - expected_mod) / expected_mod, tol.bks)
     report.add_check("schrodinger-phase", "arg(c) = -pi*n/4",
-                     abs(float(np.angle(fit.c_fit)) + np.pi / 4.0), 1e-2)
+                     abs(float(np.angle(fit.c_fit)) + np.pi * psi0.n / 4.0), 1e-2)
     report.add_check("fit-stability", "Richardson corrections settle",
                      fit.extrapolation_spread, 10 * tol.bks,
                      note=f"fit residual {fit.residual:.2e}")

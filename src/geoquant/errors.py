@@ -36,10 +36,10 @@ class DegreeOverflow(GeoquantError):
 
 
 class FlowEscapesGrid(GeoquantError):
-    """A flow carries too many grid points, or too much mass, outside the grid.
+    """A flow carries too much of a state's mass outside the grid.
 
-    ``escaped_fraction`` is the fraction of nodes that flowed out or, for
-    the mass guard, the squared-norm fraction carried across the edge.
+    ``escaped_fraction`` is the largest squared-norm fraction that one shear
+    of the flow carries across the box edge.
     """
 
     def __init__(self, message: str, *, escaped_fraction: float):

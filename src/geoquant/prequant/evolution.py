@@ -18,8 +18,18 @@ band-limited states the shears are exact and unitary.  The FFT treats the
 box as periodic, so whatever a shear carries across an edge wraps round to
 the other side: each shear measures the squared-norm fraction it carries
 across, and the evolution refuses when that escaped mass exceeds
-``Tolerances.tail_mass``.  The phase integral is taken by Gauss-Legendre
-quadrature per step along the exact flow.
+``Tolerances.tail_mass``.
+
+The same shears, applied to the coordinates, give the endpoint rho_t(m), and
+with it the action in closed form.  Write f = f2 + f1 + f0, its parts of
+degree 2, 1 and 0.  Euler's identity ``q.df/dq + p.df/dp = 2 f2 + f1`` and
+``d(q.p)/dtau = p.df/dp - q.df/dq`` give
+
+    L_f = (1/2) d(q.p)/dtau - f1/2 - f0.
+
+In each supported family f1 is constant along the flow: it vanishes for the
+free flow and the rotation, and for a translation f = f1 + f0 is conserved.
+So the action is ``(q_t p_t - q p)/2 - t (f1(q, p)/2 + f0)``.
 """
 
 from __future__ import annotations
@@ -30,14 +40,11 @@ import numpy as np
 
 from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import FlowEscapesGrid, UnsupportedObservable
-from ..polynomials import Polynomial
 from ..stencil import fft_apply, spectral_shift_symbol
 from .gridops import PhaseSpaceGrid
 from .observables import Observable, ObservableKind
 
 __all__ = ["prequantum_evolve", "classify_flow", "FlowSpec"]
-
-_GL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -67,26 +74,6 @@ def classify_flow(f: Observable) -> FlowSpec:
         return FlowSpec("rotation", coeffs[(0, 2)], const)  # f = a*(q^2+p^2)
     raise UnsupportedObservable(
         "no closed-form flow for this observable; supported: c*p, c*q, c*p^2, a*(q^2+p^2)")
-
-
-def _flow_map(spec: FlowSpec, q: np.ndarray, p: np.ndarray, t: float):
-    if spec.kind == "translation_q":
-        return q + spec.coeff * t, p
-    if spec.kind == "translation_p":
-        return q, p - spec.coeff * t
-    if spec.kind == "free":
-        return q + 2.0 * spec.coeff * t * p, p
-    if spec.kind == "rotation":
-        w = 2.0 * spec.coeff * t
-        c, s = np.cos(w), np.sin(w)
-        return q * c + p * s, p * c - q * s
-    raise UnsupportedObservable(spec.kind)
-
-
-def _lagrangian(f: Observable) -> Polynomial:
-    """L_f = p * df/dp - f in the p.dq gauge."""
-    p_var = Polynomial.variable(2, 1)
-    return p_var * f.dp(0) - f.poly
 
 
 def _shears(spec: FlowSpec, t: float) -> list[tuple[int, float, float]]:
@@ -133,44 +120,31 @@ def _shear(psi: np.ndarray, grid: PhaseSpaceGrid, axis: int, offset: float,
 
 def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
                       grid: PhaseSpaceGrid, hbar: float,
-                      max_escape_fraction: float = 0.5,
                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a grid section along the prequantum flow of f.
 
     ``psi0`` may be flat or shaped ``(n_q, n_p)``; the result matches the
-    input layout.  The pullback is a sequence of band-limited FFT shears
-    (see the module docstring), exact for states resolved by the grid.
+    input layout.  The pullback is a sequence of band-limited FFT shears and
+    the phase is the closed-form action (see the module docstring), both
+    exact for states resolved by the grid.  ``steps`` must be at least 1 and
+    does not change the result.
 
-    Two guards refuse flows the box cannot hold, both with
-    :class:`FlowEscapesGrid`.  If more than ``max_escape_fraction`` of the
-    grid nodes flow outside the extents, its ``escaped_fraction`` is that
-    node fraction.  Otherwise, if some shear carries more than
-    ``tolerances.tail_mass`` of the squared norm across the box edge, it is
-    the worst such mass fraction.  Nodes whose flowed position leaves the
-    extents are filled with zeros.
+    If some shear carries more than ``tolerances.tail_mass`` of the squared
+    norm across the box edge, the evolution raises :class:`FlowEscapesGrid`
+    with the worst such mass fraction as ``escaped_fraction``.  Nodes whose
+    flowed position leaves the extents are filled with zeros.
     """
     if grid.n != 1:
         raise UnsupportedObservable("evolution is implemented for n = 1 grids")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     spec = classify_flow(f)
-    lagr = _lagrangian(f)
 
     flat_input = psi0.ndim == 1
     psi = np.asarray(psi0, dtype=complex).reshape(grid.n_q, grid.n_p)
-    qmesh, pmesh = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
-
-    # endpoint of the flow from every node
-    q_t, p_t = _flow_map(spec, qmesh, pmesh, t)
-    escaped = ((q_t < grid.q_min) | (q_t > grid.q_max)
-               | (p_t < grid.p_min) | (p_t > grid.p_max))
-    frac = float(np.mean(escaped))
-    if frac > max_escape_fraction:
-        raise FlowEscapesGrid(
-            f"{frac:.1%} of grid points flow outside the extents", escaped_fraction=frac)
-
+    shears = _shears(spec, t)
     carried = []
-    for axis, offset, slope in _shears(spec, t):
+    for axis, offset, slope in shears:
         if offset or slope:
             psi, mass = _shear(psi, grid, axis, offset, slope)
             carried.append(mass)
@@ -180,16 +154,17 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
             f"a shear carries {worst:.3e} of the squared norm across the grid edge",
             escaped_fraction=worst)
 
-    # accumulated action integral along the exact flow
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    action = np.zeros_like(qmesh)
-    dt = t / steps
-    for k in range(steps):
-        tau = (k + 0.5 * (nodes + 1.0)) * dt
-        for tj, wj in zip(tau, weights):
-            q_j, p_j = _flow_map(spec, qmesh, pmesh, tj)
-            action += 0.5 * dt * wj * np.real(lagr.evaluate(q_j, p_j))
+    # the endpoint rho_t: the same shears move the coordinates, last shear first
+    qmesh, pmesh = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    x = [qmesh, pmesh]
+    for axis, offset, slope in reversed(shears):
+        x[axis] = x[axis] + (offset + slope * x[1 - axis])
+    q_t, p_t = x
+    c = f.poly.coeffs
+    f1 = float(c.get((1, 0), 0)) * qmesh + float(c.get((0, 1), 0)) * pmesh  # degree-1 part
+    action = 0.5 * (q_t * p_t - qmesh * pmesh) - t * (0.5 * f1 + spec.constant)
 
     out = np.exp(-1j * action / hbar) * psi
-    out[escaped] = 0.0
+    out[(q_t < grid.q_min) | (q_t > grid.q_max)
+        | (p_t < grid.p_min) | (p_t > grid.p_max)] = 0.0
     return out.reshape(-1) if flat_input else out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
@@ -135,15 +137,37 @@ def modulated_gaussian(grid, q0=1.0, p0=-0.5, sigma=1.2, k=1.0):
     return np.exp(-((q - q0) ** 2 + (p - p0) ** 2) / (2 * sigma**2) + 1j * k * q)
 
 
-@pytest.mark.parametrize("flow, t1, t2", [(HARMONIC, 0.9, 1.7), (FREE, 0.5, 0.7)],
-                         ids=["rotation", "free"])
-def test_group_law(flow, t1, t2):
-    # rotation: 0.9 + 1.7 > pi/2, so two one-sub-rotation steps make a two-sub-rotation one
-    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
+def _flow_and_times():
+    """A generator with a constant term, and two times whose flows keep the state inside."""
+    const = st.floats(-2.0, 2.0)
+    coeff = st.floats(-1.0, 1.0)
+    translation = st.tuples(st.sampled_from([(0, 1), (1, 0)]), coeff, const).map(
+        lambda a: Observable.from_terms(1, {a[0]: a[1], (0, 0): a[2]}))
+    free = st.tuples(st.floats(-0.5, 0.5), const).map(
+        lambda a: Observable.from_terms(1, {(0, 2): a[0], (0, 0): a[1]}))
+    rotation = st.tuples(coeff, const).map(
+        lambda a: Observable.from_terms(1, {(2, 0): a[0], (0, 2): a[0], (0, 0): a[1]}))
+    # translations move the state by at most 3 and free-flow shears have slope at
+    # most 2; a rotation keeps the state near the centre at every angle
+    times = lambda bound: st.tuples(st.floats(-bound, bound), st.floats(-bound, bound))
+    return st.one_of(st.tuples(translation, times(1.5)), st.tuples(free, times(1.0)),
+                     st.tuples(rotation, times(15.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flow_and_times(), st.sampled_from([0.5, 1.0, 2.0]))
+@example((HARMONIC, (0.9, 1.7)), 1.0)  # two sub-rotations from two one-sub-rotation steps
+@example((FREE, (0.5, 0.7)), 1.0)
+@example((Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5, (0, 0): 0.3}),
+          (10.0, 10.0)), 1.0)  # ten turns
+def test_group_law_for_every_family(flow_and_times, hbar):
+    flow, (t1, t2) = flow_and_times
+    # 256^2: the closed-form phase is a chirp of local wavenumber ~|z|/hbar
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
     psi = modulated_gaussian(grid)
-    stepped = prequantum_evolve(flow, prequantum_evolve(flow, psi, t1, 1, grid, 1.0),
-                                t2, 1, grid, 1.0)
-    direct = prequantum_evolve(flow, psi, t1 + t2, 1, grid, 1.0)
+    stepped = prequantum_evolve(flow, prequantum_evolve(flow, psi, t1, 1, grid, hbar),
+                                t2, 1, grid, hbar)
+    direct = prequantum_evolve(flow, psi, t1 + t2, 1, grid, hbar)
     assert np.max(np.abs(stepped - direct)) < 1e-12
 
 
@@ -152,9 +176,11 @@ def test_full_rotation_returns_the_state_times_its_phase():
     psi = modulated_gaussian(grid)
     hbar, const = 0.7, 0.3
     f = Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5, (0, 0): const})
-    out = prequantum_evolve(f, psi, 2 * np.pi, 1, grid, hbar)
-    # the quadratic part's action vanishes over a period; the constant leaves exp(i c t / hbar)
-    assert np.max(np.abs(out - np.exp(1j * const * 2 * np.pi / hbar) * psi)) < 1e-12
+    for turns in (1, 10):
+        t = 2 * np.pi * turns
+        out = prequantum_evolve(f, psi, t, 1, grid, hbar)
+        # the quadratic part's action vanishes over a period; the constant leaves exp(i c t / hbar)
+        assert np.max(np.abs(out - np.exp(1j * const * t / hbar) * psi)) < 1e-12
 
 
 def test_rotation_past_a_quarter_turn_matches_closed_form():
@@ -200,3 +226,27 @@ def test_classify_flow_families():
     assert spec.kind == "rotation" and spec.coeff == pytest.approx(0.5)
     with pytest.raises(UnsupportedObservable):
         classify_flow(Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 2.0}))
+
+
+def test_free_flow_keeps_a_state_whose_nodes_leave():
+    """Most nodes flow out of the box, but the state's mass stays inside."""
+    grid = PhaseSpaceGrid(-24, 24, -24, 24, 256, 256)
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    hbar, t, sigma = 1.0, 3.0, 1.5
+    assert np.mean(np.abs(q + t * p) > 24) > 0.6
+    out = prequantum_evolve(FREE, gaussian(grid, sigma=sigma), t, 1, grid, hbar)
+    expected = np.exp(-1j * t * p**2 / (2 * hbar)) \
+        * np.exp(-((q + t * p) ** 2 + p**2) / (2 * sigma**2))
+    assert np.max(np.abs(out - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("flow", [Observable.from_terms(1, {(0, 1): 0.8, (0, 0): 0.2}),
+                                  Observable.from_terms(1, {(1, 0): -0.6}),
+                                  FREE, HARMONIC],
+                         ids=["translation_q", "translation_p", "free", "rotation"])
+def test_steps_do_not_change_the_result(flow):
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
+    psi = modulated_gaussian(grid)
+    one = prequantum_evolve(flow, psi, 1.3, 1, grid, 0.7)
+    four = prequantum_evolve(flow, psi, 1.3, 4, grid, 0.7)
+    assert np.array_equal(one, four)
