@@ -25,9 +25,6 @@ from .prequant import (Observable, PhaseSpaceGrid, SectorSpec, check_dirac,
 from .reporting import QuantReport
 from .stencil import SCHEMES
 
-DEMOS = ("prequant-flat", "weil-sphere", "cylinder", "fock", "spin",
-         "canonical", "bks")
-
 __all__ = ["RunConfig", "run_demo", "DEMOS"]
 
 
@@ -62,8 +59,11 @@ class RunConfig:
                   ("grid_q", self.grid_q >= 8), ("grid_p", self.grid_p >= 8),
                   ("grid_points", self.grid_points >= 16),
                   ("k_max", self.k_max >= 0), ("n_pairs", self.n_pairs >= 1),
-                  ("t_list", len(self.t_list) >= 3
-                   and all(t > 0 for t in self.t_list))]
+                  ("t_list", 3 <= len(self.t_list) <= 10
+                   and len(set(self.t_list)) == len(self.t_list)
+                   and all(0 < t < np.inf for t in self.t_list)),
+                  ("s_values", len(self.s_values) >= 1
+                   and all(0 < s < np.inf for s in self.s_values))]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}", field=name)
@@ -74,16 +74,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         out = {"demo": self.demo, "hbar": self.hbar, "seed": self.seed}
-        extra = {
-            "prequant-flat": ["grid_q", "grid_p", "extent", "n_pairs", "scheme"],
-            "weil-sphere": ["s_values"],
-            "cylinder": ["lam", "k_max"],
-            "fock": ["n_sector", "degree"],
-            "spin": ["n_sector"],
-            "canonical": ["grid_points", "extent", "scheme"],
-            "bks": ["grid_points", "mass", "t_list"],
-        }[self.demo]
-        for name in extra:
+        for name in _DEMOS[self.demo][1]:
             value = getattr(self, name)
             out[name] = list(value) if isinstance(value, tuple) else value
         return out
@@ -341,19 +332,22 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
     return report
 
 
-_RUNNERS = {
-    "prequant-flat": demo_prequant_flat,
-    "weil-sphere": demo_weil_sphere,
-    "cylinder": demo_cylinder,
-    "fock": demo_fock,
-    "spin": demo_spin,
-    "canonical": demo_canonical,
-    "bks": demo_bks,
+#: each demo's runner and the configuration fields its report echoes
+_DEMOS = {
+    "prequant-flat": (demo_prequant_flat, ("grid_q", "grid_p", "extent", "n_pairs", "scheme")),
+    "weil-sphere": (demo_weil_sphere, ("s_values",)),
+    "cylinder": (demo_cylinder, ("lam", "k_max")),
+    "fock": (demo_fock, ("n_sector", "degree")),
+    "spin": (demo_spin, ("n_sector",)),
+    "canonical": (demo_canonical, ("grid_points", "extent", "scheme")),
+    "bks": (demo_bks, ("grid_points", "mass", "t_list")),
 }
+
+DEMOS = tuple(_DEMOS)
 
 
 def run_demo(cfg: RunConfig) -> QuantReport:
     start = time.perf_counter()
-    report = _RUNNERS[cfg.demo](cfg)
+    report = _DEMOS[cfg.demo][0](cfg)
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -28,7 +28,7 @@ class EigenFailure(GeoquantError):
 
 
 class UnsupportedObservable(GeoquantError):
-    """The observable kind or functional form is outside an operation's domain."""
+    """The observable's functional form is outside an operation's domain."""
 
 
 class DegreeOverflow(GeoquantError):

@@ -136,32 +136,38 @@ def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
                       basis.basis_id, tolerances)
 
 
-def op_raise(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
-    """Multiplication by z^axis; the top degree shell truncates to zero."""
-    if not 0 <= axis < basis.n:
-        raise ValueError(f"axis {axis} out of range for n={basis.n}")
+def _monomial_map(basis: FockBasis, up: int | None, down: int | None) -> np.ndarray:
+    """Matrix of z^up d/dz^down on the monomials; None leaves that factor out.
+
+    z^m maps to m_down * z^(m - e_down + e_up) (coefficient 1 without a
+    derivative).  An image beyond the top degree shell is truncated to zero,
+    which only multiplication without a derivative can produce.
+    """
+    for axis in (up, down):
+        if axis is not None and not 0 <= axis < basis.n:
+            raise ValueError(f"axis {axis} out of range for n={basis.n}")
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for j, m in enumerate(basis.indices):
-        if sum(m) == basis.max_degree:
-            continue
-        target = list(m)
-        target[axis] += 1
-        mat[basis.index_of(tuple(target)), j] = 1.0
-    return OperatorMatrix(mat, basis.basis_id)
+        target, coeff = list(m), 1
+        if down is not None:
+            coeff = m[down]
+            target[down] -= 1
+        if up is not None:
+            target[up] += 1
+        if coeff and sum(target) <= basis.max_degree:
+            mat[basis.index_of(tuple(target)), j] = coeff
+    return mat
+
+
+def op_raise(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
+    """Multiplication by z^axis; the top degree shell truncates to zero."""
+    return OperatorMatrix(_monomial_map(basis, axis, None), basis.basis_id)
 
 
 def op_lower(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
     """2*hbar * d/dz^axis: sends z^m to 2*hbar*m_axis*z^(m - e_axis)."""
-    if not 0 <= axis < basis.n:
-        raise ValueError(f"axis {axis} out of range for n={basis.n}")
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for j, m in enumerate(basis.indices):
-        if m[axis] == 0:
-            continue
-        target = list(m)
-        target[axis] -= 1
-        mat[basis.index_of(tuple(target)), j] = 2.0 * basis.hbar * m[axis]
-    return OperatorMatrix(mat, basis.basis_id)
+    return OperatorMatrix(2.0 * basis.hbar * _monomial_map(basis, None, axis),
+                          basis.basis_id)
 
 
 def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
@@ -172,19 +178,6 @@ def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
     """
     diag = [basis.hbar * (sum(m) + basis.n / 2.0) for m in basis.indices]
     return OperatorMatrix(np.diag(diag).astype(complex), basis.basis_id)
-
-
-def _number_block(basis: FockBasis, a: int, b: int) -> np.ndarray:
-    """Matrix of z^a d/dz^b on monomials (degree preserving)."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for j, m in enumerate(basis.indices):
-        if m[b] == 0:
-            continue
-        target = list(m)
-        target[b] -= 1
-        target[a] += 1
-        mat[basis.index_of(tuple(target)), j] = m[b]
-    return mat
 
 
 def polarization_preserving(basis: FockBasis, f0: float = 0.0,
@@ -224,6 +217,6 @@ def polarization_preserving(basis: FockBasis, f0: float = 0.0,
         for a in range(n):
             for b in range(n):
                 if c[a, b] != 0:
-                    total += 2.0 * basis.hbar * c[a, b] * _number_block(basis, a, b)
+                    total += 2.0 * basis.hbar * c[a, b] * _monomial_map(basis, a, b)
         total += basis.hbar * np.trace(c).real * np.eye(basis.dim)
     return OperatorMatrix(total, basis.basis_id)

@@ -45,9 +45,11 @@ class UniformGrid:
     """Shared core of the uniform cell-centered grids.
 
     Subclasses are frozen dataclasses that expose per-axis ``mins``,
-    ``maxs`` and ``counts`` in flatten order plus ``scheme`` and
-    ``boundary``, and call :meth:`_validate` after construction.  Being
-    hashable, they key the derivative caches of this module.
+    ``maxs`` and ``counts`` in flatten order plus ``scheme``, and call
+    :meth:`_validate` after construction.  Being hashable, they key the
+    derivative caches of this module.  The scheme fixes the edge
+    convention: fd4 drops couplings beyond the edge, spectral
+    differentiates the periodic extension (see :mod:`geoquant.stencil`).
     """
 
     def _validate(self, min_count: int) -> None:
@@ -59,8 +61,6 @@ class UniformGrid:
             raise ValueError("grid extents must have positive length")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("zero", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -111,7 +111,7 @@ class UniformGrid:
 @lru_cache(maxsize=64)
 def derivative_matrices(grid: UniformGrid) -> tuple:
     """One-dimensional derivative matrix for each axis."""
-    return tuple(derivative_matrix_1d(c, h, grid.scheme, grid.boundary)
+    return tuple(derivative_matrix_1d(c, h, grid.scheme)
                  for c, h in zip(grid.counts, grid.spacings))
 
 

@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeOverflow, PolarizationViolation
+from .errors import PolarizationViolation
 from .grid import (FirstOrderOperator, UniformGrid, _derivative_along, diagonal_gram,
                    interior_states, worst_residual, worst_symmetry_defect)
 from .linalg import GramMatrix, OperatorMatrix
 from .polynomials import Polynomial
-from .prequant.observables import DEGREE_CAP, Observable
+from .prequant.observables import Observable
 
 __all__ = [
     "ConfigGrid",
@@ -48,7 +48,6 @@ class ConfigGrid(UniformGrid):
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
     counts: tuple[int, ...]
-    boundary: str = "zero"
     scheme: str = "fd4"
 
     def __post_init__(self):
@@ -62,9 +61,8 @@ class ConfigGrid(UniformGrid):
         self._validate(min_count=16)
 
     @classmethod
-    def line(cls, lo: float, hi: float, count: int, boundary: str = "zero",
-             scheme: str = "fd4") -> "ConfigGrid":
-        return cls((lo,), (hi,), (count,), boundary, scheme)
+    def line(cls, lo: float, hi: float, count: int, scheme: str = "fd4") -> "ConfigGrid":
+        return cls((lo,), (hi,), (count,), scheme)
 
     @property
     def n(self) -> int:
@@ -74,7 +72,7 @@ class ConfigGrid(UniformGrid):
     def basis_id(self) -> str:
         spans = "x".join(f"[{lo:g},{hi:g}]{c}"
                          for lo, hi, c in zip(self.mins, self.maxs, self.counts))
-        return f"cfggrid/n{self.n}/{spans}/{self.scheme}/{self.boundary}"
+        return f"cfggrid/n{self.n}/{spans}/{self.scheme}"
 
 
 @dataclass(frozen=True)
@@ -192,11 +190,7 @@ def reject_nonlinear(f: Observable) -> LinearInP:
     in :mod:`geoquant.bks`.
     """
     poly = f.poly
-    if poly is None:
-        raise PolarizationViolation("need a polynomial observable")
     n = f.n
-    if poly.total_degree() > DEGREE_CAP:
-        raise DegreeOverflow("observable exceeds the supported degree cap")
     u = Polynomial.zero(n)
     v = [Polynomial.zero(n) for _ in range(n)]
     for expo, c in poly.coeffs.items():

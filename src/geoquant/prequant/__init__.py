@@ -5,8 +5,7 @@ from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac,
                       interior_test_states, liouville_gram, prequantize,
                       selfadjoint_residual)
 from .observables import (DEGREE_CAP, HamiltonianField, Observable,
-                          ObservableKind, hamiltonian_vector_field,
-                          lie_bracket, poisson_bracket)
+                          hamiltonian_vector_field, lie_bracket, poisson_bracket)
 from .sectors import (SectorSpec, WeilResult, cylinder_momentum_operator,
                       cylinder_spectrum, weil_admissible)
 
@@ -15,7 +14,6 @@ __all__ = [
     "FlowSpec",
     "HamiltonianField",
     "Observable",
-    "ObservableKind",
     "PhaseSpaceGrid",
     "PrequantApplier",
     "SectorSpec",

@@ -42,7 +42,7 @@ from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import FlowEscapesGrid, UnsupportedObservable
 from ..stencil import fft_apply, spectral_shift_symbol
 from .gridops import PhaseSpaceGrid
-from .observables import Observable, ObservableKind
+from .observables import Observable
 
 __all__ = ["prequantum_evolve", "classify_flow", "FlowSpec"]
 
@@ -58,8 +58,8 @@ class FlowSpec:
 
 def classify_flow(f: Observable) -> FlowSpec:
     """Match f against the analytically integrable generator families."""
-    if f.kind is not ObservableKind.POLY_QP or f.n != 1:
-        raise UnsupportedObservable("evolution supports 1D polynomial observables")
+    if f.n != 1:
+        raise UnsupportedObservable("evolution supports observables with n = 1")
     coeffs = {e: float(c) for e, c in f.poly.coeffs.items()}
     const = coeffs.pop((0, 0), 0.0)
     if not coeffs:

@@ -22,7 +22,7 @@ from ..grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_sta
                     worst_residual, worst_symmetry_defect)
 from ..linalg import GramMatrix, OperatorMatrix
 from ..polynomials import Polynomial
-from .observables import Observable, ObservableKind, poisson_bracket
+from .observables import Observable, poisson_bracket
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -51,7 +51,6 @@ class PhaseSpaceGrid(UniformGrid):
     n_q: int
     n_p: int
     n: int = 1
-    boundary: str = "zero"
     scheme: str = "fd4"
 
     def __post_init__(self):
@@ -91,13 +90,11 @@ class PhaseSpaceGrid(UniformGrid):
     def basis_id(self) -> str:
         return (f"psgrid/n{self.n}/q[{self.q_min:g},{self.q_max:g}]x{self.n_q}"
                 f"/p[{self.p_min:g},{self.p_max:g}]x{self.n_p}"
-                f"/{self.scheme}/{self.boundary}")
+                f"/{self.scheme}")
 
 
 def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
     """Terms and scalar of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid."""
-    if f.kind is not ObservableKind.POLY_QP:
-        raise UnsupportedObservable("grid prequantization needs a POLY_QP observable")
     if f.n != grid.n:
         raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
     n = grid.n
@@ -127,7 +124,6 @@ class PrequantApplier(FirstOrderOperator):
 
     def __init__(self, f: Observable, grid: PhaseSpaceGrid, hbar: float):
         super().__init__(grid, *_prequant_terms(f, grid, hbar))
-        self.hbar = hbar
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)

@@ -10,7 +10,6 @@ canonical commutator ``[q^, p^] = +i*hbar``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ from ..errors import DegreeOverflow, UnsupportedObservable
 from ..polynomials import Polynomial
 
 __all__ = [
-    "ObservableKind",
     "Observable",
     "HamiltonianField",
     "hamiltonian_vector_field",
@@ -31,40 +29,36 @@ __all__ = [
 DEGREE_CAP = 4
 
 
-class ObservableKind(enum.Enum):
-    POLY_QP = "poly_qp"
-    SPHERE_HOLO = "sphere_holo"
-    CYLINDER_MOMENTUM = "cylinder_momentum"
-
-
 @dataclass(frozen=True)
 class Observable:
-    """Real classical observable; only POLY_QP carries a coefficient table."""
+    """Real polynomial ``poly`` in (q_1..q_n, p_1..p_n) of degree <= DEGREE_CAP.
 
-    kind: ObservableKind
+    The sphere and cylinder models enter through
+    :class:`~geoquant.prequant.sectors.SectorSpec` and :mod:`geoquant.spin`.
+    """
+
     n: int
-    poly: Polynomial | None = None
+    poly: Polynomial
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("half-dimension n must be >= 1")
-        if self.kind is ObservableKind.POLY_QP:
-            if self.poly is None or self.poly.nvars != 2 * self.n:
-                raise ValueError("POLY_QP observable needs a polynomial in 2n variables")
-            if not self.poly.is_real():
-                raise ValueError("classical observables are real-valued")
-            if not all(math.isfinite(float(c)) for c in self.poly.coeffs.values()):
-                raise ValueError("coefficients must be finite")
-            if self.poly.total_degree() > DEGREE_CAP:
-                raise DegreeOverflow(
-                    f"total degree {self.poly.total_degree()} exceeds cap {DEGREE_CAP}")
+        if self.poly.nvars != 2 * self.n:
+            raise ValueError("observable needs a polynomial in 2n variables")
+        if not self.poly.is_real():
+            raise ValueError("classical observables are real-valued")
+        if not all(math.isfinite(float(c)) for c in self.poly.coeffs.values()):
+            raise ValueError("coefficients must be finite")
+        if self.poly.total_degree() > DEGREE_CAP:
+            raise DegreeOverflow(
+                f"total degree {self.poly.total_degree()} exceeds cap {DEGREE_CAP}")
 
     # -- convenience constructors -------------------------------------------
 
     @classmethod
     def from_poly(cls, poly: Polynomial, n: int | None = None) -> "Observable":
         n = poly.nvars // 2 if n is None else n
-        return cls(ObservableKind.POLY_QP, n, poly)
+        return cls(n, poly)
 
     @classmethod
     def from_terms(cls, n: int, terms: dict[tuple, object]) -> "Observable":
@@ -84,18 +78,13 @@ class Observable:
 
     # -- polynomial views ----------------------------------------------------
 
-    def _require_poly(self, op: str) -> Polynomial:
-        if self.kind is not ObservableKind.POLY_QP or self.poly is None:
-            raise UnsupportedObservable(f"{op} requires a POLY_QP observable")
-        return self.poly
-
     def dq(self, axis: int) -> Polynomial:
         """df/dq^axis."""
-        return self._require_poly("dq").differentiate(axis)
+        return self.poly.differentiate(axis)
 
     def dp(self, axis: int) -> Polynomial:
         """df/dp_axis."""
-        return self._require_poly("dp").differentiate(self.n + axis)
+        return self.poly.differentiate(self.n + axis)
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,6 @@ class HamiltonianField:
 
 def hamiltonian_vector_field(f: Observable) -> HamiltonianField:
     """Hamiltonian vector field of a polynomial observable, by exact differentiation."""
-    f._require_poly("hamiltonian_vector_field")
     dq = tuple(f.dp(a) for a in range(f.n))
     dp = tuple(-f.dq(a) for a in range(f.n))
     return HamiltonianField(f.n, dq, dp)
@@ -131,11 +119,7 @@ def poisson_bracket(f: Observable, g: Observable) -> Observable:
     """{f, g} = X_f[g]; antisymmetric, with {q, p} = -1 in these conventions."""
     if f.n != g.n:
         raise UnsupportedObservable("observables live on different phase spaces")
-    f._require_poly("poisson_bracket")
-    g._require_poly("poisson_bracket")
-    out = Polynomial.zero(2 * f.n)
-    for a in range(f.n):
-        out = out + f.dp(a) * g.dq(a) - f.dq(a) * g.dp(a)
+    out = hamiltonian_vector_field(f).apply(g.poly)
     if out.total_degree() > DEGREE_CAP:
         raise DegreeOverflow(
             f"bracket degree {out.total_degree()} exceeds cap {DEGREE_CAP}")

@@ -35,7 +35,6 @@ class SectorSpec:
 
     model: str
     hbar: float = 1.0
-    n_sector: int | None = None
     lam: float | None = None
     s: float | None = None
 

@@ -152,7 +152,6 @@ class Su2Report:
     pair: float            # ||[J+, J-] - 2*hbar*J3||
     casimir_offdiag: float
     casimir_scalar: complex
-    casimir_expected: float
     casimir_residual: float
     metaplectic_correction_applied: bool = METAPLECTIC_CORRECTION_APPLIED
 
@@ -181,6 +180,5 @@ def check_su2(basis: SpinBasis) -> Su2Report:
         pair=norm(comm(jp, jm) - 2.0 * hb * j3),
         casimir_offdiag=norm(offdiag),
         casimir_scalar=scalar,
-        casimir_expected=expected,
         casimir_residual=float(np.linalg.norm(casimir - expected * np.eye(n + 1))) / scale,
     )

@@ -1,12 +1,12 @@
 """Uniform-grid differentiation: banded matrices, spectral symbols, one FFT kernel.
 
 A 4th-order centered finite-difference first derivative plus an FFT-based
-spectral scheme.  Boundary handling: ``"zero"`` treats samples beyond the
-edge as zero (the stencil simply truncates), ``"periodic"`` wraps.  The
-spectral scheme always differentiates the periodic extension of the box;
-with states that vanish near the boundary the two conventions agree to the
-size of the tails, which is what every interior-test-vector check in this
-package relies on.
+spectral scheme, each with one edge convention.  The ``"fd4"`` stencil
+treats samples beyond the edge as zero: it drops the couplings that would
+leave the box, so the matrix stays antisymmetric.  The ``"spectral"``
+scheme differentiates the periodic extension of the box.  With states that
+vanish near the edges the two agree to the size of the tails, which is what
+every interior-test-vector check in this package relies on.
 
 Spectral operators are Fourier multipliers.  :func:`fft_apply` applies a
 symbol along one axis of a field by FFT; that is how the spectral derivative
@@ -22,33 +22,27 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["derivative_matrix_1d", "FD_SCHEMES",
-           "spectral_first_symbol", "spectral_shift_symbol", "fft_apply"]
+__all__ = ["derivative_matrix_1d", "spectral_first_symbol", "spectral_shift_symbol",
+           "fft_apply"]
 
 # antisymmetric halves of the centered first-derivative stencils
 _FIRST_HALF = {
     "fd4": [2.0 / 3.0, -1.0 / 12.0],
 }
 
-FD_SCHEMES = tuple(_FIRST_HALF)
-SCHEMES = FD_SCHEMES + ("spectral",)
+SCHEMES = tuple(_FIRST_HALF) + ("spectral",)
 
 
-def _banded(n: int, spacing: float, half: list[float], boundary: str) -> sp.csr_matrix:
+def _banded(n: int, spacing: float, half: list[float]) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     idx = np.arange(n)
 
     def put(offset: int, coeff: float):
-        if boundary == "periodic":
-            rows.append(idx)
-            cols.append((idx + offset) % n)
-            vals.append(np.full(n, coeff))
-        else:  # zero padding: drop out-of-range couplings
-            lo = max(0, -offset)
-            hi = min(n, n - offset)
-            rows.append(idx[lo:hi])
-            cols.append(idx[lo:hi] + offset)
-            vals.append(np.full(hi - lo, coeff))
+        lo = max(0, -offset)
+        hi = min(n, n - offset)
+        rows.append(idx[lo:hi])
+        cols.append(idx[lo:hi] + offset)
+        vals.append(np.full(hi - lo, coeff))
 
     for k, c in enumerate(half, start=1):
         put(k, c)
@@ -103,21 +97,18 @@ def _spectral_first(n: int, spacing: float) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-def _validate(n: int, spacing: float, scheme: str, boundary: str):
+def _validate(n: int, spacing: float, scheme: str):
     if n < 2:
         raise ValueError("need at least two samples")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; options: {SCHEMES}")
-    if boundary not in ("zero", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
 
 
-def derivative_matrix_1d(n: int, spacing: float, scheme: str = "fd4",
-                         boundary: str = "zero"):
+def derivative_matrix_1d(n: int, spacing: float, scheme: str = "fd4"):
     """First-derivative matrix; sparse for fd schemes, dense for spectral."""
-    _validate(n, spacing, scheme, boundary)
+    _validate(n, spacing, scheme)
     if scheme == "spectral":
         return _spectral_first(n, float(spacing))
-    return _banded(n, spacing, _FIRST_HALF[scheme], boundary)
+    return _banded(n, spacing, _FIRST_HALF[scheme])

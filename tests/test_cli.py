@@ -66,7 +66,10 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ("prequant-flat", {"scheme": "fd6"}, "scheme"),
             ("canonical", {"extent": float("inf")}, "extent"),
             ("canonical", {"hbar": float("inf")}, "hbar"),
-            ("bks", {"mass": float("inf")}, "mass")]:
+            ("bks", {"mass": float("inf")}, "mass"),
+            ("bks", {"t_list": [0.01 * k for k in range(1, 12)]}, "t_list"),
+            ("bks", {"t_list": [0.08, 0.04, 0.04, 0.02]}, "t_list"),
+            ("weil-sphere", {"s_values": [0.5, -1.0]}, "s_values")]:
         cfg_file.write_text(json.dumps(entries))
         assert main([demo, "--config", str(cfg_file)]) == 2, entries
         assert f"[{name}]" in capsys.readouterr().err

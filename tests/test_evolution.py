@@ -119,6 +119,20 @@ def test_flipped_shear_fails_the_demo_flow_check(monkeypatch):
     assert not check.passed and check.value > 0.1
 
 
+def test_endpoint_applies_the_shears_last_first(monkeypatch):
+    """A non-palindromic shear list pins the order in which rho_t moves the coordinates."""
+    monkeypatch.setattr(evolution, "_shears", lambda spec, t: [(0, 0.3, 0.0), (1, 0.0, 0.4)])
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
+    hbar = 0.7
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    psi = lambda q, p: np.exp(-((q - 1.0) ** 2 + (p + 0.5) ** 2) / (2 * 1.2**2) + 1j * q)
+    out = prequantum_evolve(Observable.constant(1, 0), psi(q, p), 1.0, 1, grid, hbar)
+    # psi_1(q, p) = psi(q + 0.3, p), then psi_1(q, p + 0.4 q) = psi(q + 0.3, p + 0.4 q)
+    q_t, p_t = q + 0.3, p + 0.4 * q
+    expected = np.exp(-1j * (q_t * p_t - q * p) / (2 * hbar)) * psi(q_t, p_t)
+    assert np.max(np.abs(out - expected)) < 1e-12
+
+
 def test_flow_escape_raises_with_fraction():
     grid = grid_128(extent=4.0)
     psi = gaussian(grid)

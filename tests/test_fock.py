@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from geoquant import fock
@@ -138,6 +140,19 @@ def test_ladder_adjointness_below_top_shell():
     below = basis.below_top_projector()
     diff = adjoint_wrt(op_raise(basis), gram).entries - op_lower(basis).entries
     assert np.linalg.norm(diff @ below) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 8), st.floats(0.1, 3.0), st.data())
+def test_ladder_algebra_below_top_shell_for_every_axis(n, degree, hbar, data):
+    a, c = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    basis = FockBasis(n, degree, hbar)
+    below = basis.below_top_projector()
+    up, down_a, down_c = op_raise(basis, a), op_lower(basis, a), op_lower(basis, c)
+    adj = adjoint_wrt(up, fock_gram(basis)).entries - down_a.entries
+    assert np.linalg.norm(adj @ below) < 1e-13 * np.linalg.norm(down_a.entries)
+    pair = commutator(down_c, up).entries - 2.0 * hbar * (a == c) * np.eye(basis.dim)
+    assert np.linalg.norm(pair @ below) < 1e-13 * np.linalg.norm(down_c.entries)
 
 
 def test_constant_observable_quantizes_to_identity():

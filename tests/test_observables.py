@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoquant.errors import DegreeOverflow, UnsupportedObservable
+from geoquant.errors import DegreeOverflow
 from geoquant.polynomials import Polynomial
-from geoquant.prequant import (Observable, ObservableKind,
-                               hamiltonian_vector_field, lie_bracket,
+from geoquant.prequant import (Observable, hamiltonian_vector_field, lie_bracket,
                                poisson_bracket)
 
 
@@ -115,9 +114,3 @@ def test_degree_cap_on_bracket():
 def test_complex_coefficients_rejected():
     with pytest.raises(ValueError):
         obs(1, {(1, 0): 1j})
-
-
-def test_non_polynomial_kind_rejected():
-    holo = Observable(ObservableKind.SPHERE_HOLO, n=1)
-    with pytest.raises(UnsupportedObservable):
-        hamiltonian_vector_field(holo)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoquant.grid
 import geoquant.stencil
@@ -23,7 +25,7 @@ def small_grid(scheme="fd4", n_pts=24, extent=6.0):
 def test_momentum_prequantizes_to_gradient():
     grid = small_grid()
     op = prequantize(Observable.momentum(), grid, hbar=0.7).entries
-    d_q = sp.csr_matrix(derivative_matrix_1d(grid.n_q, grid.h_q, "fd4", "zero"))
+    d_q = sp.csr_matrix(derivative_matrix_1d(grid.n_q, grid.h_q, "fd4"))
     expected = -0.7j * sp.kron(d_q, sp.identity(grid.n_p))
     assert abs(op - expected).max() < 1e-14
 
@@ -31,7 +33,7 @@ def test_momentum_prequantizes_to_gradient():
 def test_coordinate_prequantizes_to_dp_plus_q():
     grid = small_grid()
     op = prequantize(Observable.coordinate(), grid, hbar=0.7).entries
-    d_p = sp.csr_matrix(derivative_matrix_1d(grid.n_p, grid.h_p, "fd4", "zero"))
+    d_p = sp.csr_matrix(derivative_matrix_1d(grid.n_p, grid.h_p, "fd4"))
     q_field = np.repeat(grid.q_axis, grid.n_p)
     expected = 0.7j * sp.kron(sp.identity(grid.n_q), d_p) + sp.diags(q_field)
     assert abs(op - expected).max() < 1e-14
@@ -86,6 +88,19 @@ def test_check_dirac_random_quadratics_spectral():
         f = Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps})
         g = Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps})
         assert check_dirac(f, g, grid, 1.0) < TOL.grid
+
+
+_QUADRATIC = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
+    lambda c: Observable.from_terms(
+        1, dict(zip([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], c))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_QUADRATIC, _QUADRATIC, st.integers(64, 128), st.integers(64, 128),
+       st.floats(6.0, 10.0), st.floats(0.5, 2.0))
+def test_dirac_residual_of_random_quadratics(f, g, n_q, n_p, extent, hbar):
+    grid = PhaseSpaceGrid(-extent, extent, -extent, extent, n_q, n_p, scheme="spectral")
+    assert check_dirac(f, g, grid, hbar) < TOL.grid
 
 
 def test_interior_states_vanish_at_the_box_edge():
@@ -265,6 +280,6 @@ def test_grid_validation():
         PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="fd3")
 
 
-def test_periodic_boundary_momentum_is_exactly_antisymmetric():
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 32, 32, boundary="periodic")
+def test_fd4_momentum_is_exactly_antisymmetric():
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 32, 32)
     assert selfadjoint_residual(Observable.momentum(), grid, 1.0) < 1e-13
