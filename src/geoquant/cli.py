@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("demo", choices=DEMOS)
     parser.add_argument("--hbar", type=float, default=None)
     parser.add_argument("--n", type=int, default=None, dest="n_sector",
-                        help="sector integer / Fock dimension count")
+                        help="spin sector integer (only the spin demo reads it)")
     parser.add_argument("--lambda", type=float, default=None, dest="lam",
                         help="cylinder sector parameter in [0, 1)")
     parser.add_argument("--degree", type=int, default=None,

@@ -323,9 +323,10 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
                      "i*hbar dpsi/dt = -(c*hbar^2/2m) lap(psi), |c| = 1",
                      abs(abs(fit.c_fit) - expected_mod) / expected_mod, tol.bks)
     report.add_check("schrodinger-phase", "arg(c) = -pi*n/4",
-                     abs(float(np.angle(fit.c_fit)) + np.pi * psi0.n / 4.0), 1e-2)
+                     abs(float(np.angle(fit.c_fit)) + np.pi * psi0.n / 4.0),
+                     tol.bks_phase)
     report.add_check("fit-stability", "Richardson corrections settle",
-                     fit.extrapolation_spread, 10 * tol.bks,
+                     fit.extrapolation_spread, tol.bks_spread,
                      note=f"fit residual {fit.residual:.2e}")
     report.notes.append(
         "pairing evaluated with phase-adapted panels and node-doubling guard")
@@ -337,7 +338,7 @@ _DEMOS = {
     "prequant-flat": (demo_prequant_flat, ("grid_q", "grid_p", "extent", "n_pairs", "scheme")),
     "weil-sphere": (demo_weil_sphere, ("s_values",)),
     "cylinder": (demo_cylinder, ("lam", "k_max")),
-    "fock": (demo_fock, ("n_sector", "degree")),
+    "fock": (demo_fock, ("degree",)),
     "spin": (demo_spin, ("n_sector",)),
     "canonical": (demo_canonical, ("grid_points", "extent", "scheme")),
     "bks": (demo_bks, ("grid_points", "mass", "t_list")),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import (QuadratureFailure, SupportEscapesGrid,
@@ -8,7 +10,8 @@ from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           fourier_project_back, gaussian_state,
                           richardson_extrapolate, state_projected_rate,
                           windowed_plane_wave)
-from geoquant.bks import _chirp_stencil, _phase_panels
+from geoquant.bks import (_UniformInterpolant, _chirp_stencil, _pairings,
+                          _phase_panels, schrodinger_residual)
 from geoquant.halfform import ConfigGrid
 
 TOL = DEFAULT_TOLERANCES
@@ -89,6 +92,75 @@ def test_projection_rejects_wrong_polarization():
     psi = raw_gaussian(grid, polarization="position")
     with pytest.raises(ValueError):
         fourier_project(psi)
+
+
+def dense_projection(state, target, sign=1.0):
+    """The uniform-grid kernel h (2 pi hbar)^(-1/2) e^{i sign p q / hbar} as
+    dense matrices, one per axis: the oracle for the chirp-z transform."""
+    out = state.samples
+    for axis in range(state.n):
+        src, dst = state.grid.axis(axis), target.axis(axis)
+        kernel = (np.exp(sign * 1j * np.outer(dst, src) / state.hbar)
+                  * state.grid.spacings[axis] / np.sqrt(2 * np.pi * state.hbar))
+        out = np.moveaxis(np.tensordot(kernel, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def random_momentum_state(grid, rng, hbar=1.0):
+    comps = [gaussian_state(grid, center=rng.uniform(-2, 2),
+                            width=rng.uniform(0.8, 1.6),
+                            wavenumber=rng.uniform(-2, 2),
+                            polarization="momentum", hbar=hbar,
+                            normalize=False).samples for _ in range(3)]
+    return PolarizedState(sum(comps), grid, "momentum", hbar).normalized()
+
+
+@pytest.mark.parametrize("target, hbar", [
+    (None, 1.0),                                   # target equal to source
+    (ConfigGrid.line(-20.0, 25.0, 700), 1.0),      # other count and extent
+    (ConfigGrid.line(-20.0, 25.0, 700), 0.5),
+    (ConfigGrid.line(-3.0, 9.0, 97), 2.0),
+])
+def test_chirp_z_projection_matches_dense_kernel(target, hbar):
+    grid = line(count=256, extent=12.0)
+    phi = random_momentum_state(grid, np.random.default_rng(3), hbar)
+    psi = fourier_project(phi, target)
+    oracle = dense_projection(phi, target or grid)
+    assert np.max(np.abs(psi.samples - oracle)) < 1e-12
+    psi_q = PolarizedState(phi.samples, grid, "position", hbar)
+    back = fourier_project_back(psi_q, target)
+    assert np.max(np.abs(back.samples
+                         - dense_projection(psi_q, target or grid, -1.0))) < 1e-12
+
+
+def test_chirp_z_projection_matches_dense_kernel_in_two_dimensions():
+    grid = ConfigGrid((-10.0, -8.0), (10.0, 12.0), (96, 80))
+    target = ConfigGrid((-6.0, -7.0), (9.0, 5.0), (70, 90))
+    p1, p2 = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+    samples = np.exp(-(p1**2 + 1.3 * (p2 - 1) ** 2) / 2 + 0.7j * p1 - 0.4j * p2)
+    phi = PolarizedState(samples, grid, "momentum").normalized()
+    for tgt in (grid, target):
+        psi = fourier_project(phi, tgt)
+        assert np.max(np.abs(psi.samples - dense_projection(phi, tgt))) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=st.integers(128, 2048), data=st.data())
+def test_parseval_on_random_band_limited_momentum_states(count, data):
+    # h * extent = pi: the grid resolves wavenumbers up to its own extent, so
+    # states centred within a quarter of it in p and in q are band-limited
+    extent = np.sqrt(np.pi * count / 2.0)
+    grid = line(count=count, extent=extent)
+    span = st.floats(-extent / 4, extent / 4)
+    samples = sum(gaussian_state(grid, center=data.draw(span),
+                                 width=data.draw(st.floats(1.0, 2.0)),
+                                 wavenumber=data.draw(span),
+                                 polarization="momentum").samples
+                  for _ in range(data.draw(st.integers(1, 3))))
+    if np.sum(np.abs(samples) ** 2) < 1e-6:
+        return  # the components cancelled; nothing to normalise
+    phi = PolarizedState(samples, grid, "momentum").normalized()
+    assert abs(fourier_project(phi).norm() - 1.0) < TOL.quadrature_match
 
 
 # -- pairing ---------------------------------------------------------------------
@@ -205,6 +277,73 @@ def test_off_lattice_pairing_matches_gaussian_oracle():
         oracle = np.conj(phase) * gaussian_pairing_oracle(s, r, b, t)
         assert abs(bks_pairing(psi, chi, t).value - oracle) / abs(oracle) < 1e-8
     assert _chirp_stencil.cache_info().misses == 0
+
+
+def sliding_correlation(vals, m_idx, s_min, coeff):
+    out = np.zeros(m_idx.size, dtype=complex)
+    for i, m in enumerate(m_idx):
+        for s, c in enumerate(coeff):
+            j = m + s_min + s
+            if 0 <= j < vals.size:
+                out[i] += c * np.conj(vals[j])
+    return out
+
+
+@pytest.mark.parametrize("s_min, m_idx", [
+    (-5, np.arange(10, 40)),              # inside the samples
+    (-30, np.arange(0, 60)),              # stencil starts before the padding
+    (-3, np.array([55, 2, 17, 17, 70])),  # unsorted, repeated, past the end
+])
+def test_fft_correlation_matches_sliding_window(s_min, m_idx):
+    rng = np.random.default_rng(7)
+    interp = _UniformInterpolant(-1.0, 0.1, rng.normal(size=48) + 1j * rng.normal(size=48))
+    coeff = rng.normal(size=25) + 1j * rng.normal(size=25)
+    got = interp.correlate_conj(m_idx, s_min, coeff)
+    want = sliding_correlation(interp.vals, m_idx, s_min, coeff)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_batched_pairings_equal_single_pairings_and_the_oracle():
+    grid = line(count=512, extent=16.0)
+    x = grid.axis(0)
+    s = 1.0
+    psi = PolarizedState(np.exp(-x**2 / (2 * s**2)), grid, "position")
+    shapes = [(1.3, 0.8), (0.7, -2.5), (1.0, 0.0), (2.0, 3.0)]
+    chis = [PolarizedState(np.exp(-(x - b) ** 2 / (2 * r**2)), grid, "position")
+            for r, b in shapes]
+    for t in (0.32, 0.04):
+        batch = _pairings(psi, chis, t, 1.5 * np.pi, None, TOL)
+        for (r, b), chi, res in zip(shapes, chis, batch):
+            single = bks_pairing(psi, chi, t)
+            assert abs(res.value - single.value) < 1e-12 * abs(single.value)
+            oracle = gaussian_pairing_oracle(s, r, b, t)
+            assert abs(res.value - oracle) < 1e-8 * abs(oracle)
+            assert res.half_form_factor == single.half_form_factor
+
+
+def test_batch_with_one_under_resolved_state_raises():
+    grid = line(count=512, extent=16.0)
+    x = grid.axis(0)
+    psi = gaussian_state(grid, width=1.0)
+    good = [PolarizedState(np.exp(-(x - c) ** 2 / 2), grid, "position")
+            for c in (0.0, -1.0)]
+    narrow = PolarizedState(np.exp(-(x - 4.0) ** 2 / 0.18), grid, "position")
+    coarse = dict(t=0.02, theta_max=6 * np.pi, h_max=1.0, tolerances=TOL)
+    assert len(_pairings(psi, good, **coarse)) == 2
+    with pytest.raises(QuadratureFailure):
+        bks_pairing(psi, narrow, 0.02, theta_max=6 * np.pi, h_max=1.0)
+    with pytest.raises(QuadratureFailure) as err:
+        _pairings(psi, [good[0], narrow, good[1]], **coarse)
+    assert err.value.doubling_delta > 0
+
+
+def test_schrodinger_panel_builds_one_stencil_per_time_and_resolution():
+    grid = line(count=512, extent=16.0)
+    psi0 = gaussian_state(grid, center=0.4, width=1.1, wavenumber=0.3)
+    _chirp_stencil.cache_clear()
+    fit = schrodinger_residual(psi0, [0.32, 0.16, 0.08, 0.04, 0.02])
+    assert fit.ok
+    assert _chirp_stencil.cache_info().misses == 10  # 5 times x coarse and fine
 
 
 def test_chirp_stencil_hit_equals_miss_and_is_read_only():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoquant import bks
 from geoquant.bks import (gaussian_state, schrodinger_residual,
                           state_projected_rate, windowed_plane_wave)
 from geoquant.halfform import ConfigGrid
@@ -63,3 +64,25 @@ def test_time_list_validation():
         schrodinger_residual(psi0, [0.1, 0.05])
     with pytest.raises(ValueError):
         schrodinger_residual(psi0, [0.1, 0.05, -0.02])
+    # a repeated time made the Neville table divide by zero and return NaN
+    for extract in (schrodinger_residual, state_projected_rate):
+        with pytest.raises(ValueError, match="distinct"):
+            extract(psi0, [0.16, 0.08, 0.08, 0.04])
+
+
+def test_nan_richardson_spread_fails_the_fit(monkeypatch):
+    grid = ConfigGrid.line(-16.0, 16.0, 512)
+    psi0 = gaussian_state(grid, width=1.0)
+    extrapolate = bks.richardson_extrapolate
+    calls = []
+
+    def nan_on_second(ts, values):
+        value, spread = extrapolate(ts, values)
+        calls.append(spread)
+        return value, float("nan") if len(calls) == 2 else spread
+
+    monkeypatch.setattr(bks, "richardson_extrapolate", nan_on_second)
+    fit = schrodinger_residual(psi0, T_LIST)
+    assert len(calls) == 4
+    assert np.isnan(fit.extrapolation_spread)
+    assert not fit.ok
