@@ -55,7 +55,6 @@ _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _SUPPORT_CUTOFF = 1e-15
 _STENCIL_CACHE_SIZE = 64  # chirp stencils held; each is one complex per offset
 _FOLD_PANELS = 4096  # panels folded into a stencil at a time, bounding temporaries
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,7 @@ def _fourier_apply(state: PolarizedState, target: ConfigGrid, sign: float,
     if tail > tolerances.tail_mass:
         raise SupportEscapesGrid(
             f"boundary band carries {tail:.3e} of the squared norm", tail_mass=tail)
-    hbar = state.hbar
-    out = state.samples
+    hbar, out = state.hbar, state.samples
     for axis in range(state.n):
         out = _chirp_z(out, axis, state.grid, target, sign / hbar) * (
             state.grid.spacings[axis] / np.sqrt(2.0 * np.pi * hbar))
@@ -290,9 +288,8 @@ class _UniformInterpolant:
         state of a panel, so each state costs one dot product.
         """
         m_lo = int(m_idx.min())
-        count = int(m_idx.max()) - m_lo + 1
         lo = m_lo + s_min
-        seg = np.zeros(count + coeff.size - 1, dtype=complex)
+        seg = np.zeros(int(m_idx.max()) - m_lo + coeff.size, dtype=complex)
         a, b = max(lo, 0), min(lo + seg.size, self.vals.size)
         if a < b:
             seg[a - lo:b - lo] = np.conj(self.vals[a:b])
@@ -311,6 +308,11 @@ def _support_bounds(axis: np.ndarray, samples: np.ndarray, spacing: float,
     idx = np.nonzero(amp > _SUPPORT_CUTOFF * peak)[0]
     return (axis[idx[0]] - pad_cells * spacing,
             axis[idx[-1]] + pad_cells * spacing)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GL_POINTS)  # on first use, not at import
 
 
 def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
@@ -333,10 +335,11 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
     keep = widths > 1e-12 * max(span, 1.0)
     lo = edges[:-1][keep]
     width = widths[keep]
+    glx, glw = _gauss_legendre()
     half = 0.5 * width
     mid = lo + half
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).reshape(-1)
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).reshape(-1)
+    nodes = (mid[:, None] + half[:, None] * glx[None, :]).reshape(-1)
+    weights = (half[:, None] * glw[None, :]).reshape(-1)
     return nodes, weights
 
 
@@ -431,8 +434,7 @@ def _pairings(psi: PolarizedState, chis: list[PolarizedState], t: float,
     panels where psi is below its support cutoff.  Each chi keeps its own
     coarse and fine values and its own doubling guard.
     """
-    if psi.polarization != "position" or any(c.polarization != "position"
-                                             for c in chis):
+    if any(state.polarization != "position" for state in [psi, *chis]):
         raise ValueError("bks_pairing expects position-polarized states")
     if psi.n != 1:
         raise UnsupportedObservable("the pairing is implemented on 1D grids")
