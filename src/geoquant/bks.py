@@ -587,7 +587,7 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
     alpha = complex(np.vdot(beta, derivs) / denom)
     residual = float(np.linalg.norm(derivs - alpha * beta) / np.linalg.norm(derivs))
     c_fit = 1j * psi0.hbar * np.conj(alpha)
-    ok = spread_rel <= tolerances.bks and residual <= tolerances.bks_residual
+    ok = spread_rel <= tolerances.bks and residual <= 10.0 * tolerances.bks
     return SchrodingerFit(
         c_fit=c_fit, residual=residual, extrapolation_spread=spread_rel, ok=ok,
         notes={"panel_size": len(test_states), "t_list": sorted(float(t) for t in t_list)})

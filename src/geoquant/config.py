@@ -18,12 +18,6 @@ class Tolerances:
     exact: float = 1e-10
     #: oscillatory quadrature and small-time extrapolation, relative
     bks: float = 1e-3
-    #: |arg(c) + pi n/4| of the recovered Schrodinger coefficient c
-    bks_phase: float = 1e-2
-    #: relative Richardson correction accepted by the bks demo's fit-stability check
-    bks_spread: float = 1e-2
-    #: relative misfit of the pairing derivatives against the Laplacian column
-    bks_residual: float = 1e-2
     #: entrywise Hermiticity required of a Gram matrix at construction
     gram_hermiticity: float = 1e-12
     #: closed forms versus their quadrature oracles, relative
