@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from .errors import QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
 from .halfform import ConfigGrid
 from .stencil import fft_apply, spectral_first_symbol
@@ -310,11 +310,6 @@ def _support_bounds(axis: np.ndarray, samples: np.ndarray, spacing: float,
             axis[idx[-1]] + pad_cells * spacing)
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GL_POINTS)  # on first use, not at import
-
-
 def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
                   h_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule for Integral_{y_lo}^{y_hi} f(y) e^{i a y^2} dy.
@@ -335,7 +330,7 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
     keep = widths > 1e-12 * max(span, 1.0)
     lo = edges[:-1][keep]
     width = widths[keep]
-    glx, glw = _gauss_legendre()
+    glx, glw = gauss_legendre(_GL_POINTS)
     half = 0.5 * width
     mid = lo + half
     nodes = (mid[:, None] + half[:, None] * glx[None, :]).reshape(-1)

@@ -1,4 +1,4 @@
-"""Central tolerance configuration.
+"""Central tolerance configuration and the shared Gauss-Legendre rule.
 
 Every floating tolerance used by library code lives here; modules read the
 fields of a :class:`Tolerances` instance instead of spelling literals inline,
@@ -8,6 +8,9 @@ so a run can tighten or loosen the whole stack coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,7 @@ class Tolerances:
     gram_hermiticity: float = 1e-12
     #: closed forms versus their quadrature oracles, relative
     quadrature_match: float = 1e-8
-    #: relative goal of the Fock and spin oracles' radial quadratures (no absolute floor)
+    #: largest relative change of the Fock and spin Gram oracles under node doubling
     quadrature_goal: float = 1e-12
     #: oracle Gram off-diagonals below this fraction of sqrt(G_ii G_jj) are zeroed
     quadrature_zero: float = 1e-14
@@ -41,3 +44,11 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import integrate
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from .errors import PolarizationViolation
-from .linalg import GramMatrix, OperatorMatrix, prune_offdiagonal
+from .linalg import GramMatrix, OperatorMatrix, polar_gram_oracle
 
 __all__ = [
     "FockBasis",
@@ -33,6 +32,8 @@ __all__ = [
     "oscillator_hamiltonian",
     "polarization_preserving",
 ]
+
+_RADIAL_POINTS = 128  # Gauss-Legendre nodes of the oracle's radial rule, doubled as a guard
 
 
 def _multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -99,41 +100,33 @@ def fock_gram(basis: FockBasis) -> GramMatrix:
 
 def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
-    """Gram matrix by numerical quadrature; slow cross-check mode.
+    """Gram matrix by numerical quadrature; cross-check mode.
 
     Each complex axis contributes a polar integral with the Gaussian weight
-    exp(-r^2 / 2 hbar) and measure r dr dtheta / (2 pi hbar); axes factorize,
-    so entries are products of per-axis radial/angular quadratures.  The
-    radial part uses adaptive quadrature to the relative goal
-    ``tolerances.quadrature_goal`` with no absolute floor, since entries
-    (2 hbar)^m m! fall far below QUADPACK's default floor at small hbar; the
-    angular part uses the trapezoid rule (exact for the trigonometric integrands while ``n_angular`` exceeds the
-    maximal degree).  Per axis the radial integral depends only on
-    k = m_a + m'_a and the angular mean only on m'_a - m_a, so both are
-    tabulated once (2D+1 quadratures for degree D) and the entries are filled
-    from the tables.  Off-diagonal roundoff is zeroed by
-    :func:`~geoquant.linalg.prune_offdiagonal` with ``tolerances.quadrature_zero``.
+    exp(-r^2 / 2 hbar) and measure r dr dtheta / (2 pi hbar); axes factorize.
+    The radial integral of r^(k+1) exp(-r^2 / 2 hbar) / hbar, k = m_a + m'_a,
+    is cut at R_k^2 = 2 hbar (k/2 + 46 + 6 sqrt(k+1)), leaving a tail below
+    e^-46; all k = 0..2D are evaluated at once by 128 and by 256 Gauss-Legendre
+    nodes, the 256-node table is kept, and QuadratureFailure is raised when the
+    two differ by more than ``tolerances.quadrature_goal`` relative.  The angular
+    trapezoid rule is exact while ``n_angular`` exceeds the maximal degree;
+    see :func:`~geoquant.linalg.polar_gram_oracle`.
     """
     hbar = basis.hbar
     max_m = basis.max_degree
     if n_angular <= max_m:
         raise ValueError(f"n_angular={n_angular} aliases degree {max_m}; "
                          "need n_angular > max_degree")
-    radial = np.array([
-        integrate.quad(lambda r, k=k: r ** (k + 1) * np.exp(-r * r / (2.0 * hbar)),
-                       0.0, np.inf, epsabs=0.0,
-                       epsrel=tolerances.quadrature_goal)[0] / hbar
-        for k in range(2 * max_m + 1)])
-    theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
-    angular = np.array([np.mean(np.exp(1j * d * theta))
-                        for d in range(-max_m, max_m + 1)])
+    k = np.arange(2 * max_m + 1)[:, None]
+    reach = np.sqrt(2.0 * hbar * (k / 2.0 + 46.0 + 6.0 * np.sqrt(k + 1.0)))
 
-    idx = np.array(basis.indices)
-    entries = np.ones((basis.dim, basis.dim), dtype=complex)
-    for m in idx.T:  # one complex axis at a time
-        entries *= radial[np.add.outer(m, m)] * angular[max_m - np.subtract.outer(m, m)]
-    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
-                      basis.basis_id, tolerances)
+    def radial(points: int) -> np.ndarray:
+        x, w = gauss_legendre(points)
+        r = 0.5 * reach * (x + 1.0)  # [-1, 1] onto [0, R_k], one row per k
+        return 0.5 * reach[:, 0] / hbar * (np.exp((k + 1) * np.log(r) - r * r / (2 * hbar)) @ w)
+
+    return polar_gram_oracle(np.array(basis.indices), radial, _RADIAL_POINTS,
+                             n_angular, basis.basis_id, tolerances)
 
 
 def _monomial_map(basis: FockBasis, up: int | None, down: int | None) -> np.ndarray:

@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import BasisMismatch, DegenerateGram, EigenFailure
+from .errors import BasisMismatch, DegenerateGram, EigenFailure, QuadratureFailure
 
 __all__ = [
     "OperatorMatrix",
@@ -34,6 +34,7 @@ __all__ = [
     "gram_inner",
     "gram_norm",
     "prune_offdiagonal",
+    "polar_gram_oracle",
 ]
 
 _DENSE_EIG_LIMIT = 4096
@@ -235,3 +236,26 @@ def prune_offdiagonal(entries: np.ndarray, rel: float) -> np.ndarray:
     np.fill_diagonal(small, False)
     entries[small] = 0.0
     return entries
+
+
+def polar_gram_oracle(indices: np.ndarray, radial, points: int, n_angular: int,
+                      basis_id: str, tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
+    """Gram of the monomials z^m, one row of ``indices`` per m, by polar quadrature.
+
+    Per axis an entry is radial[m + m'] times the trapezoid mean of exp(i (m' - m) theta)
+    over ``n_angular`` points.  ``radial(p)`` tabulates k = 0..2 max(m) by a p-node rule; the
+    ``2 * points`` table is kept, and :class:`QuadratureFailure` is raised when it differs
+    from the ``points`` table by more than ``tolerances.quadrature_goal`` relative.
+    """
+    coarse, table = radial(points), radial(2 * points)
+    delta = float(np.max(np.abs(table - coarse) / table))
+    if not delta <= tolerances.quadrature_goal:
+        raise QuadratureFailure(f"radial rule moved {delta:.3g} on doubling", doubling_delta=delta)
+    top = (table.size - 1) // 2
+    theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
+    angular = np.exp(1j * np.multiply.outer(np.arange(-top, top + 1), theta)).mean(axis=1)
+    entries = np.ones((len(indices), len(indices)), dtype=complex)
+    for m in indices.T:  # one complex axis at a time
+        entries *= table[np.add.outer(m, m)] * angular[top - np.subtract.outer(m, m)]
+    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
+                      basis_id, tolerances)

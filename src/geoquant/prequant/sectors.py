@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_TOLERANCES, Tolerances
+from ..config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from ..errors import UnsupportedObservable
 from ..linalg import OperatorMatrix
 
@@ -67,8 +67,8 @@ def weil_admissible(sector: SectorSpec, n_theta: int = 64, n_phi: int = 16,
     """
     if sector.model != "sphere":
         raise UnsupportedObservable("integrality check applies to the sphere model")
-    xt, wt = np.polynomial.legendre.leggauss(n_theta)
-    xp, wp = np.polynomial.legendre.leggauss(n_phi)
+    xt, wt = gauss_legendre(n_theta)
+    xp, wp = gauss_legendre(n_phi)
     theta = 0.5 * np.pi * (xt + 1.0)
     w_theta = 0.5 * np.pi * wt
     w_phi = np.pi * wp  # phi in [0, 2*pi)

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import GramMatrix, OperatorMatrix, prune_offdiagonal
+from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
+from .linalg import GramMatrix, OperatorMatrix, polar_gram_oracle
 
 __all__ = [
     "SpinBasis",
@@ -39,6 +38,7 @@ __all__ = [
 
 #: the sector operators are built without a metaplectic trace term
 METAPLECTIC_CORRECTION_APPLIED = False
+_RADIAL_POINTS = 64  # Gauss-Legendre nodes of the oracle's radial rule, doubled as a guard
 
 
 @dataclass(frozen=True)
@@ -74,31 +74,27 @@ def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram by numerical quadrature of the sector weight; cross-check mode.
 
-    Radial part: 2 * Integral_0^inf R^(m+m'+1) / (1+R^2)^(n+2) dR, which the
-    substitution x = R^2 / (1+R^2) maps onto the finite interval as
-    Integral_0^1 x^(k/2) (1-x)^(n-k/2) dx with k = m + m'; adaptive quadrature
-    runs to the relative goal ``tolerances.quadrature_goal`` with no absolute
-    floor, since entries reach 1e-16 at n=48.  Angular part: trapezoid
-    average of exp(i (m'-m) Theta) over ``n_angular`` points, which kills the
-    off-diagonal entries as long as ``n_angular > n``.  The radial integral
-    depends only on k and the angular mean only on m' - m, so both are
-    tabulated once (2n+1 quadratures) and the entries are filled from the
-    tables.  Off-diagonal roundoff is zeroed by
-    :func:`~geoquant.linalg.prune_offdiagonal` with ``tolerances.quadrature_zero``.
+    Radial part: 2 * Integral_0^inf R^(m+m'+1) / (1+R^2)^(n+2) dR, which
+    R^2 / (1+R^2) = sin^2 t maps onto Integral_0^(pi/2) 2 sin^(k+1) t
+    cos^(2n-k+1) t dt with k = m + m', an entire integrand; all k = 0..2n are
+    evaluated at once by 64 and by 128 Gauss-Legendre nodes, the 128-node
+    table is kept, and QuadratureFailure is raised when the two differ by more
+    than ``tolerances.quadrature_goal`` relative (no absolute floor: entries
+    reach 1e-16 at n=48).  Angular part: trapezoid mean of exp(i (m'-m) Theta) over
+    ``n_angular > n`` points; see :func:`~geoquant.linalg.polar_gram_oracle`.
     """
     n = basis.n_sector
     if n_angular <= n:
         raise ValueError(f"n_angular={n_angular} aliases sector {n}; need n_angular > n")
-    radial = np.array([
-        integrate.quad(lambda x, k=k: x ** (k / 2.0) * (1.0 - x) ** (n - k / 2.0),
-                       0.0, 1.0, epsabs=0.0, epsrel=tolerances.quadrature_goal)[0]
-        for k in range(2 * n + 1)])
-    theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
-    angular = np.array([np.mean(np.exp(1j * d * theta)) for d in range(-n, n + 1)])
-    m = np.arange(n + 1)
-    entries = radial[np.add.outer(m, m)] * angular[n - np.subtract.outer(m, m)]
-    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
-                      basis.basis_id, tolerances)
+    k = np.arange(2 * n + 1)[:, None]
+
+    def radial(points: int) -> np.ndarray:
+        x, w = gauss_legendre(points)
+        t = 0.25 * np.pi * (x + 1.0)  # [-1, 1] onto [0, pi/2]
+        return 0.5 * np.pi * (np.sin(t) ** (k + 1) * np.cos(t) ** (2 * n + 1 - k)) @ w
+
+    return polar_gram_oracle(np.arange(n + 1)[:, None], radial, _RADIAL_POINTS,
+                             n_angular, basis.basis_id, tolerances)
 
 
 def orthonormal_basis(basis: SpinBasis) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.config import DEFAULT_TOLERANCES, gauss_legendre
 from geoquant.errors import (QuadratureFailure, SupportEscapesGrid,
                              UnsupportedObservable)
 from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
@@ -361,6 +361,15 @@ def test_chirp_stencil_hit_equals_miss_and_is_read_only():
         hit[1][0] = 0.0
     # one complex per lattice offset of the y range, not per quadrature node
     assert hit[1].size <= (args[3] - args[2]) / args[0] + 7
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    nodes, weights = gauss_legendre(12)
+    assert gauss_legendre(12)[0] is nodes
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_pairing_accepts_zero_dimensional_arrays():

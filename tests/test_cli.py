@@ -101,16 +101,19 @@ def test_float_formatting_is_twelve_digits():
 
 
 def test_cli_import_loads_no_lazy_dependencies():
-    """The CLI's start-up imports neither splines nor sympy.
+    """The CLI's start-up imports neither splines, sympy nor SciPy's quadrature stack.
 
     The evolution needs no splines, and only ``spin_derivation`` uses sympy,
-    importing it inside the function that derives the spin forms.
+    importing it inside the function that derives the spin forms.  The Gram
+    oracles use the library's own Gauss-Legendre rules, so ``scipy.integrate``
+    (and the ``scipy.optimize`` and ``scipy.special`` it pulls in) stays out.
     """
     src = str(Path(geoquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, geoquant.cli; print(sorted(m for m in "
-             "('scipy.interpolate', 'sympy') if m in sys.modules))")
+             "('scipy.interpolate', 'sympy', 'scipy.integrate', 'scipy.optimize', "
+             "'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -1,15 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
 
 from geoquant import fock
+from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import PolarizationViolation
+from geoquant.errors import PolarizationViolation, QuadratureFailure
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
@@ -47,12 +46,10 @@ def test_gram_quadrature_oracle_matches_closed_form():
 
 @pytest.mark.parametrize("hbar", [0.01, 0.001])
 def test_gram_quadrature_holds_at_small_hbar(hbar):
-    """Entries (2 hbar)^m m! sink below QUADPACK's default absolute floor."""
+    """Entries (2 hbar)^m m! are tiny; the oracle has no absolute floor."""
     basis = FockBasis(1, 8, hbar=hbar)
     closed = np.diag(fock_gram(basis).entries).real
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        quad = np.diag(fock_gram_quadrature(basis).entries).real
+    quad = np.diag(fock_gram_quadrature(basis).entries).real
     assert np.max(np.abs(quad - closed) / closed) < 1e-12
     report = run_demo(RunConfig(demo="fock", hbar=hbar))
     assert {c.name: c.passed for c in report.checks}["gram-quadrature"]
@@ -201,19 +198,40 @@ def test_hermitian_c_two_axes():
 
 @pytest.mark.parametrize("n, degree", [(1, 6), (2, 4)])
 def test_gram_quadrature_tabulates_one_radial_integral_per_k(monkeypatch, n, degree):
-    calls = []
-    original = fock.integrate.quad
+    tables = []
+    oracle = fock.polar_gram_oracle
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(indices, radial, *args):
+        def tabulate(points):
+            table = radial(points)
+            tables.append((points, table.shape))
+            return table
+        return oracle(indices, tabulate, *args)
 
-    monkeypatch.setattr(fock.integrate, "quad", counting)
+    monkeypatch.setattr(fock, "polar_gram_oracle", recording)
     basis = FockBasis(n, degree)
     quad = np.diag(fock_gram_quadrature(basis).entries).real
-    assert len(calls) == 2 * degree + 1
+    assert tables == [(128, (2 * degree + 1,)), (256, (2 * degree + 1,))]
     closed = np.diag(fock_gram(basis).entries).real
     assert np.max(np.abs(quad - closed) / closed) < 1e-8
+
+
+def test_gram_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
+    monkeypatch.setattr(fock, "_RADIAL_POINTS", 16)
+    with pytest.raises(QuadratureFailure) as err:
+        fock_gram_quadrature(FockBasis(1, 40))
+    assert err.value.doubling_delta > DEFAULT_TOLERANCES.quadrature_goal
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree=st.integers(min_value=0, max_value=40),
+       hbar=st.floats(min_value=1e-3, max_value=4.0))
+def test_gram_quadrature_matches_gamma_closed_form(degree, hbar):
+    basis = FockBasis(1, degree, hbar=hbar)
+    closed = np.diag(fock_gram(basis).entries).real
+    quad = fock_gram_quadrature(basis)
+    assert quad.is_diagonal
+    assert np.max(np.abs(np.diag(quad.entries).real - closed) / closed) <= 1e-12
 
 
 def test_gram_quadrature_rejects_aliasing_angular_rule():

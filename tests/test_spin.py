@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoquant import spin
+from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.errors import QuadratureFailure
 from geoquant.linalg import adjoint_wrt, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
                            check_su2, orthonormal_basis, spin_gram,
@@ -162,18 +166,38 @@ def test_quadrature_matches_closed_form_in_large_sectors(n):
 
 
 def test_quadrature_tabulates_one_radial_integral_per_k(monkeypatch):
-    calls = []
-    original = spin.integrate.quad
+    tables = []
+    oracle = spin.polar_gram_oracle
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(indices, radial, *args):
+        def tabulate(points):
+            table = radial(points)
+            tables.append((points, table.shape))
+            return table
+        return oracle(indices, tabulate, *args)
 
-    monkeypatch.setattr(spin.integrate, "quad", counting)
+    monkeypatch.setattr(spin, "polar_gram_oracle", recording)
     for n in (0, 5, 12):
-        calls.clear()
+        tables.clear()
         spin_gram_quadrature(SpinBasis(n))
-        assert len(calls) == 2 * n + 1
+        assert tables == [(64, (2 * n + 1,)), (128, (2 * n + 1,))]
+
+
+def test_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
+    monkeypatch.setattr(spin, "_RADIAL_POINTS", 8)
+    with pytest.raises(QuadratureFailure) as err:
+        spin_gram_quadrature(SpinBasis(48))
+    assert err.value.doubling_delta > DEFAULT_TOLERANCES.quadrature_goal
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=0, max_value=64))
+def test_quadrature_matches_beta_closed_form(n):
+    basis = SpinBasis(n)
+    closed = np.diag(spin_gram(basis).entries).real
+    quad = spin_gram_quadrature(basis, n_angular=max(64, n + 1))
+    assert quad.is_diagonal
+    assert np.max(np.abs(np.diag(quad.entries).real - closed) / closed) <= 1e-12
 
 
 def test_quadrature_rejects_aliasing_angular_rule():
