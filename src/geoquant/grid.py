@@ -11,7 +11,9 @@ derivative along one axis of the shaped field at a time (by FFT on spectral
 grids, by the sparse banded stencil on finite-difference grids), or
 assembles its sparse matrix through the Kronecker-lifted derivatives; only
 the assembly builds a lifted matrix, and only it uses the dense spectral
-derivative matrices.
+derivative matrices.  Operators applied to the same field can share its
+derivatives through a ``grads`` dict, so each axis of that field is
+transformed once however many operators act on it.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ class FirstOrderOperator:
     and flat complex samples as field; ``scalar`` is flat samples or None.
     :meth:`apply` forms ``factor * field`` per call, so an operator holds
     one grid-sized array per term.
+
+    Operators applied to one field share its derivatives when each
+    :meth:`apply` call on it gets the same ``grads`` dict: every axis is
+    then transformed once, by the first call that needs it.
     """
 
     def __init__(self, grid: UniformGrid, terms: list, scalar: np.ndarray | None):
@@ -154,13 +160,20 @@ class FirstOrderOperator:
         self.terms = terms
         self.scalar = scalar
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a flat or shaped grid field."""
+    def apply(self, v: np.ndarray, grads: dict[int, np.ndarray] | None = None) -> np.ndarray:
+        """Matrix-free action on a flat or shaped grid field.
+
+        ``grads`` maps an axis to the shaped derivative of ``v`` along it and
+        is filled on demand; it belongs to ``v`` alone.
+        """
         shape = self.grid.shape
         field = np.asarray(v, dtype=complex).reshape(shape)
+        grads = {} if grads is None else grads
         out = np.zeros_like(field)
         for factor, samples, axis in self.terms:
-            out += (factor * samples.reshape(shape)) * _derivative_along(self.grid, field, axis)
+            if axis not in grads:
+                grads[axis] = _derivative_along(self.grid, field, axis)
+            out += (factor * samples.reshape(shape)) * grads[axis]
         if self.scalar is not None:
             out += self.scalar.reshape(shape) * field
         return out.reshape(np.asarray(v).shape)

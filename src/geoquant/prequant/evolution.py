@@ -104,10 +104,12 @@ def _shear(psi: np.ndarray, grid: PhaseSpaceGrid, axis: int, offset: float,
     """``psi(x + s)`` along ``axis`` with ``s = offset + slope * x_other`` per line.
 
     Returns the sheared field and the squared-norm fraction of ``psi`` that
-    the shift carries across the box edge, where the FFT wraps it round.
+    the shift carries across the box edge, where the FFT wraps it round.  A
+    zero slope is a translation, shifted by one 1D symbol.
     """
     shifts = offset + slope * grid.axis(1 - axis)
-    symbol = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis], shifts)
+    symbol = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis],
+                                   shifts if slope else offset)
     x = grid.axis(axis)[:, None]
     crossed = (x - shifts < grid.mins[axis]) | (x - shifts > grid.maxs[axis])
     if axis == 1:

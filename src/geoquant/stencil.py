@@ -68,11 +68,12 @@ def spectral_first_symbol(n: int, spacing: float) -> np.ndarray:
     return symbol
 
 
-def spectral_shift_symbol(n: int, spacing: float, shifts: np.ndarray) -> np.ndarray:
+def spectral_shift_symbol(n: int, spacing: float, shifts: np.ndarray | float) -> np.ndarray:
     """Fourier symbol ``exp(i*k*s)`` of ``f(x) -> f(x + s)`` on n periodic samples.
 
     One row per wavenumber and one column per entry of ``shifts``, so each
-    column shifts one line of a field by its own amount.
+    column shifts one line of a field by its own amount; a scalar shift
+    gives the 1D symbol that shifts every line alike.
     """
     return np.exp(1j * np.multiply.outer(_spectral_wavenumbers(n, spacing), shifts))
 
@@ -82,13 +83,17 @@ def fft_apply(field: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
 
     A 1D ``symbol`` (one entry per wavenumber of that axis) acts alike on
     every line; a symbol of the field's shape acts line by line, as a shear's
-    per-row phase ramp does.
+    per-row phase ramp does.  The spectrum is multiplied and transformed
+    back in place, so a call allocates one complex array of the field's
+    shape; the symbol must not broadcast beyond it.
     """
     if symbol.ndim == 1:
         shape = [1] * field.ndim
         shape[axis] = -1
         symbol = symbol.reshape(shape)
-    return np.fft.ifft(symbol * np.fft.fft(field, axis=axis), axis=axis)
+    spec = np.fft.fft(field, axis=axis)
+    spec *= symbol
+    return np.fft.ifft(spec, axis=axis, out=spec)
 
 
 @lru_cache(maxsize=64)

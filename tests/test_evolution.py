@@ -8,6 +8,7 @@ from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import FlowEscapesGrid, UnsupportedObservable
 from geoquant.prequant import (Observable, PhaseSpaceGrid, classify_flow,
                                evolution, prequantum_evolve)
+from geoquant.stencil import fft_apply, spectral_shift_symbol
 
 
 def grid_128(extent=8.0):
@@ -131,6 +132,29 @@ def test_endpoint_applies_the_shears_last_first(monkeypatch):
     q_t, p_t = q + 0.3, p + 0.4 * q
     expected = np.exp(-1j * (q_t * p_t - q * p) / (2 * hbar)) * psi(q_t, p_t)
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+def test_translation_shifts_by_a_1d_symbol(monkeypatch):
+    """A zero-slope shear needs one symbol entry per wavenumber, not one per node.
+
+    The result keeps the bits of the per-line symbol it replaces.
+    """
+    symbols = []
+
+    def recording(field, symbol, axis):
+        symbols.append(symbol)
+        return fft_apply(field, symbol, axis)
+    monkeypatch.setattr(evolution, "fft_apply", recording)
+    grid = PhaseSpaceGrid(-8, 8, -6, 6, 64, 48)
+    psi = gaussian(grid, q0=0.5, p0=-0.3)
+    for axis in (0, 1):
+        out, _ = evolution._shear(psi, grid, axis, 0.7, 0.0)
+        assert symbols[-1].shape == (grid.counts[axis],)
+        per_line = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis],
+                                         np.full(grid.counts[1 - axis], 0.7))
+        assert np.array_equal(out, fft_apply(psi, per_line if axis == 0 else per_line.T, axis))
+    evolution._shear(psi, grid, 0, 0.0, 0.3)
+    assert symbols[-1].shape == grid.shape
 
 
 def test_flow_escape_raises_with_fraction():

@@ -103,6 +103,76 @@ def test_dirac_residual_of_random_quadratics(f, g, n_q, n_p, extent, hbar):
     assert check_dirac(f, g, grid, hbar) < TOL.grid
 
 
+_Q, _P2 = Observable.coordinate(), Observable.from_terms(1, {(0, 2): 1.0})
+_QUAD_F = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.8, (0, 2): 0.3, (1, 0): 0.4})
+_QUAD_G = Observable.from_terms(1, {(2, 0): -0.6, (1, 1): 0.7, (0, 2): 0.9, (0, 1): -0.2})
+_QUAD2_F = Observable.from_terms(2, {(1, 0, 0, 1): 0.7, (0, 0, 2, 0): -0.4,
+                                     (0, 1, 0, 0): 0.3})
+_QUAD2_G = Observable.from_terms(2, {(0, 2, 0, 0): 0.6, (1, 0, 1, 0): -0.5,
+                                     (0, 0, 0, 1): 0.2})
+
+
+@pytest.mark.parametrize("grid, f, g", [
+    (small_grid("spectral"), _QUAD_F, _QUAD_G),
+    (small_grid("fd4"), _QUAD_F, _QUAD_G),
+    (small_grid("fd4"), _Q, _P2),  # one axis each
+    (small_grid("spectral"), _P2, _Q),
+    (small_grid("fd4"), Observable.constant(1, 3.0), _QUAD_G),  # P_3 touches no axis
+    (small_grid("spectral"), _QUAD_F, Observable.constant(1, 3.0)),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="spectral"), _QUAD2_F, _QUAD2_G),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="fd4"), _QUAD2_F, _QUAD2_G),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="fd4"),
+     Observable.coordinate(n=2, axis=1), Observable.constant(2, 3.0)),
+], ids=["spectral", "fd4", "q-p2", "p2-q", "3-quad", "quad-3", "n2-spectral", "n2-fd4",
+        "n2-q2-3"])
+def test_shared_derivatives_give_the_unshared_residual_bitwise(grid, f, g):
+    """P_g v, P_f v and P_{f,g} v share v's derivatives; the bits do not move."""
+    hbar = 0.7
+    pf, pg, pfg = (PrequantApplier(h, grid, hbar) for h in (f, g, poisson_bracket(f, g)))
+    states = interior_test_states(grid, count=3, seed=5)
+    unshared = geoquant.grid.worst_residual(
+        lambda v: pf(pg(v)) - pg(pf(v)) + 1j * hbar * pfg(v), states)
+    assert check_dirac(f, g, grid, hbar, states=states) == unshared
+
+
+def test_check_dirac_transforms_each_state_six_times(monkeypatch):
+    """Two quadratics on both axes: one FFT pair per derivative of v, P_g v, P_f v."""
+    calls = []
+
+    def counting(transform):
+        def counted(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return counted
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    grid = small_grid("spectral")
+    f = Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 1.0})
+    g = Observable.from_terms(1, {(1, 1): 1.0})
+    for k in (1, 3):
+        states = interior_test_states(grid, count=k)
+        calls.clear()
+        check_dirac(f, g, grid, 1.0, states=states)
+        assert sorted(calls) == ["fft"] * 6 * k + ["ifft"] * 6 * k
+
+
+def test_fft_derivative_round_off_floor_at_256():
+    """The spectral residual's N^2 round-off floor, about 1.6e-11 at 256^2.
+
+    Random quadratics on [-8, 8]^2; the bound allows one decade above the
+    floor, so a change that loses accuracy in the FFT derivative shows.
+    """
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 256, 256, scheme="spectral")
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(2):
+        f = Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps})
+        g = Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps})
+        worst = max(worst, check_dirac(f, g, grid, 1.0))
+    assert 0.0 < worst < 1.6e-10
+
+
 def test_interior_states_vanish_at_the_box_edge():
     """Edge values sit at round-off, so the Dirac residual reads the operators.
 
