@@ -10,18 +10,24 @@ t is the 2n-dimensional oscillatory integral
 
 The momentum integral is evaluated after the substitution y = t p / m as a
 quadratic-phase integral with panels uniform in phase and Gauss-Legendre
-nodes per panel; node doubling guards every evaluation.  When the q nodes lie
-on psi's sample lattice, the y rule folds into a chirp stencil on that
-lattice which depends only on (spacing, chirp rate, y range, panel
-resolution), not on the states; :func:`_chirp_stencil` memoises it.  The test
-states of a panel share one y range (the union of their reaches), so each
-time builds one stencil per resolution and correlates it with conj(psi) by
-FFT once, leaving one dot product per state.  The Fourier projection on
-uniform grids is a chirp-z transform, one FFT convolution per axis.  The
-t -> 0+ limit of the pairing carries the principal-branch Fresnel phase
-exp(i pi n/4); differentiating at t = 0 and conjugating turns that into the
-factor exp(-i pi n/4) multiplying hbar^2/2m in the recovered generator, which
-is what :func:`schrodinger_residual` measures as ``c_fit``.
+nodes per panel; node doubling guards every evaluation.  The q nodes lie on
+psi's sample lattice (a chi whose lattice is offset by a fraction of a cell
+is first shifted onto it by the band-limited shift; any other chi is
+rejected), so psi(q + y) is the order-6 Lagrange interpolant of psi's samples
+and the y rule folds into a chirp stencil on that lattice.  The stencil
+depends only on (spacing, chirp rate, y range, panel resolution), not on the
+states; :func:`_chirp_stencil` builds it cell by cell, from six moments
+sum_j w_j e^{i a y_j^2} t_j^p of the nodes in each lattice cell and one 6x6
+matrix of cardinal-polynomial coefficients, which regroups the node-by-node
+sum exactly, and memoises it.  The test states of a panel share one y range
+(the union of their reaches), so each time builds one stencil per resolution
+and correlates it with conj(psi) by FFT once, leaving one dot product per
+state.  The Fourier projection on uniform grids is a chirp-z transform, one
+FFT convolution per axis.  The t -> 0+ limit of the pairing carries the
+principal-branch Fresnel phase exp(i pi n/4); differentiating at t = 0 and
+conjugating turns that into the factor exp(-i pi n/4) multiplying hbar^2/2m
+in the recovered generator, which is what :func:`schrodinger_residual`
+measures as ``c_fit``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from .errors import QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
 from .halfform import ConfigGrid
-from .stencil import fft_apply, spectral_first_symbol
+from .stencil import fft_apply, spectral_first_symbol, spectral_shift_symbol
 
 __all__ = [
     "PolarizedState",
@@ -143,18 +149,24 @@ def windowed_plane_wave(grid: ConfigGrid, k: float, flat_halfwidth: float,
 
 # -- Fourier projection --------------------------------------------------------
 
-def _tail_mass(samples: np.ndarray, band: int = 2) -> float:
+def _guard_tail(samples: np.ndarray, tolerances: Tolerances) -> None:
+    """Raise :class:`SupportEscapesGrid` when the two samples at each edge of
+    each axis carry more than ``tolerances.tail_mass`` of the squared norm:
+    a transform or shift of the periodic extension would wrap them round."""
     total = float(np.sum(np.abs(samples) ** 2))
     if total == 0:
-        return 0.0
+        return
     mask = np.zeros(samples.shape, dtype=bool)
     for axis in range(samples.ndim):
         sl = [slice(None)] * samples.ndim
-        sl[axis] = slice(0, band)
+        sl[axis] = slice(0, 2)
         mask[tuple(sl)] = True
-        sl[axis] = slice(-band, None)
+        sl[axis] = slice(-2, None)
         mask[tuple(sl)] = True
-    return float(np.sum(np.abs(samples[mask]) ** 2)) / total
+    tail = float(np.sum(np.abs(samples[mask]) ** 2)) / total
+    if tail > tolerances.tail_mass:
+        raise SupportEscapesGrid(
+            f"boundary band carries {tail:.3e} of the squared norm", tail_mass=tail)
 
 
 def _chirp_z(values: np.ndarray, axis: int, src: ConfigGrid, dst: ConfigGrid,
@@ -189,10 +201,7 @@ def _chirp_z(values: np.ndarray, axis: int, src: ConfigGrid, dst: ConfigGrid,
 def _fourier_apply(state: PolarizedState, target: ConfigGrid, sign: float,
                    out_polarization: str,
                    tolerances: Tolerances) -> PolarizedState:
-    tail = _tail_mass(state.samples)
-    if tail > tolerances.tail_mass:
-        raise SupportEscapesGrid(
-            f"boundary band carries {tail:.3e} of the squared norm", tail_mass=tail)
+    _guard_tail(state.samples, tolerances)
     hbar, out = state.hbar, state.samples
     for axis in range(state.n):
         out = _chirp_z(out, axis, state.grid, target, sign / hbar) * (
@@ -221,12 +230,11 @@ def fourier_project_back(psi_q: PolarizedState, target: ConfigGrid | None = None
 # -- quadratic-phase quadrature -----------------------------------------------
 
 class _UniformInterpolant:
-    """Order-6 Lagrange interpolation on a uniform grid, zero outside.
+    """Samples on a uniform lattice, zero-padded, for pairing by lattice stencil.
 
     The sample array is padded with zeros so states that decay inside their
-    grid continue smoothly to zero beyond it.  Weights come from the explicit
-    quintic Lagrange polynomials on the stencil offsets (-2..3), which keeps
-    evaluation a handful of fused array operations.
+    grid continue smoothly to zero beyond it; the order-6 Lagrange
+    interpolant of these samples is what :func:`_chirp_stencil` folds.
     """
 
     def __init__(self, x0: float, h: float, samples: np.ndarray, pad: int = 8):
@@ -235,37 +243,6 @@ class _UniformInterpolant:
         self.vals = np.concatenate([np.zeros(pad, dtype=complex),
                                     np.asarray(samples, dtype=complex),
                                     np.zeros(pad, dtype=complex)])
-
-    @staticmethod
-    def _lagrange_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Quintic Lagrange weights at fraction t for stencil offsets -2..3."""
-        a0 = t + 2.0
-        a1 = t + 1.0
-        a3 = t - 1.0
-        a4 = t - 2.0
-        a5 = t - 3.0
-        p45 = a4 * a5
-        p345 = a3 * p45
-        p01 = a0 * a1
-        p01t = p01 * t
-        return (a1 * t * p345 / -120.0,
-                a0 * t * p345 / 24.0,
-                p01 * p345 / -12.0,
-                p01t * p45 / 12.0,
-                p01t * a3 * a5 / -24.0,
-                p01t * a3 * a4 / 120.0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        pos = (np.asarray(x, dtype=float) - self.x0) / self.h
-        base = np.floor(pos).astype(np.int64)
-        t = pos - base
-        valid = (base >= 2) & (base + 3 < self.vals.size)
-        base = np.where(valid, base, 2)
-        weights = self._lagrange_weights(t)
-        v = self.vals
-        out = sum(v[base + k] * w for k, w in zip(range(-2, 4), weights))
-        out[~valid] = 0.0
-        return out
 
     def lattice_offsets(self, x: np.ndarray) -> np.ndarray | None:
         """Integer lattice indices of the points x, or None if off-lattice."""
@@ -338,6 +315,15 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
     return nodes, weights
 
 
+_OFFSETS = np.arange(-2, 4)  # lattice offsets of the order-6 Lagrange interpolant
+# _LAGRANGE[k, p] is the coefficient of t^p in the cardinal polynomial of
+# offset _OFFSETS[k]: prod_{j != k} (t - o_j) / (o_k - o_j).  Integer roots
+# make the products exact; each entry is rounded once, by the division.
+_LAGRANGE = np.array([
+    np.polynomial.polynomial.polyfromroots(np.delete(_OFFSETS, k))
+    / np.prod(o - np.delete(_OFFSETS, k)) for k, o in enumerate(_OFFSETS)])
+
+
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
 def _chirp_stencil(h: float, a: float, y_lo: float, y_hi: float,
                    theta_max: float, h_max: float) -> tuple[int, np.ndarray]:
@@ -348,29 +334,43 @@ def _chirp_stencil(h: float, a: float, y_lo: float, y_hi: float,
 
         sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_s coeff_s f(x + (s_min + s) h)
 
-    with f(x + y_j) the order-6 Lagrange interpolant.  The stencil depends on
-    nothing but the arguments, so it is memoised: a hit returns exactly what
-    a miss computes.  ``coeff`` is read-only because every pairing with the
-    same geometry shares it; the node and weight arrays behind it (millions
-    of entries for small t at the fine resolution) are not kept, and are
-    folded ``_FOLD_PANELS`` panels at a time so the temporaries stay small.
+    with f(x + y_j) the order-6 Lagrange interpolant.  A node y in lattice
+    cell b = floor(y/h) at fraction t = y/h - b gives f(x + (b + o) h) the
+    weight L_o(t), a quintic in t, so the nodes of one cell contribute
+    sum_p _LAGRANGE[o, p] m_p with m_p = sum_j w_j e^{i a y_j^2} t_j^p their
+    moments.  The rule's nodes ascend, so each cell's nodes are contiguous:
+    one ``reduceat`` gives every cell's six moments, one 6x6 product its six
+    offset sums.  This regroups the node-by-node sum exactly; only the
+    rounding differs, at the level of eps * sum_j |w_j| (t^p <= 1 and the
+    cardinal coefficients are O(1)).
+
+    The stencil depends on nothing but the arguments, so it is memoised: a
+    hit returns exactly what a miss computes.  ``coeff`` is read-only because
+    every pairing with the same geometry shares it; the node and weight
+    arrays behind it (millions of entries for small t at the fine
+    resolution) are not kept, and are folded ``_FOLD_PANELS`` panels at a
+    time so the temporaries stay small.  A cell split between two blocks is
+    folded in two parts.
     """
     y, w = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
     s_min = int(np.floor(y.min() / h)) - 2
     size = int(np.floor(y.max() / h)) + 3 - s_min + 1
-    offsets = np.arange(-2, 4)[:, None] - s_min
-    re, im = np.zeros(size), np.zeros(size)
+    coeff = np.zeros(size, dtype=complex)
     block = _FOLD_PANELS * _GL_POINTS
     for start in range(0, y.size, block):
         yb = y[start:start + block]
         posy = yb / h
         b = np.floor(posy)
-        terms = (np.array(_UniformInterpolant._lagrange_weights(posy - b))
-                 * (w[start:start + block] * np.exp(1j * a * yb**2)))
-        idx = (b.astype(np.int64) + offsets).reshape(-1)
-        re += np.bincount(idx, terms.real.reshape(-1), size)
-        im += np.bincount(idx, terms.imag.reshape(-1), size)
-    coeff = re + 1j * im
+        cells = np.concatenate(([0], np.flatnonzero(np.diff(b)) + 1))
+        rows = np.empty((_OFFSETS.size, yb.size), dtype=complex)
+        rows[0] = w[start:start + block] * np.exp(1j * a * yb**2)
+        t = posy - b
+        for p in range(1, _OFFSETS.size):
+            np.multiply(rows[p - 1], t, out=rows[p])
+        sums = _LAGRANGE @ np.add.reduceat(rows, cells, axis=1)
+        base = b[cells].astype(np.int64) - s_min
+        for k, o in enumerate(_OFFSETS):
+            coeff[base + o] += sums[k]  # one entry per cell: no repeated index
     coeff.flags.writeable = False
     return s_min, coeff
 
@@ -386,37 +386,49 @@ class PairingResult:
     doubling_delta: float = 0.0
 
 
-def _pairing_values(interp: _UniformInterpolant, qs: list, m_idx: list,
-                    t: float, hbar: float, mass: float, y_lo: float, y_hi: float,
-                    theta_max: float, h_max: float) -> list[complex]:
-    """One resolution of the pairing with every ``(q_nodes, q_weights)`` in
-    ``qs``; ``m_idx`` holds their lattice indices, or None off psi's lattice.
-    The q weights already carry the chi samples and the grid measure."""
+def _pairing_values(interp: _UniformInterpolant, qs: list, t: float, hbar: float,
+                    mass: float, y_lo: float, y_hi: float, theta_max: float,
+                    h_max: float) -> list[complex]:
+    """One resolution of the pairing with every ``(q_nodes, m_idx, q_weights)``
+    rule of :func:`_q_rule` in ``qs``."""
     a = mass / (2.0 * hbar * t)
-    on = [m for m in m_idx if m is not None]
-    if on:
-        # plain floats keep the memo key hashable for 0-d array arguments
-        s_min, coeff = _chirp_stencil(interp.h, float(a), y_lo, y_hi,
-                                      float(theta_max), float(h_max))
-        m_lo = min(int(m[0]) for m in on)
-        inner = interp.correlate_conj(
-            np.arange(m_lo, max(int(m[-1]) for m in on) + 1), s_min, coeff)
-    values = []
-    for (q_nodes, q_weights), m in zip(qs, m_idx):
-        if m is not None:
-            q_inner = inner[m - m_lo]
-        else:
-            y_nodes, w = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
-            kernel = w * np.exp(1j * a * y_nodes**2)
-            q_inner = np.zeros(q_nodes.size, dtype=complex)
-            chunk = max(1, int(4e6) // q_nodes.size)
-            for start in range(0, y_nodes.size, chunk):
-                sl = slice(start, start + chunk)
-                vals = interp(q_nodes[:, None] + y_nodes[None, sl])
-                q_inner += np.conj(vals) @ kernel[sl]
-        values.append(complex(np.sqrt(mass / (2.0 * np.pi * hbar * t))
-                              * np.sum(q_weights * q_inner)))
-    return values
+    # plain floats keep the memo key hashable for 0-d array arguments
+    s_min, coeff = _chirp_stencil(interp.h, float(a), y_lo, y_hi,
+                                  float(theta_max), float(h_max))
+    m_lo = min(int(m[0]) for _, m, _ in qs)
+    inner = interp.correlate_conj(
+        np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1), s_min, coeff)
+    return [complex(np.sqrt(mass / (2.0 * np.pi * hbar * t))
+                    * np.sum(q_weights * inner[m - m_lo]))
+            for _, m, q_weights in qs]
+
+
+def _q_rule(chi: PolarizedState, interp: _UniformInterpolant,
+            tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi's nodes on its support, their indices on psi's lattice ``interp``,
+    and their weights: the chi samples times the grid measure.
+
+    A chi whose nodes sit off the lattice by one common sub-cell offset is
+    shifted onto it by the band-limited shift of its own grid, which needs
+    chi to vanish at its edges (the tail-mass guard of the Fourier
+    projection).  Any other chi raises :class:`UnsupportedObservable`.
+    """
+    q_axis, samples = chi.grid.axis(0), chi.samples.reshape(-1)
+    h_chi = chi.grid.spacings[0]
+    m_idx = interp.lattice_offsets(q_axis)
+    if m_idx is None:
+        rel = (q_axis[0] - interp.x0) / interp.h
+        shift = (np.rint(rel) - rel) * interp.h
+        q_axis = q_axis + shift
+        m_idx = interp.lattice_offsets(q_axis)
+        if m_idx is None:
+            raise UnsupportedObservable(
+                "the pairing needs chi's nodes on psi's lattice up to one shift")
+        _guard_tail(samples, tolerances)
+        samples = fft_apply(samples, spectral_shift_symbol(q_axis.size, h_chi, shift), 0)
+    q_lo, q_hi = _support_bounds(q_axis, samples, h_chi)
+    q_mask = (q_axis >= q_lo) & (q_axis <= q_hi)
+    return q_axis[q_mask], m_idx[q_mask], samples[q_mask] * h_chi
 
 
 def _pairings(psi: PolarizedState, chis: list[PolarizedState], t: float,
@@ -445,20 +457,14 @@ def _pairings(psi: PolarizedState, chis: list[PolarizedState], t: float,
 
     # restrict each q integral to the support of its chi and the y integral
     # to wherever psi can still be reached from any of them
-    qs = []
-    for chi in chis:
-        q_axis, samples = chi.grid.axis(0), chi.samples.reshape(-1)
-        q_lo, q_hi = _support_bounds(q_axis, samples, chi.grid.spacings[0])
-        q_mask = (q_axis >= q_lo) & (q_axis <= q_hi)
-        qs.append((q_axis[q_mask], samples[q_mask] * chi.grid.spacings[0]))
+    qs = [_q_rule(chi, interp, tolerances) for chi in chis]
     x_lo, x_hi = _support_bounds(psi.grid.axis(0), psi.samples.reshape(-1), h_psi)
-    y_lo = float(x_lo - max(q[-1] for q, _ in qs))
-    y_hi = float(x_hi - min(q[0] for q, _ in qs))
+    y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
+    y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
     if h_max is None:
         h_max = 8.0 * h_psi
 
-    m_idx = [interp.lattice_offsets(q) for q, _ in qs]
-    args = (interp, qs, m_idx, t, hbar, mass, y_lo, y_hi)
+    args = (interp, qs, t, hbar, mass, y_lo, y_hi)
     coarse = _pairing_values(*args, theta_max, h_max)
     fine = _pairing_values(*args, theta_max / 2.0, h_max / 2.0)
     n, results = psi.n, []
@@ -482,10 +488,13 @@ def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
     """Free-particle pairing of two position-polarized states at time t > 0.
 
     The flowed argument psi(q + t p / m) is evaluated by order-6 interpolation
-    on a zero-padded extension of the state grid.  Every call is computed at
-    the requested panel resolution and at doubled resolution; if the two
-    differ beyond the ``bks`` tolerance (relative to the natural scale of the
-    pairing) a :class:`QuadratureFailure` is raised.
+    on a zero-padded extension of the state grid.  chi's nodes must lie on
+    psi's lattice, or on a copy of it offset by a fraction of a cell, onto
+    which chi is then shifted; otherwise :class:`UnsupportedObservable` is
+    raised.  Every call is computed at the requested panel resolution and at
+    doubled resolution; if the two differ beyond the ``bks`` tolerance
+    (relative to the natural scale of the pairing) a
+    :class:`QuadratureFailure` is raised.
     """
     return _pairings(psi_q, [chi_q], t, theta_max, h_max, tolerances)[0]
 

@@ -10,8 +10,9 @@ from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           fourier_project_back, gaussian_state,
                           richardson_extrapolate, state_projected_rate,
                           windowed_plane_wave)
-from geoquant.bks import (_UniformInterpolant, _chirp_stencil, _pairings,
-                          _phase_panels, schrodinger_residual)
+from geoquant import bks
+from geoquant.bks import (_LAGRANGE, _OFFSETS, _UniformInterpolant, _chirp_stencil,
+                          _pairings, _phase_panels, schrodinger_residual)
 from geoquant.halfform import ConfigGrid
 
 TOL = DEFAULT_TOLERANCES
@@ -263,9 +264,11 @@ def test_quadrature_guard_raises_on_coarse_panels():
 
 
 def test_off_lattice_pairing_matches_gaussian_oracle():
-    # chi's nodes miss psi's lattice, so psi is interpolated pointwise
+    # chi's nodes sit 0.368 cells off psi's lattice on the same spacing, so chi
+    # is shifted onto that lattice by the band-limited shift
     psi_grid = line(count=512, extent=16.0)
-    chi_grid = ConfigGrid.line(-15.0, 15.0, 400)
+    chi_grid = ConfigGrid.line(-15.0 + 0.023, 15.0 + 0.023, 480)
+    assert chi_grid.spacings == psi_grid.spacings
     s, r, b = 1.0, 1.3, 0.8
     phase = np.exp(1j * np.pi / 3)  # the pairing is conjugate-linear in psi
     psi = PolarizedState(phase * np.exp(-psi_grid.axis(0) ** 2 / (2 * s**2)),
@@ -276,7 +279,19 @@ def test_off_lattice_pairing_matches_gaussian_oracle():
     for t in (0.4, 0.2):
         oracle = np.conj(phase) * gaussian_pairing_oracle(s, r, b, t)
         assert abs(bks_pairing(psi, chi, t).value - oracle) / abs(oracle) < 1e-8
-    assert _chirp_stencil.cache_info().misses == 0
+    assert _chirp_stencil.cache_info().misses == 4  # 2 times x coarse and fine
+
+
+def test_pairing_rejects_chi_it_cannot_put_on_the_lattice():
+    psi = gaussian_state(line(count=512, extent=16.0))
+    other_spacing = ConfigGrid.line(-15.0, 15.0, 400)
+    with pytest.raises(UnsupportedObservable):
+        bks_pairing(psi, gaussian_state(other_spacing), 0.1)
+    # a shifted chi with mass at its edges would wrap round in the shift
+    shifted = ConfigGrid.line(-15.0 + 0.023, 15.0 + 0.023, 480)
+    edge = PolarizedState(np.ones(shifted.size), shifted, "position")
+    with pytest.raises(SupportEscapesGrid):
+        bks_pairing(psi, edge, 0.1)
 
 
 def sliding_correlation(vals, m_idx, s_min, coeff):
@@ -361,6 +376,58 @@ def test_chirp_stencil_hit_equals_miss_and_is_read_only():
         hit[1][0] = 0.0
     # one complex per lattice offset of the y range, not per quadrature node
     assert hit[1].size <= (args[3] - args[2]) / args[0] + 7
+
+
+def test_lagrange_matrix_is_cardinal():
+    # row k holds the monomial coefficients of L_k, so L_k(o_j) = delta_jk
+    vander = _OFFSETS[:, None].astype(float) ** np.arange(_OFFSETS.size)
+    assert np.max(np.abs(_LAGRANGE @ vander.T - np.eye(_OFFSETS.size))) < 1e-14
+
+
+def per_node_fold(h, a, y_lo, y_hi, theta_max, h_max):
+    """The chirp stencil folded node by node: six Lagrange weights per node,
+    scattered by ``bincount``; the reference for the per-cell moment fold."""
+    y, w = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
+    s_min = int(np.floor(y.min() / h)) - 2
+    size = int(np.floor(y.max() / h)) + 3 - s_min + 1
+    posy = y / h
+    b = np.floor(posy)
+    t = posy - b
+    a0, a1, a3, a4, a5 = t + 2.0, t + 1.0, t - 1.0, t - 2.0, t - 3.0
+    p45 = a4 * a5
+    p345 = a3 * p45
+    p01 = a0 * a1
+    p01t = p01 * t
+    weights = np.array([a1 * t * p345 / -120.0, a0 * t * p345 / 24.0,
+                        p01 * p345 / -12.0, p01t * p45 / 12.0,
+                        p01t * a3 * a5 / -24.0, p01t * a3 * a4 / 120.0])
+    terms = weights * (w * np.exp(1j * a * y**2))
+    idx = (b.astype(np.int64) + np.arange(-2, 4)[:, None] - s_min).reshape(-1)
+    re = np.bincount(idx, terms.real.reshape(-1), size)
+    im = np.bincount(idx, terms.imag.reshape(-1), size)
+    return s_min, re + 1j * im
+
+
+@pytest.mark.parametrize("args, fold_panels", [
+    ((0.0625, 25.0, -17.38, 17.38, 1.5 * np.pi, 0.5), None),    # Schroedinger panel
+    ((0.0625, 25.0, -17.38, 17.38, 0.75 * np.pi, 0.25), None),  # its fine resolution
+    ((0.0625, 12.5, -9.1, 12.3, 1.5 * np.pi, 0.5), None),       # asymmetric range
+    ((0.0625, 12.5, -2.0, 3.0, 1.5 * np.pi, 0.5), None),        # ends on lattice points
+    ((0.0625, 25.0, -9.1, 12.3, 1.5 * np.pi, 0.5), 3),          # cells split by blocks
+])
+def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
+    if fold_panels is not None:
+        monkeypatch.setattr(bks, "_FOLD_PANELS", fold_panels)
+        y, _ = _phase_panels(*args[2:4], args[1], *args[4:])
+        cell = np.floor(y / args[0])
+        block = fold_panels * bks._GL_POINTS
+        ends = np.arange(block, y.size, block)
+        assert np.any(cell[ends - 1] == cell[ends])  # some cell straddles a block edge
+    s_min, coeff = _chirp_stencil.__wrapped__(*args)
+    ref_min, ref = per_node_fold(*args)
+    assert s_min == ref_min
+    assert coeff.size == ref.size
+    assert np.max(np.abs(coeff - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
