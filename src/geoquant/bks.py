@@ -230,19 +230,17 @@ def fourier_project_back(psi_q: PolarizedState, target: ConfigGrid | None = None
 # -- quadratic-phase quadrature -----------------------------------------------
 
 class _UniformInterpolant:
-    """Samples on a uniform lattice, zero-padded, for pairing by lattice stencil.
+    """Samples on a uniform lattice for pairing by lattice stencil.
 
-    The sample array is padded with zeros so states that decay inside their
-    grid continue smoothly to zero beyond it; the order-6 Lagrange
-    interpolant of these samples is what :func:`_chirp_stencil` folds.
+    States that decay inside their grid continue as zeros beyond it (the
+    zero fill of :meth:`correlate_conj`); the order-6 Lagrange interpolant
+    of these samples is what :func:`_chirp_stencil` folds.
     """
 
-    def __init__(self, x0: float, h: float, samples: np.ndarray, pad: int = 8):
+    def __init__(self, x0: float, h: float, samples: np.ndarray):
         self.h = float(h)
-        self.x0 = float(x0) - pad * self.h
-        self.vals = np.concatenate([np.zeros(pad, dtype=complex),
-                                    np.asarray(samples, dtype=complex),
-                                    np.zeros(pad, dtype=complex)])
+        self.x0 = float(x0)
+        self.vals = np.asarray(samples, dtype=complex)
 
     def lattice_offsets(self, x: np.ndarray) -> np.ndarray | None:
         """Integer lattice indices of the points x, or None if off-lattice."""
@@ -261,8 +259,8 @@ class _UniformInterpolant:
         Lagrange fractions depend on y alone and the double sum over q and y
         collapses to this correlation of the conjugated samples with the
         (memoised) stencil.  It is one FFT correlation over the segment of
-        zero-padded samples that the indices reach, shared by every test
-        state of a panel, so each state costs one dot product.
+        samples that the indices reach, zero beyond the grid, shared by every
+        test state of a panel, so each state costs one dot product.
         """
         m_lo = int(m_idx.min())
         lo = m_lo + s_min

@@ -18,7 +18,6 @@ from .config import DEFAULT_TOLERANCES
 from .errors import ConfigError
 from .grid import interior_states
 from .linalg import GramMatrix, adjoint_wrt, commutator, real_spectrum
-from .polynomials import Polynomial
 from .prequant import (Observable, PhaseSpaceGrid, SectorSpec, check_dirac,
                        cylinder_momentum_operator, cylinder_spectrum, prequantum_evolve,
                        selfadjoint_residual, weil_admissible)
@@ -258,11 +257,10 @@ def demo_canonical(cfg: RunConfig) -> QuantReport:
     comm = halfform.check_canonical_commutator(grid, cfg.hbar, states=states)
     report.add_check("canonical-commutator", "[q^, p^] = i*hbar*I", comm, tol.grid)
 
-    q_poly = Polynomial.variable(1, 0)
     cases = {
-        "q": halfform.LinearInP.from_parts(1, u=q_poly),
-        "p": halfform.LinearInP.from_parts(1, v=[Polynomial.constant(1, 1)]),
-        "qp": halfform.LinearInP.from_parts(1, v=[q_poly]),
+        "q": Observable.coordinate(),
+        "p": Observable.momentum(),
+        "qp": Observable.from_terms(1, {(1, 1): 1}),
     }
     sym = {name: halfform.check_selfadjoint(f, grid, cfg.hbar, states=states)
            for name, f in cases.items()}
@@ -278,8 +276,7 @@ def demo_canonical(cfg: RunConfig) -> QuantReport:
                      "dropping (i*hbar/2)div(v) breaks symmetry by O(hbar)",
                      control, 0.4 * cfg.hbar, passed=control > 0.4 * cfg.hbar,
                      note="residual must EXCEED the threshold")
-    div_path = halfform.divergence(cases["qp"], grid)[1]
-    report.notes.append(f"divergence evaluated by the {div_path} path")
+    report.notes.append("divergence evaluated by the analytic path")
     return report
 
 

@@ -91,23 +91,11 @@ class UniformGrid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return [m.reshape(-1) for m in mesh]
 
-    def sample(self, comps) -> list[np.ndarray]:
-        """Flat complex samples of each entry of ``comps``.
-
-        An entry is a :class:`Polynomial` or a real-valued callable of the
-        coordinates, or None for the zero field.
-        """
+    def sample(self, polys: list[Polynomial]) -> list[np.ndarray]:
+        """Flat complex samples of each :class:`Polynomial` in ``polys``."""
         coords = self.coordinate_fields()
         ones = np.ones(self.size)
-        out = []
-        for comp in comps:
-            if comp is None:
-                out.append(np.zeros(self.size, dtype=complex))
-                continue
-            vals = (comp.evaluate(*coords) if isinstance(comp, Polynomial)
-                    else np.asarray(comp(*coords), dtype=float))
-            out.append(np.asarray(vals, dtype=complex) * ones)
-        return out
+        return [np.asarray(poly.evaluate(*coords), dtype=complex) * ones for poly in polys]
 
 
 @lru_cache(maxsize=64)

@@ -5,10 +5,13 @@ the squared half-form; no explicit square-root bundle object is needed on
 flat configuration space.  An observable at most linear in momentum,
 f = u(q) + v(q).p, quantizes to
 
-    Q_f = -i*hbar * v.d/dq + u - (i*hbar/2) div(v),
+    Q_f = P_f on p-independent sections - (i*hbar/2) div(v)
+        = -i*hbar * v.d/dq + u - (i*hbar/2) div(v),
 
-and the divergence term is exactly what makes Q_f symmetric for real u, v.
-Q_f is one :class:`~geoquant.grid.FirstOrderOperator`:
+with P_f the prequantum operator, whose symbolic split of f in
+:mod:`geoquant.prequant.gridops` gives both operators their first-order
+parts.  The divergence term is exactly what makes Q_f symmetric for real u,
+v.  Q_f is one :class:`~geoquant.grid.FirstOrderOperator`:
 :func:`quantize_halfform` assembles its sparse matrix, and the commutator
 and symmetry checks apply it matrix-free.  Observables with any p-degree
 >= 2 do not preserve the polarization and are rejected; their evolution
@@ -18,26 +21,23 @@ belongs to the pairing machinery in :mod:`geoquant.bks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import PolarizationViolation
-from .grid import (FirstOrderOperator, UniformGrid, _derivative_along, diagonal_gram,
-                   interior_states, worst_residual, worst_symmetry_defect)
+from .grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
+                   worst_residual, worst_symmetry_defect)
 from .linalg import GramMatrix, OperatorMatrix
 from .polynomials import Polynomial
+from .prequant.gridops import _prequant_parts
 from .prequant.observables import Observable
 
 __all__ = [
     "ConfigGrid",
-    "LinearInP",
     "quantize_halfform",
-    "divergence",
     "config_gram",
     "check_canonical_commutator",
     "check_selfadjoint",
-    "reject_nonlinear",
 ]
 
 
@@ -75,70 +75,41 @@ class ConfigGrid(UniformGrid):
         return f"cfggrid/n{self.n}/{spans}/{self.scheme}"
 
 
-@dataclass(frozen=True)
-class LinearInP:
-    """Observable f = u(q) + v(q).p with u and per-axis v polynomial or callable."""
-
-    n: int
-    u: object
-    v: tuple
-
-    def __post_init__(self):
-        if len(self.v) != self.n:
-            raise ValueError("v must supply one component per axis")
-        for comp in (self.u, *self.v):
-            if not (comp is None or isinstance(comp, Polynomial) or callable(comp)):
-                raise TypeError("coefficients must be Polynomial, callable or None")
-            if isinstance(comp, Polynomial) and comp.nvars != self.n:
-                raise ValueError("coefficient polynomial has wrong variable count")
-
-    @classmethod
-    def from_parts(cls, n: int, u=None, v: Sequence | None = None) -> "LinearInP":
-        v = tuple(v) if v is not None else (None,) * n
-        return cls(n, u, v)
+def _on_q(poly: Polynomial, n: int) -> Polynomial:
+    """A p-independent phase-space polynomial as a polynomial in q alone."""
+    return Polynomial(n, {expo[:n]: c for expo, c in poly.coeffs.items()})
 
 
-def divergence(f: LinearInP, grid: ConfigGrid) -> tuple[np.ndarray, str]:
-    """div(v) sampled on the grid and the evaluation path used.
-
-    Only v enters.  Polynomial (or absent) components are differentiated
-    exactly ("analytic"); a callable component sends the whole divergence
-    through the grid's matrix-free derivative ("stencil").
-    """
-    if all(comp is None or isinstance(comp, Polynomial) for comp in f.v):
-        total = Polynomial.zero(grid.n)
-        for a, comp in enumerate(f.v):
-            if comp is not None:
-                total = total + comp.differentiate(a)
-        return grid.sample([total])[0].real, "analytic"
-    total = np.zeros(grid.shape, dtype=complex)
-    for a, field in enumerate(grid.sample(f.v)):
-        if f.v[a] is not None:
-            total = total + _derivative_along(grid, field.reshape(grid.shape), a)
-    return total.reshape(-1).real, "stencil"
-
-
-def _halfform_operator(f: LinearInP, grid: ConfigGrid, hbar: float,
+def _halfform_operator(f: Observable, grid: ConfigGrid, hbar: float,
                        include_divergence_term: bool = True) -> FirstOrderOperator:
     """-i*hbar v.d/dq + u - (i*hbar/2) div(v) as a grid operator description."""
     if f.n != grid.n:
         raise ValueError(f"observable has n={f.n} but grid has n={grid.n}")
-    scalar, *fields = grid.sample([f.u, *f.v])
-    terms = [(-1j * hbar, va, a) for a, va in enumerate(fields) if np.any(va)]
+    n = grid.n
+    if any(sum(expo[n:]) >= 2 for expo in f.poly.coeffs):
+        raise PolarizationViolation(
+            "p-degree >= 2 does not preserve the vertical polarization; "
+            "quantize through the geoquant.bks pairing instead")
+    parts, scalar = _prequant_parts(f, hbar)
+    # the i*hbar df/dq_a d/dp_a terms annihilate p-independent sections
+    parts = [(factor, _on_q(poly, n), axis) for factor, poly, axis in parts if axis < n]
+    *fields, scalar_field = grid.sample([poly for _, poly, _ in parts] + [_on_q(scalar, n)])
     if include_divergence_term:
-        div, _ = divergence(f, grid)
-        scalar = scalar - 0.5j * hbar * div
-    return FirstOrderOperator(grid, terms, scalar)
+        div = sum((poly.differentiate(axis) for _, poly, axis in parts), Polynomial.zero(n))
+        scalar_field = scalar_field - 0.5j * hbar * grid.sample([div])[0].real
+    terms = [(factor, field, axis) for (factor, _, axis), field in zip(parts, fields)]
+    return FirstOrderOperator(grid, terms, scalar_field)
 
 
-def quantize_halfform(f: LinearInP, grid: ConfigGrid, hbar: float,
+def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
                       include_divergence_term: bool = True) -> OperatorMatrix:
     """Sparse matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
 
     ``include_divergence_term=False`` drops the half-form correction; it
     exists as a negative control for the self-adjointness checks and is not
     a physically meaningful operator.  ``.dense()`` materializes the entries
-    for small grids.
+    for small grids.  Raises :class:`PolarizationViolation` for any p-degree
+    >= 2.
     """
     op = _halfform_operator(f, grid, hbar, include_divergence_term)
     return OperatorMatrix(op.matrix(), grid.basis_id)
@@ -156,12 +127,8 @@ def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int
 
     Both operators act matrix-free, so the check runs at full grid sizes.
     """
-    n = grid.n
-    q_op = _halfform_operator(
-        LinearInP.from_parts(n, u=Polynomial.variable(n, a)), grid, hbar).apply
-    p_op = _halfform_operator(
-        LinearInP.from_parts(n, v=[Polynomial.constant(n, 1) if i == b else None
-                                   for i in range(n)]), grid, hbar).apply
+    q_op = _halfform_operator(Observable.coordinate(grid.n, a), grid, hbar).apply
+    p_op = _halfform_operator(Observable.momentum(grid.n, b), grid, hbar).apply
     if states is None:
         states = interior_states(grid, seed=seed)
     delta = 1.0 if a == b else 0.0
@@ -169,7 +136,7 @@ def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int
         lambda v: q_op(p_op(v)) - p_op(q_op(v)) - 1j * hbar * delta * v, states)
 
 
-def check_selfadjoint(f: LinearInP, grid: ConfigGrid, hbar: float,
+def check_selfadjoint(f: Observable, grid: ConfigGrid, hbar: float,
                       states: list[np.ndarray] | None = None, seed: int = 5,
                       include_divergence_term: bool = True) -> float:
     """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel.
@@ -180,32 +147,3 @@ def check_selfadjoint(f: LinearInP, grid: ConfigGrid, hbar: float,
     if states is None:
         states = interior_states(grid, seed=seed)
     return worst_symmetry_defect(op.apply, states)
-
-
-def reject_nonlinear(f: Observable) -> LinearInP:
-    """Split a phase-space observable into u(q) + v(q).p or refuse.
-
-    Any p-degree >= 2 content breaks the vertical polarization: no operator
-    is constructed and the caller is pointed at the pairing-based evolution
-    in :mod:`geoquant.bks`.
-    """
-    poly = f.poly
-    n = f.n
-    u = Polynomial.zero(n)
-    v = [Polynomial.zero(n) for _ in range(n)]
-    for expo, c in poly.coeffs.items():
-        q_part, p_part = expo[:n], expo[n:]
-        p_degree = sum(p_part)
-        if p_degree == 0:
-            u = u + Polynomial.monomial(n, q_part, c)
-        elif p_degree == 1:
-            axis = next(i for i, e in enumerate(p_part) if e == 1)
-            v[axis] = v[axis] + Polynomial.monomial(n, q_part, c)
-        else:
-            raise PolarizationViolation(
-                "p-degree >= 2 does not preserve the vertical polarization; "
-                "quantize through the geoquant.bks pairing instead")
-    return LinearInP.from_parts(
-        n,
-        u=None if u.is_zero else u,
-        v=[None if comp.is_zero else comp for comp in v])

@@ -7,7 +7,7 @@ exactly by feeding Fractions.  Monomials are keyed by exponent tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -45,11 +45,9 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def monomial(cls, nvars: int, expo: Iterable[int], coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(expo): coeff})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         expo = [0] * nvars
         expo[index] = 1
         return cls(nvars, {tuple(expo): 1})

@@ -93,12 +93,14 @@ class PhaseSpaceGrid(UniformGrid):
                 f"/{self.scheme}")
 
 
-def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
-    """Terms and scalar of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid."""
-    if f.n != grid.n:
-        raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
-    n = grid.n
-    parts = []  # (factor, coefficient polynomial, axis)
+def _prequant_parts(f: Observable, hbar: float) -> tuple[list, Polynomial]:
+    """First-order parts of P_f = -i*hbar*X_f - p.(df/dp) + f, symbolically.
+
+    Returns the ``(factor, coefficient polynomial, axis)`` terms, one per
+    nonzero partial derivative of f, and the scalar f - p.(df/dp).
+    """
+    n = f.n
+    parts = []
     scalar = Polynomial(2 * n, dict(f.poly.coeffs))
     for a in range(n):
         fp = f.dp(a)
@@ -109,6 +111,14 @@ def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
             scalar = scalar - Polynomial.variable(2 * n, n + a) * fp
         if not fq.is_zero:
             parts.append((1j * hbar, fq, n + a))
+    return parts, scalar
+
+
+def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
+    """Terms and scalar of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid."""
+    if f.n != grid.n:
+        raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
+    parts, scalar = _prequant_parts(f, hbar)
     *fields, scalar_field = grid.sample([poly for _, poly, _ in parts] + [scalar])
     terms = [(factor, field, axis) for (factor, _, axis), field in zip(parts, fields)]
     return terms, None if scalar.is_zero else scalar_field

@@ -66,10 +66,14 @@ class Observable:
 
     @classmethod
     def coordinate(cls, n: int = 1, axis: int = 0) -> "Observable":
+        if not 0 <= axis < n:
+            raise ValueError(f"axis {axis} out of range for n={n}")
         return cls.from_poly(Polynomial.variable(2 * n, axis), n)
 
     @classmethod
     def momentum(cls, n: int = 1, axis: int = 0) -> "Observable":
+        if not 0 <= axis < n:
+            raise ValueError(f"axis {axis} out of range for n={n}")
         return cls.from_poly(Polynomial.variable(2 * n, n + axis), n)
 
     @classmethod

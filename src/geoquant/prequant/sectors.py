@@ -28,6 +28,10 @@ __all__ = [
     "cylinder_momentum_operator",
 ]
 
+#: Gauss-Legendre orders of the Weil integral over theta and over phi
+_WEIL_N_THETA = 64
+_WEIL_N_PHI = 16
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -58,7 +62,7 @@ class WeilResult:
     nearest_n: int
 
 
-def weil_admissible(sector: SectorSpec, n_theta: int = 64, n_phi: int = 16,
+def weil_admissible(sector: SectorSpec,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> WeilResult:
     """Integrality check for the sphere sector by 2D Gauss-Legendre quadrature.
 
@@ -67,8 +71,8 @@ def weil_admissible(sector: SectorSpec, n_theta: int = 64, n_phi: int = 16,
     """
     if sector.model != "sphere":
         raise UnsupportedObservable("integrality check applies to the sphere model")
-    xt, wt = gauss_legendre(n_theta)
-    xp, wp = gauss_legendre(n_phi)
+    xt, wt = gauss_legendre(_WEIL_N_THETA)
+    xp, wp = gauss_legendre(_WEIL_N_PHI)
     theta = 0.5 * np.pi * (xt + 1.0)
     w_theta = 0.5 * np.pi * wt
     w_phi = np.pi * wp  # phi in [0, 2*pi)

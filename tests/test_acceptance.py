@@ -17,7 +17,6 @@ import numpy as np
 from geoquant import bks, fock, halfform, spin
 from geoquant.grid import interior_states
 from geoquant.linalg import GramMatrix, commutator, real_spectrum
-from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, SectorSpec,
                                check_dirac, cylinder_spectrum,
                                interior_test_states, prequantum_evolve,
@@ -150,11 +149,10 @@ def test_criterion_6_canonical_halfform_operators():
     states = interior_states(grid, count=4, seed=0)
     comm = halfform.check_canonical_commutator(grid, 1.0, states=states)
 
-    q_poly = Polynomial.variable(1, 0)
     panel = {
-        "q": halfform.LinearInP.from_parts(1, u=q_poly),
-        "p": halfform.LinearInP.from_parts(1, v=[Polynomial.constant(1, 1)]),
-        "qp": halfform.LinearInP.from_parts(1, v=[q_poly]),
+        "q": Observable.coordinate(),
+        "p": Observable.momentum(),
+        "qp": Observable.from_terms(1, {(1, 1): 1}),
     }
     sym = max(halfform.check_selfadjoint(f, grid, 1.0, states=states)
               for f in panel.values())

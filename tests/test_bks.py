@@ -306,7 +306,7 @@ def sliding_correlation(vals, m_idx, s_min, coeff):
 
 @pytest.mark.parametrize("s_min, m_idx", [
     (-5, np.arange(10, 40)),              # inside the samples
-    (-30, np.arange(0, 60)),              # stencil starts before the padding
+    (-30, np.arange(0, 60)),              # stencil starts before the samples
     (-3, np.array([55, 2, 17, 17, 70])),  # unsorted, repeated, past the end
 ])
 def test_fft_correlation_matches_sliding_window(s_min, m_idx):

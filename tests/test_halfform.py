@@ -12,12 +12,9 @@ from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import PolarizationViolation
 from geoquant.grid import interior_states
-from geoquant.halfform import (ConfigGrid, LinearInP, _halfform_operator,
-                               check_canonical_commutator, check_selfadjoint,
-                               config_gram, divergence, quantize_halfform,
-                               reject_nonlinear)
-from geoquant.polynomials import Polynomial
-from geoquant.prequant import Observable, poisson_bracket
+from geoquant.halfform import (ConfigGrid, _halfform_operator, check_canonical_commutator,
+                               check_selfadjoint, config_gram, quantize_halfform)
+from geoquant.prequant import Observable, PhaseSpaceGrid, PrequantApplier, poisson_bracket
 from geoquant.stencil import derivative_matrix_1d
 
 TOL = DEFAULT_TOLERANCES
@@ -27,20 +24,23 @@ def line(count=64, extent=6.0, scheme="fd4"):
     return ConfigGrid.line(-extent, extent, count, scheme=scheme)
 
 
-def q_var(n=1, axis=0):
-    return Polynomial.variable(n, axis)
+def obs(n, terms):
+    return Observable.from_terms(n, terms)
+
+
+Q, P = Observable.coordinate(), Observable.momentum()
+QP = obs(1, {(1, 1): 1.0})  # the dilation generator: v = q, div v = 1
 
 
 def test_pure_position_observable_is_multiplication():
     grid = line()
-    op = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0)
+    op = quantize_halfform(Q, grid, 1.0)
     assert np.allclose(op.dense(), np.diag(grid.axis(0)))
 
 
 def test_momentum_is_scaled_gradient():
     grid = line()
-    f = LinearInP.from_parts(1, v=[Polynomial.constant(1, 1)])
-    op = quantize_halfform(f, grid, hbar=0.7)
+    op = quantize_halfform(P, grid, hbar=0.7)
     d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
     assert np.allclose(op.dense(), -0.7j * d)
 
@@ -48,7 +48,7 @@ def test_momentum_is_scaled_gradient():
 def test_dilation_gets_half_divergence():
     # f = q p: v = q, div v = 1, operator -i hbar (q d/dq + 1/2)
     grid = line()
-    op = quantize_halfform(LinearInP.from_parts(1, v=[q_var()]), grid, 1.0)
+    op = quantize_halfform(QP, grid, 1.0)
     d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
     expected = -1j * (np.diag(grid.axis(0)) @ d + 0.5 * np.eye(grid.size))
     assert np.allclose(op.dense(), expected)
@@ -57,12 +57,10 @@ def test_dilation_gets_half_divergence():
 def test_quantization_is_linear_in_f():
     grid = line()
     rng = np.random.default_rng(0)
-    u1, v1 = Polynomial(1, {(2,): 0.5}), Polynomial(1, {(1,): -1.0})
-    u2, v2 = Polynomial(1, {(1,): 2.0}), Polynomial(1, {(0,): 0.3})
+    f1 = obs(1, {(2, 0): 0.5, (1, 1): -1.0})
+    f2 = obs(1, {(1, 0): 2.0, (0, 1): 0.3})
     a, b = rng.uniform(-2, 2, size=2)
-    f1 = LinearInP.from_parts(1, u=u1, v=[v1])
-    f2 = LinearInP.from_parts(1, u=u2, v=[v2])
-    combo = LinearInP.from_parts(1, u=a * u1 + b * u2, v=[a * v1 + b * v2])
+    combo = Observable(1, a * f1.poly + b * f2.poly)
     lhs = quantize_halfform(combo, grid, 1.0).entries
     rhs = a * quantize_halfform(f1, grid, 1.0).entries \
         + b * quantize_halfform(f2, grid, 1.0).entries
@@ -75,13 +73,11 @@ def test_assembled_matrix_matches_matrix_free_apply(n, scheme):
     """quantize_halfform's sparse entries and the checks' apply are one operator."""
     if n == 1:
         grid = line(count=64, scheme=scheme)
-        f = LinearInP.from_parts(1, u=Polynomial(1, {(2,): 0.5}),
-                                 v=[Polynomial(1, {(0,): 1.0, (1,): -0.7})])
+        f = obs(1, {(2, 0): 0.5, (0, 1): 1.0, (1, 1): -0.7})
     else:
         grid = ConfigGrid((-5.0, -4.0), (5.0, 4.0), (24, 20), scheme=scheme)
-        f = LinearInP.from_parts(2, u=Polynomial(2, {(1, 1): 0.3}),
-                                 v=[Polynomial(2, {(0, 1): 1.0}),
-                                    Polynomial(2, {(2, 0): -0.4, (0, 0): 1.0})])
+        f = obs(2, {(1, 1, 0, 0): 0.3, (0, 1, 1, 0): 1.0,
+                    (2, 0, 0, 1): -0.4, (0, 0, 0, 1): 1.0})
     entries = quantize_halfform(f, grid, 0.8).entries
     assert sp.issparse(entries)
     op = _halfform_operator(f, grid, 0.8)
@@ -107,17 +103,13 @@ def test_grid_checks_assemble_no_operator(monkeypatch):
 
     grid = line(count=256, extent=8.0, scheme="spectral")
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
-    assert check_selfadjoint(LinearInP.from_parts(1, v=[q_var()]), grid, 1.0) < TOL.grid
-    for scheme in ("fd4", "spectral"):
-        div, path = divergence(LinearInP.from_parts(1, v=[lambda q: 1.5 * q**2]),
-                               line(scheme=scheme))
-        assert path == "stencil" and np.all(np.isfinite(div))
+    assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
     fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
                                [0.32, 0.16, 0.08, 0.04, 0.02])
     assert fit.ok
     assert run_demo(RunConfig(demo="canonical")).passed
     with pytest.raises(AssertionError):
-        quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0)
+        quantize_halfform(Q, grid, 1.0)
 
 
 def test_two_dimensional_checks_at_128_squared():
@@ -127,7 +119,7 @@ def test_two_dimensional_checks_at_128_squared():
     for a in range(2):
         for b in range(2):
             assert check_canonical_commutator(grid, 1.0, a=a, b=b) < TOL.grid
-    f = LinearInP.from_parts(2, v=[q_var(2, 0), q_var(2, 1)])
+    f = obs(2, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0})
     assert check_selfadjoint(f, grid, 1.0) < TOL.grid
     assert check_selfadjoint(f, grid, 1.0, include_divergence_term=False) > 0.4
     assert time.perf_counter() - start < 2.0
@@ -150,9 +142,8 @@ def test_config_states_vanish_at_the_box_edge():
 
 def test_commutator_of_coordinates_vanishes_exactly():
     grid = line(count=32)
-    qa = quantize_halfform(LinearInP.from_parts(1, u=q_var()), grid, 1.0).dense()
-    qb = quantize_halfform(LinearInP.from_parts(1, u=Polynomial(1, {(2,): 1.0})),
-                           grid, 1.0).dense()
+    qa = quantize_halfform(Q, grid, 1.0).dense()
+    qb = quantize_halfform(obs(1, {(2, 0): 1.0}), grid, 1.0).dense()
     assert not np.any(qa @ qb - qb @ qa)
 
 
@@ -162,23 +153,18 @@ def test_cross_axis_commutator_vanishes():
 
 
 def test_multiplication_selfadjoint_to_machine():
-    grid = line()
-    f = LinearInP.from_parts(1, u=q_var())
-    assert check_selfadjoint(f, grid, 1.0) < 1e-14
+    assert check_selfadjoint(Q, line(), 1.0) < 1e-14
 
 
 def test_momentum_selfadjoint_on_fd4_grid():
     # the truncated centred fd4 stencil is antisymmetric, so -i*hbar*d/dq is
     # symmetric to roundoff
-    grid = line(count=64)
-    f = LinearInP.from_parts(1, v=[Polynomial.constant(1, 1)])
-    assert check_selfadjoint(f, grid, 1.0) < 1e-13
+    assert check_selfadjoint(P, line(count=64), 1.0) < 1e-13
 
 
 def test_dilation_selfadjoint_with_divergence_term():
     grid = line(count=256, extent=8.0, scheme="spectral")
-    f = LinearInP.from_parts(1, v=[q_var()])
-    assert check_selfadjoint(f, grid, 1.0) < TOL.grid
+    assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
 
 
 def test_negative_control_breaks_symmetry_at_order_hbar():
@@ -188,29 +174,33 @@ def test_negative_control_breaks_symmetry_at_order_hbar():
     supports, so the panel pair u = v pins the defect at hbar exactly.
     """
     grid = line(count=256, extent=8.0, scheme="spectral")
-    f = LinearInP.from_parts(1, v=[q_var()])
     for hbar in (1.0, 0.5):
-        control = check_selfadjoint(f, grid, hbar,
+        control = check_selfadjoint(QP, grid, hbar,
                                     include_divergence_term=False)
         assert control > 0.4 * hbar
         assert control == pytest.approx(hbar, rel=1e-6)
 
 
 def test_reject_quadratic_momentum():
-    with pytest.raises(PolarizationViolation):
-        reject_nonlinear(Observable.from_terms(1, {(0, 2): 1.0}))
+    for terms in ({(0, 2): 1.0}, {(1, 2): 0.5, (0, 1): 1.0}):
+        f = obs(1, terms)
+        with pytest.raises(PolarizationViolation, match="geoquant.bks"):
+            quantize_halfform(f, line(), 1.0)
+        with pytest.raises(PolarizationViolation):
+            check_selfadjoint(f, line(), 1.0)
 
 
 def test_accept_cubic_position():
-    f = reject_nonlinear(Observable.from_terms(1, {(3, 0): 1.0}))
-    assert f.u == Polynomial(1, {(3,): 1.0})
-    assert all(v is None for v in f.v)
+    grid = line()
+    op = quantize_halfform(obs(1, {(3, 0): 1.0}), grid, 1.0)
+    assert np.allclose(op.dense(), np.diag(grid.axis(0) ** 3))
 
 
 def test_accept_linear_combination():
-    f = reject_nonlinear(Observable.from_terms(1, {(1, 0): 1.0, (0, 1): 3.0}))
-    assert f.u == Polynomial(1, {(1,): 1.0})
-    assert f.v[0] == Polynomial(1, {(0,): 3.0})
+    grid = line()
+    op = quantize_halfform(obs(1, {(1, 0): 1.0, (0, 1): 3.0}), grid, 0.7)
+    d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
+    assert np.allclose(op.dense(), np.diag(grid.axis(0)) - 3.0 * 0.7j * d)
 
 
 def test_linear_in_p_closed_under_bracket_and_dirac():
@@ -220,53 +210,94 @@ def test_linear_in_p_closed_under_bracket_and_dirac():
     rng = np.random.default_rng(3)
     states = interior_states(grid, count=3, seed=9)
     for _ in range(4):
-        f_obs = Observable.from_terms(1, {
-            (1, 0): rng.uniform(-1, 1), (2, 0): rng.uniform(-1, 1),
-            (0, 1): rng.uniform(-1, 1), (1, 1): rng.uniform(-1, 1)})
-        g_obs = Observable.from_terms(1, {
-            (1, 0): rng.uniform(-1, 1), (0, 1): rng.uniform(-1, 1),
-            (1, 1): rng.uniform(-1, 1)})
+        f_obs = obs(1, {(1, 0): rng.uniform(-1, 1), (2, 0): rng.uniform(-1, 1),
+                        (0, 1): rng.uniform(-1, 1), (1, 1): rng.uniform(-1, 1)})
+        g_obs = obs(1, {(1, 0): rng.uniform(-1, 1), (0, 1): rng.uniform(-1, 1),
+                        (1, 1): rng.uniform(-1, 1)})
         bracket = poisson_bracket(f_obs, g_obs)
         assert bracket.poly.degree_in(1) <= 1  # symbolic closure
-        op_f = quantize_halfform(reject_nonlinear(f_obs), grid, hbar).entries
-        op_g = quantize_halfform(reject_nonlinear(g_obs), grid, hbar).entries
-        op_br = quantize_halfform(reject_nonlinear(bracket), grid, hbar).entries
+        op_f = quantize_halfform(f_obs, grid, hbar).entries
+        op_g = quantize_halfform(g_obs, grid, hbar).entries
+        op_br = quantize_halfform(bracket, grid, hbar).entries
         for v in states:
             r = op_f @ (op_g @ v) - op_g @ (op_f @ v) + 1j * hbar * (op_br @ v)
             assert np.linalg.norm(r) / np.linalg.norm(v) < TOL.grid
 
 
 def test_fourth_order_convergence():
-    f = LinearInP.from_parts(1, v=[q_var()])
     residuals = {}
     for count in (64, 128):
         grid = line(count=count, extent=8.0, scheme="fd4")
         states = interior_states(grid, count=3, seed=2, modulated=False)
-        residuals[count] = check_selfadjoint(f, grid, 1.0, states=states)
+        residuals[count] = check_selfadjoint(QP, grid, 1.0, states=states)
     assert residuals[64] / residuals[128] > 8.0
 
 
-def test_divergence_paths():
-    grid = line()
-    poly_field = LinearInP.from_parts(1, v=[Polynomial(1, {(2,): 1.5})])
-    div, path = divergence(poly_field, grid)
-    assert path == "analytic"
-    assert np.allclose(div, 3.0 * grid.axis(0))
-    callable_field = LinearInP.from_parts(1, v=[lambda q: 1.5 * q**2])
-    div_c, path_c = divergence(callable_field, grid)
-    assert path_c == "stencil"
-    # interior agreement; the stencil is only approximate at the edges
-    interior = slice(4, -4)
-    assert np.max(np.abs(div_c[interior] - div[interior])) < 1e-10
+def divergence_term(f, grid, hbar=1.0):
+    """Diagonal that the half-form correction adds to Q_f."""
+    with_div = quantize_halfform(f, grid, hbar).dense()
+    without = quantize_halfform(f, grid, hbar, include_divergence_term=False).dense()
+    diff = with_div - without
+    assert not np.any(diff - np.diag(np.diag(diff)))
+    return np.diag(diff)
 
 
-def test_divergence_path_depends_on_v_only():
-    """A callable u must not push a polynomial v onto the stencil."""
+def test_divergence_term_is_analytic():
+    # f = 1.5 q^2 p: v = 1.5 q^2, div v = 3 q, taken exactly from the polynomial
     grid = line()
-    f = LinearInP.from_parts(1, u=np.cos, v=[q_var()])
-    div, path = divergence(f, grid)
-    assert path == "analytic"
-    assert np.array_equal(div, np.ones(grid.size))
+    term = divergence_term(obs(1, {(2, 1): 1.5}), grid, hbar=0.6)
+    assert np.allclose(term, -0.5j * 0.6 * 3.0 * grid.axis(0), rtol=0, atol=1e-15)
+
+
+def test_divergence_term_depends_on_v_only():
+    """u enters Q_f as multiplication only; the correction is -(i hbar/2) div v."""
+    grid = line()
+    term = divergence_term(obs(1, {(3, 0): 0.4, (1, 0): -1.0, (1, 1): 1.0}), grid)
+    assert np.array_equal(term, divergence_term(QP, grid))
+    assert np.array_equal(term, np.full(grid.size, -0.5j))
+
+
+@pytest.mark.parametrize("n, n_q", [(1, 48), (2, 16)])
+def test_halfform_operator_is_prequantum_operator_on_polarized_sections(n, n_q):
+    """P_f on psi(q) x 1 is Q_f without its divergence term, on every p-slice.
+
+    Random f = u(q) + v(q).p on spectral grids with matching q axes: the
+    i*hbar df/dq d/dp terms of P_f see a constant in p and the scalar
+    f - p.df/dp is u, so the two operators agree to round-off, and Q_f adds
+    exactly -(i hbar/2) (div v) psi.
+    """
+    rng = np.random.default_rng(n)
+    hbar = 0.8
+    config = ConfigGrid((-6.0,) * n, (6.0,) * n, (n_q,) * n, scheme="spectral")
+    phase = PhaseSpaceGrid(-6.0, 6.0, -3.0, 3.0, n_q, 8, n=n, scheme="spectral")
+    terms = {}
+    for a in range(n + 1):  # a = n is u, a < n is v_a
+        for q_expo in np.ndindex(*(3,) * n):
+            if sum(q_expo) <= 2:
+                p_expo = tuple(int(b == a) for b in range(n))
+                terms[(*q_expo, *p_expo)] = rng.uniform(-1.0, 1.0)
+    f = obs(n, terms)
+    applier = PrequantApplier(f, phase, hbar)
+    q_f = _halfform_operator(f, config, hbar)
+    q_bare = _halfform_operator(f, config, hbar, include_divergence_term=False)
+    div_v = sum(f.poly.differentiate(n + a).differentiate(a) for a in range(n))
+    div_v = div_v.evaluate(*config.coordinate_fields(), *(np.zeros(config.size),) * n)
+    for psi in interior_states(config, count=2, seed=3):
+        lifted = np.broadcast_to(psi.reshape(config.shape + (1,) * n), phase.shape)
+        image = applier(lifted)
+        bare = q_bare.apply(psi).reshape(config.shape + (1,) * n)
+        assert np.max(np.abs(image - bare)) < 1e-12 * np.max(np.abs(bare))
+        assert np.allclose(q_f.apply(psi) - q_bare.apply(psi), -0.5j * hbar * div_v * psi,
+                           rtol=0, atol=1e-13)
+
+
+def test_axis_out_of_range_raises():
+    grid = ConfigGrid((-4.0, -4.0), (4.0, 4.0), (24, 24))
+    for a, b in [(grid.n, 0), (0, grid.n), (-1, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            check_canonical_commutator(grid, 1.0, a=a, b=b)
+    with pytest.raises(ValueError, match="out of range"):
+        check_canonical_commutator(line(), 1.0, a=1)
 
 
 def test_grid_validation():

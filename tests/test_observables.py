@@ -114,3 +114,16 @@ def test_degree_cap_on_bracket():
 def test_complex_coefficients_rejected():
     with pytest.raises(ValueError):
         obs(1, {(1, 0): 1j})
+
+
+@pytest.mark.parametrize("n, axis", [(1, 1), (1, -1), (2, 2), (2, -1)])
+def test_axis_out_of_range_rejected(n, axis):
+    for make in (Observable.coordinate, Observable.momentum):
+        with pytest.raises(ValueError, match="out of range"):
+            make(n, axis)
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_variable_index_out_of_range_rejected(index):
+    with pytest.raises(ValueError, match="out of range"):
+        Polynomial.variable(4, index)
