@@ -15,7 +15,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: finite-difference residuals evaluated on interior test vectors
+    #: spectral-derivative residuals evaluated on interior test vectors
     grid: float = 1e-6
     #: closed-form matrix algebra (ladder relations, Casimir, exact spectra)
     exact: float = 1e-10

@@ -8,6 +8,7 @@ produce byte-identical report bodies.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -22,9 +23,13 @@ from .prequant import (Observable, PhaseSpaceGrid, SectorSpec, check_dirac,
                        cylinder_momentum_operator, cylinder_spectrum, prequantum_evolve,
                        selfadjoint_residual, weil_admissible)
 from .reporting import QuantReport
-from .stencil import SCHEMES
 
 __all__ = ["RunConfig", "run_demo", "DEMOS"]
+
+
+def _is(value, kind) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -42,7 +47,6 @@ class RunConfig:
     k_max: int = 4
     n_pairs: int = 6
     seed: int = 0
-    scheme: str = "spectral"
     t_list: tuple = (0.32, 0.16, 0.08, 0.04, 0.02)
     s_values: tuple = (0.5, 1.0, 1.5, 0.7, 1.2)
     tolerance_overrides: dict = field(default_factory=dict)
@@ -51,13 +55,19 @@ class RunConfig:
         if self.demo not in DEMOS:
             raise ConfigError(f"unknown demo {self.demo!r}; options: {DEMOS}",
                               field="demo")
-        checks = [("hbar", 0 < self.hbar < np.inf), ("mass", 0 < self.mass < np.inf),
-                  ("n_sector", self.n_sector >= 0), ("degree", self.degree >= 1),
-                  ("lambda", 0.0 <= self.lam < 1.0), ("extent", 0 < self.extent < np.inf),
-                  ("scheme", self.scheme in SCHEMES),
-                  ("grid_q", self.grid_q >= 8), ("grid_p", self.grid_p >= 8),
-                  ("grid_points", self.grid_points >= 16),
-                  ("k_max", self.k_max >= 0), ("n_pairs", self.n_pairs >= 1),
+        real, integer = numbers.Real, numbers.Integral
+        checks = [("hbar", _is(self.hbar, real) and 0 < self.hbar < np.inf),
+                  ("mass", _is(self.mass, real) and 0 < self.mass < np.inf),
+                  ("n_sector", _is(self.n_sector, integer) and self.n_sector >= 0),
+                  ("degree", _is(self.degree, integer) and self.degree >= 1),
+                  ("lambda", _is(self.lam, real) and 0.0 <= self.lam < 1.0),
+                  ("extent", _is(self.extent, real) and 0 < self.extent < np.inf),
+                  ("grid_q", _is(self.grid_q, integer) and self.grid_q >= 8),
+                  ("grid_p", _is(self.grid_p, integer) and self.grid_p >= 8),
+                  ("grid_points", _is(self.grid_points, integer) and self.grid_points >= 16),
+                  ("k_max", _is(self.k_max, integer) and self.k_max >= 0),
+                  ("n_pairs", _is(self.n_pairs, integer) and self.n_pairs >= 1),
+                  ("seed", _is(self.seed, integer)),
                   ("t_list", 3 <= len(self.t_list) <= 10
                    and len(set(self.t_list)) == len(self.t_list)
                    and all(0 < t < np.inf for t in self.t_list)),
@@ -88,7 +98,7 @@ def demo_prequant_flat(cfg: RunConfig) -> QuantReport:
     tol = cfg.tolerances
     report = QuantReport("prequant-flat", cfg.echo())
     grid = PhaseSpaceGrid(-cfg.extent, cfg.extent, -cfg.extent, cfg.extent,
-                          cfg.grid_q, cfg.grid_p, scheme=cfg.scheme)
+                          cfg.grid_q, cfg.grid_p)
     rng = np.random.default_rng(cfg.seed)
     states = interior_states(grid, count=4, seed=cfg.seed)
 
@@ -111,7 +121,7 @@ def demo_prequant_flat(cfg: RunConfig) -> QuantReport:
     # state wide relative to the spacing while the flow stays inside the extents
     fgrid = PhaseSpaceGrid(-2 * cfg.extent, 2 * cfg.extent,
                            -2 * cfg.extent, 2 * cfg.extent,
-                           2 * cfg.grid_q, 2 * cfg.grid_p, scheme=cfg.scheme)
+                           2 * cfg.grid_q, 2 * cfg.grid_p)
     sigma = 0.2 * cfg.extent
     qm, pm = np.meshgrid(fgrid.q_axis, fgrid.p_axis, indexing="ij")
     gaussian = lambda q, p: np.exp(-(q**2 + p**2) / (2 * sigma**2)).astype(complex)
@@ -251,8 +261,7 @@ def demo_spin(cfg: RunConfig) -> QuantReport:
 def demo_canonical(cfg: RunConfig) -> QuantReport:
     tol = cfg.tolerances
     report = QuantReport("canonical", cfg.echo())
-    grid = halfform.ConfigGrid.line(-cfg.extent, cfg.extent, cfg.grid_points,
-                                    scheme=cfg.scheme)
+    grid = halfform.ConfigGrid.line(-cfg.extent, cfg.extent, cfg.grid_points)
     states = interior_states(grid, seed=cfg.seed)
     comm = halfform.check_canonical_commutator(grid, cfg.hbar, states=states)
     report.add_check("canonical-commutator", "[q^, p^] = i*hbar*I", comm, tol.grid)
@@ -331,12 +340,12 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
 
 #: each demo's runner and the configuration fields its report echoes
 _DEMOS = {
-    "prequant-flat": (demo_prequant_flat, ("grid_q", "grid_p", "extent", "n_pairs", "scheme")),
+    "prequant-flat": (demo_prequant_flat, ("grid_q", "grid_p", "extent", "n_pairs")),
     "weil-sphere": (demo_weil_sphere, ("s_values",)),
     "cylinder": (demo_cylinder, ("lam", "k_max")),
     "fock": (demo_fock, ("degree",)),
     "spin": (demo_spin, ("n_sector",)),
-    "canonical": (demo_canonical, ("grid_points", "extent", "scheme")),
+    "canonical": (demo_canonical, ("grid_points", "extent")),
     "bks": (demo_bks, ("grid_points", "mass", "t_list")),
 }
 

@@ -6,14 +6,13 @@ centers, spacing ``(max - min) / count``.  Their operators share one form,
 
     sum_k factor_k * field_k * d/dx_{axis_k}  +  scalar,
 
-held by :class:`FirstOrderOperator`.  It applies matrix-free, one 1D
-derivative along one axis of the shaped field at a time (by FFT on spectral
-grids, by the sparse banded stencil on finite-difference grids), or
-assembles its sparse matrix through the Kronecker-lifted derivatives; only
-the assembly builds a lifted matrix, and only it uses the dense spectral
-derivative matrices.  Operators applied to the same field can share its
-derivatives through a ``grads`` dict, so each axis of that field is
-transformed once however many operators act on it.
+held by :class:`FirstOrderOperator`.  It applies matrix-free, one spectral
+derivative by FFT along one axis of the shaped field at a time, or assembles
+its sparse matrix through the Kronecker-lifted dense spectral derivative
+matrices; only the assembly builds a derivative matrix.  Operators applied
+to the same field can share its derivatives through a ``grads`` dict, so
+each axis of that field is transformed once however many operators act on
+it.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import scipy.sparse as sp
 
 from .linalg import GramMatrix
 from .polynomials import Polynomial
-from .stencil import SCHEMES, derivative_matrix_1d, fft_apply, spectral_first_symbol
+from .stencil import derivative_matrix_1d, fft_apply, spectral_first_symbol
 
 __all__ = [
     "UniformGrid",
     "FirstOrderOperator",
-    "derivative_matrices",
     "lifted_derivatives",
     "interior_states",
     "diagonal_gram",
@@ -47,11 +45,10 @@ class UniformGrid:
     """Shared core of the uniform cell-centered grids.
 
     Subclasses are frozen dataclasses that expose per-axis ``mins``,
-    ``maxs`` and ``counts`` in flatten order plus ``scheme``, and call
-    :meth:`_validate` after construction.  Being hashable, they key the
-    derivative caches of this module.  The scheme fixes the edge
-    convention: fd4 drops couplings beyond the edge, spectral
-    differentiates the periodic extension (see :mod:`geoquant.stencil`).
+    ``maxs`` and ``counts`` in flatten order, and call :meth:`_validate`
+    after construction.  Being hashable, they key the lifted-derivative
+    cache of this module.  Derivatives are spectral and differentiate the
+    periodic extension of the box (see :mod:`geoquant.stencil`).
     """
 
     def _validate(self, min_count: int) -> None:
@@ -61,8 +58,6 @@ class UniformGrid:
             raise ValueError("grid extents must be finite")
         if any(hi <= lo for lo, hi in zip(self.mins, self.maxs)):
             raise ValueError("grid extents must have positive length")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -99,21 +94,15 @@ class UniformGrid:
 
 
 @lru_cache(maxsize=64)
-def derivative_matrices(grid: UniformGrid) -> tuple:
-    """One-dimensional derivative matrix for each axis."""
-    return tuple(derivative_matrix_1d(c, h, grid.scheme)
-                 for c, h in zip(grid.counts, grid.spacings))
-
-
-@lru_cache(maxsize=64)
 def lifted_derivatives(grid: UniformGrid) -> tuple[sp.csr_matrix, ...]:
     """Sparse derivative along each axis of the flattened grid (Kronecker lift)."""
     out = []
-    for i, d in enumerate(derivative_matrices(grid)):
+    for i, (count, spacing) in enumerate(zip(grid.counts, grid.spacings)):
         left = int(np.prod(grid.counts[:i], dtype=int))
         right = int(np.prod(grid.counts[i + 1:], dtype=int))
         lifted = sp.kron(sp.identity(left, format="csr"),
-                         sp.kron(sp.csr_matrix(d), sp.identity(right, format="csr"),
+                         sp.kron(sp.csr_matrix(derivative_matrix_1d(count, spacing)),
+                                 sp.identity(right, format="csr"),
                                  format="csr"),
                          format="csr")
         out.append(lifted.astype(complex))
@@ -121,13 +110,9 @@ def lifted_derivatives(grid: UniformGrid) -> tuple[sp.csr_matrix, ...]:
 
 
 def _derivative_along(grid: UniformGrid, field: np.ndarray, axis: int) -> np.ndarray:
-    """First derivative along one axis of a shaped field, matrix-free."""
-    if grid.scheme == "spectral":
-        symbol = spectral_first_symbol(grid.counts[axis], grid.spacings[axis])
-        return fft_apply(field, symbol, axis)
-    moved = np.moveaxis(field, axis, 0)
-    flat = derivative_matrices(grid)[axis] @ moved.reshape(moved.shape[0], -1)
-    return np.moveaxis(flat.reshape(moved.shape), 0, axis)
+    """Spectral first derivative along one axis of a shaped field, by FFT."""
+    symbol = spectral_first_symbol(grid.counts[axis], grid.spacings[axis])
+    return fft_apply(field, symbol, axis)
 
 
 class FirstOrderOperator:

@@ -48,7 +48,6 @@ class ConfigGrid(UniformGrid):
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
     counts: tuple[int, ...]
-    scheme: str = "fd4"
 
     def __post_init__(self):
         object.__setattr__(self, "mins", tuple(float(x) for x in self.mins))
@@ -61,8 +60,8 @@ class ConfigGrid(UniformGrid):
         self._validate(min_count=16)
 
     @classmethod
-    def line(cls, lo: float, hi: float, count: int, scheme: str = "fd4") -> "ConfigGrid":
-        return cls((lo,), (hi,), (count,), scheme)
+    def line(cls, lo: float, hi: float, count: int) -> "ConfigGrid":
+        return cls((lo,), (hi,), (count,))
 
     @property
     def n(self) -> int:
@@ -72,7 +71,7 @@ class ConfigGrid(UniformGrid):
     def basis_id(self) -> str:
         spans = "x".join(f"[{lo:g},{hi:g}]{c}"
                          for lo, hi, c in zip(self.mins, self.maxs, self.counts))
-        return f"cfggrid/n{self.n}/{spans}/{self.scheme}"
+        return f"cfggrid/n{self.n}/{spans}"
 
 
 def _on_q(poly: Polynomial, n: int) -> Polynomial:

@@ -5,10 +5,10 @@ so the operator assigned to f is
 
     P_f = -i*hbar * X_f  -  p . (df/dp)  +  f,
 
-discretized with the grid's differentiation scheme.  Operators on grids
-beyond a few thousand points are kept sparse and the commutation residuals
-are evaluated by applying operators to interior test vectors rather than by
-materializing matrix products.
+discretized with the spectral derivative of :mod:`geoquant.stencil`.
+Operators on grids beyond a few thousand points are kept sparse and the
+commutation residuals are evaluated by applying operators to interior test
+vectors rather than by materializing matrix products.
 """
 
 from __future__ import annotations
@@ -51,11 +51,14 @@ class PhaseSpaceGrid(UniformGrid):
     n_q: int
     n_p: int
     n: int = 1
-    scheme: str = "fd4"
+    # the only scheme; kept as a field while perfbench/workloads.py passes it
+    scheme: str = "spectral"
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only n = 1 or 2 degrees of freedom are supported")
+        if self.scheme != "spectral":
+            raise ValueError(f"unknown scheme {self.scheme!r}; the only one is 'spectral'")
         self._validate(min_count=8)
 
     @property
@@ -89,8 +92,7 @@ class PhaseSpaceGrid(UniformGrid):
     @property
     def basis_id(self) -> str:
         return (f"psgrid/n{self.n}/q[{self.q_min:g},{self.q_max:g}]x{self.n_q}"
-                f"/p[{self.p_min:g},{self.p_max:g}]x{self.n_p}"
-                f"/{self.scheme}")
+                f"/p[{self.p_min:g},{self.p_max:g}]x{self.n_p}")
 
 
 def _prequant_parts(f: Observable, hbar: float) -> tuple[list, Polynomial]:

@@ -1,18 +1,17 @@
-"""Uniform-grid differentiation: banded matrices, spectral symbols, one FFT kernel.
+"""Uniform-grid differentiation: spectral symbols, one FFT kernel, one dense matrix.
 
-A 4th-order centered finite-difference first derivative plus an FFT-based
-spectral scheme, each with one edge convention.  The ``"fd4"`` stencil
-treats samples beyond the edge as zero: it drops the couplings that would
-leave the box, so the matrix stays antisymmetric.  The ``"spectral"``
-scheme differentiates the periodic extension of the box.  With states that
-vanish near the edges the two agree to the size of the tails, which is what
-every interior-test-vector check in this package relies on.
+Every grid derivative is spectral: it differentiates the periodic extension
+of the box.  With states that vanish near the edges that is the derivative
+of the state itself up to the size of its tails, which is what every
+interior-test-vector check in this package relies on.  A fixed-order
+stencil would leave a truncation error orders of magnitude above
+``Tolerances.grid`` at the default grid sizes.
 
 Spectral operators are Fourier multipliers.  :func:`fft_apply` applies a
-symbol along one axis of a field by FFT; that is how the spectral derivative
-acts matrix-free and how prequantum flows shift rows of the phase grid.
-The one dense spectral matrix, of the first derivative, is built from the
-same symbol and only for assembling operator matrices.
+symbol along one axis of a field by FFT; that is how the derivative acts
+matrix-free and how prequantum flows shift rows of the phase grid.  The one
+dense matrix, :func:`derivative_matrix_1d`, is built from the same symbol
+and only for assembling operator matrices.
 """
 
 from __future__ import annotations
@@ -20,37 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["derivative_matrix_1d", "spectral_first_symbol", "spectral_shift_symbol",
            "fft_apply"]
-
-# antisymmetric halves of the centered first-derivative stencils
-_FIRST_HALF = {
-    "fd4": [2.0 / 3.0, -1.0 / 12.0],
-}
-
-SCHEMES = tuple(_FIRST_HALF) + ("spectral",)
-
-
-def _banded(n: int, spacing: float, half: list[float]) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    idx = np.arange(n)
-
-    def put(offset: int, coeff: float):
-        lo = max(0, -offset)
-        hi = min(n, n - offset)
-        rows.append(idx[lo:hi])
-        cols.append(idx[lo:hi] + offset)
-        vals.append(np.full(hi - lo, coeff))
-
-    for k, c in enumerate(half, start=1):
-        put(k, c)
-        put(-k, -c)
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return mat.multiply(1.0 / spacing).tocsr()
 
 
 def _spectral_wavenumbers(n: int, spacing: float) -> np.ndarray:
@@ -97,23 +68,10 @@ def fft_apply(field: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _spectral_first(n: int, spacing: float) -> np.ndarray:
-    mat = fft_apply(np.eye(n), spectral_first_symbol(n, spacing), 0)
-    return np.ascontiguousarray(mat.real)
-
-
-def _validate(n: int, spacing: float, scheme: str):
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; options: {SCHEMES}")
-
-
-def derivative_matrix_1d(n: int, spacing: float, scheme: str = "fd4"):
-    """First-derivative matrix; sparse for fd schemes, dense for spectral."""
-    _validate(n, spacing, scheme)
-    if scheme == "spectral":
-        return _spectral_first(n, float(spacing))
-    return _banded(n, spacing, _FIRST_HALF[scheme])
+def derivative_matrix_1d(n: int, spacing: float) -> np.ndarray:
+    """Dense spectral first-derivative matrix on n samples, built once and shared read-only."""
+    if n < 2 or spacing <= 0:
+        raise ValueError("need at least two samples and a positive spacing")
+    mat = np.ascontiguousarray(fft_apply(np.eye(n), spectral_first_symbol(n, spacing), 0).real)
+    mat.flags.writeable = False
+    return mat

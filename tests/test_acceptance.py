@@ -38,7 +38,7 @@ def _verdict(index: int, name: str, passed: bool, detail: str = "") -> bool:
 
 def test_criterion_1_dirac_conditions_on_flat_prequantization():
     start = time.perf_counter()
-    grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 128, 128, scheme="spectral")
+    grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 128, 128)
     states = interior_test_states(grid, count=4, seed=0)
     rng = np.random.default_rng(0)
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -145,7 +145,7 @@ def test_criterion_5_spin_representation():
 
 def test_criterion_6_canonical_halfform_operators():
     start = time.perf_counter()
-    grid = halfform.ConfigGrid.line(-8.0, 8.0, 256, scheme="spectral")
+    grid = halfform.ConfigGrid.line(-8.0, 8.0, 256)
     states = interior_states(grid, count=4, seed=0)
     comm = halfform.check_canonical_commutator(grid, 1.0, states=states)
 

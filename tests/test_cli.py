@@ -69,7 +69,22 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ("bks", {"mass": float("inf")}, "mass"),
             ("bks", {"t_list": [0.01 * k for k in range(1, 12)]}, "t_list"),
             ("bks", {"t_list": [0.08, 0.04, 0.04, 0.02]}, "t_list"),
-            ("weil-sphere", {"s_values": [0.5, -1.0]}, "s_values")]:
+            ("weil-sphere", {"s_values": [0.5, -1.0]}, "s_values"),
+            # integer fields take ints only, bool excluded
+            ("cylinder", {"k_max": 3.5}, "k_max"),
+            ("prequant-flat", {"grid_q": 64.5}, "grid_q"),
+            ("prequant-flat", {"grid_p": 64.0}, "grid_p"),
+            ("prequant-flat", {"n_pairs": "6"}, "n_pairs"),
+            ("canonical", {"grid_points": None}, "grid_points"),
+            ("fock", {"degree": 4.5}, "degree"),
+            ("fock", {"degree": True}, "degree"),
+            ("spin", {"n_sector": 2.5}, "n_sector"),
+            ("spin", {"seed": 1.5}, "seed"),
+            # real fields take ints or floats, bool excluded
+            ("fock", {"hbar": "1"}, "hbar"),
+            ("bks", {"mass": [1.0]}, "mass"),
+            ("cylinder", {"lam": False}, "lambda"),
+            ("canonical", {"extent": "8"}, "extent")]:
         cfg_file.write_text(json.dumps(entries))
         assert main([demo, "--config", str(cfg_file)]) == 2, entries
         assert f"[{name}]" in capsys.readouterr().err

@@ -20,8 +20,8 @@ from geoquant.stencil import derivative_matrix_1d
 TOL = DEFAULT_TOLERANCES
 
 
-def line(count=64, extent=6.0, scheme="fd4"):
-    return ConfigGrid.line(-extent, extent, count, scheme=scheme)
+def line(count=64, extent=6.0):
+    return ConfigGrid.line(-extent, extent, count)
 
 
 def obs(n, terms):
@@ -41,7 +41,7 @@ def test_pure_position_observable_is_multiplication():
 def test_momentum_is_scaled_gradient():
     grid = line()
     op = quantize_halfform(P, grid, hbar=0.7)
-    d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
+    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
     assert np.allclose(op.dense(), -0.7j * d)
 
 
@@ -49,7 +49,7 @@ def test_dilation_gets_half_divergence():
     # f = q p: v = q, div v = 1, operator -i hbar (q d/dq + 1/2)
     grid = line()
     op = quantize_halfform(QP, grid, 1.0)
-    d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
+    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
     expected = -1j * (np.diag(grid.axis(0)) @ d + 0.5 * np.eye(grid.size))
     assert np.allclose(op.dense(), expected)
 
@@ -67,15 +67,14 @@ def test_quantization_is_linear_in_f():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_assembled_matrix_matches_matrix_free_apply(n, scheme):
+def test_assembled_matrix_matches_matrix_free_apply(n):
     """quantize_halfform's sparse entries and the checks' apply are one operator."""
     if n == 1:
-        grid = line(count=64, scheme=scheme)
+        grid = line(count=64)
         f = obs(1, {(2, 0): 0.5, (0, 1): 1.0, (1, 1): -0.7})
     else:
-        grid = ConfigGrid((-5.0, -4.0), (5.0, 4.0), (24, 20), scheme=scheme)
+        grid = ConfigGrid((-5.0, -4.0), (5.0, 4.0), (24, 20))
         f = obs(2, {(1, 1, 0, 0): 0.3, (0, 1, 1, 0): 1.0,
                     (2, 0, 0, 1): -0.4, (0, 0, 0, 1): 1.0})
     entries = quantize_halfform(f, grid, 0.8).entries
@@ -90,18 +89,15 @@ def test_grid_checks_assemble_no_operator(monkeypatch):
     """Checks apply operators matrix-free; only quantize_halfform assembles."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a grid check assembled or densified an operator")
-    originals = (geoquant.grid.lifted_derivatives, geoquant.stencil._spectral_first)
+    originals = (geoquant.grid.lifted_derivatives, geoquant.stencil.derivative_matrix_1d)
     for name, module in list(sys.modules.items()):
         if name == "geoquant" or name.startswith("geoquant."):
             for attr, value in list(vars(module).items()):
                 if any(value is orig for orig in originals):
                     monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(geoquant.grid.FirstOrderOperator, "matrix", forbidden)
-    # bypass the per-grid cache so an earlier assembly cannot hide a dense build
-    monkeypatch.setattr(geoquant.grid, "derivative_matrices",
-                        geoquant.grid.derivative_matrices.__wrapped__)
 
-    grid = line(count=256, extent=8.0, scheme="spectral")
+    grid = line(count=256, extent=8.0)
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
     assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
     fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
@@ -114,7 +110,7 @@ def test_grid_checks_assemble_no_operator(monkeypatch):
 
 def test_two_dimensional_checks_at_128_squared():
     """A 128^2 spectral grid: a dense operator here would take 4.3 GB."""
-    grid = ConfigGrid((-8.0, -8.0), (8.0, 8.0), (128, 128), scheme="spectral")
+    grid = ConfigGrid((-8.0, -8.0), (8.0, 8.0), (128, 128))
     start = time.perf_counter()
     for a in range(2):
         for b in range(2):
@@ -126,12 +122,12 @@ def test_two_dimensional_checks_at_128_squared():
 
 
 def test_canonical_commutator_spectral():
-    grid = line(count=256, extent=8.0, scheme="spectral")
+    grid = line(count=256, extent=8.0)
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
 
 
 def test_config_states_vanish_at_the_box_edge():
-    grid = line(count=256, extent=8.0, scheme="spectral")
+    grid = line(count=256, extent=8.0)
     for seed in range(8):
         for v in interior_states(grid, count=16, seed=seed):
             s = np.abs(v)
@@ -148,7 +144,7 @@ def test_commutator_of_coordinates_vanishes_exactly():
 
 
 def test_cross_axis_commutator_vanishes():
-    grid = ConfigGrid((-4.0, -4.0), (4.0, 4.0), (24, 24), scheme="fd4")
+    grid = ConfigGrid((-4.0, -4.0), (4.0, 4.0), (24, 24))
     assert check_canonical_commutator(grid, 1.0, a=0, b=1) < 1e-12
 
 
@@ -156,14 +152,14 @@ def test_multiplication_selfadjoint_to_machine():
     assert check_selfadjoint(Q, line(), 1.0) < 1e-14
 
 
-def test_momentum_selfadjoint_on_fd4_grid():
-    # the truncated centred fd4 stencil is antisymmetric, so -i*hbar*d/dq is
-    # symmetric to roundoff
+def test_momentum_selfadjoint_on_spectral_grid():
+    # the spectral symbol i*k is odd (its Nyquist entry is zero), so d/dq is
+    # antisymmetric and -i*hbar*d/dq is symmetric to roundoff
     assert check_selfadjoint(P, line(count=64), 1.0) < 1e-13
 
 
 def test_dilation_selfadjoint_with_divergence_term():
-    grid = line(count=256, extent=8.0, scheme="spectral")
+    grid = line(count=256, extent=8.0)
     assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
 
 
@@ -173,7 +169,7 @@ def test_negative_control_breaks_symmetry_at_order_hbar():
     Integration by parts gives <u, q v'> + <q u', v> = -<u, v> on interior
     supports, so the panel pair u = v pins the defect at hbar exactly.
     """
-    grid = line(count=256, extent=8.0, scheme="spectral")
+    grid = line(count=256, extent=8.0)
     for hbar in (1.0, 0.5):
         control = check_selfadjoint(QP, grid, hbar,
                                     include_divergence_term=False)
@@ -199,13 +195,13 @@ def test_accept_cubic_position():
 def test_accept_linear_combination():
     grid = line()
     op = quantize_halfform(obs(1, {(1, 0): 1.0, (0, 1): 3.0}), grid, 0.7)
-    d = np.asarray(derivative_matrix_1d(grid.counts[0], grid.spacings[0], "fd4").todense())
+    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
     assert np.allclose(op.dense(), np.diag(grid.axis(0)) - 3.0 * 0.7j * d)
 
 
 def test_linear_in_p_closed_under_bracket_and_dirac():
     """The class is bracket-closed; the quantized bracket matches."""
-    grid = line(count=192, extent=8.0, scheme="spectral")
+    grid = line(count=192, extent=8.0)
     hbar = 1.0
     rng = np.random.default_rng(3)
     states = interior_states(grid, count=3, seed=9)
@@ -224,22 +220,31 @@ def test_linear_in_p_closed_under_bracket_and_dirac():
             assert np.linalg.norm(r) / np.linalg.norm(v) < TOL.grid
 
 
-def test_fourth_order_convergence():
+def test_spectral_convergence_of_selfadjointness():
+    """32 -> 48 points shrinks the defect by 1e4 or more; 4th order gives about 5."""
     residuals = {}
-    for count in (64, 128):
-        grid = line(count=count, extent=8.0, scheme="fd4")
+    for count in (32, 48):
+        grid = line(count=count, extent=8.0)
         states = interior_states(grid, count=3, seed=2, modulated=False)
         residuals[count] = check_selfadjoint(QP, grid, 1.0, states=states)
-    assert residuals[64] / residuals[128] > 8.0
+    assert residuals[48] * 1e4 <= residuals[32]
 
 
 def divergence_term(f, grid, hbar=1.0):
-    """Diagonal that the half-form correction adds to Q_f."""
+    """Diagonal that the half-form correction adds to Q_f.
+
+    The assembled matrices differ on the diagonal alone.  The returned term
+    is read from the operators' scalar fields: the dense spectral derivative
+    has a diagonal of round-off size, which the assembled diagonal adds in.
+    """
     with_div = quantize_halfform(f, grid, hbar).dense()
     without = quantize_halfform(f, grid, hbar, include_divergence_term=False).dense()
     diff = with_div - without
     assert not np.any(diff - np.diag(np.diag(diff)))
-    return np.diag(diff)
+    term = (_halfform_operator(f, grid, hbar).scalar
+            - _halfform_operator(f, grid, hbar, include_divergence_term=False).scalar)
+    assert np.allclose(np.diag(diff), term, rtol=0, atol=1e-15)
+    return term
 
 
 def test_divergence_term_is_analytic():
@@ -268,8 +273,8 @@ def test_halfform_operator_is_prequantum_operator_on_polarized_sections(n, n_q):
     """
     rng = np.random.default_rng(n)
     hbar = 0.8
-    config = ConfigGrid((-6.0,) * n, (6.0,) * n, (n_q,) * n, scheme="spectral")
-    phase = PhaseSpaceGrid(-6.0, 6.0, -3.0, 3.0, n_q, 8, n=n, scheme="spectral")
+    config = ConfigGrid((-6.0,) * n, (6.0,) * n, (n_q,) * n)
+    phase = PhaseSpaceGrid(-6.0, 6.0, -3.0, 3.0, n_q, 8, n=n)
     terms = {}
     for a in range(n + 1):  # a = n is u, a < n is v_a
         for q_expo in np.ndindex(*(3,) * n):
@@ -303,8 +308,6 @@ def test_axis_out_of_range_raises():
 def test_grid_validation():
     with pytest.raises(ValueError):
         ConfigGrid.line(-1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        ConfigGrid((-1.0,), (1.0,), (32,), scheme="bogus")
     with pytest.raises(ValueError):
         ConfigGrid((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (32, 32, 32))
     with pytest.raises(ValueError):

@@ -17,15 +17,14 @@ from geoquant.stencil import derivative_matrix_1d
 TOL = DEFAULT_TOLERANCES
 
 
-def small_grid(scheme="fd4", n_pts=24, extent=6.0):
-    return PhaseSpaceGrid(-extent, extent, -extent, extent, n_pts, n_pts,
-                          scheme=scheme)
+def small_grid(n_pts=24, extent=6.0):
+    return PhaseSpaceGrid(-extent, extent, -extent, extent, n_pts, n_pts)
 
 
 def test_momentum_prequantizes_to_gradient():
     grid = small_grid()
     op = prequantize(Observable.momentum(), grid, hbar=0.7).entries
-    d_q = sp.csr_matrix(derivative_matrix_1d(grid.n_q, grid.h_q, "fd4"))
+    d_q = sp.csr_matrix(derivative_matrix_1d(grid.n_q, grid.h_q))
     expected = -0.7j * sp.kron(d_q, sp.identity(grid.n_p))
     assert abs(op - expected).max() < 1e-14
 
@@ -33,7 +32,7 @@ def test_momentum_prequantizes_to_gradient():
 def test_coordinate_prequantizes_to_dp_plus_q():
     grid = small_grid()
     op = prequantize(Observable.coordinate(), grid, hbar=0.7).entries
-    d_p = sp.csr_matrix(derivative_matrix_1d(grid.n_p, grid.h_p, "fd4"))
+    d_p = sp.csr_matrix(derivative_matrix_1d(grid.n_p, grid.h_p))
     q_field = np.repeat(grid.q_axis, grid.n_p)
     expected = 0.7j * sp.kron(sp.identity(grid.n_q), d_p) + sp.diags(q_field)
     assert abs(op - expected).max() < 1e-14
@@ -60,7 +59,7 @@ def test_prequantize_is_linear():
 
 def test_sign_conventions_locked_together():
     """{q, p} = -1, the map rule, and [q^, p^] = +i*hbar jointly."""
-    grid = small_grid(scheme="spectral", n_pts=48, extent=8.0)
+    grid = small_grid(n_pts=48, extent=8.0)
     hbar = 0.7
     q = Observable.coordinate()
     p = Observable.momentum()
@@ -81,7 +80,7 @@ def test_check_dirac_same_observable_machine_zero():
 
 
 def test_check_dirac_random_quadratics_spectral():
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     rng = np.random.default_rng(0)
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     for _ in range(5):
@@ -99,7 +98,7 @@ _QUADRATIC = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
 @given(_QUADRATIC, _QUADRATIC, st.integers(64, 128), st.integers(64, 128),
        st.floats(6.0, 10.0), st.floats(0.5, 2.0))
 def test_dirac_residual_of_random_quadratics(f, g, n_q, n_p, extent, hbar):
-    grid = PhaseSpaceGrid(-extent, extent, -extent, extent, n_q, n_p, scheme="spectral")
+    grid = PhaseSpaceGrid(-extent, extent, -extent, extent, n_q, n_p)
     assert check_dirac(f, g, grid, hbar) < TOL.grid
 
 
@@ -113,18 +112,15 @@ _QUAD2_G = Observable.from_terms(2, {(0, 2, 0, 0): 0.6, (1, 0, 1, 0): -0.5,
 
 
 @pytest.mark.parametrize("grid, f, g", [
-    (small_grid("spectral"), _QUAD_F, _QUAD_G),
-    (small_grid("fd4"), _QUAD_F, _QUAD_G),
-    (small_grid("fd4"), _Q, _P2),  # one axis each
-    (small_grid("spectral"), _P2, _Q),
-    (small_grid("fd4"), Observable.constant(1, 3.0), _QUAD_G),  # P_3 touches no axis
-    (small_grid("spectral"), _QUAD_F, Observable.constant(1, 3.0)),
-    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="spectral"), _QUAD2_F, _QUAD2_G),
-    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="fd4"), _QUAD2_F, _QUAD2_G),
-    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2, scheme="fd4"),
+    (small_grid(), _QUAD_F, _QUAD_G),
+    (small_grid(), _Q, _P2),  # one axis each
+    (small_grid(), _P2, _Q),
+    (small_grid(), Observable.constant(1, 3.0), _QUAD_G),  # P_3 touches no axis
+    (small_grid(), _QUAD_F, Observable.constant(1, 3.0)),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2), _QUAD2_F, _QUAD2_G),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2),
      Observable.coordinate(n=2, axis=1), Observable.constant(2, 3.0)),
-], ids=["spectral", "fd4", "q-p2", "p2-q", "3-quad", "quad-3", "n2-spectral", "n2-fd4",
-        "n2-q2-3"])
+], ids=["spectral", "q-p2", "p2-q", "3-quad", "quad-3", "n2-spectral", "n2-q2-3"])
 def test_shared_derivatives_give_the_unshared_residual_bitwise(grid, f, g):
     """P_g v, P_f v and P_{f,g} v share v's derivatives; the bits do not move."""
     hbar = 0.7
@@ -146,7 +142,7 @@ def test_check_dirac_transforms_each_state_six_times(monkeypatch):
         return counted
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    grid = small_grid("spectral")
+    grid = small_grid()
     f = Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 1.0})
     g = Observable.from_terms(1, {(1, 1): 1.0})
     for k in (1, 3):
@@ -162,7 +158,7 @@ def test_fft_derivative_round_off_floor_at_256():
     Random quadratics on [-8, 8]^2; the bound allows one decade above the
     floor, so a change that loses accuracy in the FFT derivative shows.
     """
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 256, 256, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 256, 256)
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -180,7 +176,7 @@ def test_interior_states_vanish_at_the_box_edge():
     value of 1e-12 of the peak gave residuals up to 1.6e-9 here, against a
     round-off floor of 2e-12.
     """
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128)
     f = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.8, (0, 2): 0.3, (1, 0): 0.4})
     g = Observable.from_terms(1, {(2, 0): -0.6, (1, 1): 0.7, (0, 2): 0.9, (0, 1): -0.2})
     for seed in range(4):
@@ -193,7 +189,7 @@ def test_interior_states_vanish_at_the_box_edge():
 
 
 def test_check_dirac_qsquared_p():
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     f = Observable.from_terms(1, {(2, 0): 1.0})
     assert check_dirac(f, Observable.momentum(), grid, 1.0) < TOL.grid
 
@@ -209,14 +205,13 @@ def test_applier_matches_matrix():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-def test_applier_matches_assembled_matrix(n, scheme):
+def test_applier_matches_assembled_matrix(n):
     """Matrix-free and assembled P_f agree for a random quadratic.
 
     Even and odd counts: the spectral Nyquist mode exists only at even N.
     """
     for n_q, n_p in ((10, 8), (9, 11)):
-        grid = PhaseSpaceGrid(-6.0, 6.0, -5.0, 5.0, n_q, n_p, n=n, scheme=scheme)
+        grid = PhaseSpaceGrid(-6.0, 6.0, -5.0, 5.0, n_q, n_p, n=n)
         rng = np.random.default_rng(6 + n)
         exponents = [e for e in np.ndindex(*(3,) * (2 * n)) if sum(e) <= 2]
         f = Observable.from_terms(n, {e: rng.uniform(-1, 1) for e in exponents})
@@ -230,11 +225,12 @@ def test_spectral_apply_builds_no_dense_matrix(monkeypatch):
     """The spectral derivative acts by FFT; the dense N x N matrix is assembly-only."""
     def forbidden(n, spacing):
         raise AssertionError("matrix-free application must not build the dense matrix")
-    monkeypatch.setattr(geoquant.stencil, "_spectral_first", forbidden)
-    # bypass the per-grid caches so an earlier assembly cannot hide a dense build
-    for name in ("derivative_matrices", "lifted_derivatives"):
-        monkeypatch.setattr(geoquant.grid, name, getattr(geoquant.grid, name).__wrapped__)
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    for module in (geoquant.stencil, geoquant.grid):
+        monkeypatch.setattr(module, "derivative_matrix_1d", forbidden)
+    # bypass the per-grid cache so an earlier assembly cannot hide a dense build
+    monkeypatch.setattr(geoquant.grid, "lifted_derivatives",
+                        geoquant.grid.lifted_derivatives.__wrapped__)
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     q, p = Observable.coordinate(), Observable.momentum()
     assert check_dirac(q, p, grid, 1.0) < TOL.grid
     assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
@@ -242,9 +238,8 @@ def test_spectral_apply_builds_no_dense_matrix(monkeypatch):
         prequantize(p, grid, 1.0)
 
 
-@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-def test_nan_state_fails_the_checks(scheme):
-    grid = PhaseSpaceGrid(-4, 4, -4, 4, 16, 16, scheme=scheme)
+def test_nan_state_fails_the_checks():
+    grid = PhaseSpaceGrid(-4, 4, -4, 4, 16, 16)
     q, p = Observable.coordinate(), Observable.momentum()
     nan_state = [np.full(grid.size, np.nan)]
     assert np.isnan(check_dirac(q, p, grid, 1.0, states=nan_state))
@@ -256,7 +251,7 @@ def test_nan_state_fails_the_checks(scheme):
 
 
 def test_symmetry_defect_applies_the_operator_once_per_state():
-    grid = small_grid(scheme="spectral")
+    grid = small_grid()
     applier = PrequantApplier(Observable.from_terms(1, {(1, 1): 1.0}), grid, 1.0)
     calls = []
 
@@ -277,7 +272,7 @@ def test_matrix_free_checks_build_no_lifted_matrix(monkeypatch):
     def forbidden(grid):
         raise AssertionError("matrix-free application must not Kronecker-lift")
     monkeypatch.setattr(geoquant.grid, "lifted_derivatives", forbidden)
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     q, p = Observable.coordinate(), Observable.momentum()
     assert check_dirac(q, p, grid, 1.0) < TOL.grid
     assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
@@ -297,7 +292,7 @@ def test_commutator_matrix_route_matches_applier_route():
 
 
 def test_gram_selfadjointness_on_interior_states():
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="spectral")
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     for f in (Observable.momentum(), Observable.coordinate(),
               Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 1.0})):
         assert selfadjoint_residual(f, grid, 1.0) < TOL.grid
@@ -312,7 +307,7 @@ def test_liouville_gram_weight():
 
 
 def test_two_degrees_of_freedom_dirac():
-    grid = PhaseSpaceGrid(-6, 6, -6, 6, 32, 32, n=2, scheme="spectral")
+    grid = PhaseSpaceGrid(-6, 6, -6, 6, 32, 32, n=2)
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     sigma = 0.15 * 6.0
     bump = np.ones(grid.shape)
@@ -328,17 +323,17 @@ def test_two_degrees_of_freedom_dirac():
     assert res_11 < TOL.grid
 
 
-def test_fourth_order_convergence_of_dirac_residual():
-    """Halving the spacing shrinks the fd4 residual by at least 8x."""
+def test_spectral_convergence_of_dirac_residual():
+    """32^2 -> 48^2 points shrinks the residual by 1e4 or more; 4th order gives about 5."""
     f = Observable.from_terms(1, {(2, 0): 1.0, (0, 1): 0.3})
     g = Observable.from_terms(1, {(1, 1): 1.0})
     states = None
     residuals = {}
-    for n_pts in (48, 96):
-        grid = PhaseSpaceGrid(-8, 8, -8, 8, n_pts, n_pts, scheme="fd4")
+    for n_pts in (32, 48):
+        grid = PhaseSpaceGrid(-8, 8, -8, 8, n_pts, n_pts)
         states = interior_test_states(grid, count=3, seed=12, modulated=False)
         residuals[n_pts] = check_dirac(f, g, grid, 1.0, states=states)
-    assert residuals[48] / residuals[96] > 8.0
+    assert residuals[48] * 1e4 <= residuals[32]
 
 
 def test_grid_validation():
@@ -346,10 +341,13 @@ def test_grid_validation():
         PhaseSpaceGrid(-8, 8, -8, 8, 4, 64)
     with pytest.raises(ValueError):
         PhaseSpaceGrid(8, -8, -8, 8, 64, 64)
-    with pytest.raises(ValueError):
-        PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="fd3")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        PhaseSpaceGrid(-8, 8, -8, 8, 64, 64, scheme="fd4")
+    for n, spacing in ((1, 0.5), (8, 0.0)):
+        with pytest.raises(ValueError):
+            derivative_matrix_1d(n, spacing)
 
 
-def test_fd4_momentum_is_exactly_antisymmetric():
+def test_spectral_momentum_is_antisymmetric_to_roundoff():
     grid = PhaseSpaceGrid(-8, 8, -8, 8, 32, 32)
     assert selfadjoint_residual(Observable.momentum(), grid, 1.0) < 1e-13
