@@ -76,9 +76,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config entries: {sorted(unknown)}",
                           field=sorted(unknown)[0])
-    for key in ("t_list", "s_values"):
-        if key in values:
-            values[key] = tuple(values[key])
     return RunConfig(**values)
 
 

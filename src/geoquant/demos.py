@@ -32,6 +32,12 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _positive_reals(values) -> bool:
+    """``values`` is a list or tuple of finite positive reals, bools excluded."""
+    return isinstance(values, (list, tuple)) and all(_is(v, numbers.Real) and 0 < v < np.inf
+                                                     for v in values)
+
+
 @dataclass
 class RunConfig:
     demo: str
@@ -68,14 +74,16 @@ class RunConfig:
                   ("k_max", _is(self.k_max, integer) and self.k_max >= 0),
                   ("n_pairs", _is(self.n_pairs, integer) and self.n_pairs >= 1),
                   ("seed", _is(self.seed, integer)),
-                  ("t_list", 3 <= len(self.t_list) <= 10
-                   and len(set(self.t_list)) == len(self.t_list)
-                   and all(0 < t < np.inf for t in self.t_list)),
-                  ("s_values", len(self.s_values) >= 1
-                   and all(0 < s < np.inf for s in self.s_values))]
+                  ("t_list", _positive_reals(self.t_list) and 3 <= len(self.t_list) <= 10
+                   and len(set(self.t_list)) == len(self.t_list)),
+                  ("s_values", _positive_reals(self.s_values) and len(self.s_values) >= 1),
+                  ("tolerance_overrides", isinstance(self.tolerance_overrides, dict)
+                   and all(isinstance(k, str) and _is(v, real) and 0 <= v < np.inf
+                           for k, v in self.tolerance_overrides.items()))]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}", field=name)
+        self.t_list, self.s_values = tuple(self.t_list), tuple(self.s_values)
         try:
             self.tolerances = DEFAULT_TOLERANCES.override(**self.tolerance_overrides)
         except KeyError as exc:
@@ -217,8 +225,8 @@ def demo_fock(cfg: RunConfig) -> QuantReport:
                      float(np.linalg.norm(adj @ below)), tol.exact)
 
     small = fock.FockBasis(1, min(cfg.degree, 5), cfg.hbar)
-    closed = np.diag(fock.fock_gram(small).entries).real
-    quad = np.diag(fock.fock_gram_quadrature(small, tolerances=tol).entries).real
+    closed = fock.fock_gram(small).diagonal().real
+    quad = fock.fock_gram_quadrature(small, tolerances=tol).diagonal().real
     report.add_check("gram-quadrature", "<z^m, z^m> = (2*hbar)^m * m!",
                      float(np.max(np.abs(quad - closed) / closed)),
                      tol.quadrature_match)
@@ -248,8 +256,8 @@ def demo_spin(cfg: RunConfig) -> QuantReport:
     report.add_check("ladder-adjoint", "adjoint(J+) = J-",
                      float(np.linalg.norm(adj)) / scale, tol.exact)
 
-    closed = np.diag(gram.entries).real
-    quad = np.diag(spin.spin_gram_quadrature(basis, tolerances=tol).entries).real
+    closed = gram.diagonal().real
+    quad = spin.spin_gram_quadrature(basis, tolerances=tol).diagonal().real
     report.add_check("gram-quadrature",
                      "<z^m, z^m> = Gamma(1+m)Gamma(1+n-m)/Gamma(n+2)",
                      float(np.max(np.abs(quad - closed) / closed)),

@@ -95,7 +95,7 @@ def fock_gram(basis: FockBasis) -> GramMatrix:
     """Diagonal Gram with <z^m, z^m> = prod_a (2*hbar)^(m_a) m_a!."""
     diag = [float(np.prod([(2.0 * basis.hbar) ** ma * math.factorial(ma) for ma in m]))
             for m in basis.indices]
-    return GramMatrix(np.diag(diag).astype(complex), basis.basis_id)
+    return GramMatrix(np.array(diag, dtype=complex), basis.basis_id)
 
 
 def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,

@@ -197,8 +197,8 @@ def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,
 
 
 def diagonal_gram(grid: UniformGrid, weight: float) -> GramMatrix:
-    """Sparse diagonal Gram of the grid quadrature with a constant weight."""
-    return GramMatrix(sp.identity(grid.size, format="csr") * weight, grid.basis_id)
+    """Diagonal Gram of the grid quadrature with a constant weight."""
+    return GramMatrix(np.full(grid.size, weight, dtype=complex), grid.basis_id)
 
 
 def _worst(values: list[float]) -> float:

@@ -1,16 +1,16 @@
-"""Complex linear algebra with Gram-weighted inner products.
+"""Complex linear algebra with Gram-weighted inner products, on numpy alone.
 
 Operators and Gram matrices are tagged with the basis they act in; mixing
-bases raises :class:`~geoquant.errors.BasisMismatch`.  Entries are dense
-``numpy`` arrays for the truncated analytic bases (Fock, sphere sectors)
-and ``scipy.sparse`` matrices for the phase-space and configuration grid
-discretizations, whose dimension makes dense storage pointless; the
-spectral routines densify on demand.
+bases raises :class:`~geoquant.errors.BasisMismatch`.  Operator entries are
+dense ``numpy`` arrays for the truncated analytic bases (Fock, sphere
+sectors); the grid modules assemble sparse matrices, which are kept as they
+are and densified by their ``toarray()`` where a dense result is needed.
 
-A :class:`GramMatrix` is validated once, at construction: a diagonal Gram
-from its diagonal (positive real parts), a non-diagonal one by a dense
-``eigvalsh`` (sparse entries up to 4096 rows); a larger non-diagonal sparse
-Gram is rejected.
+A :class:`GramMatrix` holds a diagonal Gram as its 1-D diagonal and any
+other as a dense matrix, and is validated once, at construction.  Spectra
+in a Gram-weighted space reduce the Hermitian-definite pencil by the
+Cholesky factor of the Gram (Golub & Van Loan, *Matrix Computations*, 8.7),
+which for a diagonal Gram is the square root of its diagonal.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BasisMismatch, DegenerateGram, EigenFailure, QuadratureFailure
@@ -37,22 +35,25 @@ __all__ = [
     "polar_gram_oracle",
 ]
 
-_DENSE_EIG_LIMIT = 4096
+_HERMITIAN_SOLVER = "numpy.linalg.eigvalsh"
+_GENERAL_SOLVER = "numpy.linalg.eigvals"
 
 
 def _is_square(m) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1]
 
 
+def _is_sparse(m) -> bool:
+    return hasattr(m, "toarray")
+
+
 def _as_dense(entries) -> np.ndarray:
-    if sp.issparse(entries):
-        return np.asarray(entries.toarray(), dtype=complex)
-    return np.asarray(entries, dtype=complex)
+    return np.asarray(entries.toarray() if _is_sparse(entries) else entries, dtype=complex)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square operator in a declared basis."""
+    """Square operator in a declared basis; entries dense or sparse."""
 
     entries: object
     basis_id: str
@@ -60,7 +61,7 @@ class OperatorMatrix:
     def __post_init__(self):
         if not _is_square(self.entries):
             raise ValueError("operator entries must be a square matrix")
-        if not sp.issparse(self.entries):
+        if not _is_sparse(self.entries):
             object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
     @property
@@ -75,45 +76,30 @@ class OperatorMatrix:
 class GramMatrix:
     """Hermitian positive-definite matrix of basis inner products.
 
-    Construction checks Hermiticity entrywise against
-    ``tolerances.gram_hermiticity`` and then positivity by one rule.  A
-    diagonal Gram, dense or sparse and of any size, is positive definite iff
-    the real parts of its diagonal are positive; those are exactly its
-    eigenvalues, so no eigensolver runs.  A non-diagonal Gram is densified
-    and its smallest eigenvalue taken by ``eigvalsh``; for sparse entries
-    that is done up to ``_DENSE_EIG_LIMIT`` rows, and larger non-diagonal
-    sparse Grams are rejected.  Diagonality is tested once and stored.
+    ``entries`` is 1-D for a diagonal Gram, else a dense square matrix: a
+    square input with all off-diagonal entries zero is stored as its
+    diagonal, and a sparse matrix is refused (``TypeError``).  Construction
+    checks Hermiticity entrywise against ``tolerances.gram_hermiticity``,
+    then positivity: of the diagonal's real parts, which are the eigenvalues
+    of a diagonal Gram, or of the least eigenvalue from ``eigvalsh``.
     """
 
-    entries: object
+    entries: np.ndarray
     basis_id: str
     tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, compare=False)
 
     def __post_init__(self):
-        if not _is_square(self.entries):
-            raise ValueError("Gram entries must be a square matrix")
-        tol = self.tolerances.gram_hermiticity
-        sparse = sp.issparse(self.entries)
-        if sparse:
-            g = self.entries.tocsr()
-            herm = abs(g - g.conj().T)
-            asymmetry = herm.max() if herm.nnz else 0.0
-        else:
-            g = np.asarray(self.entries, dtype=complex)
-            asymmetry = np.max(np.abs(g - g.conj().T))
+        if _is_sparse(self.entries):
+            raise TypeError("Gram entries must be a numpy array, not a sparse matrix")
+        g = np.asarray(self.entries, dtype=complex)
+        if g.ndim != 1 and not _is_square(g):
+            raise ValueError("Gram entries must be a diagonal or a square matrix")
+        if g.ndim == 2 and np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
+            g = g.diagonal().copy()
         object.__setattr__(self, "entries", g)
-        if asymmetry > tol:
+        if not np.max(np.abs(g - g.conj().T)) <= self.tolerances.gram_hermiticity:
             raise DegenerateGram("Gram matrix is not Hermitian")
-        diag = g.diagonal()
-        nnz = g.count_nonzero() if sparse else np.count_nonzero(g)
-        diagonal = nnz == np.count_nonzero(diag)
-        object.__setattr__(self, "_diagonal", diagonal)
-        if diagonal:
-            eigmin = float(np.min(diag.real))
-        elif not sparse or self.dim <= _DENSE_EIG_LIMIT:
-            eigmin = scipy.linalg.eigvalsh(_as_dense(g))[0]
-        else:
-            raise DegenerateGram("large sparse Gram matrices must be diagonal")
+        eigmin = np.min(g.real) if self.is_diagonal else np.linalg.eigvalsh(g)[0]
         if not eigmin > 0:
             raise DegenerateGram(f"Gram matrix not positive definite (min eig {eigmin:.3e})")
 
@@ -123,18 +109,17 @@ class GramMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        return self._diagonal
+        return self.entries.ndim == 1
 
     def diagonal(self) -> np.ndarray:
-        return np.asarray(self.entries.diagonal() if sp.issparse(self.entries)
-                          else np.diag(self.entries))
+        return self.entries if self.is_diagonal else self.entries.diagonal()
 
     def dense(self) -> np.ndarray:
-        return _as_dense(self.entries)
+        return np.diag(self.entries) if self.is_diagonal else self.entries
 
     @classmethod
     def identity(cls, dim: int, basis_id: str) -> "GramMatrix":
-        return cls(np.eye(dim, dtype=complex), basis_id)
+        return cls(np.ones(dim, dtype=complex), basis_id)
 
 
 def _require_same_basis(a, b):
@@ -149,25 +134,18 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
-    """Adjoint of ``a`` in the ``gram``-weighted inner product: G^-1 A^H G.
+    """Adjoint of ``a`` in the ``gram``-weighted inner product: G^-1 A^H G, dense.
 
     ``a`` is self-adjoint for that inner product iff the result equals ``a``.
     """
     _require_same_basis(a, gram)
-    ah = a.entries.conj().T
+    ah, g = a.dense().conj().T, gram.entries
     if gram.is_diagonal:
-        d = gram.diagonal()
-        if sp.issparse(ah):
-            scaled = sp.diags(1.0 / d) @ ah @ sp.diags(d)
-        else:
-            scaled = (ah * d[np.newaxis, :]) / d[:, np.newaxis]
-        return OperatorMatrix(scaled, a.basis_id)
-    g = gram.dense()
+        return OperatorMatrix(ah * g / g[:, np.newaxis], a.basis_id)
     try:
-        out = scipy.linalg.solve(g, _as_dense(ah) @ g, assume_a="her")
-    except scipy.linalg.LinAlgError as exc:
+        return OperatorMatrix(np.linalg.solve(g, ah @ g), a.basis_id)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateGram(f"Gram solve failed: {exc}") from exc
-    return OperatorMatrix(out, a.basis_id)
 
 
 def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
@@ -175,48 +153,61 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
 
     ``a.entries`` is the action matrix on basis coefficients, so the weak
     form of the eigenproblem is the pencil ``(G A) v = mu G v``.  When ``a``
-    is Gram-self-adjoint the pencil is Hermitian-definite and the values are
-    real; that case is detected and routed to the symmetric solver.  Returned
-    sorted by real part, ties broken by imaginary part.  Values are complex;
-    use :func:`real_spectrum` to strip a certified-small imaginary residue.
+    is Gram-self-adjoint, ``G A`` is Hermitian and the pencil is
+    Hermitian-definite: with ``G = L L^H`` it reduces to the Hermitian
+    ``C = L^H A L^-H``, whose real eigenvalues ``eigvalsh`` returns.
+    Otherwise the values are those of ``A`` itself, by ``eigvals``.
+    Returned sorted by real part, ties broken by imaginary part.  Values are
+    complex; use :func:`real_spectrum` to strip a certified-small imaginary
+    residue.  :class:`EigenFailure` names the solver that failed.
     """
     _require_same_basis(a, gram)
     adense = a.dense()
-    gdense = gram.dense()
-    weak = gdense @ adense
+    diagonal = gram.is_diagonal
+    weak = gram.entries[:, np.newaxis] * adense if diagonal else gram.entries @ adense
     scale = max(1.0, float(np.max(np.abs(weak))))
     hermitian = np.max(np.abs(weak - weak.conj().T)) <= 1e-12 * scale
+    solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
     try:
         if hermitian:
-            vals = scipy.linalg.eigh(weak, gdense, eigvals_only=True).astype(complex)
+            if diagonal:
+                root = np.sqrt(gram.entries.real)
+                c = root[:, np.newaxis] * adense / root
+            else:
+                lh = np.linalg.cholesky(gram.entries).conj().T
+                c = lh @ np.linalg.solve(lh.T, adense.T).T
+            vals = np.linalg.eigvalsh(c if np.any(c.imag) else c.real).astype(complex)
         else:
-            vals = scipy.linalg.eig(weak, gdense, right=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigenFailure(f"generalized eigensolver failed: {exc}",
-                           dim=a.dim, solver="scipy.linalg.eig") from exc
+            vals = np.linalg.eigvals(adense)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigensolver failed: {exc}", dim=a.dim, solver=solver) from exc
     if not np.all(np.isfinite(vals)):
         raise EigenFailure("eigensolver produced non-finite eigenvalues",
-                           dim=a.dim, solver="scipy.linalg.eig")
+                           dim=a.dim, solver=solver)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
 
 def real_spectrum(a: OperatorMatrix, gram: GramMatrix,
                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Spectrum with the imaginary residue checked against ``exact`` and zeroed."""
+    """Spectrum with the imaginary residue checked against ``exact`` and zeroed.
+
+    Only the general solver can leave a residue: the Hermitian route's values are real.
+    """
     vals = spectrum(a, gram)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     residue = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if residue > tolerances.exact * scale:
         raise EigenFailure(
             f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "operator is not Gram-self-adjoint", dim=a.dim, solver="scipy.linalg.eig")
+            "operator is not Gram-self-adjoint", dim=a.dim, solver=_GENERAL_SOLVER)
     return np.sort(vals.real)
 
 
 def gram_inner(u: np.ndarray, v: np.ndarray, gram: GramMatrix) -> complex:
     """Inner product <u, v> = u^H G v (conjugate-linear in the first slot)."""
-    return complex(np.vdot(u, gram.entries @ v))
+    gv = gram.entries * v if gram.is_diagonal else gram.entries @ v
+    return complex(np.vdot(u, gv))
 
 
 def gram_norm(v: np.ndarray, gram: GramMatrix) -> float:

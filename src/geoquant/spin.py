@@ -67,7 +67,7 @@ def spin_gram(basis: SpinBasis) -> GramMatrix:
     """Diagonal Gram from the exact Beta-integral closed form."""
     n = basis.n_sector
     diag = [1.0 / ((n + 1) * math.comb(n, m)) for m in range(n + 1)]
-    return GramMatrix(np.diag(diag).astype(complex), basis.basis_id)
+    return GramMatrix(np.array(diag, dtype=complex), basis.basis_id)
 
 
 def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,

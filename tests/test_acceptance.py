@@ -132,8 +132,8 @@ def test_criterion_5_spin_representation():
         j3 = real_spectrum(spin.spin_operators(basis)["J3"],
                            spin.spin_gram(basis))
         ok = ok and np.max(np.abs(j3 - (np.arange(n + 1) - n / 2))) < TOL_EXACT
-        closed = np.diag(spin.spin_gram(basis).entries).real
-        quad = np.diag(spin.spin_gram_quadrature(basis).entries).real
+        closed = spin.spin_gram(basis).diagonal().real
+        quad = spin.spin_gram_quadrature(basis).diagonal().real
         gram_err = float(np.max(np.abs(quad - closed) / closed))
         ok = ok and gram_err < 1e-8
         details.append(f"n={n}:gram={gram_err:.0e}")

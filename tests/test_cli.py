@@ -84,7 +84,18 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ("fock", {"hbar": "1"}, "hbar"),
             ("bks", {"mass": [1.0]}, "mass"),
             ("cylinder", {"lam": False}, "lambda"),
-            ("canonical", {"extent": "8"}, "extent")]:
+            ("canonical", {"extent": "8"}, "extent"),
+            # sequence fields take lists of reals, mappings map names to reals
+            ("bks", {"t_list": 5}, "t_list"),
+            ("bks", {"t_list": ["a", "b", "c"]}, "t_list"),
+            ("bks", {"t_list": [0.32, 0.16, True]}, "t_list"),
+            ("weil-sphere", {"s_values": [True]}, "s_values"),
+            ("weil-sphere", {"s_values": "1.0"}, "s_values"),
+            ("bks", {"tolerance_overrides": [1]}, "tolerance_overrides"),
+            ("fock", {"tolerance_overrides": {"exact": "x"}}, "tolerance_overrides"),
+            ("fock", {"tolerance_overrides": {"exact": float("nan")}}, "tolerance_overrides"),
+            ("fock", {"tolerance_overrides": {"no_such_tolerance": 1.0}},
+             "tolerance_overrides")]:
         cfg_file.write_text(json.dumps(entries))
         assert main([demo, "--config", str(cfg_file)]) == 2, entries
         assert f"[{name}]" in capsys.readouterr().err
@@ -116,19 +127,21 @@ def test_float_formatting_is_twelve_digits():
 
 
 def test_cli_import_loads_no_lazy_dependencies():
-    """The CLI's start-up imports neither splines, sympy nor SciPy's quadrature stack.
+    """The CLI's start-up imports neither splines, sympy nor SciPy's dense stacks.
 
     The evolution needs no splines, and only ``spin_derivation`` uses sympy,
     importing it inside the function that derives the spin forms.  The Gram
     oracles use the library's own Gauss-Legendre rules, so ``scipy.integrate``
-    (and the ``scipy.optimize`` and ``scipy.special`` it pulls in) stays out.
+    (and the ``scipy.optimize`` and ``scipy.special`` it pulls in) stays out,
+    and the Gram-weighted linear algebra runs on numpy, so ``scipy.linalg``
+    does too.
     """
     src = str(Path(geoquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, geoquant.cli; print(sorted(m for m in "
              "('scipy.interpolate', 'sympy', 'scipy.integrate', 'scipy.optimize', "
-             "'scipy.special') if m in sys.modules))")
+             "'scipy.special', 'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -45,3 +45,28 @@ def test_no_unused_module_imports(name):
         tree = ast.parse(fh.read())
     unused = _unused_imports(tree)
     assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def _scipy_imports(tree: ast.Module) -> set[str]:
+    """Every ``scipy`` module a module imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            if node.module == "scipy":
+                names |= {f"scipy.{alias.name}" for alias in node.names}
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+def test_only_grid_imports_scipy_sparse_and_none_imports_scipy_linalg():
+    found = {}
+    for name in ["geoquant", *MODULES]:
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            imports = _scipy_imports(ast.parse(fh.read()))
+        if imports:
+            found[name] = imports
+    assert not [n for names in found.values() for n in names if n.startswith("scipy.linalg")]
+    assert {name for name, names in found.items() if "scipy.sparse" in names} \
+        == {"geoquant.grid"}

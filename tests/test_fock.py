@@ -22,13 +22,13 @@ def test_dimension_is_stars_and_bars():
 
 def test_gram_monomial_norms():
     basis = FockBasis(1, 3, hbar=1.0)
-    diag = np.diag(fock_gram(basis).entries).real
+    diag = fock_gram(basis).diagonal().real
     assert np.allclose(diag, [1.0, 2.0, 8.0, 48.0])  # (2 hbar)^m m!
 
 
 def test_gram_scales_with_hbar():
     basis = FockBasis(1, 2, hbar=0.5)
-    diag = np.diag(fock_gram(basis).entries).real
+    diag = fock_gram(basis).diagonal().real
     assert np.allclose(diag, [1.0, 1.0, 2.0])
 
 
@@ -36,8 +36,8 @@ def test_gram_quadrature_oracle_matches_closed_form():
     """Radial Gaussian quadrature pins the closed form, including <1,1> = 1."""
     for hbar in (1.0, 0.5):
         basis = FockBasis(1, 4, hbar=hbar)
-        closed = np.diag(fock_gram(basis).entries).real
-        quad = fock_gram_quadrature(basis).entries
+        closed = fock_gram(basis).diagonal().real
+        quad = fock_gram_quadrature(basis).dense()
         offdiag = quad - np.diag(np.diag(quad))
         assert np.max(np.abs(offdiag)) < 1e-12 * closed.max()
         assert np.max(np.abs(np.diag(quad).real - closed) / closed) < 1e-10
@@ -48,8 +48,8 @@ def test_gram_quadrature_oracle_matches_closed_form():
 def test_gram_quadrature_holds_at_small_hbar(hbar):
     """Entries (2 hbar)^m m! are tiny; the oracle has no absolute floor."""
     basis = FockBasis(1, 8, hbar=hbar)
-    closed = np.diag(fock_gram(basis).entries).real
-    quad = np.diag(fock_gram_quadrature(basis).entries).real
+    closed = fock_gram(basis).diagonal().real
+    quad = fock_gram_quadrature(basis).diagonal().real
     assert np.max(np.abs(quad - closed) / closed) < 1e-12
     report = run_demo(RunConfig(demo="fock", hbar=hbar))
     assert {c.name: c.passed for c in report.checks}["gram-quadrature"]
@@ -57,8 +57,8 @@ def test_gram_quadrature_holds_at_small_hbar(hbar):
 
 def test_gram_quadrature_two_axes():
     basis = FockBasis(2, 2)
-    closed = np.diag(fock_gram(basis).entries).real
-    quad = np.diag(fock_gram_quadrature(basis).entries).real
+    closed = fock_gram(basis).diagonal().real
+    quad = fock_gram_quadrature(basis).diagonal().real
     assert np.max(np.abs(quad - closed) / closed) < 1e-10
 
 
@@ -87,7 +87,7 @@ def test_lower_examples():
 def test_raise_matrix_element_under_gram():
     # <z^2, z^ z^1> / <z^2, z^2> = 1
     basis = FockBasis(1, 3)
-    gram = fock_gram(basis).entries
+    gram = fock_gram(basis).dense()
     v1 = np.zeros(basis.dim)
     v1[basis.index_of((1,))] = 1.0
     raised = op_raise(basis).entries @ v1
@@ -210,9 +210,9 @@ def test_gram_quadrature_tabulates_one_radial_integral_per_k(monkeypatch, n, deg
 
     monkeypatch.setattr(fock, "polar_gram_oracle", recording)
     basis = FockBasis(n, degree)
-    quad = np.diag(fock_gram_quadrature(basis).entries).real
+    quad = fock_gram_quadrature(basis).diagonal().real
     assert tables == [(128, (2 * degree + 1,)), (256, (2 * degree + 1,))]
-    closed = np.diag(fock_gram(basis).entries).real
+    closed = fock_gram(basis).diagonal().real
     assert np.max(np.abs(quad - closed) / closed) < 1e-8
 
 
@@ -228,10 +228,10 @@ def test_gram_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
        hbar=st.floats(min_value=1e-3, max_value=4.0))
 def test_gram_quadrature_matches_gamma_closed_form(degree, hbar):
     basis = FockBasis(1, degree, hbar=hbar)
-    closed = np.diag(fock_gram(basis).entries).real
+    closed = fock_gram(basis).diagonal().real
     quad = fock_gram_quadrature(basis)
     assert quad.is_diagonal
-    assert np.max(np.abs(np.diag(quad.entries).real - closed) / closed) <= 1e-12
+    assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
 
 
 def test_gram_quadrature_rejects_aliasing_angular_rule():

@@ -314,9 +314,9 @@ def test_grid_validation():
         ConfigGrid((-np.inf,), (1.0,), (32,))
 
 
-def test_config_gram_is_sparse_diagonal_with_the_cell_volume():
+def test_config_gram_is_diagonal_with_the_cell_volume():
     grid = ConfigGrid((-4.0, -2.0), (4.0, 2.0), (64, 64))
     gram = config_gram(grid)
-    assert sp.issparse(gram.entries) and gram.is_diagonal
+    assert gram.is_diagonal and gram.entries.shape == (grid.size,)
     assert gram.basis_id == grid.basis_id
     assert np.all(gram.diagonal() == grid.cell_volume)

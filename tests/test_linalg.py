@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import scipy.sparse as sp
 
+from geoquant import linalg
 from geoquant.errors import BasisMismatch, DegenerateGram, EigenFailure
 from geoquant.linalg import (GramMatrix, OperatorMatrix, adjoint_wrt,
                              commutator, gram_inner, gram_norm,
@@ -123,6 +127,83 @@ def test_spectrum_rejects_non_finite():
         spectrum(op([[np.nan, 0], [0, 1]]), g)
 
 
+def _hermitian_pd(m: np.ndarray) -> np.ndarray:
+    """M M^H + dim I, plus a 0.5 coupling of every pair: never diagonal for dim > 1."""
+    dim = m.shape[0]
+    return m @ m.conj().T + (dim - 0.5) * np.eye(dim) + 0.5 * np.ones((dim, dim))
+
+
+def _complex_matrix(dim: int):
+    part = hnp.arrays(float, (dim, dim), elements=st.floats(-1.0, 1.0))
+    return st.tuples(part, part).map(lambda ri: ri[0] + 1j * ri[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=8))
+def test_selfadjoint_spectrum_matches_scipy_eigh_oracle(data, dim):
+    """A = G^-1 H is G-self-adjoint; its spectrum is that of the pencil (H, G)."""
+    gram = _hermitian_pd(data.draw(_complex_matrix(dim)))
+    h = data.draw(_complex_matrix(dim))
+    h = h + h.conj().T
+    g = GramMatrix(gram, "b")
+    assert g.is_diagonal == (dim == 1)
+    vals = spectrum(op(np.linalg.solve(gram, h)), g)
+    assert np.all(vals.imag == 0.0)  # the Hermitian route ran
+    oracle = scipy.linalg.eigh(h, gram, eigvals_only=True)
+    assert np.max(np.abs(vals.real - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+
+
+def test_nonhermitian_pencil_matches_scipy_eig_oracle():
+    rng = np.random.default_rng(17)
+    dim = 7
+    gram = _hermitian_pd(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    vals = spectrum(op(a), GramMatrix(gram, "b"))
+    oracle = scipy.linalg.eig(gram @ a, gram, right=False)
+    assert np.max(np.abs(vals.imag)) > 0.1  # genuinely complex
+    distance = np.abs(vals[:, np.newaxis] - oracle[np.newaxis, :])
+    assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) < 1e-10
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(dim))
+
+
+@pytest.mark.parametrize("gram", [np.array([1.0, 2.0, 0.5]),
+                                  np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5],
+                                            [0.0, 0.5, 2.0]])],
+                         ids=["diagonal", "cholesky"])
+def test_selfadjoint_route_reduces_to_eigvalsh(eigvalsh_calls, gram):
+    g = GramMatrix(gram.astype(complex), "b")
+    eigvalsh_calls.clear()  # the one taken by the validation of a non-diagonal Gram
+    h = np.array([[1.0, 2.0 - 1j, 0.0], [2.0 + 1j, -1.0, 0.5], [0.0, 0.5, 3.0]])
+    a = op(np.linalg.solve(g.dense(), h))
+    vals = real_spectrum(a, g)
+    assert len(eigvalsh_calls) == 1
+    assert np.allclose(vals, scipy.linalg.eigh(h, g.dense(), eigvals_only=True),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_eigen_failure_names_the_hermitian_solver(monkeypatch, failure):
+    def broken(*args, **kwargs):
+        if failure == "raise":
+            raise np.linalg.LinAlgError("did not converge")
+        return np.array([np.nan, 1.0])
+
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", broken)
+    with pytest.raises(EigenFailure) as err:
+        real_spectrum(op([[2, 1], [1, 2]]), GramMatrix.identity(2, "b"))
+    assert err.value.solver == "numpy.linalg.eigvalsh" and err.value.dim == 2
+
+
+def test_eigen_failure_names_the_general_solver():
+    g = GramMatrix.identity(2, "b")
+    with pytest.raises(EigenFailure) as err:
+        real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
+    assert err.value.solver == "numpy.linalg.eigvals"
+    with pytest.raises(EigenFailure) as err:
+        spectrum(op([[np.nan, 0], [0, 1]]), g)
+    assert err.value.solver == "numpy.linalg.eigvals"
+
+
 def test_gram_rejects_non_hermitian():
     with pytest.raises(DegenerateGram):
         GramMatrix(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), "b")
@@ -152,20 +233,23 @@ def no_eigvalsh(monkeypatch):
     """Make any dense eigenvalue validation fail loudly."""
     def forbidden(*args, **kwargs):
         raise AssertionError("diagonal Gram must not call eigvalsh")
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", forbidden)
 
 
 def test_diagonal_grams_are_validated_from_the_diagonal(no_eigvalsh):
-    dense = GramMatrix(np.diag([3.0, 7.0, 0.5]).astype(complex), "b")
-    small = GramMatrix(sp.diags(np.linspace(1.0, 2.0, 4096)).tocsr(), "b")
-    assert dense.is_diagonal and small.is_diagonal
-    assert adjoint_wrt(op(np.eye(3)), dense).entries.shape == (3, 3)
+    square = GramMatrix(np.diag([3.0, 7.0, 0.5]).astype(complex), "b")
+    flat = GramMatrix(np.linspace(1.0, 2.0, 4096), "b")
+    assert square.is_diagonal and flat.is_diagonal
+    assert square.entries.shape == (3,) and flat.entries.shape == (4096,)
+    assert np.array_equal(square.diagonal(), [3.0, 7.0, 0.5])
+    assert np.array_equal(square.dense(), np.diag([3.0, 7.0, 0.5]))
+    assert adjoint_wrt(op(np.eye(3)), square).entries.shape == (3, 3)
 
 
 def test_liouville_gram_at_the_dense_limit_skips_eigvalsh(no_eigvalsh):
     grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 64, 64)
     gram = liouville_gram(grid, 1.0)
-    assert gram.dim == 4096 and gram.is_diagonal
+    assert gram.dim == 4096 and gram.is_diagonal and gram.entries.shape == (4096,)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0])
@@ -173,38 +257,60 @@ def test_diagonal_gram_with_nonpositive_entry_raises(no_eigvalsh, bad):
     with pytest.raises(DegenerateGram, match=r"not positive definite \(min eig"):
         GramMatrix(np.diag([1.0, bad, 3.0]).astype(complex), "b")
     with pytest.raises(DegenerateGram, match=r"not positive definite \(min eig"):
-        GramMatrix(sp.diags([1.0, bad, 3.0]).tocsr(), "b")
+        GramMatrix(np.array([1.0, bad, 3.0]), "b")
 
 
-def test_nondiagonal_indefinite_gram_raises_through_eigvalsh(monkeypatch):
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the calls of ``numpy.linalg.eigvalsh`` made through geoquant.linalg."""
     calls = []
-    original = scipy.linalg.eigvalsh
+    original = linalg.np.linalg.eigvalsh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_nondiagonal_indefinite_gram_raises_through_eigvalsh(eigvalsh_calls):
     g = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)  # eigenvalues -1, 3
     with pytest.raises(DegenerateGram, match=r"min eig -1\.000e\+00"):
         GramMatrix(g, "b")
-    assert len(calls) == 1
+    assert len(eigvalsh_calls) == 1
     assert not GramMatrix(g + 2 * np.eye(2), "b").is_diagonal
 
 
-def test_large_nondiagonal_sparse_gram_is_rejected(no_eigvalsh):
+def test_large_nondiagonal_sparse_gram_is_rejected():
     dim = 4097
     g = sp.diags([np.full(dim - 1, 0.1), np.full(dim, 2.0), np.full(dim - 1, 0.1)],
                  [-1, 0, 1]).tocsr()
-    with pytest.raises(DegenerateGram, match="must be diagonal"):
+    with pytest.raises(TypeError, match="not a sparse matrix"):
         GramMatrix(g, "b")
+    with pytest.raises(TypeError, match="not a sparse matrix"):
+        GramMatrix(sp.identity(3, format="csr"), "b")  # diagonal ones too
+
+
+@pytest.mark.parametrize("offdiag, positive", [(0.4, True), (0.6, False)])
+def test_large_nondiagonal_dense_gram_is_validated_by_eigvalsh(eigvalsh_calls, offdiag,
+                                                               positive):
+    # tridiagonal, eigenvalues 1 + 2 * offdiag * cos(k pi / (dim + 1))
+    dim = 1024
+    g = (np.eye(dim) + offdiag * (np.eye(dim, k=1) + np.eye(dim, k=-1))).astype(complex)
+    if positive:
+        assert not GramMatrix(g, "b").is_diagonal
+    else:
+        with pytest.raises(DegenerateGram, match="not positive definite"):
+            GramMatrix(g, "b")
+    assert len(eigvalsh_calls) == 1
 
 
 def test_explicit_zeros_do_not_make_a_gram_nondiagonal(no_eigvalsh):
-    g = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), (np.array([0, 0, 1]),
-                                                   np.array([0, 1, 1]))), shape=(2, 2))
-    assert g.nnz == 3
-    assert GramMatrix(g, "b").is_diagonal
+    g = np.array([[1.0, -0.0], [0j, 2.0]], dtype=complex)
+    gram = GramMatrix(g, "b")
+    assert gram.is_diagonal
+    assert np.array_equal(gram.entries, [1.0, 2.0])
 
 
 def test_prune_offdiagonal_is_relative_to_the_diagonal():

@@ -23,21 +23,21 @@ def test_dimension_is_n_plus_one():
 
 def test_gram_frozen_values():
     # Beta-integral closed form: m!(n-m)!/(n+1)!
-    g2 = np.diag(spin_gram(SpinBasis(2)).entries).real
+    g2 = spin_gram(SpinBasis(2)).diagonal().real
     assert g2[1] == pytest.approx(1.0 / 6.0)
-    g1 = np.diag(spin_gram(SpinBasis(1)).entries).real
+    g1 = spin_gram(SpinBasis(1)).diagonal().real
     assert g1[0] == pytest.approx(0.5)
 
 
 def test_gram_positive_and_quadrature_matches():
     for n in range(11):
         basis = SpinBasis(n)
-        closed = np.diag(spin_gram(basis).entries).real
+        closed = spin_gram(basis).diagonal().real
         assert np.all(closed > 0)
         quad = spin_gram_quadrature(basis)
-        offdiag = quad.entries - np.diag(np.diag(quad.entries))
+        offdiag = quad.dense() - np.diag(quad.diagonal())
         assert np.max(np.abs(offdiag)) < 1e-12
-        rel = np.max(np.abs(np.diag(quad.entries).real - closed) / closed)
+        rel = np.max(np.abs(quad.diagonal().real - closed) / closed)
         assert rel < 1e-8
 
 
@@ -51,7 +51,7 @@ def test_orthonormal_constants_normalize_the_gram():
     for n in range(8):
         basis = SpinBasis(n)
         c = orthonormal_basis(basis)
-        g = np.diag(spin_gram(basis).entries).real
+        g = spin_gram(basis).diagonal().real
         assert np.allclose(c**2 * g, 1.0)
 
 
@@ -158,10 +158,10 @@ def test_quadrature_matches_closed_form_in_large_sectors(n):
     # entries reach 6e-16 at n=48 and 2e-20 at n=63; an absolute quadrature
     # floor or a zeroing threshold relative to the largest entry loses them
     basis = SpinBasis(n)
-    closed = np.diag(spin_gram(basis).entries).real
+    closed = spin_gram(basis).diagonal().real
     quad = spin_gram_quadrature(basis)
     assert quad.is_diagonal
-    rel = np.max(np.abs(np.diag(quad.entries).real - closed) / closed)
+    rel = np.max(np.abs(quad.diagonal().real - closed) / closed)
     assert rel < 1e-13
 
 
@@ -194,10 +194,10 @@ def test_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
 @given(n=st.integers(min_value=0, max_value=64))
 def test_quadrature_matches_beta_closed_form(n):
     basis = SpinBasis(n)
-    closed = np.diag(spin_gram(basis).entries).real
+    closed = spin_gram(basis).diagonal().real
     quad = spin_gram_quadrature(basis, n_angular=max(64, n + 1))
     assert quad.is_diagonal
-    assert np.max(np.abs(np.diag(quad.entries).real - closed) / closed) <= 1e-12
+    assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
 
 
 def test_quadrature_rejects_aliasing_angular_rule():
