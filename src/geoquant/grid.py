@@ -8,11 +8,11 @@ centers, spacing ``(max - min) / count``.  Their operators share one form,
 
 held by :class:`FirstOrderOperator`.  It applies matrix-free, one spectral
 derivative by FFT along one axis of the shaped field at a time, or assembles
-its sparse matrix through the Kronecker-lifted dense spectral derivative
-matrices; only the assembly builds a derivative matrix.  Operators applied
-to the same field can share its derivatives through a ``grads`` dict, so
-each axis of that field is transformed once however many operators act on
-it.
+its matrix as a :class:`RowPatternMatrix`, whose rows hold the entries of
+the Kronecker-lifted dense spectral derivative matrices; only the assembly
+builds a derivative matrix.  Operators applied to the same field can share
+its derivatives through a ``grads`` dict, so each axis of that field is
+transformed once however many operators act on it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import GramMatrix
 from .polynomials import Polynomial
@@ -30,6 +29,7 @@ from .stencil import derivative_matrix_1d, fft_apply, spectral_first_symbol
 __all__ = [
     "UniformGrid",
     "FirstOrderOperator",
+    "RowPatternMatrix",
     "lifted_derivatives",
     "interior_states",
     "diagonal_gram",
@@ -93,19 +93,61 @@ class UniformGrid:
         return [np.asarray(poly.evaluate(*coords), dtype=complex) * ones for poly in polys]
 
 
+class RowPatternMatrix:
+    """Square matrix with the same number of stored entries in every row.
+
+    Row r holds ``vals[r, j]`` in column ``cols[r, j]``; repeated columns
+    add.  Both arrays have shape (size, k), so storage grows with k times
+    the size, never with its square.
+    """
+
+    ndim = 2
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray):
+        self.cols = cols
+        self.vals = vals
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.cols.shape[0],) * 2
+
+    def __matmul__(self, other) -> np.ndarray:
+        """Product with a 1-D or 2-D array, or with a matrix that has ``toarray``."""
+        v = np.asarray(other.toarray() if hasattr(other, "toarray") else other)
+        if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {v.shape}")
+        if v.ndim == 1:
+            return np.einsum("rk,rk->r", self.vals, v[self.cols])
+        # a block goes one pattern column at a time: no temporary outgrows the result
+        out = np.zeros(v.shape, dtype=np.result_type(self.vals, v))
+        for j in range(self.cols.shape[1]):
+            out += self.vals[:, j, None] * v[self.cols[:, j]]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        np.add.at(out, (np.arange(self.shape[0])[:, None], self.cols), self.vals)
+        return out
+
+
 @lru_cache(maxsize=64)
-def lifted_derivatives(grid: UniformGrid) -> tuple[sp.csr_matrix, ...]:
-    """Sparse derivative along each axis of the flattened grid (Kronecker lift)."""
+def lifted_derivatives(grid: UniformGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Row pattern ``(cols, vals)`` of the derivative along each axis of the flat grid.
+
+    The Kronecker lift of the 1D matrix D along an axis with ``count``
+    points and flat stride ``stride`` gives flat row r, at axis index
+    i = (r // stride) % count, the entries D[i, j] in columns
+    r + (j - i) * stride, j = 0..count-1.  The arrays are read-only.
+    """
+    rows = np.arange(grid.size)
     out = []
-    for i, (count, spacing) in enumerate(zip(grid.counts, grid.spacings)):
-        left = int(np.prod(grid.counts[:i], dtype=int))
-        right = int(np.prod(grid.counts[i + 1:], dtype=int))
-        lifted = sp.kron(sp.identity(left, format="csr"),
-                         sp.kron(sp.csr_matrix(derivative_matrix_1d(count, spacing)),
-                                 sp.identity(right, format="csr"),
-                                 format="csr"),
-                         format="csr")
-        out.append(lifted.astype(complex))
+    for axis, (count, spacing) in enumerate(zip(grid.counts, grid.spacings)):
+        stride = int(np.prod(grid.counts[axis + 1:], dtype=int))
+        index = rows // stride % count
+        cols = rows[:, None] + (np.arange(count) - index[:, None]) * stride
+        vals = derivative_matrix_1d(count, spacing)[index]
+        cols.flags.writeable = vals.flags.writeable = False
+        out.append((cols, vals))
     return tuple(out)
 
 
@@ -151,19 +193,23 @@ class FirstOrderOperator:
             out += self.scalar.reshape(shape) * field
         return out.reshape(np.asarray(v).shape)
 
-    def matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of the operator on the flattened grid."""
+    def matrix(self) -> RowPatternMatrix:
+        """Matrix of the operator on the flattened grid.
+
+        Each row stores the lifted derivative row of every term, scaled by
+        ``factor * field`` at that row, and one diagonal entry for ``scalar``.
+        """
+        size = self.grid.size
         derivs = lifted_derivatives(self.grid)
-        parts = [factor * (sp.diags(samples) @ derivs[axis])
-                 for factor, samples, axis in self.terms]
+        cols = [np.zeros((size, 0), dtype=int)]
+        vals = [np.zeros((size, 0), dtype=complex)]
+        for factor, samples, axis in self.terms:
+            cols.append(derivs[axis][0])
+            vals.append((factor * samples)[:, None] * derivs[axis][1])
         if self.scalar is not None:
-            parts.append(sp.diags(self.scalar))
-        total = (parts[0].tocsr() if parts
-                 else sp.csr_matrix((self.grid.size,) * 2, dtype=complex))
-        for part in parts[1:]:
-            total = total + part
-        total.sort_indices()
-        return total
+            cols.append(np.arange(size)[:, None])
+            vals.append(self.scalar[:, None])
+        return RowPatternMatrix(np.concatenate(cols, axis=1), np.concatenate(vals, axis=1))
 
 
 def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,

@@ -12,7 +12,7 @@ with P_f the prequantum operator, whose symbolic split of f in
 :mod:`geoquant.prequant.gridops` gives both operators their first-order
 parts.  The divergence term is exactly what makes Q_f symmetric for real u,
 v.  Q_f is one :class:`~geoquant.grid.FirstOrderOperator`:
-:func:`quantize_halfform` assembles its sparse matrix, and the commutator
+:func:`quantize_halfform` assembles its row-pattern matrix, and the commutator
 and symmetry checks apply it matrix-free.  Observables with any p-degree
 >= 2 do not preserve the polarization and are rejected; their evolution
 belongs to the pairing machinery in :mod:`geoquant.bks`.
@@ -102,7 +102,7 @@ def _halfform_operator(f: Observable, grid: ConfigGrid, hbar: float,
 
 def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
                       include_divergence_term: bool = True) -> OperatorMatrix:
-    """Sparse matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
+    """Row-pattern matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
 
     ``include_divergence_term=False`` drops the half-form correction; it
     exists as a negative control for the self-adjointness checks and is not
@@ -115,7 +115,7 @@ def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
 
 
 def config_gram(grid: ConfigGrid) -> GramMatrix:
-    """Sparse diagonal Gram of the grid quadrature (measure d^n q)."""
+    """Diagonal Gram of the grid quadrature (measure d^n q)."""
     return diagonal_gram(grid, grid.cell_volume)
 
 

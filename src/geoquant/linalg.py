@@ -3,8 +3,9 @@
 Operators and Gram matrices are tagged with the basis they act in; mixing
 bases raises :class:`~geoquant.errors.BasisMismatch`.  Operator entries are
 dense ``numpy`` arrays for the truncated analytic bases (Fock, sphere
-sectors); the grid modules assemble sparse matrices, which are kept as they
-are and densified by their ``toarray()`` where a dense result is needed.
+sectors); the grid modules assemble a :class:`~geoquant.grid.RowPatternMatrix`,
+which is kept as it is and densified by its ``toarray()`` where a dense
+result is needed.
 
 A :class:`GramMatrix` holds a diagonal Gram as its 1-D diagonal and any
 other as a dense matrix, and is validated once, at construction.  Spectra
@@ -53,7 +54,7 @@ def _as_dense(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square operator in a declared basis; entries dense or sparse."""
+    """Square operator in a declared basis; entries dense, or a matrix with ``toarray()``."""
 
     entries: object
     basis_id: str
@@ -165,8 +166,8 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
     adense = a.dense()
     diagonal = gram.is_diagonal
     weak = gram.entries[:, np.newaxis] * adense if diagonal else gram.entries @ adense
-    scale = max(1.0, float(np.max(np.abs(weak))))
-    hermitian = np.max(np.abs(weak - weak.conj().T)) <= 1e-12 * scale
+    # relative to G A alone, so a Gram of any scale routes the same operator alike
+    hermitian = np.max(np.abs(weak - weak.conj().T)) <= 1e-12 * np.max(np.abs(weak))
     solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
     try:
         if hermitian:

@@ -6,9 +6,10 @@ so the operator assigned to f is
     P_f = -i*hbar * X_f  -  p . (df/dp)  +  f,
 
 discretized with the spectral derivative of :mod:`geoquant.stencil`.
-Operators on grids beyond a few thousand points are kept sparse and the
-commutation residuals are evaluated by applying operators to interior test
-vectors rather than by materializing matrix products.
+Assembled operators store a fixed number of entries per row (a
+:class:`~geoquant.grid.RowPatternMatrix`), and the commutation residuals
+are evaluated by applying operators to interior test vectors rather than
+by materializing matrix products.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ class PrequantApplier(FirstOrderOperator):
 def prequantize(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> OperatorMatrix:
     """Matrix of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid.
 
-    Entries are sparse; ``.dense()`` materializes them for small grids.
+    Entries are a :class:`~geoquant.grid.RowPatternMatrix`: each row holds
+    one entry per point of every differentiated axis, plus one diagonal
+    entry.  ``.dense()`` materializes them for small grids.
     """
     op = FirstOrderOperator(grid, *_prequant_terms(f, grid, hbar))
     return OperatorMatrix(op.matrix(), grid.basis_id)

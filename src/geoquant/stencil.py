@@ -19,13 +19,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+# numpy imports its fft package on first use; importing it here moves that
+# cost from the first transform of a run to the import of this module
+from numpy import fft
 
 __all__ = ["derivative_matrix_1d", "spectral_first_symbol", "spectral_shift_symbol",
            "fft_apply"]
 
 
 def _spectral_wavenumbers(n: int, spacing: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    return 2.0 * np.pi * fft.fftfreq(n, d=spacing)
 
 
 @lru_cache(maxsize=64)
@@ -62,9 +65,9 @@ def fft_apply(field: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * field.ndim
         shape[axis] = -1
         symbol = symbol.reshape(shape)
-    spec = np.fft.fft(field, axis=axis)
+    spec = fft.fft(field, axis=axis)
     spec *= symbol
-    return np.fft.ifft(spec, axis=axis, out=spec)
+    return fft.ifft(spec, axis=axis, out=spec)
 
 
 @lru_cache(maxsize=64)

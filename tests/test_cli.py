@@ -126,22 +126,31 @@ def test_float_formatting_is_twelve_digits():
     assert "0.333333333333" in body
 
 
-def test_cli_import_loads_no_lazy_dependencies():
-    """The CLI's start-up imports neither splines, sympy nor SciPy's dense stacks.
-
-    The evolution needs no splines, and only ``spin_derivation`` uses sympy,
-    importing it inside the function that derives the spin forms.  The Gram
-    oracles use the library's own Gauss-Legendre rules, so ``scipy.integrate``
-    (and the ``scipy.optimize`` and ``scipy.special`` it pulls in) stays out,
-    and the Gram-weighted linear algebra runs on numpy, so ``scipy.linalg``
-    does too.
-    """
+def _loaded_by(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under any of ``prefixes`` loaded after ``code`` runs in a fresh interpreter."""
     src = str(Path(geoquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, geoquant.cli; print(sorted(m for m in "
-             "('scipy.interpolate', 'sympy', 'scipy.integrate', 'scipy.optimize', "
-             "'scipy.special', 'scipy.linalg') if m in sys.modules))")
+    probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {prefixes!r})))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_lazy_dependencies():
+    """The CLI's start-up imports neither sympy nor any part of SciPy.
+
+    Only ``spin_derivation`` uses sympy, importing it inside the function
+    that derives the spin forms.  The library needs no SciPy at all: the
+    Gram oracles use its own Gauss-Legendre rules, the Gram-weighted linear
+    algebra runs on numpy, and grid operators assemble as numpy row-pattern
+    matrices.
+    """
+    assert _loaded_by("import geoquant.cli", ("scipy", "sympy")) == []
+
+
+def test_demos_load_no_scipy():
+    code = ("from geoquant.demos import DEMOS, RunConfig, run_demo\n"
+            "assert all(run_demo(RunConfig(demo=d)).passed for d in DEMOS)")
+    assert _loaded_by(code, ("scipy",)) == []

@@ -60,13 +60,11 @@ def _scipy_imports(tree: ast.Module) -> set[str]:
     return {name for name in names if name.split(".")[0] == "scipy"}
 
 
-def test_only_grid_imports_scipy_sparse_and_none_imports_scipy_linalg():
+def test_no_module_imports_scipy():
     found = {}
     for name in ["geoquant", *MODULES]:
         with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
             imports = _scipy_imports(ast.parse(fh.read()))
         if imports:
             found[name] = imports
-    assert not [n for names in found.values() for n in names if n.startswith("scipy.linalg")]
-    assert {name for name, names in found.items() if "scipy.sparse" in names} \
-        == {"geoquant.grid"}
+    assert found == {}

@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import geoquant.grid
 import geoquant.stencil
@@ -11,7 +10,7 @@ from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import PolarizationViolation
-from geoquant.grid import interior_states
+from geoquant.grid import RowPatternMatrix, interior_states
 from geoquant.halfform import (ConfigGrid, _halfform_operator, check_canonical_commutator,
                                check_selfadjoint, config_gram, quantize_halfform)
 from geoquant.prequant import Observable, PhaseSpaceGrid, PrequantApplier, poisson_bracket
@@ -61,15 +60,15 @@ def test_quantization_is_linear_in_f():
     f2 = obs(1, {(1, 0): 2.0, (0, 1): 0.3})
     a, b = rng.uniform(-2, 2, size=2)
     combo = Observable(1, a * f1.poly + b * f2.poly)
-    lhs = quantize_halfform(combo, grid, 1.0).entries
-    rhs = a * quantize_halfform(f1, grid, 1.0).entries \
-        + b * quantize_halfform(f2, grid, 1.0).entries
+    lhs = quantize_halfform(combo, grid, 1.0).dense()
+    rhs = a * quantize_halfform(f1, grid, 1.0).dense() \
+        + b * quantize_halfform(f2, grid, 1.0).dense()
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_assembled_matrix_matches_matrix_free_apply(n):
-    """quantize_halfform's sparse entries and the checks' apply are one operator."""
+    """quantize_halfform's row-pattern entries and the checks' apply are one operator."""
     if n == 1:
         grid = line(count=64)
         f = obs(1, {(2, 0): 0.5, (0, 1): 1.0, (1, 1): -0.7})
@@ -78,7 +77,7 @@ def test_assembled_matrix_matches_matrix_free_apply(n):
         f = obs(2, {(1, 1, 0, 0): 0.3, (0, 1, 1, 0): 1.0,
                     (2, 0, 0, 1): -0.4, (0, 0, 0, 1): 1.0})
     entries = quantize_halfform(f, grid, 0.8).entries
-    assert sp.issparse(entries)
+    assert isinstance(entries, RowPatternMatrix)
     op = _halfform_operator(f, grid, 0.8)
     for v in interior_states(grid, count=3, seed=4):
         direct = entries @ v

@@ -121,6 +121,17 @@ def test_real_spectrum_rejects_complex_eigenvalues():
         real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1e-30, 1.0, 1e14])
+def test_hermitian_routing_does_not_depend_on_the_gram_scale(scale):
+    """G A = s A is skew for every s > 0; no s may send A down the Hermitian route."""
+    g = GramMatrix(np.full(2, scale, dtype=complex), "b")
+    with pytest.raises(EigenFailure) as err:
+        real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
+    assert err.value.solver == "numpy.linalg.eigvals"
+    # a Hermitian A stays on the Hermitian route at the same scales
+    assert np.allclose(real_spectrum(op([[2, 1], [1, 2]]), g), [1.0, 3.0], rtol=0, atol=1e-14)
+
+
 def test_spectrum_rejects_non_finite():
     g = GramMatrix.identity(2, "b")
     with pytest.raises(EigenFailure):

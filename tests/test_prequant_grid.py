@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoquant.grid
 import geoquant.stencil
 from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.grid import RowPatternMatrix
+from geoquant.halfform import ConfigGrid
 from geoquant.linalg import commutator
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
                                check_dirac, interior_test_states,
@@ -23,25 +26,25 @@ def small_grid(n_pts=24, extent=6.0):
 
 def test_momentum_prequantizes_to_gradient():
     grid = small_grid()
-    op = prequantize(Observable.momentum(), grid, hbar=0.7).entries
-    d_q = sp.csr_matrix(derivative_matrix_1d(grid.n_q, grid.h_q))
-    expected = -0.7j * sp.kron(d_q, sp.identity(grid.n_p))
-    assert abs(op - expected).max() < 1e-14
+    op = prequantize(Observable.momentum(), grid, hbar=0.7).dense()
+    d_q = derivative_matrix_1d(grid.n_q, grid.h_q)
+    expected = -0.7j * np.kron(d_q, np.eye(grid.n_p))
+    assert np.max(np.abs(op - expected)) < 1e-14
 
 
 def test_coordinate_prequantizes_to_dp_plus_q():
     grid = small_grid()
-    op = prequantize(Observable.coordinate(), grid, hbar=0.7).entries
-    d_p = sp.csr_matrix(derivative_matrix_1d(grid.n_p, grid.h_p))
+    op = prequantize(Observable.coordinate(), grid, hbar=0.7).dense()
+    d_p = derivative_matrix_1d(grid.n_p, grid.h_p)
     q_field = np.repeat(grid.q_axis, grid.n_p)
-    expected = 0.7j * sp.kron(sp.identity(grid.n_q), d_p) + sp.diags(q_field)
-    assert abs(op - expected).max() < 1e-14
+    expected = 0.7j * np.kron(np.eye(grid.n_q), d_p) + np.diag(q_field)
+    assert np.max(np.abs(op - expected)) < 1e-14
 
 
 def test_constant_prequantizes_to_identity():
     grid = small_grid()
-    op = prequantize(Observable.constant(1, 1.0), grid, hbar=1.0).entries
-    assert abs(op - sp.identity(grid.size)).max() == 0.0
+    op = prequantize(Observable.constant(1, 1.0), grid, hbar=1.0).dense()
+    assert np.max(np.abs(op - np.eye(grid.size))) == 0.0
 
 
 def test_prequantize_is_linear():
@@ -50,11 +53,61 @@ def test_prequantize_is_linear():
     f = Observable.from_terms(1, {(2, 0): 0.3, (0, 1): -1.2})
     g = Observable.from_terms(1, {(1, 1): 0.8, (0, 2): 0.5})
     combo = Observable.from_poly(2.0 * f.poly + (-0.5) * g.poly)
-    lhs = prequantize(combo, grid, 1.0).entries
-    rhs = 2.0 * prequantize(f, grid, 1.0).entries \
-        - 0.5 * prequantize(g, grid, 1.0).entries
-    assert abs(lhs - rhs).max() < 1e-13
+    lhs = prequantize(combo, grid, 1.0).dense()
+    rhs = 2.0 * prequantize(f, grid, 1.0).dense() \
+        - 0.5 * prequantize(g, grid, 1.0).dense()
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
     del rng
+
+
+@pytest.mark.parametrize("grid", [ConfigGrid.line(-3.0, 3.0, 16), ConfigGrid.line(-3.0, 3.0, 17),
+                                  ConfigGrid((-3.0, -2.0), (3.0, 2.0), (16, 17)),
+                                  ConfigGrid((-3.0, -2.0), (3.0, 2.0), (17, 16))],
+                         ids=["n1-even", "n1-odd", "n2-even-odd", "n2-odd-even"])
+def test_lifted_derivatives_are_the_kronecker_lift(grid):
+    lifted = geoquant.grid.lifted_derivatives.__wrapped__(grid)
+    for axis, (cols, vals) in enumerate(lifted):
+        assert cols.shape == vals.shape == (grid.size, grid.counts[axis])
+        left = int(np.prod(grid.counts[:axis]))
+        right = int(np.prod(grid.counts[axis + 1:]))
+        d = derivative_matrix_1d(grid.counts[axis], grid.spacings[axis])
+        expected = np.kron(np.eye(left), np.kron(d, np.eye(right)))
+        assert np.array_equal(RowPatternMatrix(cols, vals).toarray(), expected)
+
+
+def test_row_pattern_products_match_the_dense_matrix():
+    grid = PhaseSpaceGrid(-5, 5, -4, 4, 12, 9)
+    f = Observable.from_terms(1, {(2, 0): 0.4, (1, 1): -0.3, (0, 2): 0.9, (1, 0): 0.1})
+    g = Observable.from_terms(1, {(1, 1): 0.7, (0, 1): -1.1})
+    mf, mg = prequantize(f, grid, 0.9).entries, prequantize(g, grid, 0.9).entries
+    dense = mf.toarray()
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    block = rng.standard_normal((grid.size, 3)) + 1j * rng.standard_normal((grid.size, 3))
+    for rhs, expected in ((v, dense @ v), (block, dense @ block), (mg, dense @ mg.toarray())):
+        got = mf @ rhs
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+    with pytest.raises(ValueError):
+        mf @ v[:-1]
+
+
+def test_prequantize_stores_rows_not_squares():
+    """64^2: k <= n_q + n_p + 1 entries per row; a dense matrix would need 268 MB."""
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    f = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.3, (0, 2): 0.9, (1, 0): 0.1})
+    tracemalloc.start()
+    try:
+        entries = prequantize(f, grid, 1.0).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(entries, RowPatternMatrix)
+    k = entries.cols.shape[1]
+    assert entries.cols.shape == entries.vals.shape == (grid.size, k)
+    assert k <= grid.n_q + grid.n_p + 1
+    # even a one-byte size^2 array (16.8 MB) on top of the output would break this bound
+    assert peak < 3 * (entries.cols.nbytes + entries.vals.nbytes)
 
 
 def test_sign_conventions_locked_together():

@@ -64,6 +64,8 @@ def test_time_list_validation():
         schrodinger_residual(psi0, [0.1, 0.05])
     with pytest.raises(ValueError):
         schrodinger_residual(psi0, [0.1, 0.05, -0.02])
+    with pytest.raises(ValueError, match="positive"):
+        schrodinger_residual(psi0, [0.1, 0.05, float("nan")])
     # a repeated time made the Neville table divide by zero and return NaN
     for extract in (schrodinger_residual, state_projected_rate):
         with pytest.raises(ValueError, match="distinct"):
