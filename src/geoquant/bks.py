@@ -229,49 +229,38 @@ def fourier_project_back(psi_q: PolarizedState, target: ConfigGrid | None = None
 
 # -- quadratic-phase quadrature -----------------------------------------------
 
-class _UniformInterpolant:
-    """Samples on a uniform lattice for pairing by lattice stencil.
+def _lattice_offsets(x: np.ndarray, x0: float, h: float) -> np.ndarray | None:
+    """Integer indices of the points x on the lattice ``x0 + h k``, or None if off-lattice."""
+    rel = (np.asarray(x, dtype=float) - x0) / h
+    idx = np.rint(rel)
+    if np.max(np.abs(rel - idx)) > 1e-9:
+        return None
+    return idx.astype(np.int64)
 
-    States that decay inside their grid continue as zeros beyond it (the
-    zero fill of :meth:`correlate_conj`); the order-6 Lagrange interpolant
-    of these samples is what :func:`_chirp_stencil` folds.
+
+def _correlate_conj(samples: np.ndarray, m_idx: np.ndarray, s_min: int,
+                    coeff: np.ndarray) -> np.ndarray:
+    """sum_s coeff_s * conj(samples[m + s_min + s]) for lattice indices m.
+
+    ``(s_min, coeff)`` is a :func:`_chirp_stencil` on the samples' lattice
+    spacing: because the evaluation points share the sample lattice, the
+    Lagrange fractions depend on y alone and the double sum over q and y
+    collapses to this correlation of the conjugated samples with the
+    (memoised) stencil.  States that decay inside their grid continue as
+    zeros beyond it.  It is one FFT correlation over the segment of samples
+    that the indices reach, shared by every test state of a panel, so each
+    state costs one dot product.
     """
-
-    def __init__(self, x0: float, h: float, samples: np.ndarray):
-        self.h = float(h)
-        self.x0 = float(x0)
-        self.vals = np.asarray(samples, dtype=complex)
-
-    def lattice_offsets(self, x: np.ndarray) -> np.ndarray | None:
-        """Integer lattice indices of the points x, or None if off-lattice."""
-        rel = (np.asarray(x, dtype=float) - self.x0) / self.h
-        idx = np.rint(rel)
-        if np.max(np.abs(rel - idx)) > 1e-9:
-            return None
-        return idx.astype(np.int64)
-
-    def correlate_conj(self, m_idx: np.ndarray, s_min: int,
-                       coeff: np.ndarray) -> np.ndarray:
-        """sum_s coeff_s * conj(vals[m + s_min + s]) for lattice indices m.
-
-        ``(s_min, coeff)`` is a :func:`_chirp_stencil` on this lattice's
-        spacing: because the evaluation points share the sample lattice, the
-        Lagrange fractions depend on y alone and the double sum over q and y
-        collapses to this correlation of the conjugated samples with the
-        (memoised) stencil.  It is one FFT correlation over the segment of
-        samples that the indices reach, zero beyond the grid, shared by every
-        test state of a panel, so each state costs one dot product.
-        """
-        m_lo = int(m_idx.min())
-        lo = m_lo + s_min
-        seg = np.zeros(int(m_idx.max()) - m_lo + coeff.size, dtype=complex)
-        a, b = max(lo, 0), min(lo + seg.size, self.vals.size)
-        if a < b:
-            seg[a - lo:b - lo] = np.conj(self.vals[a:b])
-        size = 1 << (seg.size - 1).bit_length()
-        corr = np.fft.ifft(np.fft.fft(seg, size)
-                           * np.conj(np.fft.fft(np.conj(coeff), size)))
-        return corr[m_idx - m_lo]
+    m_lo = int(m_idx.min())
+    lo = m_lo + s_min
+    seg = np.zeros(int(m_idx.max()) - m_lo + coeff.size, dtype=complex)
+    a, b = max(lo, 0), min(lo + seg.size, samples.size)
+    if a < b:
+        seg[a - lo:b - lo] = np.conj(samples[a:b])
+    size = 1 << (seg.size - 1).bit_length()
+    corr = np.fft.ifft(np.fft.fft(seg, size)
+                       * np.conj(np.fft.fft(np.conj(coeff), size)))
+    return corr[m_idx - m_lo]
 
 
 def _support_bounds(axis: np.ndarray, samples: np.ndarray, spacing: float,
@@ -394,26 +383,26 @@ class PairingResult:
     doubling_delta: float = 0.0
 
 
-def _pairing_values(interp: _UniformInterpolant, qs: list, t: float, hbar: float,
+def _pairing_values(samples: np.ndarray, h: float, qs: list, t: float, hbar: float,
                     mass: float, y_lo: float, y_hi: float, theta_max: float,
                     h_max: float) -> list[complex]:
     """One resolution of the pairing with every ``(q_nodes, m_idx, q_weights)``
     rule of :func:`_q_rule` in ``qs``."""
     a = mass / (2.0 * hbar * t)
     # plain floats keep the memo key hashable for 0-d array arguments
-    s_min, coeff = _chirp_stencil(interp.h, float(a), y_lo, y_hi,
+    s_min, coeff = _chirp_stencil(h, float(a), y_lo, y_hi,
                                   float(theta_max), float(h_max))
     m_lo = min(int(m[0]) for _, m, _ in qs)
-    inner = interp.correlate_conj(
-        np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1), s_min, coeff)
+    inner = _correlate_conj(
+        samples, np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1), s_min, coeff)
     return [complex(np.sqrt(mass / (2.0 * np.pi * hbar * t))
                     * np.sum(q_weights * inner[m - m_lo]))
             for _, m, q_weights in qs]
 
 
-def _q_rule(chi: PolarizedState, interp: _UniformInterpolant,
+def _q_rule(chi: PolarizedState, x0: float, h: float,
             tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chi's nodes on its support, their indices on psi's lattice ``interp``,
+    """chi's nodes on its support, their indices on psi's lattice ``x0 + h k``,
     and their weights: the chi samples times the grid measure.
 
     A chi whose nodes sit off the lattice by one common sub-cell offset is
@@ -423,12 +412,12 @@ def _q_rule(chi: PolarizedState, interp: _UniformInterpolant,
     """
     q_axis, samples = chi.grid.axis(0), chi.samples.reshape(-1)
     h_chi = chi.grid.spacings[0]
-    m_idx = interp.lattice_offsets(q_axis)
+    m_idx = _lattice_offsets(q_axis, x0, h)
     if m_idx is None:
-        rel = (q_axis[0] - interp.x0) / interp.h
-        shift = (np.rint(rel) - rel) * interp.h
+        rel = (q_axis[0] - x0) / h
+        shift = (np.rint(rel) - rel) * h
         q_axis = q_axis + shift
-        m_idx = interp.lattice_offsets(q_axis)
+        m_idx = _lattice_offsets(q_axis, x0, h)
         if m_idx is None:
             raise UnsupportedObservable(
                 "the pairing needs chi's nodes on psi's lattice up to one shift")
@@ -460,19 +449,19 @@ def _pairings(psi: PolarizedState, chis: list[PolarizedState], t: float,
         raise ValueError("states disagree on hbar or mass")
 
     hbar, mass = psi.hbar, psi.mass
-    h_psi = psi.grid.spacings[0]
-    interp = _UniformInterpolant(psi.grid.axis(0)[0], h_psi, psi.samples.reshape(-1))
+    h_psi = float(psi.grid.spacings[0])
+    samples = psi.samples.reshape(-1)
 
     # restrict each q integral to the support of its chi and the y integral
     # to wherever psi can still be reached from any of them
-    qs = [_q_rule(chi, interp, tolerances) for chi in chis]
-    x_lo, x_hi = _support_bounds(psi.grid.axis(0), psi.samples.reshape(-1), h_psi)
+    qs = [_q_rule(chi, float(psi.grid.axis(0)[0]), h_psi, tolerances) for chi in chis]
+    x_lo, x_hi = _support_bounds(psi.grid.axis(0), samples, h_psi)
     y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
     y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
     if h_max is None:
         h_max = 8.0 * h_psi
 
-    args = (interp, qs, t, hbar, mass, y_lo, y_hi)
+    args = (samples, h_psi, qs, t, hbar, mass, y_lo, y_hi)
     coarse = _pairing_values(*args, theta_max, h_max)
     fine = _pairing_values(*args, theta_max / 2.0, h_max / 2.0)
     n, results = psi.n, []

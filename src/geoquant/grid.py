@@ -112,17 +112,11 @@ class RowPatternMatrix:
         return (self.cols.shape[0],) * 2
 
     def __matmul__(self, other) -> np.ndarray:
-        """Product with a 1-D or 2-D array, or with a matrix that has ``toarray``."""
-        v = np.asarray(other.toarray() if hasattr(other, "toarray") else other)
-        if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
+        """Product with a vector; anything else raises ``ValueError``."""
+        v = np.asarray(other)
+        if v.shape != (self.shape[1],):
             raise ValueError(f"cannot multiply a {self.shape} matrix by shape {v.shape}")
-        if v.ndim == 1:
-            return np.einsum("rk,rk->r", self.vals, v[self.cols])
-        # a block goes one pattern column at a time: no temporary outgrows the result
-        out = np.zeros(v.shape, dtype=np.result_type(self.vals, v))
-        for j in range(self.cols.shape[1]):
-            out += self.vals[:, j, None] * v[self.cols[:, j]]
-        return out
+        return np.einsum("rk,rk->r", self.vals, v[self.cols])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.vals.dtype)

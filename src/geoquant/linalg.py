@@ -129,9 +129,10 @@ def _require_same_basis(a, b):
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Return ``AB - BA`` in the common basis of ``a`` and ``b``."""
+    """Return ``AB - BA`` in the common basis of ``a`` and ``b``, as one dense product each way."""
     _require_same_basis(a, b)
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, a.basis_id)
+    da, db = a.dense(), b.dense()
+    return OperatorMatrix(da @ db - db @ da, a.basis_id)
 
 
 def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:

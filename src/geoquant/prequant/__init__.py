@@ -1,6 +1,6 @@
 """Classical symbolic layer and prequantization on model phase spaces."""
 
-from .evolution import FlowSpec, classify_flow, prequantum_evolve
+from .evolution import prequantum_evolve
 from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac,
                       interior_test_states, liouville_gram, prequantize,
                       selfadjoint_residual)
@@ -11,7 +11,6 @@ from .sectors import (SectorSpec, WeilResult, cylinder_momentum_operator,
 
 __all__ = [
     "DEGREE_CAP",
-    "FlowSpec",
     "HamiltonianField",
     "Observable",
     "PhaseSpaceGrid",
@@ -19,7 +18,6 @@ __all__ = [
     "SectorSpec",
     "WeilResult",
     "check_dirac",
-    "classify_flow",
     "cylinder_momentum_operator",
     "cylinder_spectrum",
     "hamiltonian_vector_field",

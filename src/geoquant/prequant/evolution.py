@@ -4,37 +4,27 @@ A complete Hamiltonian flow rho_t acts on sections by
 
     (psi_t)(m) = exp[-(i/hbar) * Integral_0^t L_f(rho_tau(m)) dtau] * psi(rho_t(m)),
 
-where ``L_f = p.(df/dp) - f`` in the p.dq gauge.  The four generators with
-closed-form flows are supported: translations by q and p, the free kinetic
-term c*p^2 (mass m = 1/(2c)), and the phase-plane rotation a*(q^2 + p^2).
+where ``L_f = p.(df/dp) - f`` in the p.dq gauge.  For f of degree <= 2 at
+n = 1, Hamilton's equations on X = (q, p, 1) read dX/dt = G X, so rho_t is
+the affine map E = exp(t G), and L_f = X^T Q X.  The action is X^T W X with
+W = E^T F, where E and F are the lower-right and upper-right blocks of
+exp(t [[-G^T, Q], [0, G]]) (Van Loan 1978).
 
-Each of these flows is a linear or translational area-preserving map, so the
-pullback ``psi o rho_t`` factors into shears: every grid line along one axis
-is shifted by its own amount, a phase ramp ``exp(i k s_j)`` on the line's
-Fourier series.  A translation is one constant shift, the free flow one
-q-shear, and a rotation by ``w`` one or two sub-rotations of at most pi/2,
-each three shears (Paeth 1986; Larkin, Oldfield & Klemm 1997).  On
-band-limited states the shears are exact and unitary.  The FFT treats the
-box as periodic, so whatever a shear carries across an edge wraps round to
-the other side: each shear measures the squared-norm fraction it carries
-across, and the evolution refuses when that escaped mass exceeds
-``Tolerances.tail_mass``.
-
-The same shears, applied to the coordinates, give the endpoint rho_t(m), and
-with it the action in closed form.  Write f = f2 + f1 + f0, its parts of
-degree 2, 1 and 0.  Euler's identity ``q.df/dq + p.df/dp = 2 f2 + f1`` and
-``d(q.p)/dtau = p.df/dp - q.df/dq`` give
-
-    L_f = (1/2) d(q.p)/dtau - f1/2 - f0.
-
-In each supported family f1 is constant along the flow: it vanishes for the
-free flow and the rotation, and for a translation f = f1 + f0 is conserved.
-So the action is ``(q_t p_t - q p)/2 - t (f1(q, p)/2 + f0)``.
+The pullback ``psi o rho_t`` factors into shears, each shifting every grid
+line along one axis by its own amount: a phase ramp ``exp(i k s_j)`` on the
+line's Fourier series.  With A the traceless 2x2 block of G and
+delta = -det A, exp(t A) = 1 + S (A + delta T), where
+S = sinh(t sqrt(delta)) / sqrt(delta) and T = tanh(t sqrt(delta) / 2) / sqrt(delta).
+That is three shears with slopes closed in S and T (Paeth 1986), or four
+whose slopes grow as sqrt(t) where those are less steep, as for f ~ qp.  An
+elliptic map runs over t modulo its period, and past a quarter turn as its
+half map twice.  On band-limited states the shears are exact and unitary.
+The FFT treats the box as periodic: each shear measures the squared-norm
+fraction it carries across an edge, and the evolution refuses when that
+exceeds ``Tolerances.tail_mass``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,59 +34,71 @@ from ..stencil import fft_apply, spectral_shift_symbol
 from .gridops import PhaseSpaceGrid
 from .observables import Observable
 
-__all__ = ["prequantum_evolve", "classify_flow", "FlowSpec"]
+__all__ = ["prequantum_evolve"]
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    """Closed-form flow family and its parameter."""
-
-    kind: str  # "translation_q" | "translation_p" | "free" | "rotation"
-    coeff: float  # generator coefficient (alpha, c or a)
-    constant: float = 0.0  # additive constant in f, enters only the phase
-
-
-def classify_flow(f: Observable) -> FlowSpec:
-    """Match f against the analytically integrable generator families."""
-    if f.n != 1:
-        raise UnsupportedObservable("evolution supports observables with n = 1")
-    coeffs = {e: float(c) for e, c in f.poly.coeffs.items()}
-    const = coeffs.pop((0, 0), 0.0)
-    if not coeffs:
-        return FlowSpec("translation_q", 0.0, const)  # zero generator: identity flow
-    if set(coeffs) == {(0, 1)}:
-        return FlowSpec("translation_q", coeffs[(0, 1)], const)  # f = c*p
-    if set(coeffs) == {(1, 0)}:
-        return FlowSpec("translation_p", coeffs[(1, 0)], const)  # f = c*q
-    if set(coeffs) == {(0, 2)}:
-        return FlowSpec("free", coeffs[(0, 2)], const)  # f = c*p^2 = p^2/2m
-    if set(coeffs) == {(2, 0), (0, 2)} and np.isclose(coeffs[(2, 0)], coeffs[(0, 2)]):
-        return FlowSpec("rotation", coeffs[(0, 2)], const)  # f = a*(q^2+p^2)
-    raise UnsupportedObservable(
-        "no closed-form flow for this observable; supported: c*p, c*q, c*p^2, a*(q^2+p^2)")
+def _generator(f: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """G and Q on X = (q, p, 1), with dX/dt = G X and L_f = X^T Q X."""
+    if f.n != 1 or f.poly.total_degree() > 2:
+        raise UnsupportedObservable("evolution supports observables of degree <= 2 with n = 1")
+    a, b, c, d, e, k = (float(f.poly.coeffs.get(x, 0))
+                        for x in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    # f = a q^2 + b q p + c p^2 + d q + e p + k; dq/dt = df/dp, dp/dt = -df/dq
+    g = np.array([[b, 2.0 * c, e], [-2.0 * a, -b, -d], [0.0, 0.0, 0.0]])
+    lagrangian = np.array([[-a, 0.0, -0.5 * d], [0.0, c, 0.0], [-0.5 * d, 0.0, -k]])
+    return g, lagrangian
 
 
-def _shears(spec: FlowSpec, t: float) -> list[tuple[int, float, float]]:
-    """The pullback by rho_t as shears ``(axis, offset, slope)``, in the order applied.
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m): scaled below unit norm, an order-18 Taylor sum, then squared back."""
+    squarings = max(0, int(np.frexp(np.linalg.norm(m, 1))[1]))
+    x = m / 2.0**squarings
+    term = out = np.eye(len(m))
+    for k in range(1, 19):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _shears(g: np.ndarray, t: float) -> list[tuple[int, float, float]]:
+    """The pullback by exp(t g) as shears ``(axis, offset, slope)``, in the order applied.
 
     A shear pulls back along ``axis`` by ``offset + slope * x``, with x the
-    coordinate of the other axis.
+    coordinate of the other axis.  Composed with the first shear outermost,
+    the list is the affine map exp(t g).
     """
-    if spec.kind == "translation_q":
-        return [(0, spec.coeff * t, 0.0)]
-    if spec.kind == "translation_p":
-        return [(1, -spec.coeff * t, 0.0)]
-    if spec.kind == "free":
-        return [(0, 0.0, 2.0 * spec.coeff * t)]
-    if spec.kind == "rotation":
-        w = np.pi - (np.pi - 2.0 * spec.coeff * t) % (2.0 * np.pi)  # in (-pi, pi]
-        # |theta| <= pi/2 keeps every shear factor at most 1 (tan(theta/2) diverges
-        # at pi), so intermediate shears move little mass towards the edges
-        angles = [w] if abs(w) <= np.pi / 2 else [w / 2, w / 2]
-        return [shear for theta in angles
-                for shear in ((0, 0.0, np.tan(theta / 2)), (1, 0.0, -np.sin(theta)),
-                              (0, 0.0, np.tan(theta / 2)))]
-    raise UnsupportedObservable(spec.kind)
+    a, v = g[:2, :2], g[:2, 2]
+    delta = a[0, 0] ** 2 + a[0, 1] * a[1, 0]
+    if delta < 0:  # the map is periodic; a t within half a period stays as it is
+        period = 2.0 * np.pi / np.sqrt(-delta)
+        t -= period * np.round(t / period)
+    root = np.sqrt(complex(delta))
+    s_t = lambda tau: ((np.sinh(tau * root) / root).real,
+                       (np.tanh(tau * root / 2) / root).real) if root else (tau, tau / 2)
+    outer = int(abs(a[0, 1]) > abs(a[1, 0]))  # the axis of the outer shears of three
+    div, a00 = a[1 - outer, outer], (1 - 2 * outer) * a[0, 0]
+
+    def linear(tau: float) -> list[tuple[int, float]]:
+        s, tt = s_t(tau)
+        m22_less_1 = s * (delta * tt - a[0, 0])
+        side, m22 = np.sqrt(abs(m22_less_1)), 1.0 + m22_less_1
+        # three shears' slopes divide out S, so they stay exact near a full period
+        three = [(outer, (delta * tt + a00) / div), (1 - outer, s * div),
+                 (outer, (delta * tt - a00) / div)] if div else None
+        r = np.copysign(side, m22_less_1)
+        four = [(0, (s * a[0, 1] - side) / m22), (1, r), (0, side),
+                (1, (s * a[1, 0] - r) / m22)] if m22 > 0 else None
+        steepest = lambda shears: max(abs(slope) for _, slope in shears) if shears else np.inf
+        return three if steepest(three) <= max(1.0, steepest(four)) else four
+
+    s, tt = s_t(t)
+    shears = linear(t / 2) * 2 if 1.0 + delta * s * tt < 0 else linear(t)  # past a quarter turn
+    u = s * (v + tt * (a @ v))  # the offset of exp(t g) enters the first two shears
+    (ax1, slope1), (ax2, slope2) = shears[:2]
+    return [(ax1, u[ax1] - slope1 * u[ax2], slope1), (ax2, u[ax2], slope2)] \
+        + [(axis, 0.0, slope) for axis, slope in shears[2:]]
 
 
 def _shear(psi: np.ndarray, grid: PhaseSpaceGrid, axis: int, offset: float,
@@ -123,13 +125,13 @@ def _shear(psi: np.ndarray, grid: PhaseSpaceGrid, axis: int, offset: float,
 def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
                       grid: PhaseSpaceGrid, hbar: float,
                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Evolve a grid section along the prequantum flow of f.
+    """Evolve a grid section along the prequantum flow of f, of degree <= 2 at n = 1.
 
     ``psi0`` may be flat or shaped ``(n_q, n_p)``; the result matches the
     input layout.  The pullback is a sequence of band-limited FFT shears and
-    the phase is the closed-form action (see the module docstring), both
-    exact for states resolved by the grid.  ``steps`` must be at least 1 and
-    does not change the result.
+    the phase is the action X^T W X of the module docstring, both exact for
+    states resolved by the grid.  ``steps`` must be at least 1 and does not
+    change the result.
 
     If some shear carries more than ``tolerances.tail_mass`` of the squared
     norm across the box edge, the evolution raises :class:`FlowEscapesGrid`
@@ -140,13 +142,12 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
         raise UnsupportedObservable("evolution is implemented for n = 1 grids")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    spec = classify_flow(f)
+    g, lagrangian = _generator(f)
 
     flat_input = psi0.ndim == 1
     psi = np.asarray(psi0, dtype=complex).reshape(grid.n_q, grid.n_p)
-    shears = _shears(spec, t)
     carried = []
-    for axis, offset, slope in shears:
+    for axis, offset, slope in _shears(g, t):
         if offset or slope:
             psi, mass = _shear(psi, grid, axis, offset, slope)
             carried.append(mass)
@@ -156,15 +157,14 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
             f"a shear carries {worst:.3e} of the squared norm across the grid edge",
             escaped_fraction=worst)
 
-    # the endpoint rho_t: the same shears move the coordinates, last shear first
-    qmesh, pmesh = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
-    x = [qmesh, pmesh]
-    for axis, offset, slope in reversed(shears):
-        x[axis] = x[axis] + (offset + slope * x[1 - axis])
-    q_t, p_t = x
-    c = f.poly.coeffs
-    f1 = float(c.get((1, 0), 0)) * qmesh + float(c.get((0, 1), 0)) * pmesh  # degree-1 part
-    action = 0.5 * (q_t * p_t - qmesh * pmesh) - t * (0.5 * f1 + spec.constant)
+    van_loan = _expm(t * np.block([[-g.T, lagrangian], [np.zeros((3, 3)), g]]))
+    e = van_loan[3:, 3:]
+    w = e.T @ van_loan[:3, 3:]
+    q, p = grid.q_axis[:, None], grid.p_axis[None, :]
+    q_t = e[0, 0] * q + e[0, 1] * p + e[0, 2]
+    p_t = e[1, 0] * q + e[1, 1] * p + e[1, 2]
+    action = q * (w[0, 0] * q + (w[0, 1] + w[1, 0]) * p + (w[0, 2] + w[2, 0])) \
+        + p * (w[1, 1] * p + (w[1, 2] + w[2, 1])) + w[2, 2]
 
     out = np.exp(-1j * action / hbar) * psi
     out[(q_t < grid.q_min) | (q_t > grid.q_max)

@@ -1,13 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import FlowEscapesGrid, UnsupportedObservable
-from geoquant.prequant import (Observable, PhaseSpaceGrid, classify_flow,
-                               evolution, prequantum_evolve)
+from geoquant.prequant import Observable, PhaseSpaceGrid, evolution, prequantum_evolve
 from geoquant.stencil import fft_apply, spectral_shift_symbol
 
 
@@ -109,8 +109,8 @@ def test_free_flow_unitary_within_grid_tolerance():
 def test_flipped_shear_fails_the_demo_flow_check(monkeypatch):
     """A shear in the wrong direction keeps the norm but not the closed form."""
     shears = evolution._shears
-    monkeypatch.setattr(evolution, "_shears", lambda spec, t: [
-        (axis, -offset, -slope) for axis, offset, slope in shears(spec, t)])
+    monkeypatch.setattr(evolution, "_shears", lambda g, t: [
+        (axis, -offset, -slope) for axis, offset, slope in shears(g, t)])
     grid = grid_128(extent=12.0)
     psi = gaussian(grid, sigma=1.5)
     out = prequantum_evolve(Observable.from_terms(1, {(0, 2): 0.5}), psi, 0.5, 1, grid, 1.0)
@@ -118,20 +118,6 @@ def test_flipped_shear_fails_the_demo_flow_check(monkeypatch):
     report = run_demo(RunConfig(demo="prequant-flat", n_pairs=1))
     check = next(c for c in report.checks if c.name == "flow-closed-form")
     assert not check.passed and check.value > 0.1
-
-
-def test_endpoint_applies_the_shears_last_first(monkeypatch):
-    """A non-palindromic shear list pins the order in which rho_t moves the coordinates."""
-    monkeypatch.setattr(evolution, "_shears", lambda spec, t: [(0, 0.3, 0.0), (1, 0.0, 0.4)])
-    grid = PhaseSpaceGrid(-14, 14, -14, 14, 128, 128)
-    hbar = 0.7
-    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
-    psi = lambda q, p: np.exp(-((q - 1.0) ** 2 + (p + 0.5) ** 2) / (2 * 1.2**2) + 1j * q)
-    out = prequantum_evolve(Observable.constant(1, 0), psi(q, p), 1.0, 1, grid, hbar)
-    # psi_1(q, p) = psi(q + 0.3, p), then psi_1(q, p + 0.4 q) = psi(q + 0.3, p + 0.4 q)
-    q_t, p_t = q + 0.3, p + 0.4 * q
-    expected = np.exp(-1j * (q_t * p_t - q * p) / (2 * hbar)) * psi(q_t, p_t)
-    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_translation_shifts_by_a_1d_symbol(monkeypatch):
@@ -170,9 +156,12 @@ HARMONIC = Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5})
 FREE = Observable.from_terms(1, {(0, 2): 0.5})
 
 
-def modulated_gaussian(grid, q0=1.0, p0=-0.5, sigma=1.2, k=1.0):
-    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+def modulated_gaussian_at(q, p, q0=1.0, p0=-0.5, sigma=1.2, k=1.0):
     return np.exp(-((q - q0) ** 2 + (p - p0) ** 2) / (2 * sigma**2) + 1j * k * q)
+
+
+def modulated_gaussian(grid, **shape):
+    return modulated_gaussian_at(*np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij"), **shape)
 
 
 def _flow_and_times():
@@ -244,6 +233,143 @@ def test_rotation_past_a_quarter_turn_matches_closed_form():
     assert np.max(np.abs(out - np.exp(-1j * action) * pushed)) < 1e-12
 
 
+EXPONENTS = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+COUPLED = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): 0.3, (0, 2): 0.4, (1, 0): 0.2,
+                                    (0, 1): -0.3, (0, 0): 0.1})
+
+
+def _characteristics(f, q, p, t):
+    """RK4 of Hamilton's equations from (q, p), with the action Integral L_f along them."""
+    f_q, f_p = f.dq(0), f.dp(0)
+
+    def rate(y):
+        q, p, _ = y
+        df_dp = f_p.evaluate(q, p) + 0.0 * q
+        return np.array([df_dp, -f_q.evaluate(q, p) - 0.0 * q, p * df_dp - f.poly.evaluate(q, p)])
+    # 400 steps per unit of the fastest rate, which 2 max|coefficient| bounds
+    steps = int(np.ceil(400 * abs(t) * max(1.0, 2 * max(map(abs, f.poly.coeffs.values())))))
+    h = t / steps
+    y = np.array([q, p, 0.0 * q])
+    for _ in range(steps):
+        k1 = rate(y)
+        k2 = rate(y + h / 2 * k1)
+        k3 = rate(y + h / 2 * k2)
+        k4 = rate(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("flow, t", [
+    (COUPLED, 1.1),
+    (COUPLED, 7.3),  # 0.16 short of the period 2 pi / sqrt(0.71)
+    (Observable.from_terms(1, {(0, 2): 0.5, (1, 0): 0.4}), 1.0),
+    (Observable.from_terms(1, {(0, 2): 0.5, (2, 0): -0.5}), 0.8),
+    (Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5, (1, 0): 0.6, (0, 1): -0.4}), 2.5),
+    (Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 2.0}), 0.9),  # 2.5 rad: two half maps
+    # three shears would need outer slopes ~ 1/0.04: it takes four, with slopes ~ sqrt(t)
+    (Observable.from_terms(1, {(1, 1): 1.0, (2, 0): 0.02, (0, 2): -0.01, (0, 1): 0.3}), 0.3),
+], ids=["coupled", "coupled-near-a-period", "free-fall", "inverted-oscillator",
+        "affine-rotation", "anisotropic-oscillator", "nearly-a-squeeze"])
+def test_quadratic_flows_match_the_characteristics(flow, t):
+    """psi_t(m) = exp(-(i/hbar) Integral L_f) psi(rho_t(m)), integrated on sampled nodes."""
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
+    hbar = 0.7
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    out = prequantum_evolve(flow, modulated_gaussian_at(q, p), t, 1, grid, hbar)
+    # nodes anywhere, and the nodes where the evolved state is largest
+    nodes = np.concatenate([np.random.default_rng(3).choice(grid.size, 200, replace=False),
+                            np.argsort(np.abs(out), axis=None)[-200:]])
+    q_t, p_t, action = _characteristics(flow, q.flat[nodes], p.flat[nodes], t)
+    expected = np.exp(-1j * action / hbar) * modulated_gaussian_at(q_t, p_t)
+    assert np.max(np.abs(out.flat[nodes] - expected)) < 1e-10
+
+
+def test_squeeze_scales_the_state_without_phase():
+    """f = qp: rho_t(q, p) = (q e^t, p e^-t), and L_f = p q - f = 0."""
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    squeeze = Observable.from_terms(1, {(1, 1): 1.0})
+    out = prequantum_evolve(squeeze, modulated_gaussian_at(q, p), 0.3, 1, grid, 0.7)
+    expected = modulated_gaussian_at(q * np.exp(0.3), p * np.exp(-0.3))
+    assert np.max(np.abs(out - expected)) < 1e-11
+    for t in (1.0, -1.0):  # the state's tail then reaches the edge of the box
+        with pytest.raises(FlowEscapesGrid):
+            prequantum_evolve(squeeze, modulated_gaussian_at(q, p), t, 1, grid, 0.7)
+
+
+def _affine(axis, offset, slope):
+    """The shear ``(axis, offset, slope)`` as a 3x3 matrix on (q, p, 1)."""
+    m = np.eye(3)
+    m[axis, 1 - axis], m[axis, 2] = slope, offset
+    return m
+
+
+def test_shears_compose_to_the_flow_map():
+    """The first shear outermost, the list is exp(t G), here against a 30-digit exponential."""
+    rng = np.random.default_rng(5)
+    shapes = set()
+    for draw in range(160):
+        c = rng.uniform(-1.0, 1.0, size=6)
+        if draw % 4 == 1:  # elliptic, mostly past a quarter turn
+            c[0], c[1], c[2] = abs(c[0]) + 0.2, 0.1 * c[1], abs(c[2]) + 0.2
+        elif draw % 4 == 2:  # a squeeze
+            c[0] = c[2] = 0.0
+        elif draw % 4 == 3:  # nearly a squeeze: the three shears' outer slopes are steep
+            c[0], c[2] = 0.01 * c[0], 0.01 * c[2]
+        f = Observable.from_terms(1, dict(zip(EXPONENTS, c)))
+        g, _ = evolution._generator(f)
+        t = rng.uniform(-6.0, 6.0) if draw % 4 == 1 else rng.uniform(-2.0, 2.0)
+        shears = evolution._shears(g, t)
+        shapes.add(len(shears))
+        composed = np.linalg.multi_dot([_affine(*shear) for shear in shears])
+        with mpmath.workdps(30):
+            exact = np.array(mpmath.expm(mpmath.matrix(g.tolist()) * t).tolist(), dtype=float)
+        assert np.max(np.abs(composed - exact)) < 1e-13 * np.max(np.abs(exact))
+    assert {3, 4, 6} <= shapes  # three shears, four, and two half maps of three
+
+
+@pytest.mark.parametrize("flow, count", [(Observable.from_terms(1, {(0, 1): 0.8}), 1),
+                                         (Observable.from_terms(1, {(1, 0): -0.6}), 1),
+                                         (FREE, 1), (HARMONIC, 3)],
+                         ids=["translation_q", "translation_p", "free", "rotation"])
+def test_translations_free_flow_and_rotation_keep_their_shear_counts(flow, count):
+    g, _ = evolution._generator(flow)
+    assert sum(1 for _, offset, slope in evolution._shears(g, 1.0) if offset or slope) == count
+
+
+def _quadratic_and_times():
+    """A quadratic with a linear and constant part, and two times that keep the state
+    inside the box and resolved by its grid."""
+    linear = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-2.0, 2.0))
+    small = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), linear)
+    # same-signed q^2 and p^2 coefficients dominate b: bounded orbits at every time
+    elliptic = st.tuples(st.floats(0.3, 0.6), st.floats(-0.3, 0.3), st.floats(0.3, 0.6),
+                         st.sampled_from([-1.0, 1.0]), linear).map(
+        lambda a: (a[3] * a[0], a[1], a[3] * a[2], a[4]))
+    to_flow = lambda a: Observable.from_terms(1, dict(zip(EXPONENTS, a[:3] + a[3])))
+    times = lambda bound: st.tuples(st.floats(-bound, bound), st.floats(-bound, bound))
+    # a hyperbolic flow stretches the state by at most e^(sqrt(5) 0.3 |t|) < 2
+    return st.one_of(st.tuples(small.map(to_flow), times(0.5)),
+                     st.tuples(elliptic.map(to_flow), times(6.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_quadratic_and_times(), st.sampled_from([0.5, 1.0, 2.0]))
+@example((Observable.from_terms(1, {(2, 0): 0.25, (0, 2): 1e-12}), (0.3, -0.2)),
+         0.5)  # period 6.3e6: t taken modulo it would keep only 9 digits
+def test_group_law_for_random_quadratics(flow_and_times, hbar):
+    flow, (t1, t2) = flow_and_times
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
+    psi = modulated_gaussian(grid, sigma=0.6)
+    try:
+        stepped = prequantum_evolve(flow, prequantum_evolve(flow, psi, t1, 1, grid, hbar),
+                                    t2, 1, grid, hbar)
+        direct = prequantum_evolve(flow, psi, t1 + t2, 1, grid, hbar)
+    except FlowEscapesGrid:
+        assume(False)
+    assert np.max(np.abs(stepped - direct)) < 1e-12
+
+
 def test_escaped_mass_raises_although_most_nodes_stay():
     grid = grid_128()
     psi = gaussian(grid, q0=-5.0)
@@ -264,16 +390,8 @@ def test_unsupported_flow_rejected():
     cubic = Observable.from_terms(1, {(3, 0): 1.0})
     with pytest.raises(UnsupportedObservable):
         prequantum_evolve(cubic, psi, 0.1, 1, grid, 1.0)
-
-
-def test_classify_flow_families():
-    assert classify_flow(Observable.momentum()).kind == "translation_q"
-    assert classify_flow(Observable.coordinate()).kind == "translation_p"
-    assert classify_flow(Observable.from_terms(1, {(0, 2): 0.25})).kind == "free"
-    spec = classify_flow(Observable.from_terms(1, {(2, 0): 0.5, (0, 2): 0.5}))
-    assert spec.kind == "rotation" and spec.coeff == pytest.approx(0.5)
     with pytest.raises(UnsupportedObservable):
-        classify_flow(Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 2.0}))
+        prequantum_evolve(Observable.momentum(n=2), psi, 0.1, 1, grid, 1.0)
 
 
 def test_free_flow_keeps_a_state_whose_nodes_leave():
