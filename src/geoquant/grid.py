@@ -6,31 +6,28 @@ centers, spacing ``(max - min) / count``.  Their operators share one form,
 
     sum_k factor_k * field_k * d/dx_{axis_k}  +  scalar,
 
-held by :class:`FirstOrderOperator`.  It applies matrix-free, one spectral
-derivative by FFT along one axis of the shaped field at a time, or assembles
-its matrix as a :class:`RowPatternMatrix`, whose rows hold the entries of
-the Kronecker-lifted dense spectral derivative matrices; only the assembly
-builds a derivative matrix.  Operators applied to the same field can share
-its derivatives through a ``grads`` dict, so each axis of that field is
-transformed once however many operators act on it.
+held by :class:`FirstOrderOperator`.  It is the operator's matrix on the
+flattened grid and acts matrix-free: one spectral derivative by FFT along
+one axis of the shaped field at a time.  No derivative matrix is built;
+``toarray()`` densifies the operator column by column for small grids.
+Operators applied to the same field can share its derivatives through a
+``grads`` dict, so each axis of that field is transformed once however many
+operators act on it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .linalg import GramMatrix
 from .polynomials import Polynomial
-from .stencil import derivative_matrix_1d, fft_apply, spectral_first_symbol
+from .stencil import fft_apply, spectral_first_symbol
 
 __all__ = [
     "UniformGrid",
     "FirstOrderOperator",
-    "RowPatternMatrix",
-    "lifted_derivatives",
     "interior_states",
     "diagonal_gram",
     "worst_residual",
@@ -46,8 +43,7 @@ class UniformGrid:
 
     Subclasses are frozen dataclasses that expose per-axis ``mins``,
     ``maxs`` and ``counts`` in flatten order, and call :meth:`_validate`
-    after construction.  Being hashable, they key the lifted-derivative
-    cache of this module.  Derivatives are spectral and differentiate the
+    after construction.  Derivatives are spectral and differentiate the
     periodic extension of the box (see :mod:`geoquant.stencil`).
     """
 
@@ -93,58 +89,6 @@ class UniformGrid:
         return [np.asarray(poly.evaluate(*coords), dtype=complex) * ones for poly in polys]
 
 
-class RowPatternMatrix:
-    """Square matrix with the same number of stored entries in every row.
-
-    Row r holds ``vals[r, j]`` in column ``cols[r, j]``; repeated columns
-    add.  Both arrays have shape (size, k), so storage grows with k times
-    the size, never with its square.
-    """
-
-    ndim = 2
-
-    def __init__(self, cols: np.ndarray, vals: np.ndarray):
-        self.cols = cols
-        self.vals = vals
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.cols.shape[0],) * 2
-
-    def __matmul__(self, other) -> np.ndarray:
-        """Product with a vector; anything else raises ``ValueError``."""
-        v = np.asarray(other)
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {v.shape}")
-        return np.einsum("rk,rk->r", self.vals, v[self.cols])
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.vals.dtype)
-        np.add.at(out, (np.arange(self.shape[0])[:, None], self.cols), self.vals)
-        return out
-
-
-@lru_cache(maxsize=64)
-def lifted_derivatives(grid: UniformGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Row pattern ``(cols, vals)`` of the derivative along each axis of the flat grid.
-
-    The Kronecker lift of the 1D matrix D along an axis with ``count``
-    points and flat stride ``stride`` gives flat row r, at axis index
-    i = (r // stride) % count, the entries D[i, j] in columns
-    r + (j - i) * stride, j = 0..count-1.  The arrays are read-only.
-    """
-    rows = np.arange(grid.size)
-    out = []
-    for axis, (count, spacing) in enumerate(zip(grid.counts, grid.spacings)):
-        stride = int(np.prod(grid.counts[axis + 1:], dtype=int))
-        index = rows // stride % count
-        cols = rows[:, None] + (np.arange(count) - index[:, None]) * stride
-        vals = derivative_matrix_1d(count, spacing)[index]
-        cols.flags.writeable = vals.flags.writeable = False
-        out.append((cols, vals))
-    return tuple(out)
-
-
 def _derivative_along(grid: UniformGrid, field: np.ndarray, axis: int) -> np.ndarray:
     """Spectral first derivative along one axis of a shaped field, by FFT."""
     symbol = spectral_first_symbol(grid.counts[axis], grid.spacings[axis])
@@ -162,12 +106,22 @@ class FirstOrderOperator:
     Operators applied to one field share its derivatives when each
     :meth:`apply` call on it gets the same ``grads`` dict: every axis is
     then transformed once, by the first call that needs it.
+
+    The operator is also its own square matrix on the flattened grid, the
+    ``entries`` of an :class:`~geoquant.linalg.OperatorMatrix`: ``op @ v``
+    applies it to a flat vector and :meth:`toarray` densifies it.
     """
+
+    ndim = 2
 
     def __init__(self, grid: UniformGrid, terms: list, scalar: np.ndarray | None):
         self.grid = grid
         self.terms = terms
         self.scalar = scalar
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.grid.size,) * 2
 
     def apply(self, v: np.ndarray, grads: dict[int, np.ndarray] | None = None) -> np.ndarray:
         """Matrix-free action on a flat or shaped grid field.
@@ -187,23 +141,16 @@ class FirstOrderOperator:
             out += self.scalar.reshape(shape) * field
         return out.reshape(np.asarray(v).shape)
 
-    def matrix(self) -> RowPatternMatrix:
-        """Matrix of the operator on the flattened grid.
+    def __matmul__(self, other) -> np.ndarray:
+        """Product with a flat vector; anything else raises ``ValueError``."""
+        v = np.asarray(other)
+        if v.shape != (self.grid.size,):
+            raise ValueError(f"cannot multiply a {self.shape} operator by shape {v.shape}")
+        return self.apply(v)
 
-        Each row stores the lifted derivative row of every term, scaled by
-        ``factor * field`` at that row, and one diagonal entry for ``scalar``.
-        """
-        size = self.grid.size
-        derivs = lifted_derivatives(self.grid)
-        cols = [np.zeros((size, 0), dtype=int)]
-        vals = [np.zeros((size, 0), dtype=complex)]
-        for factor, samples, axis in self.terms:
-            cols.append(derivs[axis][0])
-            vals.append((factor * samples)[:, None] * derivs[axis][1])
-        if self.scalar is not None:
-            cols.append(np.arange(size)[:, None])
-            vals.append(self.scalar[:, None])
-        return RowPatternMatrix(np.concatenate(cols, axis=1), np.concatenate(vals, axis=1))
+    def toarray(self) -> np.ndarray:
+        """Dense matrix on the flattened grid: the images of the identity's columns."""
+        return np.stack([self.apply(e) for e in np.eye(self.grid.size)], axis=1)
 
 
 def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,

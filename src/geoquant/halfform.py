@@ -11,11 +11,12 @@ f = u(q) + v(q).p, quantizes to
 with P_f the prequantum operator, whose symbolic split of f in
 :mod:`geoquant.prequant.gridops` gives both operators their first-order
 parts.  The divergence term is exactly what makes Q_f symmetric for real u,
-v.  Q_f is one :class:`~geoquant.grid.FirstOrderOperator`:
-:func:`quantize_halfform` assembles its row-pattern matrix, and the commutator
-and symmetry checks apply it matrix-free.  Observables with any p-degree
->= 2 do not preserve the polarization and are rejected; their evolution
-belongs to the pairing machinery in :mod:`geoquant.bks`.
+v.  Q_f is one :class:`~geoquant.grid.FirstOrderOperator`, which acts
+matrix-free by FFT: :func:`quantize_halfform` returns it as the entries of
+an operator matrix, and the commutator and symmetry checks apply it
+directly.  Observables with any p-degree >= 2 do not preserve the
+polarization and are rejected; their evolution belongs to the pairing
+machinery in :mod:`geoquant.bks`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PolarizationViolation
+from .errors import PolarizationViolation, UnsupportedObservable
 from .grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
                    worst_residual, worst_symmetry_defect)
 from .linalg import GramMatrix, OperatorMatrix
@@ -81,9 +82,9 @@ def _on_q(poly: Polynomial, n: int) -> Polynomial:
 
 def _halfform_operator(f: Observable, grid: ConfigGrid, hbar: float,
                        include_divergence_term: bool = True) -> FirstOrderOperator:
-    """-i*hbar v.d/dq + u - (i*hbar/2) div(v) as a grid operator description."""
+    """-i*hbar v.d/dq + u - (i*hbar/2) div(v) as a grid operator."""
     if f.n != grid.n:
-        raise ValueError(f"observable has n={f.n} but grid has n={grid.n}")
+        raise UnsupportedObservable(f"observable has n={f.n} but grid has n={grid.n}")
     n = grid.n
     if any(sum(expo[n:]) >= 2 for expo in f.poly.coeffs):
         raise PolarizationViolation(
@@ -102,16 +103,18 @@ def _halfform_operator(f: Observable, grid: ConfigGrid, hbar: float,
 
 def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
                       include_divergence_term: bool = True) -> OperatorMatrix:
-    """Row-pattern matrix of -i*hbar v.d/dq + u - (i*hbar/2) div(v).
+    """-i*hbar v.d/dq + u - (i*hbar/2) div(v) on the grid, as an operator matrix.
 
     ``include_divergence_term=False`` drops the half-form correction; it
     exists as a negative control for the self-adjointness checks and is not
-    a physically meaningful operator.  ``.dense()`` materializes the entries
-    for small grids.  Raises :class:`PolarizationViolation` for any p-degree
-    >= 2.
+    a physically meaningful operator.  Entries are the matrix-free
+    :class:`~geoquant.grid.FirstOrderOperator`; ``.dense()`` materializes
+    them for small grids.  Raises :class:`PolarizationViolation` for any
+    p-degree >= 2 and :class:`UnsupportedObservable` when the observable's
+    n is not the grid's.
     """
-    op = _halfform_operator(f, grid, hbar, include_divergence_term)
-    return OperatorMatrix(op.matrix(), grid.basis_id)
+    return OperatorMatrix(_halfform_operator(f, grid, hbar, include_divergence_term),
+                          grid.basis_id)
 
 
 def config_gram(grid: ConfigGrid) -> GramMatrix:

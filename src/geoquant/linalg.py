@@ -3,9 +3,9 @@
 Operators and Gram matrices are tagged with the basis they act in; mixing
 bases raises :class:`~geoquant.errors.BasisMismatch`.  Operator entries are
 dense ``numpy`` arrays for the truncated analytic bases (Fock, sphere
-sectors); the grid modules assemble a :class:`~geoquant.grid.RowPatternMatrix`,
-which is kept as it is and densified by its ``toarray()`` where a dense
-result is needed.
+sectors); the grid modules give a matrix-free
+:class:`~geoquant.grid.FirstOrderOperator`, which is kept as it is and
+densified by its ``toarray()`` where a dense result is needed.
 
 A :class:`GramMatrix` holds a diagonal Gram as its 1-D diagonal and any
 other as a dense matrix, and is validated once, at construction.  Spectra
@@ -44,12 +44,12 @@ def _is_square(m) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1]
 
 
-def _is_sparse(m) -> bool:
+def _has_toarray(m) -> bool:
     return hasattr(m, "toarray")
 
 
 def _as_dense(entries) -> np.ndarray:
-    return np.asarray(entries.toarray() if _is_sparse(entries) else entries, dtype=complex)
+    return np.asarray(entries.toarray() if _has_toarray(entries) else entries, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class OperatorMatrix:
     def __post_init__(self):
         if not _is_square(self.entries):
             raise ValueError("operator entries must be a square matrix")
-        if not _is_sparse(self.entries):
+        if not _has_toarray(self.entries):
             object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
     @property
@@ -90,7 +90,7 @@ class GramMatrix:
     tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, compare=False)
 
     def __post_init__(self):
-        if _is_sparse(self.entries):
+        if _has_toarray(self.entries):
             raise TypeError("Gram entries must be a numpy array, not a sparse matrix")
         g = np.asarray(self.entries, dtype=complex)
         if g.ndim != 1 and not _is_square(g):

@@ -6,10 +6,11 @@ so the operator assigned to f is
     P_f = -i*hbar * X_f  -  p . (df/dp)  +  f,
 
 discretized with the spectral derivative of :mod:`geoquant.stencil`.
-Assembled operators store a fixed number of entries per row (a
-:class:`~geoquant.grid.RowPatternMatrix`), and the commutation residuals
-are evaluated by applying operators to interior test vectors rather than
-by materializing matrix products.
+The operator is a :class:`PrequantApplier`, which acts matrix-free by FFT
+and stores one grid-sized field per term; :func:`prequantize` returns it
+as the entries of an :class:`~geoquant.linalg.OperatorMatrix`.  The
+commutation residuals are evaluated by applying operators to interior test
+vectors rather than by materializing matrix products.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def _prequant_terms(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> tuple:
 class PrequantApplier(FirstOrderOperator):
     """Matrix-free action of P_f on flat or shaped grid fields.
 
-    Equivalent to ``prequantize(...).entries @ v`` but applies the 1D
-    derivative factors axis by axis, which keeps the commutation checks
-    fast at full grid sizes.
+    Calling it is ``prequantize(...).entries @ v`` on any field shape; both
+    apply the 1D derivatives axis by axis, which keeps the commutation
+    checks fast at full grid sizes.
     """
 
     def __init__(self, f: Observable, grid: PhaseSpaceGrid, hbar: float):
@@ -143,14 +144,13 @@ class PrequantApplier(FirstOrderOperator):
 
 
 def prequantize(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> OperatorMatrix:
-    """Matrix of P_f = -i*hbar*X_f - p.(df/dp) + f on the grid.
+    """P_f = -i*hbar*X_f - p.(df/dp) + f on the grid, as an operator matrix.
 
-    Entries are a :class:`~geoquant.grid.RowPatternMatrix`: each row holds
-    one entry per point of every differentiated axis, plus one diagonal
-    entry.  ``.dense()`` materializes them for small grids.
+    Entries are the matrix-free :class:`PrequantApplier`; ``entries @ v``
+    applies it to a flat vector and ``.dense()`` materializes it for small
+    grids.
     """
-    op = FirstOrderOperator(grid, *_prequant_terms(f, grid, hbar))
-    return OperatorMatrix(op.matrix(), grid.basis_id)
+    return OperatorMatrix(PrequantApplier(f, grid, hbar), grid.basis_id)
 
 
 def liouville_gram(grid: PhaseSpaceGrid, hbar: float) -> GramMatrix:

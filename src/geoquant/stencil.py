@@ -1,4 +1,4 @@
-"""Uniform-grid differentiation: spectral symbols, one FFT kernel, one dense matrix.
+"""Uniform-grid differentiation: spectral symbols, one FFT kernel, one reference matrix.
 
 Every grid derivative is spectral: it differentiates the periodic extension
 of the box.  With states that vanish near the edges that is the derivative
@@ -9,9 +9,9 @@ stencil would leave a truncation error orders of magnitude above
 
 Spectral operators are Fourier multipliers.  :func:`fft_apply` applies a
 symbol along one axis of a field by FFT; that is how the derivative acts
-matrix-free and how prequantum flows shift rows of the phase grid.  The one
-dense matrix, :func:`derivative_matrix_1d`, is built from the same symbol
-and only for assembling operator matrices.
+matrix-free and how prequantum flows shift rows of the phase grid.  The
+library builds no derivative matrix; :func:`derivative_matrix_1d`, the dense
+matrix of the same symbol, is kept as a reference for tests and tracing.
 """
 
 from __future__ import annotations

