@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from spectral_oracle import periodic_derivative_matrix, reference_apply
 
+from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import PolarizationViolation, UnsupportedObservable
 from geoquant.grid import interior_states
 from geoquant.halfform import (ConfigGrid, _halfform_operator, check_canonical_commutator,
@@ -80,6 +82,17 @@ def test_assembled_matrix_matches_matrix_free_apply(n):
     for v in interior_states(grid, count=3, seed=4):
         expected = reference_apply(entries, v)
         assert np.max(np.abs(entries @ v - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_grid_checks_assemble_no_operator(no_derivative_matrix):
+    """Half-form checks, the BKS fit and the canonical demo build no derivative matrix."""
+    grid = line(count=256, extent=8.0)
+    assert check_canonical_commutator(grid, 1.0) < TOL.grid
+    assert check_selfadjoint(QP, grid, 1.0) < TOL.grid
+    fit = schrodinger_residual(gaussian_state(ConfigGrid.line(-16.0, 16.0, 512), width=1.0),
+                               [0.32, 0.16, 0.08, 0.04, 0.02])
+    assert fit.ok
+    assert run_demo(RunConfig(demo="canonical")).passed
 
 
 def test_two_dimensional_checks_at_128_squared():
