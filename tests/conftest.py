@@ -2,14 +2,21 @@ import sys
 
 import pytest
 
+import geoquant.grid
 import geoquant.stencil
 
 
 @pytest.fixture
 def no_derivative_matrix(monkeypatch):
-    """Make every geoquant reference to ``derivative_matrix_1d`` raise."""
+    """Make densifying a grid operator raise.
+
+    Both routes are blocked: every geoquant reference to
+    ``derivative_matrix_1d``, and ``FirstOrderOperator.toarray``, which
+    ``OperatorMatrix.dense``, ``commutator`` and ``spectrum`` go through.
+    """
     def forbidden(*args, **kwargs):
-        raise AssertionError("the library built a dense derivative matrix")
+        raise AssertionError("the library built a dense derivative or operator matrix")
+    monkeypatch.setattr(geoquant.grid.FirstOrderOperator, "toarray", forbidden)
     original = geoquant.stencil.derivative_matrix_1d
     for name, module in list(sys.modules.items()):
         if name == "geoquant" or name.startswith("geoquant."):
