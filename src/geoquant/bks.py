@@ -14,16 +14,19 @@ nodes per panel; node doubling guards every evaluation.  The q nodes lie on
 psi's sample lattice (a chi whose lattice is offset by a fraction of a cell
 is first shifted onto it by the band-limited shift; any other chi is
 rejected), so psi(q + y) is the order-6 Lagrange interpolant of psi's samples
-and the y rule folds into a chirp stencil on that lattice.  The stencil
-depends only on (spacing, chirp rate, y range, panel resolution), not on the
-states; :func:`_chirp_stencil` builds it cell by cell, from six moments
-sum_j w_j e^{i a y_j^2} t_j^p of the nodes in each lattice cell and one 6x6
-matrix of cardinal-polynomial coefficients, which regroups the node-by-node
-sum exactly, and memoises it.  The test states of a panel share one y range
-(the union of their reaches), so each time builds one stencil per resolution
-and correlates it with conj(psi) by FFT once, leaving one dot product per
-state.  The Fourier projection on uniform grids is a chirp-z transform, one
-FFT convolution per axis.  The t -> 0+ limit of the pairing carries the
+and the y rule folds into a chirp stencil on that lattice.  The y range is
+rounded outward to multiples of the panel pitch h_max, so the stencil
+depends only on the geometry (spacing, chirp rate, panel resolution) and on
+which h_max blocks of y it spans, not on the states.  :func:`_fold_blocks`
+folds each block cell by cell, from six moments sum_j w_j e^{i a y_j^2} t_j^p
+of the nodes in each lattice cell and one 6x6 matrix of cardinal-polynomial
+coefficients, which regroups the node-by-node sum exactly; ``_STENCILS``
+keeps one table of block stencils per geometry and adds up the blocks of a
+range.  The test states of a panel share one y range (the union of their
+reaches), so each time assembles one stencil per resolution and correlates
+it with conj(psi) by FFT once, leaving one dot product per state.  The
+Fourier projection on uniform grids is a chirp-z transform, one FFT
+convolution per axis.  The t -> 0+ limit of the pairing carries the
 principal-branch Fresnel phase exp(i pi n/4); differentiating at t = 0 and
 conjugating turns that into the factor exp(-i pi n/4) multiplying hbar^2/2m
 in the recovered generator, which is what :func:`schrodinger_residual`
@@ -33,7 +36,6 @@ measures as ``c_fit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +61,8 @@ __all__ = [
 _GL_POINTS = 12
 _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _SUPPORT_CUTOFF = 1e-15
-_STENCIL_CACHE_SIZE = 64  # chirp stencils held; each is one complex per offset
-_FOLD_PANELS = 4096  # panels folded into a stencil at a time, bounding temporaries
+_STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, h_max)
+_FOLD_PANELS = 4096  # panels folded into block stencils at a time, bounding temporaries
 
 
 @dataclass(frozen=True)
@@ -242,14 +244,14 @@ def _correlate_conj(samples: np.ndarray, m_idx: np.ndarray, s_min: int,
                     coeff: np.ndarray) -> np.ndarray:
     """sum_s coeff_s * conj(samples[m + s_min + s]) for lattice indices m.
 
-    ``(s_min, coeff)`` is a :func:`_chirp_stencil` on the samples' lattice
-    spacing: because the evaluation points share the sample lattice, the
-    Lagrange fractions depend on y alone and the double sum over q and y
+    ``(s_min, coeff)`` is a chirp stencil of ``_STENCILS`` on the samples'
+    lattice spacing: because the evaluation points share the sample lattice,
+    the Lagrange fractions depend on y alone and the double sum over q and y
     collapses to this correlation of the conjugated samples with the
-    (memoised) stencil.  States that decay inside their grid continue as
-    zeros beyond it.  It is one FFT correlation over the segment of samples
-    that the indices reach, shared by every test state of a panel, so each
-    state costs one dot product.
+    stencil, which the pairing's geometry fixes.  States that decay inside
+    their grid continue as zeros beyond it.  It is one FFT correlation over
+    the segment of samples that the indices reach, shared by every test
+    state of a panel, so each state costs one dot product.
     """
     m_lo = int(m_idx.min())
     lo = m_lo + s_min
@@ -290,18 +292,22 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
 
     Panel edges are uniform in the phase a*y^2 (closed form sqrt(k theta/a))
     merged with a uniform grid of pitch h_max that resolves the envelope.
-    Returns flat node and weight arrays; the weights do not include the
-    oscillatory kernel.
+    No edge depends on the range but by clipping to it (a panel is dropped
+    only when it is too thin for its place on the line), so on a range whose
+    ends are multiples of h_max the rule is the union of the rules of its
+    h_max blocks.  Returns flat node and weight arrays; the weights do not
+    include the oscillatory kernel.
     """
     span = max(abs(y_lo), abs(y_hi))
     k_max = int(np.ceil(a * span**2 / theta_max)) + 1
     phase_edges = np.sqrt(np.arange(1, k_max + 1) * theta_max / a)
-    uniform_edges = np.arange(h_max, span + h_max, h_max)
+    uniform_edges = h_max * np.arange(1, np.ceil(span / h_max) + 1)
     pos = _sorted_distinct(np.concatenate([[0.0], phase_edges, uniform_edges]))
     pos = pos[pos <= span + h_max]
     edges = _sorted_distinct(np.clip(np.concatenate([-pos[::-1], pos]), y_lo, y_hi))
     widths = np.diff(edges)
-    keep = widths > 1e-12 * max(span, 1.0)
+    scale = np.maximum(np.abs(edges), 1.0)
+    keep = widths > 1e-12 * np.maximum(scale[:-1], scale[1:])
     lo = edges[:-1][keep]
     width = widths[keep]
     glx, glw = gauss_legendre(_GL_POINTS)
@@ -321,55 +327,126 @@ _LAGRANGE = np.array([
     / np.prod(o - np.delete(_OFFSETS, k)) for k, o in enumerate(_OFFSETS)])
 
 
-@lru_cache(maxsize=_STENCIL_CACHE_SIZE)
-def _chirp_stencil(h: float, a: float, y_lo: float, y_hi: float,
-                   theta_max: float, h_max: float) -> tuple[int, np.ndarray]:
-    """The chirp rule on [y_lo, y_hi] folded onto a lattice of spacing h.
+def _fold_blocks(h: float, a: float, theta_max: float, h_max: float, k_lo: int,
+                 k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chirp rule of each block [k h_max, (k+1) h_max], k_lo <= k < k_hi,
+    folded onto a lattice of spacing h.
 
-    Returns ``(s_min, coeff)`` such that, for f sampled on any lattice of
-    spacing h and x one of its nodes,
+    Returns ``(first, last, rows)``: block k_lo + j gives
+    f(x + (first[j] + s) h) the weight rows[j, s], and its last nonzero
+    weight sits at offset last[j], such that for f sampled on any lattice of
+    spacing h and x one of its nodes
 
-        sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_s coeff_s f(x + (s_min + s) h)
+        sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_s rows[j, s] f(x + (first[j] + s) h)
 
-    with f(x + y_j) the order-6 Lagrange interpolant.  A node y in lattice
-    cell b = floor(y/h) at fraction t = y/h - b gives f(x + (b + o) h) the
-    weight L_o(t), a quintic in t, so the nodes of one cell contribute
-    sum_p _LAGRANGE[o, p] m_p with m_p = sum_j w_j e^{i a y_j^2} t_j^p their
-    moments.  The rule's nodes ascend, so each cell's nodes are contiguous:
-    one ``reduceat`` gives every cell's six moments, one 6x6 product its six
-    offset sums.  This regroups the node-by-node sum exactly; only the
-    rounding differs, at the level of eps * sum_j |w_j| (t^p <= 1 and the
-    cardinal coefficients are O(1)).
+    over the block's nodes y_j, with f(x + y_j) the order-6 Lagrange
+    interpolant.  A node y in lattice cell b = floor(y/h) at fraction
+    t = y/h - b gives f(x + (b + o) h) the weight L_o(t), a quintic in t, so
+    the nodes of one cell contribute sum_p _LAGRANGE[o, p] m_p with
+    m_p = sum_j w_j e^{i a y_j^2} t_j^p their moments.  The rule's nodes
+    ascend, so the nodes of one cell in one block are contiguous: one
+    ``reduceat`` gives all their moments, one 6x6 product their six offset
+    sums.  This regroups the node-by-node sum exactly; only the rounding
+    differs, at the level of eps * sum_j |w_j| (t^p <= 1 and the cardinal
+    coefficients are O(1)).
 
-    The stencil depends on nothing but the arguments, so it is memoised: a
-    hit returns exactly what a miss computes.  ``coeff`` is read-only because
-    every pairing with the same geometry shares it; the node and weight
-    arrays behind it (millions of entries for small t at the fine
-    resolution) are not kept, and are folded ``_FOLD_PANELS`` panels at a
-    time so the temporaries stay small.  A cell split between two blocks is
-    folded in two parts.
+    Every multiple of h_max is an edge of :func:`_phase_panels`' rule, so a
+    block's nodes, and with them its row, do not depend on the range folded
+    with it.  Blocks are folded ``_FOLD_PANELS`` panels' worth at a time
+    (at least one block), so the temporaries stay small.
     """
-    y, w = _phase_panels(y_lo, y_hi, a, theta_max, h_max)
-    s_min = int(np.floor(y.min() / h)) - 2
-    size = int(np.floor(y.max() / h)) + 3 - s_min + 1
-    coeff = np.zeros(size, dtype=complex)
-    block = _FOLD_PANELS * _GL_POINTS
-    for start in range(0, y.size, block):
-        yb = y[start:start + block]
+    y, w = _phase_panels(k_lo * h_max, k_hi * h_max, a, theta_max, h_max)
+    panels = y.reshape(-1, _GL_POINTS)
+    block = np.floor((panels[:, 0] + panels[:, -1]) / (2.0 * h_max)).astype(np.int64) - k_lo
+    # node index at which each block starts; every block holds a panel
+    starts = np.searchsorted(block, np.arange(k_hi - k_lo + 1)) * _GL_POINTS
+    first = np.floor(y[starts[:-1]] / h).astype(np.int64) - 2
+    last = np.floor(y[starts[1:] - 1] / h).astype(np.int64) + 3
+    width = int(np.ceil(h_max / h)) + 7
+    rows = np.zeros((k_hi - k_lo, width), dtype=complex)
+    flat = rows.reshape(-1)
+    step = max(1, _FOLD_PANELS * _GL_POINTS // int(np.max(np.diff(starts))))
+    for j0 in range(0, k_hi - k_lo, step):
+        j1 = min(j0 + step, k_hi - k_lo)
+        lo, hi = starts[j0], starts[j1]
+        yb = y[lo:hi]
         posy = yb / h
         b = np.floor(posy)
-        cells = np.concatenate(([0], np.flatnonzero(np.diff(b)) + 1))
-        rows = np.empty((_OFFSETS.size, yb.size), dtype=complex)
-        rows[0] = w[start:start + block] * np.exp(1j * a * yb**2)
+        node_block = np.repeat(block[lo // _GL_POINTS:hi // _GL_POINTS], _GL_POINTS)
+        new = np.ones(yb.size, dtype=bool)
+        new[1:] = (b[1:] != b[:-1]) | (node_block[1:] != node_block[:-1])
+        cells = np.flatnonzero(new)
+        moments = np.empty((_OFFSETS.size, yb.size), dtype=complex)
+        moments[0] = w[lo:hi] * np.exp(1j * a * yb**2)
         t = posy - b
         for p in range(1, _OFFSETS.size):
-            np.multiply(rows[p - 1], t, out=rows[p])
-        sums = _LAGRANGE @ np.add.reduceat(rows, cells, axis=1)
-        base = b[cells].astype(np.int64) - s_min
-        for k, o in enumerate(_OFFSETS):
-            coeff[base + o] += sums[k]  # one entry per cell: no repeated index
-    coeff.flags.writeable = False
-    return s_min, coeff
+            np.multiply(moments[p - 1], t, out=moments[p])
+        sums = _LAGRANGE @ np.add.reduceat(moments, cells, axis=1)
+        cell_block = node_block[cells]
+        at = cell_block * width + b[cells].astype(np.int64) - 2 - first[cell_block]
+        for k in range(_OFFSETS.size):
+            flat[at + k] += sums[k]  # one entry per cell: no repeated index
+    return first, last, rows
+
+
+class _StencilTables:
+    """Chirp stencils by geometry (h, a, theta_max, h_max): one table of
+    :func:`_fold_blocks` rows per geometry, least recently used out first.
+
+    :meth:`stencil` returns the rule on [k_lo h_max, k_hi h_max] as
+    ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h), by
+    adding the rows of its blocks in ascending block order; a request beyond
+    the table folds only the missing ends.  A row depends only on its
+    geometry and block, so a stencil does not depend on the requests before
+    it.  The rows are read-only because every pairing with the geometry
+    shares them.  ``builds``, ``extensions`` and ``hits`` count the requests
+    that found no table, a short one, and one that covered them.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.clear()
+
+    def clear(self) -> None:
+        self._tables: dict[tuple, tuple] = {}  # least recently used first
+        self.builds = self.extensions = self.hits = 0
+
+    def stencil(self, h: float, a: float, theta_max: float, h_max: float,
+                k_lo: int, k_hi: int) -> tuple[int, np.ndarray]:
+        key = (h, a, theta_max, h_max)
+        table = self._tables.pop(key, None)
+        if table is None:
+            self.builds += 1
+            table = (k_lo, *_fold_blocks(*key, k_lo, k_hi))
+        else:
+            k0, k1 = table[0], table[0] + len(table[1])
+            if k_lo < k0 or k_hi > k1:
+                self.extensions += 1
+                parts = [_fold_blocks(*key, k_lo, k0)] if k_lo < k0 else []
+                parts.append(table[1:])
+                if k_hi > k1:
+                    parts.append(_fold_blocks(*key, k1, k_hi))
+                table = (min(k_lo, k0), *map(np.concatenate, zip(*parts)))
+            else:
+                self.hits += 1
+        for array in table[1:]:
+            array.flags.writeable = False
+        self._tables[key] = table
+        if len(self._tables) > self.size:
+            del self._tables[next(iter(self._tables))]
+        k0, first, last, rows = table
+        first, rows = first[k_lo - k0:k_hi - k0], rows[k_lo - k0:k_hi - k0]
+        s_min = int(first[0])
+        size = int(last[k_hi - k0 - 1]) - s_min + 1
+        # bincount adds in input order, so each offset sums its blocks in ascending order
+        idx = ((first - s_min)[:, None] + np.arange(rows.shape[1])).reshape(-1)
+        coeff = (np.bincount(idx, rows.real.reshape(-1))[:size]
+                 + 1j * np.bincount(idx, rows.imag.reshape(-1))[:size])
+        coeff.flags.writeable = False
+        return s_min, coeff
+
+
+_STENCILS = _StencilTables(_STENCIL_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -381,23 +458,6 @@ class PairingResult:
     half_form_factor: float     # (t / 2 pi hbar m)^(n/2), principal branch
     fresnel_phase: complex      # exp(i pi n / 4), the t->0 branch factor
     doubling_delta: float = 0.0
-
-
-def _pairing_values(samples: np.ndarray, h: float, qs: list, t: float, hbar: float,
-                    mass: float, y_lo: float, y_hi: float, theta_max: float,
-                    h_max: float) -> list[complex]:
-    """One resolution of the pairing with every ``(q_nodes, m_idx, q_weights)``
-    rule of :func:`_q_rule` in ``qs``."""
-    a = mass / (2.0 * hbar * t)
-    # plain floats keep the memo key hashable for 0-d array arguments
-    s_min, coeff = _chirp_stencil(h, float(a), y_lo, y_hi,
-                                  float(theta_max), float(h_max))
-    m_lo = min(int(m[0]) for _, m, _ in qs)
-    inner = _correlate_conj(
-        samples, np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1), s_min, coeff)
-    return [complex(np.sqrt(mass / (2.0 * np.pi * hbar * t))
-                    * np.sum(q_weights * inner[m - m_lo]))
-            for _, m, q_weights in qs]
 
 
 def _q_rule(chi: PolarizedState, x0: float, h: float,
@@ -428,55 +488,80 @@ def _q_rule(chi: PolarizedState, x0: float, h: float,
     return q_axis[q_mask], m_idx[q_mask], samples[q_mask] * h_chi
 
 
-def _pairings(psi: PolarizedState, chis: list[PolarizedState], t: float,
-              theta_max: float, h_max: float | None,
-              tolerances: Tolerances) -> list[PairingResult]:
-    """:func:`bks_pairing` of psi with every chi, on one shared y rule.
+class _Pairing:
+    """The t-independent part of :func:`bks_pairing` of psi with every chi.
 
-    The y range covers the union of the chi supports, so one stencil per
-    resolution and one correlation serve them all; widening it only adds end
-    panels where psi is below its support cutoff.  Each chi keeps its own
-    coarse and fine values and its own doubling guard.
+    It checks the states and finds, once for all times, each chi's q rule,
+    the y range that covers the union of the chi supports and the scale of
+    each doubling guard.  :meth:`at` evaluates every pairing at one time on
+    one shared y rule: one stencil per resolution and one correlation serve
+    all the chis.  The y range is rounded outward to multiples of h_max,
+    edges of the panel rule, so a stencil belongs to the geometry and not
+    to psi's support; widening it only adds end panels where psi is below
+    its support cutoff.  Each chi keeps its own coarse and fine values and
+    its own doubling guard.
     """
-    if any(state.polarization != "position" for state in [psi, *chis]):
-        raise ValueError("bks_pairing expects position-polarized states")
-    if psi.n != 1:
-        raise UnsupportedObservable("the pairing is implemented on 1D grids")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not all(np.isclose(psi.hbar, c.hbar) and np.isclose(psi.mass, c.mass)
-               for c in chis):
-        raise ValueError("states disagree on hbar or mass")
 
-    hbar, mass = psi.hbar, psi.mass
-    h_psi = float(psi.grid.spacings[0])
-    samples = psi.samples.reshape(-1)
+    def __init__(self, psi: PolarizedState, chis: list[PolarizedState],
+                 tolerances: Tolerances):
+        if any(state.polarization != "position" for state in [psi, *chis]):
+            raise ValueError("bks_pairing expects position-polarized states")
+        if psi.n != 1:
+            raise UnsupportedObservable("the pairing is implemented on 1D grids")
+        if not all(np.isclose(psi.hbar, c.hbar) and np.isclose(psi.mass, c.mass)
+                   for c in chis):
+            raise ValueError("states disagree on hbar or mass")
+        self.n, self.hbar, self.mass = psi.n, psi.hbar, psi.mass
+        self.tolerances = tolerances
+        self.h = float(psi.grid.spacings[0])
+        self.samples = psi.samples.reshape(-1)
+        # restrict each q integral to the support of its chi and the y
+        # integral to wherever psi can still be reached from any of them
+        x0 = float(psi.grid.axis(0)[0])
+        qs = [_q_rule(chi, x0, self.h, tolerances) for chi in chis]
+        x_lo, x_hi = _support_bounds(psi.grid.axis(0), self.samples, self.h)
+        self.y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
+        self.y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
+        m_lo = min(int(m[0]) for _, m, _ in qs)
+        self.m_idx = np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1)
+        self.rules = [(m - m_lo, q_weights) for _, m, q_weights in qs]
+        self.floors = [1e-3 * psi.norm() * chi.norm() for chi in chis]
 
-    # restrict each q integral to the support of its chi and the y integral
-    # to wherever psi can still be reached from any of them
-    qs = [_q_rule(chi, float(psi.grid.axis(0)[0]), h_psi, tolerances) for chi in chis]
-    x_lo, x_hi = _support_bounds(psi.grid.axis(0), samples, h_psi)
-    y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
-    y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
-    if h_max is None:
-        h_max = 8.0 * h_psi
+    def _values(self, t: float, theta_max: float, h_max: float, k_lo: int,
+                k_hi: int) -> list[complex]:
+        """One resolution of every pairing, on the y range [k_lo h_max, k_hi h_max]."""
+        a = self.mass / (2.0 * self.hbar * t)
+        # plain floats keep the memo key hashable for 0-d array arguments
+        s_min, coeff = _STENCILS.stencil(self.h, float(a), float(theta_max),
+                                         float(h_max), k_lo, k_hi)
+        inner = _correlate_conj(self.samples, self.m_idx, s_min, coeff)
+        prefactor = np.sqrt(self.mass / (2.0 * np.pi * self.hbar * t))
+        return [complex(prefactor * np.sum(q_weights * inner[i]))
+                for i, q_weights in self.rules]
 
-    args = (samples, h_psi, qs, t, hbar, mass, y_lo, y_hi)
-    coarse = _pairing_values(*args, theta_max, h_max)
-    fine = _pairing_values(*args, theta_max / 2.0, h_max / 2.0)
-    n, results = psi.n, []
-    for chi, c, f in zip(chis, coarse, fine):
-        delta = abs(f - c)
-        scale = max(abs(f), 1e-3 * psi.norm() * chi.norm())
-        if delta > tolerances.bks * scale:
-            raise QuadratureFailure(
-                f"node doubling moved the pairing by {delta:.3e} (scale {scale:.3e})",
-                doubling_delta=delta)
-        results.append(PairingResult(
-            value=f, t=t,
-            half_form_factor=float((t / (2.0 * np.pi * hbar * mass)) ** (n / 2.0)),
-            fresnel_phase=np.exp(1j * np.pi * n / 4.0), doubling_delta=delta))
-    return results
+    def at(self, t: float, theta_max: float = _THETA_MAX,
+           h_max: float | None = None) -> list[PairingResult]:
+        """Every pairing at time t, at panel resolution (theta_max, h_max) and doubled."""
+        if t <= 0:
+            raise ValueError("t must be positive")
+        if h_max is None:
+            h_max = 8.0 * self.h
+        k_lo, k_hi = int(np.floor(self.y_lo / h_max)), int(np.ceil(self.y_hi / h_max))
+        coarse = self._values(t, theta_max, h_max, k_lo, k_hi)
+        fine = self._values(t, theta_max / 2.0, h_max / 2.0, 2 * k_lo, 2 * k_hi)
+        n, results = self.n, []
+        for c, f, floor in zip(coarse, fine, self.floors):
+            delta = abs(f - c)
+            scale = max(abs(f), floor)
+            if delta > self.tolerances.bks * scale:
+                raise QuadratureFailure(
+                    f"node doubling moved the pairing by {delta:.3e} (scale {scale:.3e})",
+                    doubling_delta=delta)
+            results.append(PairingResult(
+                value=f, t=t,
+                half_form_factor=float((t / (2.0 * np.pi * self.hbar * self.mass)) ** (n / 2.0)),
+                fresnel_phase=np.exp(1j * np.pi * n / 4.0), doubling_delta=delta))
+        return results
 
 
 def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
@@ -493,7 +578,7 @@ def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
     (relative to the natural scale of the pairing) a
     :class:`QuadratureFailure` is raised.
     """
-    return _pairings(psi_q, [chi_q], t, theta_max, h_max, tolerances)[0]
+    return _Pairing(psi_q, [chi_q], tolerances).at(t, theta_max, h_max)[0]
 
 
 # -- small-time generator extraction --------------------------------------------
@@ -543,8 +628,9 @@ def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
         raise ValueError("the times must be distinct")
     overlaps = np.array([psi0.inner(chi) for chi in test_states])
     g = np.empty((len(test_states), t_arr.size), dtype=complex)
+    pairing = _Pairing(psi0, test_states, tolerances)
     for i, t in enumerate(t_arr):
-        pairings = _pairings(psi0, test_states, float(t), _THETA_MAX, None, tolerances)
+        pairings = pairing.at(float(t))
         g[:, i] = [(p.value - branch * o) / t for p, o in zip(pairings, overlaps)]
     derivs, spreads = map(np.array, zip(*(richardson_extrapolate(t_arr, row)
                                           for row in g)))

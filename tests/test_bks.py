@@ -11,7 +11,7 @@ from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           richardson_extrapolate, state_projected_rate,
                           windowed_plane_wave)
 from geoquant import bks
-from geoquant.bks import (_LAGRANGE, _OFFSETS, _chirp_stencil, _correlate_conj, _pairings,
+from geoquant.bks import (_LAGRANGE, _OFFSETS, _STENCILS, _Pairing, _correlate_conj,
                           _phase_panels, schrodinger_residual)
 from geoquant.halfform import ConfigGrid
 
@@ -256,11 +256,11 @@ def test_quadrature_guard_raises_on_coarse_panels():
     grid = line(count=512, extent=16.0)
     psi = gaussian_state(grid, width=1.0)
     chi = gaussian_state(grid, width=1.0)
-    _chirp_stencil.cache_clear()
+    _STENCILS.clear()
     for _ in range(2):  # the second call finds both stencils memoised
         with pytest.raises(QuadratureFailure):
             bks_pairing(psi, chi, 0.02, theta_max=600 * np.pi, h_max=40.0)
-    assert _chirp_stencil.cache_info().hits == 2
+    assert _STENCILS.hits == 2
 
 
 def test_off_lattice_pairing_matches_gaussian_oracle():
@@ -275,11 +275,11 @@ def test_off_lattice_pairing_matches_gaussian_oracle():
                          psi_grid, "position")
     chi = PolarizedState(np.exp(-(chi_grid.axis(0) - b) ** 2 / (2 * r**2)),
                          chi_grid, "position")
-    _chirp_stencil.cache_clear()
+    _STENCILS.clear()
     for t in (0.4, 0.2):
         oracle = np.conj(phase) * gaussian_pairing_oracle(s, r, b, t)
         assert abs(bks_pairing(psi, chi, t).value - oracle) / abs(oracle) < 1e-8
-    assert _chirp_stencil.cache_info().misses == 4  # 2 times x coarse and fine
+    assert _STENCILS.builds == 4  # 2 times x coarse and fine
 
 
 def test_pairing_rejects_chi_it_cannot_put_on_the_lattice():
@@ -327,7 +327,7 @@ def test_batched_pairings_equal_single_pairings_and_the_oracle():
     chis = [PolarizedState(np.exp(-(x - b) ** 2 / (2 * r**2)), grid, "position")
             for r, b in shapes]
     for t in (0.32, 0.04):
-        batch = _pairings(psi, chis, t, 1.5 * np.pi, None, TOL)
+        batch = _Pairing(psi, chis, TOL).at(t, 1.5 * np.pi, None)
         for (r, b), chi, res in zip(shapes, chis, batch):
             single = bks_pairing(psi, chi, t)
             assert abs(res.value - single.value) < 1e-12 * abs(single.value)
@@ -343,39 +343,77 @@ def test_batch_with_one_under_resolved_state_raises():
     good = [PolarizedState(np.exp(-(x - c) ** 2 / 2), grid, "position")
             for c in (0.0, -1.0)]
     narrow = PolarizedState(np.exp(-(x - 4.0) ** 2 / 0.18), grid, "position")
-    coarse = dict(t=0.02, theta_max=6 * np.pi, h_max=1.0, tolerances=TOL)
-    assert len(_pairings(psi, good, **coarse)) == 2
+    coarse = dict(t=0.02, theta_max=6 * np.pi, h_max=1.0)
+    assert len(_Pairing(psi, good, TOL).at(**coarse)) == 2
     with pytest.raises(QuadratureFailure):
         bks_pairing(psi, narrow, 0.02, theta_max=6 * np.pi, h_max=1.0)
     with pytest.raises(QuadratureFailure) as err:
-        _pairings(psi, [good[0], narrow, good[1]], **coarse)
+        _Pairing(psi, [good[0], narrow, good[1]], TOL).at(**coarse)
     assert err.value.doubling_delta > 0
+
+
+SCHRODINGER_TIMES = [0.32, 0.16, 0.08, 0.04, 0.02]
 
 
 def test_schrodinger_panel_builds_one_stencil_per_time_and_resolution():
     grid = line(count=512, extent=16.0)
     psi0 = gaussian_state(grid, center=0.4, width=1.1, wavenumber=0.3)
-    _chirp_stencil.cache_clear()
-    fit = schrodinger_residual(psi0, [0.32, 0.16, 0.08, 0.04, 0.02])
+    _STENCILS.clear()
+    fit = schrodinger_residual(psi0, SCHRODINGER_TIMES)
     assert fit.ok
-    assert _chirp_stencil.cache_info().misses == 10  # 5 times x coarse and fine
+    assert _STENCILS.builds == 10  # 5 times x coarse and fine
+    # another state on the same grid and times reuses every table
+    other = gaussian_state(grid, center=-1.3, width=0.8, wavenumber=-0.7)
+    assert schrodinger_residual(other, SCHRODINGER_TIMES).ok
+    assert _STENCILS.builds == 10
+
+
+def test_pairing_values_do_not_depend_on_what_ran_before():
+    # psi_a reaches further on both sides, so it extends psi_b's tables at
+    # both ends; psi_b's second fit must still assemble the same stencils
+    grid = line(count=512, extent=16.0)
+    psi_b = gaussian_state(grid, center=0.4, width=0.9, wavenumber=0.3)
+    psi_a = gaussian_state(grid, center=-0.5, width=1.4, wavenumber=-0.6)
+    _STENCILS.clear()
+    first = schrodinger_residual(psi_b, SCHRODINGER_TIMES)
+    schrodinger_residual(psi_a, SCHRODINGER_TIMES)
+    assert _STENCILS.builds == 10 and _STENCILS.extensions == 10
+    again = schrodinger_residual(psi_b, SCHRODINGER_TIMES)
+    assert again.c_fit == first.c_fit
+    assert (again.residual, again.extrapolation_spread) == (
+        first.residual, first.extrapolation_spread)
+
+
+def test_plane_wave_moved_by_one_cell_builds_no_table():
+    grid = line(count=640, extent=40.0)
+    t_list = [0.32, 0.16, 0.08, 0.04]
+    waves = [windowed_plane_wave(grid, k=2, flat_halfwidth=20.0, taper_width=16.0,
+                                 center=c) for c in (0.3, 0.3 + grid.spacings[0])]
+    _STENCILS.clear()
+    state_projected_rate(waves[0], t_list)
+    assert _STENCILS.builds == 8
+    state_projected_rate(waves[1], t_list)
+    assert _STENCILS.builds == 8
 
 
 def test_chirp_stencil_hit_equals_miss_and_is_read_only():
-    args = (0.0625, 12.5, -17.3, 16.9, 1.5 * np.pi, 0.5)
-    _chirp_stencil.cache_clear()
-    miss = _chirp_stencil(*args)
-    hit = _chirp_stencil(*args)
-    assert _chirp_stencil.cache_info()[:2] == (1, 1)
-    fresh = _chirp_stencil.__wrapped__(*args)
+    args = (0.0625, 12.5, 1.5 * np.pi, 0.5, -35, 34)  # y in [-17.5, 17]
+    _STENCILS.clear()
+    miss = _STENCILS.stencil(*args)
+    hit = _STENCILS.stencil(*args)
+    assert (_STENCILS.builds, _STENCILS.hits) == (1, 1)
+    _STENCILS.clear()
+    fresh = _STENCILS.stencil(*args)
     assert hit[0] == fresh[0] == miss[0]
     assert hit[1].shape == fresh[1].shape
     assert np.all(hit[1] == fresh[1])
-    assert not hit[1].flags.writeable
-    with pytest.raises(ValueError):
-        hit[1][0] = 0.0
-    # one complex per lattice offset of the y range, not per quadrature node
-    assert hit[1].size <= (args[3] - args[2]) / args[0] + 7
+    for array in (hit[1], *_STENCILS._tables[args[:4]][1:]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # one complex per lattice offset of the rounded y range, not per node
+    h, h_max, k_lo, k_hi = args[0], args[3], args[4], args[5]
+    assert hit[1].size <= (k_hi - k_lo) * h_max / h + 7
 
 
 def test_lagrange_matrix_is_cardinal():
@@ -408,26 +446,48 @@ def per_node_fold(h, a, y_lo, y_hi, theta_max, h_max):
     return s_min, re + 1j * im
 
 
-@pytest.mark.parametrize("args, fold_panels", [
-    ((0.0625, 25.0, -17.38, 17.38, 1.5 * np.pi, 0.5), None),    # Schroedinger panel
-    ((0.0625, 25.0, -17.38, 17.38, 0.75 * np.pi, 0.25), None),  # its fine resolution
-    ((0.0625, 12.5, -9.1, 12.3, 1.5 * np.pi, 0.5), None),       # asymmetric range
-    ((0.0625, 12.5, -2.0, 3.0, 1.5 * np.pi, 0.5), None),        # ends on lattice points
-    ((0.0625, 25.0, -9.1, 12.3, 1.5 * np.pi, 0.5), 3),          # cells split by blocks
-])
-def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
-    if fold_panels is not None:
-        monkeypatch.setattr(bks, "_FOLD_PANELS", fold_panels)
-        y, _ = _phase_panels(*args[2:4], args[1], *args[4:])
-        cell = np.floor(y / args[0])
-        block = fold_panels * bks._GL_POINTS
-        ends = np.arange(block, y.size, block)
-        assert np.any(cell[ends - 1] == cell[ends])  # some cell straddles a block edge
-    s_min, coeff = _chirp_stencil.__wrapped__(*args)
-    ref_min, ref = per_node_fold(*args)
+def assert_matches_per_node_fold(args, stencil):
+    h, a, theta_max, h_max, k_lo, k_hi = args
+    s_min, coeff = stencil
+    ref_min, ref = per_node_fold(h, a, k_lo * h_max, k_hi * h_max, theta_max, h_max)
     assert s_min == ref_min
     assert coeff.size == ref.size
     assert np.max(np.abs(coeff - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# (h, a, theta_max, h_max, k_lo, k_hi): the stencil of [k_lo h_max, k_hi h_max]
+@pytest.mark.parametrize("args, fold_panels", [
+    ((0.0625, 25.0, 1.5 * np.pi, 0.5, -35, 35), None),     # Schroedinger panel
+    ((0.0625, 25.0, 0.75 * np.pi, 0.25, -70, 70), None),   # its fine resolution
+    ((0.0625, 12.5, 1.5 * np.pi, 0.5, -19, 25), None),     # asymmetric range
+    ((0.0625, 12.5, 1.5 * np.pi, 0.3, -30, 41), None),     # h_max not a whole cell count
+    ((0.0625, 25.0, 1.5 * np.pi, 0.3, -30, 41), 3),        # folded a few blocks at a time
+])
+def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
+    _STENCILS.clear()
+    stencil = _STENCILS.stencil(*args)
+    assert_matches_per_node_fold(args, stencil)
+    if fold_panels is not None:
+        rows = _STENCILS._tables[args[:4]][3]
+        monkeypatch.setattr(bks, "_FOLD_PANELS", fold_panels)
+        _STENCILS.clear()
+        assert np.all(_STENCILS.stencil(*args)[1] == stencil[1])
+        assert np.all(_STENCILS._tables[args[:4]][3] == rows)
+
+
+def test_table_extended_on_both_sides_matches_per_node_fold():
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.5)
+    _STENCILS.clear()
+    inner = _STENCILS.stencil(*geometry, -10, 10)
+    wide = _STENCILS.stencil(*geometry, -35, 37)
+    assert (_STENCILS.builds, _STENCILS.extensions) == (1, 1)
+    assert_matches_per_node_fold((*geometry, -35, 37), wide)
+    # the inner range still assembles the same bits from the extended table
+    again = _STENCILS.stencil(*geometry, -10, 10)
+    assert _STENCILS.hits == 1
+    assert again[0] == inner[0] and np.all(again[1] == inner[1])
+    _STENCILS.clear()
+    assert np.all(_STENCILS.stencil(*geometry, -35, 37)[1] == wide[1])
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
@@ -449,14 +509,13 @@ def test_pairing_accepts_zero_dimensional_arrays():
 
 def test_plane_wave_rates_share_stencils_across_wavenumbers():
     # criterion 8's waves share one support width, so their 24 stencil calls
-    # (3 waves x 4 times x coarse and fine) need only 8 distinct stencils
+    # (3 waves x 4 times x coarse and fine) need only 8 stencil tables
     grid = line(count=640, extent=40.0)
-    _chirp_stencil.cache_clear()
+    _STENCILS.clear()
     for k in (1, 2, 3):
         state = windowed_plane_wave(grid, k=k, flat_halfwidth=20.0, taper_width=16.0)
         state_projected_rate(state, [0.32, 0.16, 0.08, 0.04])
-    info = _chirp_stencil.cache_info()
-    assert (info.misses, info.hits) == (8, 16)
+    assert (_STENCILS.builds, _STENCILS.hits) == (8, 16)
 
 
 def test_pairing_rejects_dimension_two():
