@@ -21,10 +21,11 @@ which h_max blocks of y it spans, not on the states.  :func:`_fold_blocks`
 folds each block cell by cell, from six moments sum_j w_j e^{i a y_j^2} t_j^p
 of the nodes in each lattice cell and one 6x6 matrix of cardinal-polynomial
 coefficients, which regroups the node-by-node sum exactly; ``_STENCILS``
-keeps one table of block stencils per geometry and adds up the blocks of a
-range.  The test states of a panel share one y range (the union of their
-reaches), so each time assembles one stencil per resolution and correlates
-it with conj(psi) by FFT once, leaving one dot product per state.  The
+keeps one table of block stencils per geometry, folds only the blocks of
+y >= 0 and mirrors them onto y < 0, and adds up the blocks of a range.  The
+test states of a panel share one y range (the union of their reaches), so
+each time assembles one stencil per resolution and correlates it with the
+panel's one transform of conj(psi), leaving one dot product per state.  The
 Fourier projection on uniform grids is a chirp-z transform, one FFT
 convolution per axis.  The t -> 0+ limit of the pairing carries the
 principal-branch Fresnel phase exp(i pi n/4); differentiating at t = 0 and
@@ -241,7 +242,7 @@ def _lattice_offsets(x: np.ndarray, x0: float, h: float) -> np.ndarray | None:
 
 
 def _correlate_conj(samples: np.ndarray, m_idx: np.ndarray, s_min: int,
-                    coeff: np.ndarray) -> np.ndarray:
+                    coeff: np.ndarray, spectra: dict) -> np.ndarray:
     """sum_s coeff_s * conj(samples[m + s_min + s]) for lattice indices m.
 
     ``(s_min, coeff)`` is a chirp stencil of ``_STENCILS`` on the samples'
@@ -252,16 +253,24 @@ def _correlate_conj(samples: np.ndarray, m_idx: np.ndarray, s_min: int,
     their grid continue as zeros beyond it.  It is one FFT correlation over
     the segment of samples that the indices reach, shared by every test
     state of a panel, so each state costs one dot product.
+
+    The caller owns the segments' spectra: ``spectra`` maps a segment's
+    (start, length), which fix its padded size, to its transform, and a
+    segment found there is not transformed again.  A segment's values come
+    from ``samples``, so one dict serves one set of samples.
     """
     m_lo = int(m_idx.min())
     lo = m_lo + s_min
-    seg = np.zeros(int(m_idx.max()) - m_lo + coeff.size, dtype=complex)
-    a, b = max(lo, 0), min(lo + seg.size, samples.size)
-    if a < b:
-        seg[a - lo:b - lo] = np.conj(samples[a:b])
-    size = 1 << (seg.size - 1).bit_length()
-    corr = np.fft.ifft(np.fft.fft(seg, size)
-                       * np.conj(np.fft.fft(np.conj(coeff), size)))
+    length = int(m_idx.max()) - m_lo + coeff.size
+    size = 1 << (length - 1).bit_length()
+    spectrum = spectra.get((lo, length))
+    if spectrum is None:
+        seg = np.zeros(length, dtype=complex)
+        a, b = max(lo, 0), min(lo + length, samples.size)
+        if a < b:
+            seg[a - lo:b - lo] = np.conj(samples[a:b])
+        spectrum = spectra[lo, length] = np.fft.fft(seg, size)
+    corr = np.fft.ifft(spectrum * np.conj(np.fft.fft(np.conj(coeff), size)))
     return corr[m_idx - m_lo]
 
 
@@ -352,8 +361,11 @@ def _fold_blocks(h: float, a: float, theta_max: float, h_max: float, k_lo: int,
 
     Every multiple of h_max is an edge of :func:`_phase_panels`' rule, so a
     block's nodes, and with them its row, do not depend on the range folded
-    with it.  Blocks are folded ``_FOLD_PANELS`` panels' worth at a time
-    (at least one block), so the temporaries stay small.
+    with it.  The rule is symmetric in y and the kernel e^{i a y^2} is even,
+    and the offsets -2..3 are symmetric about 1/2 (L_o(1 - t) = L_{1-o}(t)),
+    so block -k-1 is block k mirrored by :func:`_mirror`: only blocks k >= 0
+    need folding.  Blocks are folded ``_FOLD_PANELS`` panels' worth at a
+    time (at least one block), so the temporaries stay small.
     """
     y, w = _phase_panels(k_lo * h_max, k_hi * h_max, a, theta_max, h_max)
     panels = y.reshape(-1, _GL_POINTS)
@@ -389,18 +401,79 @@ def _fold_blocks(h: float, a: float, theta_max: float, h_max: float, k_lo: int,
     return first, last, rows
 
 
+def _mirror(first: np.ndarray, last: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_fold_blocks` rows of the mirror blocks, row by row.
+
+    Block -k-1's nodes are block k's negated, so its weight on offset s is
+    block k's on -s: its row is block k's nonzero row (``last - first + 1``
+    entries) reversed, with ``first`` and ``last`` negated and swapped.  The
+    map only moves entries, so it is exact and its own inverse.
+    """
+    cols = (last - first)[:, None] - np.arange(rows.shape[1])
+    moved = np.take_along_axis(rows, np.maximum(cols, 0), axis=1)
+    return -last, -first, np.where(cols >= 0, moved, 0.0)
+
+
+def _mirror_negative(k0: int, first: np.ndarray, last: np.ndarray,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the rows of blocks k0, k0 + 1, ... with those of blocks k < 0
+    mirrored: block rows to fold-index rows and back."""
+    n = min(max(-k0, 0), first.size)
+    first, last, rows = first.copy(), last.copy(), rows.copy()
+    first[:n], last[:n], rows[:n] = _mirror(first[:n], last[:n], rows[:n])
+    return first, last, rows
+
+
+def _table(geometry: tuple, k_lo: int, k_hi: int, old: tuple | None) -> tuple:
+    """The table ``(k_lo, first, last, rows)`` of blocks k_lo <= k < k_hi,
+    reusing the rows of the table ``old``, which it must contain.
+
+    Block k's row comes from its fold index m (k for k >= 0, -k-1 for
+    k < 0): a block of ``old`` gives the row of its fold index (mirrored
+    back if the block is negative), and :func:`_fold_blocks` folds each
+    contiguous run of fold indices that ``old`` lacks.  Every row is thus
+    folded as a block k >= 0, and each negative block is its mirror, whatever
+    the order of the requests.
+    """
+    blocks = np.arange(k_lo, k_hi)
+    folds = np.where(blocks < 0, -blocks - 1, blocks)
+    m0 = int(folds.min())
+    slot = np.full(int(folds.max()) + 1 - m0, -1)  # row of each fold index in parts
+    parts, count = [], 0
+    if old is not None:
+        had = np.arange(old[0], old[0] + old[1].size)
+        parts.append(_mirror_negative(*old))
+        slot[np.where(had < 0, -had - 1, had) - m0] = np.arange(had.size)
+        count = had.size
+    missing = np.flatnonzero(slot < 0) + m0
+    for run in np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1):
+        if run.size:
+            parts.append(_fold_blocks(*geometry, int(run[0]), int(run[-1]) + 1))
+            slot[run - m0] = count + np.arange(run.size)
+            count += run.size
+    pick = slot[folds - m0]
+    first, last, rows = (np.concatenate(p)[pick] for p in zip(*parts))
+    return (k_lo, *_mirror_negative(k_lo, first, last, rows))
+
+
 class _StencilTables:
     """Chirp stencils by geometry (h, a, theta_max, h_max): one table of
-    :func:`_fold_blocks` rows per geometry, least recently used out first.
+    block rows per geometry, least recently used out first.
 
+    A table is ``(k0, first, last, rows)``: the :func:`_fold_blocks` rows of
+    the blocks k0 <= k < k0 + len(first), one contiguous run that covers
+    every request made with the geometry.  Only blocks k >= 0 are folded;
+    each block -k-1 < 0 is stored as the :func:`_mirror` of block k.
     :meth:`stencil` returns the rule on [k_lo h_max, k_hi h_max] as
     ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h), by
-    adding the rows of its blocks in ascending block order; a request beyond
-    the table folds only the missing ends.  A row depends only on its
-    geometry and block, so a stencil does not depend on the requests before
-    it.  The rows are read-only because every pairing with the geometry
-    shares them.  ``builds``, ``extensions`` and ``hits`` count the requests
-    that found no table, a short one, and one that covered them.
+    adding the stored rows of its blocks in ascending block order; a request
+    beyond the table folds only the blocks k >= 0 that neither the table nor
+    its mirror holds.  A row depends only on its geometry and block, so a
+    stencil does not depend on the requests before it.  The rows are
+    read-only because every pairing with the geometry shares them.
+    ``builds``, ``extensions`` and ``hits`` count the requests that found no
+    table, a short one, and one that covered them.
     """
 
     def __init__(self, size: int):
@@ -417,16 +490,12 @@ class _StencilTables:
         table = self._tables.pop(key, None)
         if table is None:
             self.builds += 1
-            table = (k_lo, *_fold_blocks(*key, k_lo, k_hi))
+            table = _table(key, k_lo, k_hi, None)
         else:
             k0, k1 = table[0], table[0] + len(table[1])
             if k_lo < k0 or k_hi > k1:
                 self.extensions += 1
-                parts = [_fold_blocks(*key, k_lo, k0)] if k_lo < k0 else []
-                parts.append(table[1:])
-                if k_hi > k1:
-                    parts.append(_fold_blocks(*key, k1, k_hi))
-                table = (min(k_lo, k0), *map(np.concatenate, zip(*parts)))
+                table = _table(key, min(k_lo, k0), max(k_hi, k1), table)
             else:
                 self.hits += 1
         for array in table[1:]:
@@ -499,7 +568,10 @@ class _Pairing:
     edges of the panel rule, so a stencil belongs to the geometry and not
     to psi's support; widening it only adds end panels where psi is below
     its support cutoff.  Each chi keeps its own coarse and fine values and
-    its own doubling guard.
+    its own doubling guard.  The pairing owns the spectra of its conj(psi)
+    segments (``spectra``, for :func:`_correlate_conj`): the y range does
+    not change with t, so every time and resolution correlates its stencil
+    with the one segment transformed once.
     """
 
     def __init__(self, psi: PolarizedState, chis: list[PolarizedState],
@@ -526,6 +598,7 @@ class _Pairing:
         self.m_idx = np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1)
         self.rules = [(m - m_lo, q_weights) for _, m, q_weights in qs]
         self.floors = [1e-3 * psi.norm() * chi.norm() for chi in chis]
+        self.spectra: dict = {}
 
     def _values(self, t: float, theta_max: float, h_max: float, k_lo: int,
                 k_hi: int) -> list[complex]:
@@ -534,7 +607,7 @@ class _Pairing:
         # plain floats keep the memo key hashable for 0-d array arguments
         s_min, coeff = _STENCILS.stencil(self.h, float(a), float(theta_max),
                                          float(h_max), k_lo, k_hi)
-        inner = _correlate_conj(self.samples, self.m_idx, s_min, coeff)
+        inner = _correlate_conj(self.samples, self.m_idx, s_min, coeff, self.spectra)
         prefactor = np.sqrt(self.mass / (2.0 * np.pi * self.hbar * t))
         return [complex(prefactor * np.sum(q_weights * inner[i]))
                 for i, q_weights in self.rules]

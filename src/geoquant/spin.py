@@ -10,7 +10,7 @@ The operator matrices act on monomial coefficients as the first-order forms
 
     J3 = hbar*(z d/dz - n/2),  Jplus = hbar*(z^2 d/dz - n z),  Jminus = -hbar*d/dz,
 
-fixed by the symbolic reduction in :mod:`geoquant.spin_derivation` (the
+fixed by the sympy reduction in the tests' ``spin_derivation`` (the
 orientation makes z^0 the lowest weight).  No metaplectic correction is
 applied in this sector; reports record that choice.
 """

@@ -313,7 +313,7 @@ def test_fft_correlation_matches_sliding_window(s_min, m_idx):
     rng = np.random.default_rng(7)
     samples = rng.normal(size=48) + 1j * rng.normal(size=48)
     coeff = rng.normal(size=25) + 1j * rng.normal(size=25)
-    got = _correlate_conj(samples, m_idx, s_min, coeff)
+    got = _correlate_conj(samples, m_idx, s_min, coeff, {})
     want = sliding_correlation(samples, m_idx, s_min, coeff)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -462,6 +462,9 @@ def assert_matches_per_node_fold(args, stencil):
     ((0.0625, 12.5, 1.5 * np.pi, 0.5, -19, 25), None),     # asymmetric range
     ((0.0625, 12.5, 1.5 * np.pi, 0.3, -30, 41), None),     # h_max not a whole cell count
     ((0.0625, 25.0, 1.5 * np.pi, 0.3, -30, 41), 3),        # folded a few blocks at a time
+    ((0.0625, 12.5, 1.5 * np.pi, 0.5, -40, -5), None),     # wholly mirrored blocks
+    ((0.0625, 12.5, 1.5 * np.pi, 0.5, 5, 40), None),       # wholly folded blocks
+    ((0.0625, 25.0, 1.5 * np.pi, 0.3, -12, 31), None),     # straddles 0, |k_lo| != k_hi
 ])
 def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
     _STENCILS.clear()
@@ -488,6 +491,112 @@ def test_table_extended_on_both_sides_matches_per_node_fold():
     assert again[0] == inner[0] and np.all(again[1] == inner[1])
     _STENCILS.clear()
     assert np.all(_STENCILS.stencil(*geometry, -35, 37)[1] == wide[1])
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_negative_blocks_store_the_mirrored_rows():
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.3)
+    _STENCILS.clear()
+    _STENCILS.stencil(*geometry, -41, 30)
+    k0, first, last, rows = _STENCILS._tables[geometry]
+    assert k0 == -41
+    for k in range(30):  # block k and its mirror -k-1 are both in the table
+        pos, neg = k - k0, -k - 1 - k0
+        assert (first[neg], last[neg]) == (-last[pos], -first[pos])
+        size = last[pos] - first[pos] + 1
+        assert same_bits(rows[neg, :size], rows[pos, :size][::-1].copy())
+        assert not np.any(rows[neg, size:])
+
+
+def recording_folds(monkeypatch):
+    ranges, fold = [], bks._fold_blocks
+
+    def recorded(h, a, theta_max, h_max, k_lo, k_hi):
+        ranges.append((k_lo, k_hi))
+        return fold(h, a, theta_max, h_max, k_lo, k_hi)
+    monkeypatch.setattr(bks, "_fold_blocks", recorded)
+    return ranges
+
+
+def test_stencil_tables_fold_only_the_fold_indices_they_lack(monkeypatch):
+    ranges = recording_folds(monkeypatch)
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.5)
+    _STENCILS.clear()
+    _STENCILS.stencil(*geometry, -35, 35)
+    assert ranges == [(0, 35)]  # a cold symmetric request folds blocks k >= 0 only
+    _STENCILS.stencil(*geometry, -35, 35)
+    _STENCILS.stencil(*geometry, -20, 3)
+    assert ranges == [(0, 35)]  # hits fold nothing
+    # a range on one side of 0 folds the fold indices of its own blocks
+    other = (0.0625, 12.5, 1.5 * np.pi, 0.5)
+    _STENCILS.stencil(*other, -40, -5)
+    assert ranges[1:] == [(5, 40)]  # blocks -40..-6
+    _STENCILS.stencil(*other, -40, 10)  # lacks fold indices 0..4
+    _STENCILS.stencil(*other, 5, 40)    # its mirror already holds them
+    _STENCILS.stencil(*other, -45, 0)   # lacks 40..44
+    assert ranges[2:] == [(0, 5), (40, 45)]
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (2, 3, 2)
+
+
+def test_hit_after_extension_has_the_bits_of_a_fresh_build():
+    geometry = (0.0625, 12.5, 1.5 * np.pi, 0.3)
+    _STENCILS.clear()
+    for k_lo, k_hi in [(-40, -5), (-12, 31), (3, 50)]:
+        _STENCILS.stencil(*geometry, k_lo, k_hi)
+    assert (_STENCILS.builds, _STENCILS.extensions) == (1, 2)
+    extended = _STENCILS._tables[geometry]
+    hit = _STENCILS.stencil(*geometry, -30, 20)
+    assert _STENCILS.hits == 1
+    _STENCILS.clear()
+    fresh = _STENCILS.stencil(*geometry, -30, 20)
+    assert hit[0] == fresh[0] and same_bits(hit[1], fresh[1])
+    _STENCILS.clear()
+    _STENCILS.stencil(*geometry, -40, 50)
+    built = _STENCILS._tables[geometry]
+    assert extended[0] == built[0]
+    for x, y in zip(extended[1:], built[1:]):
+        assert same_bits(x, y)
+
+
+def test_each_psi_segment_is_transformed_once_per_pairing(monkeypatch):
+    grid = line(count=512, extent=16.0)
+    psi0 = gaussian_state(grid, center=0.4, width=1.1, wavenumber=0.3)
+    _STENCILS.clear()
+    schrodinger_residual(psi0, SCHRODINGER_TIMES)  # fill the tables: count FFTs only
+    segments, ffts, inside = [], [], []
+    fft, correlate = np.fft.fft, bks._correlate_conj
+
+    def counted_fft(x, *args, **kwargs):
+        if inside:
+            ffts.append(len(x))
+        return fft(x, *args, **kwargs)
+
+    def recorded(samples, m_idx, s_min, coeff, spectra):
+        length = int(m_idx.max() - m_idx.min()) + coeff.size
+        segments.append((int(m_idx.min()) + s_min, 1 << (length - 1).bit_length()))
+        inside.append(True)
+        try:
+            return correlate(samples, m_idx, s_min, coeff, spectra)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(bks.np.fft, "fft", counted_fft)
+    monkeypatch.setattr(bks, "_correlate_conj", recorded)
+    fit = schrodinger_residual(psi0, SCHRODINGER_TIMES)
+    assert len(segments) == 10  # 5 times x coarse and fine
+    # one stencil transform per correlation, one per distinct segment
+    assert len(ffts) == 10 + len(set(segments))
+    assert len(set(segments)) == 1
+    # the same fit with every segment transformed afresh has the same bits
+    monkeypatch.setattr(bks, "_correlate_conj",
+                        lambda samples, m_idx, s_min, coeff, spectra:
+                        correlate(samples, m_idx, s_min, coeff, {}))
+    bypassed = schrodinger_residual(psi0, SCHRODINGER_TIMES)
+    assert bypassed.c_fit == fit.c_fit
+    assert (bypassed.residual, bypassed.extrapolation_spread) == (
+        fit.residual, fit.extrapolation_spread)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():

@@ -141,11 +141,10 @@ def _loaded_by(code: str, prefixes: tuple[str, ...]) -> list[str]:
 def test_cli_import_loads_no_lazy_dependencies():
     """The CLI's start-up imports neither sympy nor any part of SciPy.
 
-    Only ``spin_derivation`` uses sympy, importing it inside the function
-    that derives the spin forms.  The library needs no SciPy at all: the
-    Gram oracles use its own Gauss-Legendre rules, the Gram-weighted linear
-    algebra runs on numpy, and grid operators assemble as numpy row-pattern
-    matrices.
+    The library needs neither.  The sympy derivation of the spin forms,
+    ``spin_derivation``, lives with the tests.  The Gram oracles use the
+    library's own Gauss-Legendre rules, the Gram-weighted linear algebra
+    runs on numpy, and grid operators are matrix-free.
     """
     assert _loaded_by("import geoquant.cli", ("scipy", "sympy")) == []
 

@@ -13,7 +13,7 @@ from geoquant.linalg import adjoint_wrt, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
                            check_su2, orthonormal_basis, spin_gram,
                            spin_gram_quadrature, spin_operators)
-from geoquant.spin_derivation import derive_operator_symbols
+from spin_derivation import derive_operator_symbols
 
 
 def test_dimension_is_n_plus_one():
