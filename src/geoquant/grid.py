@@ -13,10 +13,18 @@ one axis of the shaped field at a time.  No derivative matrix is built;
 Operators applied to the same field can share its derivatives through a
 ``grads`` dict, so each axis of that field is transformed once however many
 operators act on it.
+
+The residual checks evaluate a panel of test states.  On large states the
+panel runs on a thread pool with one worker per core the process may run
+on: numpy's FFTs and ufuncs release the interpreter lock.  Results are
+gathered in state order, so the checks give the same bits on any number of
+cores.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -77,16 +85,22 @@ class UniformGrid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
-    def coordinate_fields(self) -> list[np.ndarray]:
-        """Flattened coordinate samples, one array per axis."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return [m.reshape(-1) for m in mesh]
-
     def sample(self, polys: list[Polynomial]) -> list[np.ndarray]:
-        """Flat complex samples of each :class:`Polynomial` in ``polys``."""
-        coords = self.coordinate_fields()
-        ones = np.ones(self.size)
-        return [np.asarray(poly.evaluate(*coords), dtype=complex) * ones for poly in polys]
+        """Flat samples of each :class:`Polynomial` in ``polys``.
+
+        Each polynomial is evaluated on the axes broadcast against each
+        other, so no coordinate field is built.  A real polynomial gives
+        float64 samples, a complex one complex samples.
+        """
+        ndim = len(self.counts)
+        axes = [np.reshape(x, (-1,) + (1,) * (ndim - 1 - i)) for i, x in enumerate(self.axes())]
+        fields = []
+        for poly in polys:
+            values = np.asarray(poly.evaluate(*axes))
+            field = np.empty(self.shape, dtype=values.dtype)
+            field[...] = values
+            fields.append(field.reshape(-1))
+        return fields
 
 
 def _derivative_along(grid: UniformGrid, field: np.ndarray, axis: int) -> np.ndarray:
@@ -99,13 +113,16 @@ class FirstOrderOperator:
     """``sum factor * field * d/dx_axis + scalar`` over ``terms`` on a grid.
 
     ``terms`` lists ``(factor, field, axis)`` with a complex number factor
-    and flat complex samples as field; ``scalar`` is flat samples or None.
-    :meth:`apply` forms ``factor * field`` per call, so an operator holds
-    one grid-sized array per term.
+    and flat real or complex samples as field; ``scalar`` is flat real or
+    complex samples, or None.  :meth:`apply` forms ``factor * field`` per
+    call, so an operator holds one grid-sized array per term; real samples
+    take half the memory and give the same bits, since numpy multiplies a
+    complex factor by a real field as by ``field + 0j``.
 
     Operators applied to one field share its derivatives when each
     :meth:`apply` call on it gets the same ``grads`` dict: every axis is
-    then transformed once, by the first call that needs it.
+    then transformed once, by the first call that needs it.  Without a
+    shared dict a call keeps one derivative at a time.
 
     The operator is also its own square matrix on the flattened grid, the
     ``entries`` of an :class:`~geoquant.linalg.OperatorMatrix`: ``op @ v``
@@ -127,18 +144,23 @@ class FirstOrderOperator:
         """Matrix-free action on a flat or shaped grid field, or a stack of flat ones.
 
         ``grads`` maps an axis to the shaped derivative of ``v`` along it and
-        is filled on demand; it belongs to ``v`` alone.
+        is filled on demand; it belongs to ``v`` alone.  Without it each
+        derivative is dropped once its term is added.
         """
         shape = self.grid.shape
         # one field keeps the grid's shape: a leading batch axis of 1 slows apply 1.5x at 256^2
         batch = () if np.size(v) == self.grid.size else (-1,)
         field = np.asarray(v, dtype=complex).reshape(batch + shape)
-        grads = {} if grads is None else grads
         out = np.zeros_like(field)
         for factor, samples, axis in self.terms:
-            if axis not in grads:
-                grads[axis] = _derivative_along(self.grid, field, axis)
-            out += (factor * samples.reshape(shape)) * grads[axis]
+            if grads is None:
+                grad = _derivative_along(self.grid, field, axis)
+            elif axis in grads:
+                grad = grads[axis]
+            else:
+                grad = grads[axis] = _derivative_along(self.grid, field, axis)
+            out += (factor * samples.reshape(shape)) * grad
+            del grad  # free an unshared derivative before the next term makes its own
         if self.scalar is not None:
             out += self.scalar.reshape(shape) * field
         return out.reshape(np.asarray(v).shape)
@@ -191,6 +213,53 @@ def diagonal_gram(grid: UniformGrid, weight: float) -> GramMatrix:
     return GramMatrix(np.full(grid.size, weight, dtype=complex), grid.basis_id)
 
 
+#: samples per state below which a panel runs serially: a 4-state map of
+#: no-ops on a two-worker pool takes about 0.13 ms on a 2-core x86 VM, more
+#: than the whole check of a small state
+_PARALLEL_MIN_SIZE = 1 << 14
+
+_pool = None
+_pool_lock = threading.Lock()
+_worker = threading.local()
+
+
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _executor(workers: int):
+    """The panel pool, created on first use with ``workers`` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="geoquant-panel",
+                                       initializer=_mark_worker)
+        return _pool
+
+
+def _map_states(fn: Callable[[np.ndarray], object], states: list[np.ndarray]) -> list:
+    """``[fn(v) for v in states]``, with the states run concurrently where it pays.
+
+    Serial with one worker, one state, or a state under
+    ``_PARALLEL_MIN_SIZE`` samples, and on a pool worker, which must never
+    wait on its own pool.  Results come back in state order either way.
+    """
+    workers = _worker_count()
+    if (workers < 2 or len(states) < 2 or getattr(_worker, "active", False)
+            or min(np.size(v) for v in states) < _PARALLEL_MIN_SIZE):
+        return [fn(v) for v in states]
+    return list(_executor(workers).map(fn, states))
+
+
 def _worst(values: list[float]) -> float:
     """Largest value, 0 for none; a NaN anywhere makes the result NaN."""
     return float(np.max(values, initial=0.0))
@@ -198,8 +267,16 @@ def _worst(values: list[float]) -> float:
 
 def worst_residual(residual: Callable[[np.ndarray], np.ndarray],
                    states: list[np.ndarray]) -> float:
-    """Largest ``||residual(v)|| / ||v||`` over the states (NaN if any is NaN)."""
-    return _worst([np.linalg.norm(residual(v)) / np.linalg.norm(v) for v in states])
+    """Largest ``||residual(v)|| / ||v||`` over the states (NaN if any is NaN).
+
+    The states run concurrently, one per core the process may run on, when
+    there are several cores and states of at least ``_PARALLEL_MIN_SIZE``
+    samples; a panel started on a pool worker runs inline.  The ratios are
+    gathered in state order, so the result has the same bits either way.
+    An error raised by ``residual`` comes out with its own type.
+    """
+    return _worst(_map_states(lambda v: np.linalg.norm(residual(v)) / np.linalg.norm(v),
+                              states))
 
 
 def worst_symmetry_defect(op: Callable[[np.ndarray], np.ndarray],
@@ -208,9 +285,12 @@ def worst_symmetry_defect(op: Callable[[np.ndarray], np.ndarray],
 
     The pairs include each state with itself, so a genuine asymmetry cannot
     hide behind small overlaps.  ``op`` is applied once per state and the
-    images are reused across pairs; a NaN defect makes the result NaN.
+    images are reused across pairs; a NaN defect makes the result NaN.  The
+    images are formed concurrently and kept in state order, under the same
+    rules as in :func:`worst_residual`, so the result has the same bits on
+    any number of cores.
     """
-    images = [op(v) for v in states]
+    images = _map_states(op, states)
     norms = [np.linalg.norm(v) for v in states]
     return _worst([abs(np.vdot(states[i], images[j]) - np.vdot(images[i], states[j]))
                    / (norms[i] * norms[j])

@@ -149,6 +149,11 @@ def test_cli_import_loads_no_lazy_dependencies():
     assert _loaded_by("import geoquant.cli", ("scipy", "sympy")) == []
 
 
+def test_cli_import_loads_no_thread_pool():
+    """The residual panels' thread pool is imported on first use, not at start-up."""
+    assert _loaded_by("import geoquant.cli", ("concurrent",)) == []
+
+
 def test_demos_load_no_scipy():
     code = ("from geoquant.demos import DEMOS, RunConfig, run_demo\n"
             "assert all(run_demo(RunConfig(demo=d)).passed for d in DEMOS)")

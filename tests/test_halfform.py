@@ -108,6 +108,25 @@ def test_two_dimensional_checks_at_128_squared():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("grid", [
+    line(),
+    line(count=256, extent=8.0),
+    ConfigGrid((-4.0, -4.0), (4.0, 4.0), (24, 24)),
+    ConfigGrid((-8.0, -8.0), (8.0, 8.0), (128, 128)),
+], ids=["64", "256", "24^2", "128^2"])
+def test_pool_and_serial_panels_give_the_same_bits(panel_workers, grid):
+    f = QP if grid.n == 1 else obs(2, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 0.5, (2, 0, 0, 0): 0.3})
+    values = {}
+    for workers in (2, 1):
+        panel_workers(workers)
+        values[workers] = (
+            [check_canonical_commutator(grid, 0.7, a=a, b=b)
+             for a in range(grid.n) for b in range(grid.n)],
+            check_selfadjoint(f, grid, 0.7),
+            check_selfadjoint(f, grid, 0.7, include_divergence_term=False))
+    assert values[1] == values[2]
+
+
 def test_canonical_commutator_spectral():
     grid = line(count=256, extent=8.0)
     assert check_canonical_commutator(grid, 1.0) < TOL.grid
@@ -282,7 +301,8 @@ def test_halfform_operator_is_prequantum_operator_on_polarized_sections(n, n_q):
     q_f = _halfform_operator(f, config, hbar)
     q_bare = _halfform_operator(f, config, hbar, include_divergence_term=False)
     div_v = sum(f.poly.differentiate(n + a).differentiate(a) for a in range(n))
-    div_v = div_v.evaluate(*config.coordinate_fields(), *(np.zeros(config.size),) * n)
+    mesh = [x.reshape(-1) for x in np.meshgrid(*config.axes(), indexing="ij")]
+    div_v = div_v.evaluate(*mesh, *(np.zeros(config.size),) * n)
     for psi in interior_states(config, count=2, seed=3):
         lifted = np.broadcast_to(psi.reshape(config.shape + (1,) * n), phase.shape)
         image = applier(lifted)

@@ -1,3 +1,7 @@
+import concurrent.futures
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,8 +13,10 @@ from spectral_oracle import lifted_derivative, periodic_derivative_matrix, refer
 import geoquant.grid
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
+from geoquant.errors import UnsupportedObservable
 from geoquant.halfform import ConfigGrid, quantize_halfform
 from geoquant.linalg import commutator
+from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
                                check_dirac, interior_test_states,
                                liouville_gram, poisson_bracket, prequantize,
@@ -186,8 +192,10 @@ def test_shared_derivatives_give_the_unshared_residual_bitwise(grid, f, g):
     assert check_dirac(f, g, grid, hbar, states=states) == unshared
 
 
-def test_check_dirac_transforms_each_state_six_times(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_check_dirac_transforms_each_state_six_times(monkeypatch, panel_workers, workers):
     """Two quadratics on both axes: one FFT pair per derivative of v, P_g v, P_f v."""
+    panel_workers(workers)
     calls = []
 
     def counting(transform):
@@ -296,7 +304,9 @@ def test_matrix_free_checks_build_no_lifted_matrix(no_derivative_matrix):
     assert selfadjoint_residual(p, grid, 1.0) < TOL.grid
 
 
-def test_nan_state_fails_the_checks():
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_nan_state_fails_the_checks(panel_workers, workers):
+    panel_workers(workers)
     grid = PhaseSpaceGrid(-4, 4, -4, 4, 16, 16)
     q, p = Observable.coordinate(), Observable.momentum()
     nan_state = [np.full(grid.size, np.nan)]
@@ -324,6 +334,146 @@ def test_symmetry_defect_applies_the_operator_once_per_state():
                     / (np.linalg.norm(u) * np.linalg.norm(v))
                     for i, u in enumerate(states) for v in states[i:])
     assert worst == reference
+
+
+@pytest.mark.parametrize("grid, f, g", [
+    (small_grid(), _QUAD_F, _QUAD_G),
+    (PhaseSpaceGrid(-8, 8, -8, 8, 64, 64), _QUAD_F, _QUAD_G),
+    (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2), _QUAD2_F, _QUAD2_G),
+    (PhaseSpaceGrid(-8, 8, -8, 8, 128, 128), _QUAD_F, _QUAD_G),
+], ids=["24^2", "64^2", "n2-12^4", "128^2"])
+def test_pool_and_serial_panels_give_the_same_bits(panel_workers, grid, f, g):
+    values = {}
+    for workers in (2, 1):
+        panel_workers(workers)
+        values[workers] = (check_dirac(f, g, grid, 0.7), selfadjoint_residual(f, grid, 0.7))
+    assert geoquant.grid._pool is not None
+    assert values[1] == values[2]
+
+
+def test_an_error_in_one_state_comes_out_of_the_pool_with_its_type(panel_workers):
+    panel_workers(2)
+    states = [np.full(8, float(k)) for k in range(1, 5)]
+
+    def residual(v):
+        if v[0] == 2.0:
+            raise UnsupportedObservable("state 2")
+        return v
+    with pytest.raises(UnsupportedObservable, match="state 2"):
+        geoquant.grid.worst_residual(residual, states)
+    assert geoquant.grid._pool is not None
+
+
+def test_a_panel_inside_a_pooled_panel_runs_inline(panel_workers):
+    """Both workers run an outer state whose residual runs its own panel.
+
+    Were the inner panel handed to the pool, each worker would wait on the
+    other and the check would never return.
+    """
+    panel_workers(2)
+    inner = [np.full(1 << 14, 2.0)] * 4
+    outer = [np.full(1 << 14, 1.0)] * 4
+    results = []
+
+    def nested(v):
+        return v * geoquant.grid.worst_residual(lambda u: u, inner)
+    thread = threading.Thread(
+        target=lambda: results.append(geoquant.grid.worst_residual(nested, outer)),
+        daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results == [1.0]
+    assert geoquant.grid._pool is not None
+
+
+def test_concurrent_callers_share_one_pool_and_get_the_serial_bits(panel_workers, monkeypatch):
+    """Eight threads start panels at once, with a short switch interval.
+
+    The pool is slow to build, so callers that found no pool would each
+    build one were its creation not locked.
+    """
+    created = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(1)
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    grid = small_grid()
+    panel_workers(1)
+    expected = check_dirac(_QUAD_F, _QUAD_G, grid, 0.7)
+    panel_workers(2)
+    results = []
+    start = threading.Barrier(8)
+
+    def run():
+        start.wait(timeout=60)
+        results.append(check_dirac(_QUAD_F, _QUAD_G, grid, 0.7))
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
+    assert created == [1]
+
+
+def test_one_worker_creates_no_pool(panel_workers):
+    panel_workers(1)
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128)
+    assert check_dirac(_QUAD_F, _QUAD_G, grid, 1.0) < TOL.grid
+    assert selfadjoint_residual(_QUAD_F, grid, 1.0) < TOL.grid
+    assert geoquant.grid._pool is None
+
+
+def test_grid_samples_are_real_for_real_polynomials():
+    """Samples on broadcast axes have the bits of samples on coordinate fields."""
+    for grid in (PhaseSpaceGrid(-6, 6, -3, 3, 12, 10), PhaseSpaceGrid(-6, 6, -3, 3, 8, 9, n=2),
+                 ConfigGrid((-4.0, -2.0), (4.0, 2.0), (16, 18))):
+        mesh = [x.reshape(-1) for x in np.meshgrid(*grid.axes(), indexing="ij")]
+        ndim = len(mesh)
+        real = Polynomial(ndim, {(2,) + (0,) * (ndim - 1): 0.5, (1,) * ndim: -0.3,
+                                 (0,) * (ndim - 1) + (1,): 0.7})
+        half_i = Polynomial(ndim, {(1,) + (0,) * (ndim - 1): 0.5j})
+        samples = grid.sample([real, half_i, Polynomial.constant(ndim, 2.0),
+                               Polynomial.zero(ndim)])
+        assert [s.dtype for s in samples] == [np.float64, np.complex128] + [np.float64] * 2
+        assert all(s.shape == (grid.size,) for s in samples)
+        assert np.array_equal(samples[0], real.evaluate(*mesh))
+        assert np.array_equal(samples[1], half_i.evaluate(*mesh))
+        assert np.all(samples[2] == 2.0) and np.all(samples[3] == 0.0)
+
+
+def test_two_states_in_flight_use_no_more_memory_than_a_serial_panel(panel_workers):
+    """Four 256^2 states on two workers peak under 17 complex grid fields.
+
+    17 MiB is the traced peak of the serial panel over complex coefficient
+    fields.  Real fields, one unshared derivative at a time and freeing
+    P_g v early pay for the second state in flight.
+    """
+    panel_workers(2)
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 256, 256)
+    rng = np.random.default_rng(0)
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    f, g = (Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps}) for _ in range(2))
+    states = interior_test_states(grid, count=4)
+    check_dirac(f, g, grid, 1.0, states=states)  # start the pool outside the trace
+    tracemalloc.start()
+    try:
+        check_dirac(f, g, grid, 1.0, states=states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = grid.size * np.dtype(complex).itemsize
+    assert peak <= 17 * field
 
 
 def test_commutator_matrix_route_matches_applier_route():
