@@ -189,20 +189,24 @@ def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,
     Optional gentle plane-wave modulation exercises complex data.
     """
     rng = np.random.default_rng(seed)
-    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    ndim = len(grid.counts)
+    # each factor is evaluated on its axis; it is materialized before the product
+    # because numpy multiplies by a broadcast view in another loop, with other bits
+    spread = lambda i, x: np.broadcast_to(x.reshape((-1,) + (1,) * (ndim - 1 - i)),
+                                          grid.shape).copy()
     states = []
     for _ in range(count):
         psi = np.ones(grid.shape, dtype=complex)
-        for x, lo, hi in zip(mesh, grid.mins, grid.maxs):
+        for i, (x, lo, hi) in enumerate(zip(grid.axes(), grid.mins, grid.maxs)):
             half = (hi - lo) / 2
             mid = (hi + lo) / 2
             sigma = half * rng.uniform(0.09, 0.11)
             center = mid + half * rng.uniform(-0.2, 0.2)
             sigma = min(sigma, (half - abs(center - mid)) / _EDGE_SIGMAS)
-            psi = psi * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+            psi = psi * spread(i, np.exp(-((x - center) ** 2) / (2.0 * sigma**2)))
             if modulated:
                 k = rng.uniform(-2.0, 2.0) * np.pi / half
-                psi = psi * np.exp(1j * k * (x - mid))
+                psi = psi * spread(i, np.exp(1j * k * (x - mid)))
         flat = psi.reshape(-1)
         states.append(flat / np.linalg.norm(flat))
     return states

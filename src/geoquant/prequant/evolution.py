@@ -22,6 +22,17 @@ half map twice.  On band-limited states the shears are exact and unitary.
 The FFT treats the box as periodic: each shear measures the squared-norm
 fraction it carries across an edge, and the evolution refuses when that
 exceeds ``Tolerances.tail_mass``.
+
+No exponential of a grid-sized array is taken.  A sloped shear's symbol is
+exp(i k offset) times exp(i theta j a), bilinear in the wavenumber index j
+and the line offset a from the centre line, which
+:func:`~geoquant.stencil.bilinear_phasor` builds from O(n_q + n_p)
+exponentials.  The action splits about the centre node (q_c, p_c) as
+q-only + p-only + c (q - q_c)(p - p_c), with c = w_01 + w_10: one 1D
+exponential per axis, and the same phasor for the cross term when c is
+nonzero.  A zero action (a translation along p) multiplies nothing.  So a
+shear costs its FFT pair and a few complex multiplies per node, and the
+phase a few multiplies per node.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 
 from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import FlowEscapesGrid, UnsupportedObservable
-from ..stencil import fft_apply, spectral_shift_symbol
+from ..stencil import bilinear_phasor, fft_apply, spectral_shear_symbol, spectral_shift_symbol
 from .gridops import PhaseSpaceGrid
 from .observables import Observable
 
@@ -109,9 +120,15 @@ def _shear(psi: np.ndarray, grid: PhaseSpaceGrid, axis: int, offset: float,
     the shift carries across the box edge, where the FFT wraps it round.  A
     zero slope is a translation, shifted by one 1D symbol.
     """
-    shifts = offset + slope * grid.axis(1 - axis)
-    symbol = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis],
-                                   shifts if slope else offset)
+    other = 1 - axis
+    lines = grid.axis(other)
+    shifts = offset + slope * lines
+    if slope:
+        symbol = spectral_shear_symbol(grid.counts[axis], grid.spacings[axis],
+                                       shifts[lines.size // 2], slope, lines.size,
+                                       grid.spacings[other])
+    else:
+        symbol = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis], offset)
     x = grid.axis(axis)[:, None]
     crossed = (x - shifts < grid.mins[axis]) | (x - shifts > grid.maxs[axis])
     if axis == 1:
@@ -160,13 +177,26 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
     van_loan = _expm(t * np.block([[-g.T, lagrangian], [np.zeros((3, 3)), g]]))
     e = van_loan[3:, 3:]
     w = e.T @ van_loan[:3, 3:]
-    q, p = grid.q_axis[:, None], grid.p_axis[None, :]
+    q, p = grid.q_axis, grid.p_axis
+    if w.any():
+        # X^T W X with q p = q_c p + p_c q - q_c p_c + (q - q_c)(p - p_c): the last term is
+        # bilinear in the lattice offsets from the centre node, the rest one 1D phase per axis
+        cross, q_c, p_c = w[0, 1] + w[1, 0], q[q.size // 2], p[p.size // 2]
+        q_phase = np.exp(-1j / hbar * (q * (w[0, 0] * q + (w[0, 2] + w[2, 0]) + cross * p_c)))
+        p_phase = np.exp(-1j / hbar * (p * (w[1, 1] * p + (w[1, 2] + w[2, 1]) + cross * q_c)
+                                       + (w[2, 2] - cross * q_c * p_c)))
+        if cross:
+            out = bilinear_phasor(-cross * grid.h_q * grid.h_p / hbar, q.size, p.size)
+            out *= q_phase[:, None]
+            out *= p_phase
+        else:
+            out = np.multiply.outer(q_phase, p_phase)
+        out *= psi
+    else:  # a translation along p, or no flow: the shear's array, never the input
+        out = psi if carried else psi.copy()
+    q, p = q[:, None], p[None, :]
     q_t = e[0, 0] * q + e[0, 1] * p + e[0, 2]
     p_t = e[1, 0] * q + e[1, 1] * p + e[1, 2]
-    action = q * (w[0, 0] * q + (w[0, 1] + w[1, 0]) * p + (w[0, 2] + w[2, 0])) \
-        + p * (w[1, 1] * p + (w[1, 2] + w[2, 1])) + w[2, 2]
-
-    out = np.exp(-1j * action / hbar) * psi
     out[(q_t < grid.q_min) | (q_t > grid.q_max)
         | (p_t < grid.p_min) | (p_t > grid.p_max)] = 0.0
     return out.reshape(-1) if flat_input else out

@@ -1,3 +1,4 @@
+import direct_phase
 import mpmath
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import FlowEscapesGrid, UnsupportedObservable
 from geoquant.prequant import Observable, PhaseSpaceGrid, evolution, prequantum_evolve
-from geoquant.stencil import fft_apply, spectral_shift_symbol
+from geoquant.stencil import bilinear_phasor, fft_apply, spectral_shear_symbol
 
 
 def grid_128(extent=8.0):
@@ -136,8 +137,8 @@ def test_translation_shifts_by_a_1d_symbol(monkeypatch):
     for axis in (0, 1):
         out, _ = evolution._shear(psi, grid, axis, 0.7, 0.0)
         assert symbols[-1].shape == (grid.counts[axis],)
-        per_line = spectral_shift_symbol(grid.counts[axis], grid.spacings[axis],
-                                         np.full(grid.counts[1 - axis], 0.7))
+        per_line = direct_phase.shift_symbol(grid.counts[axis], grid.spacings[axis],
+                                             np.full(grid.counts[1 - axis], 0.7))
         assert np.array_equal(out, fft_apply(psi, per_line if axis == 0 else per_line.T, axis))
     evolution._shear(psi, grid, 0, 0.0, 0.3)
     assert symbols[-1].shape == grid.shape
@@ -416,3 +417,76 @@ def test_steps_do_not_change_the_result(flow):
     one = prequantum_evolve(flow, psi, 1.3, 1, grid, 0.7)
     four = prequantum_evolve(flow, psi, 1.3, 4, grid, 0.7)
     assert np.array_equal(one, four)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m, n", [(256, 256), (255, 256), (256, 255), (7, 12), (1, 9)])
+@pytest.mark.parametrize("theta", [0.0137, -0.9, 2.3])
+def test_bilinear_phasor_is_the_direct_exponential(m, n, theta):
+    a, b = np.arange(m) - m // 2, np.arange(n) - n // 2
+    argument = theta * np.multiply.outer(a, b)
+    phasor = bilinear_phasor(theta, m, n)
+    assert phasor.shape == (m, n)
+    assert np.max(np.abs(phasor - np.exp(1j * argument))) <= 64 * EPS * max(1.0, np.max(np.abs(argument)))
+
+
+@pytest.mark.parametrize("n, lines", [(256, 256), (255, 256), (256, 193), (33, 8)])
+@pytest.mark.parametrize("offset, slope", [(0.7, 0.31), (-2.5, -1.7), (0.0, 0.05)])
+def test_shear_symbol_is_the_direct_exponential(n, lines, offset, slope):
+    grid = PhaseSpaceGrid(-14, 14, -9, 11, n, lines)
+    x = grid.p_axis
+    shifts = offset + slope * (x - x[lines // 2])
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.h_q)
+    symbol = spectral_shear_symbol(n, grid.h_q, offset, slope, lines, grid.h_p)
+    argument = np.multiply.outer(k, shifts)
+    assert np.max(np.abs(symbol - direct_phase.shift_symbol(n, grid.h_q, shifts))) \
+        <= 64 * EPS * np.max(np.abs(argument))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_quadratic_and_times(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_evolution_matches_the_direct_phase_oracle(flow_and_times, hbar):
+    flow, (t, _) = flow_and_times
+    grid = PhaseSpaceGrid(-14, 14, -14, 14, 256, 256)
+    psi = modulated_gaussian(grid, sigma=0.6)
+    try:
+        expected = direct_phase.evolve(flow, psi, t, grid, hbar)
+    except FlowEscapesGrid:
+        with pytest.raises(FlowEscapesGrid):
+            prequantum_evolve(flow, psi, t, 1, grid, hbar)
+        return
+    out = prequantum_evolve(flow, psi, t, 1, grid, hbar)
+    assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("flow, t", [(HARMONIC, 1.0), (HARMONIC, 2.5), (FREE, 1.0), (COUPLED, 1.1),
+                                     (Observable.from_terms(1, {(1, 1): 1.0, (0, 1): 0.3}), 0.3),
+                                     (Observable.from_terms(1, {(0, 1): 0.8, (1, 0): 0.2}), 1.0)],
+                         ids=["rotation", "two-half-maps", "free", "coupled", "squeeze", "translation"])
+def test_evolution_takes_no_exponential_of_a_grid_sized_array(monkeypatch, flow, t):
+    grid = PhaseSpaceGrid(-14, 14, -12, 12, 256, 192)
+    psi = modulated_gaussian(grid, sigma=0.6)
+    sizes = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+    monkeypatch.setattr(np, "exp", counting)
+    prequantum_evolve(flow, psi, t, 1, grid, 0.7)
+    assert sizes and max(sizes) <= grid.n_q + grid.n_p
+
+
+def test_momentum_translation_returns_its_shear_output():
+    """c p has no action: the result is the shear's output, zero-filled where nodes leave."""
+    grid = PhaseSpaceGrid(-8, 8, -6, 6, 64, 48)
+    psi = gaussian(grid, q0=0.5, p0=-0.3)
+    f = Observable.from_terms(1, {(0, 1): 0.9})
+    out = prequantum_evolve(f, psi, 1.5, 1, grid, 0.7)
+    expected, _ = evolution._shear(psi, grid, 0, 0.9 * 1.5, 0.0)
+    expected[grid.q_axis + 0.9 * 1.5 > grid.q_max] = 0.0
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    still = prequantum_evolve(Observable.constant(1, 0), psi, 1.5, 1, grid, 0.7)
+    assert np.array_equal(still, psi) and not np.shares_memory(still, psi)

@@ -251,6 +251,40 @@ def test_interior_states_vanish_at_the_box_edge():
         assert check_dirac(f, g, grid, 1.0, states=states) < 1e-11
 
 
+def meshgrid_interior_states(grid, count, seed, modulated):
+    """``interior_states`` with each factor exponentiated on a coordinate mesh."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        psi = np.ones(grid.shape, dtype=complex)
+        for x, lo, hi in zip(np.meshgrid(*grid.axes(), indexing="ij"), grid.mins, grid.maxs):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            sigma = half * rng.uniform(0.09, 0.11)
+            center = mid + half * rng.uniform(-0.2, 0.2)
+            sigma = min(sigma, (half - abs(center - mid)) / geoquant.grid._EDGE_SIGMAS)
+            psi = psi * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+            if modulated:
+                k = rng.uniform(-2.0, 2.0) * np.pi / half
+                psi = psi * np.exp(1j * k * (x - mid))
+        flat = psi.reshape(-1)
+        states.append(flat / np.linalg.norm(flat))
+    return states
+
+
+@pytest.mark.parametrize("grid", [PhaseSpaceGrid(-8, 8, -8, 8, 256, 256),
+                                  PhaseSpaceGrid(-8, 8, -6, 6, 64, 48),
+                                  PhaseSpaceGrid(-3, 3, -4, 4, 12, 12, n=2),
+                                  ConfigGrid.line(-16, 16, 512)],
+                         ids=["256^2", "64x48", "12^4", "line"])
+@pytest.mark.parametrize("modulated", [True, False])
+def test_interior_states_have_the_bits_of_the_meshgrid_formula(grid, modulated):
+    for seed in range(5):
+        states = interior_test_states(grid, count=3, seed=seed, modulated=modulated)
+        oracle = meshgrid_interior_states(grid, 3, seed, modulated)
+        assert all(np.array_equal(v.view(np.uint64), w.view(np.uint64))
+                   for v, w in zip(states, oracle))
+
+
 def test_check_dirac_qsquared_p():
     grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
     f = Observable.from_terms(1, {(2, 0): 1.0})
