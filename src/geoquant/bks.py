@@ -22,11 +22,16 @@ folds each block cell by cell, from six moments sum_j w_j e^{i a y_j^2} t_j^p
 of the nodes in each lattice cell and one 6x6 matrix of cardinal-polynomial
 coefficients, which regroups the node-by-node sum exactly; ``_STENCILS``
 keeps one table of block stencils per geometry, folds only the blocks of
-y >= 0 and mirrors them onto y < 0, and adds up the blocks of a range.  The
-test states of a panel share one y range (the union of their reaches), so
-each time assembles one stencil per resolution and correlates it with the
-panel's one transform of conj(psi), leaving one dot product per state.  The
-Fourier projection on uniform grids is a chirp-z transform, one FFT
+y >= 0 and mirrors them onto y < 0, and adds up the blocks of a range.
+
+Only the stencil depends on t.  So the pairing sums over q first: each test
+state's q weights against conj(psi) give its overlap profile, one value per
+lattice offset, built once for all times by one FFT correlation
+(:func:`_overlap_profiles`).  The test states of a panel share one y range
+(the union of their reaches) and so one offset range, and each time costs
+one stencil per resolution and one dot product per state with its profile.
+
+The Fourier projection on uniform grids is a chirp-z transform, one FFT
 convolution per axis.  The t -> 0+ limit of the pairing carries the
 principal-branch Fresnel phase exp(i pi n/4); differentiating at t = 0 and
 conjugating turns that into the factor exp(-i pi n/4) multiplying hbar^2/2m
@@ -61,6 +66,7 @@ __all__ = [
 
 _GL_POINTS = 12
 _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
+_H_MAX_CELLS = 8.0  # default panel pitch h_max, in lattice cells of psi
 _SUPPORT_CUTOFF = 1e-15
 _STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, h_max)
 _FOLD_PANELS = 4096  # panels folded into block stencils at a time, bounding temporaries
@@ -241,37 +247,29 @@ def _lattice_offsets(x: np.ndarray, x0: float, h: float) -> np.ndarray | None:
     return idx.astype(np.int64)
 
 
-def _correlate_conj(samples: np.ndarray, m_idx: np.ndarray, s_min: int,
-                    coeff: np.ndarray, spectra: dict) -> np.ndarray:
-    """sum_s coeff_s * conj(samples[m + s_min + s]) for lattice indices m.
+def _overlap_profiles(samples: np.ndarray, m_lo: int, weights: np.ndarray, u_lo: int,
+                      length: int) -> np.ndarray:
+    """Y[i, v] = sum_r weights[i, r] * conj(samples[m_lo + r + u_lo + v]), 0 <= v < length.
 
-    ``(s_min, coeff)`` is a chirp stencil of ``_STENCILS`` on the samples'
-    lattice spacing: because the evaluation points share the sample lattice,
-    the Lagrange fractions depend on y alone and the double sum over q and y
-    collapses to this correlation of the conjugated samples with the
-    stencil, which the pairing's geometry fixes.  States that decay inside
-    their grid continue as zeros beyond it.  It is one FFT correlation over
-    the segment of samples that the indices reach, shared by every test
-    state of a panel, so each state costs one dot product.
-
-    The caller owns the segments' spectra: ``spectra`` maps a segment's
-    (start, length), which fix its padded size, to its transform, and a
-    segment found there is not transformed again.  A segment's values come
-    from ``samples``, so one dict serves one set of samples.
+    Row i of ``weights`` holds a test state's q weights on the lattice
+    indices m_lo, m_lo + 1, ...; Y[i] is the overlap profile of that state
+    against conj(samples) at the lattice offsets u_lo .. u_lo + length - 1.
+    Samples beyond their grid count as zeros.  It is one FFT correlation:
+    one transform of the conj(samples) segment that the offsets reach, and
+    one forward and one inverse transform per row.
     """
-    m_lo = int(m_idx.min())
-    lo = m_lo + s_min
-    length = int(m_idx.max()) - m_lo + coeff.size
-    size = 1 << (length - 1).bit_length()
-    spectrum = spectra.get((lo, length))
-    if spectrum is None:
-        seg = np.zeros(length, dtype=complex)
-        a, b = max(lo, 0), min(lo + length, samples.size)
-        if a < b:
-            seg[a - lo:b - lo] = np.conj(samples[a:b])
-        spectrum = spectra[lo, length] = np.fft.fft(seg, size)
-    corr = np.fft.ifft(spectrum * np.conj(np.fft.fft(np.conj(coeff), size)))
-    return corr[m_idx - m_lo]
+    span = weights.shape[1]
+    lo = m_lo + u_lo
+    seg = np.zeros(span + length - 1, dtype=complex)
+    a, b = max(lo, 0), min(lo + seg.size, samples.size)
+    if a < b:
+        seg[a - lo:b - lo] = np.conj(samples[a:b])
+    size = 1 << (seg.size - 1).bit_length()
+    spectrum = np.fft.fft(seg, size)
+    # row by row: one transform of all rows at once took as long and kept
+    # about 0.2 MB more resident memory in a warm process
+    return np.array([np.fft.ifft(spectrum * np.conj(np.fft.fft(np.conj(row), size)))[:length]
+                     for row in weights])
 
 
 def _support_bounds(axis: np.ndarray, samples: np.ndarray, spacing: float,
@@ -562,16 +560,21 @@ class _Pairing:
 
     It checks the states and finds, once for all times, each chi's q rule,
     the y range that covers the union of the chi supports and the scale of
-    each doubling guard.  :meth:`at` evaluates every pairing at one time on
-    one shared y rule: one stencil per resolution and one correlation serve
-    all the chis.  The y range is rounded outward to multiples of h_max,
-    edges of the panel rule, so a stencil belongs to the geometry and not
-    to psi's support; widening it only adds end panels where psi is below
-    its support cutoff.  Each chi keeps its own coarse and fine values and
-    its own doubling guard.  The pairing owns the spectra of its conj(psi)
-    segments (``spectra``, for :func:`_correlate_conj`): the y range does
-    not change with t, so every time and resolution correlates its stencil
-    with the one segment transformed once.
+    each doubling guard.  The y range is rounded outward to multiples of
+    h_max, edges of the panel rule, so a stencil belongs to the geometry and
+    not to psi's support; widening it only adds end panels where psi is
+    below its support cutoff.
+
+    A value is prefactor * sum_m w_m sum_s coeff_s conj(psi[m + s_min + s])
+    over chi's q weights w and the chirp stencil ``(s_min, coeff)``, and
+    only the stencil depends on t.  So the sum over q is taken first, once:
+    it is chi's overlap profile Y[u] = sum_m w_m conj(psi[m + u])
+    (:func:`_overlap_profiles`), and a value is prefactor * sum_s coeff_s
+    Y[s_min + s].  ``profiles`` keeps every chi's profile by offset range;
+    one range serves the coarse and the fine stencils of a y range, and the
+    default resolution's range is built here, so :meth:`at` transforms
+    nothing: per resolution it takes one stencil and one matrix-vector
+    product.  Each chi keeps its own doubling guard.
     """
 
     def __init__(self, psi: PolarizedState, chis: list[PolarizedState],
@@ -580,8 +583,9 @@ class _Pairing:
             raise ValueError("bks_pairing expects position-polarized states")
         if psi.n != 1:
             raise UnsupportedObservable("the pairing is implemented on 1D grids")
-        if not all(np.isclose(psi.hbar, c.hbar) and np.isclose(psi.mass, c.mass)
-                   for c in chis):
+        # np.isclose's test with its default tolerances, on plain floats
+        close = lambda a, b: abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+        if not all(close(psi.hbar, c.hbar) and close(psi.mass, c.mass) for c in chis):
             raise ValueError("states disagree on hbar or mass")
         self.n, self.hbar, self.mass = psi.n, psi.hbar, psi.mass
         self.tolerances = tolerances
@@ -594,23 +598,42 @@ class _Pairing:
         x_lo, x_hi = _support_bounds(psi.grid.axis(0), self.samples, self.h)
         self.y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
         self.y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
-        m_lo = min(int(m[0]) for _, m, _ in qs)
-        self.m_idx = np.arange(m_lo, max(int(m[-1]) for _, m, _ in qs) + 1)
-        self.rules = [(m - m_lo, q_weights) for _, m, q_weights in qs]
+        self.m_lo = min(int(m[0]) for _, m, _ in qs)
+        span = max(int(m[-1]) for _, m, _ in qs) + 1 - self.m_lo
+        self.weights = np.zeros((len(chis), span), dtype=complex)
+        for row, (_, m, q_weights) in zip(self.weights, qs):
+            row[m - self.m_lo] = q_weights
         self.floors = [1e-3 * psi.norm() * chi.norm() for chi in chis]
-        self.spectra: dict = {}
+        self.profiles: dict = {}
+        self._blocks(_H_MAX_CELLS * self.h)
 
-    def _values(self, t: float, theta_max: float, h_max: float, k_lo: int,
-                k_hi: int) -> list[complex]:
+    def _blocks(self, h_max: float) -> tuple[int, int, int, np.ndarray]:
+        """The blocks k_lo <= k < k_hi of pitch h_max that cover the y range,
+        the first offset u_lo of their profiles, and the profiles.
+
+        Every node y of the rule on [k_lo h_max, k_hi h_max], at either
+        resolution, gives weight to offsets floor(y/h) - 2 .. floor(y/h) + 3;
+        one more offset at each end absorbs the rounding of a node that lies
+        on the range's edge, so the profile holds every stencil's window.
+        """
+        k_lo, k_hi = int(np.floor(self.y_lo / h_max)), int(np.ceil(self.y_hi / h_max))
+        u_lo = int(np.floor(k_lo * h_max / self.h)) - 3
+        u_hi = int(np.ceil(k_hi * h_max / self.h)) + 3
+        profiles = self.profiles.get((u_lo, u_hi))
+        if profiles is None:
+            profiles = self.profiles[u_lo, u_hi] = _overlap_profiles(
+                self.samples, self.m_lo, self.weights, u_lo, u_hi + 1 - u_lo)
+        return k_lo, k_hi, u_lo, profiles
+
+    def _values(self, t: float, theta_max: float, h_max: float, k_lo: int, k_hi: int,
+                u_lo: int, profiles: np.ndarray) -> np.ndarray:
         """One resolution of every pairing, on the y range [k_lo h_max, k_hi h_max]."""
         a = self.mass / (2.0 * self.hbar * t)
         # plain floats keep the memo key hashable for 0-d array arguments
         s_min, coeff = _STENCILS.stencil(self.h, float(a), float(theta_max),
                                          float(h_max), k_lo, k_hi)
-        inner = _correlate_conj(self.samples, self.m_idx, s_min, coeff, self.spectra)
         prefactor = np.sqrt(self.mass / (2.0 * np.pi * self.hbar * t))
-        return [complex(prefactor * np.sum(q_weights * inner[i]))
-                for i, q_weights in self.rules]
+        return prefactor * (profiles[:, s_min - u_lo:s_min - u_lo + coeff.size] @ coeff)
 
     def at(self, t: float, theta_max: float = _THETA_MAX,
            h_max: float | None = None) -> list[PairingResult]:
@@ -618,12 +641,13 @@ class _Pairing:
         if t <= 0:
             raise ValueError("t must be positive")
         if h_max is None:
-            h_max = 8.0 * self.h
-        k_lo, k_hi = int(np.floor(self.y_lo / h_max)), int(np.ceil(self.y_hi / h_max))
-        coarse = self._values(t, theta_max, h_max, k_lo, k_hi)
-        fine = self._values(t, theta_max / 2.0, h_max / 2.0, 2 * k_lo, 2 * k_hi)
+            h_max = _H_MAX_CELLS * self.h
+        k_lo, k_hi, u_lo, profiles = self._blocks(h_max)
+        coarse = self._values(t, theta_max, h_max, k_lo, k_hi, u_lo, profiles)
+        fine = self._values(t, theta_max / 2.0, h_max / 2.0, 2 * k_lo, 2 * k_hi,
+                            u_lo, profiles)
         n, results = self.n, []
-        for c, f, floor in zip(coarse, fine, self.floors):
+        for c, f, floor in zip(coarse.tolist(), fine.tolist(), self.floors):
             delta = abs(f - c)
             scale = max(abs(f), floor)
             if delta > self.tolerances.bks * scale:

@@ -11,9 +11,10 @@ from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           richardson_extrapolate, state_projected_rate,
                           windowed_plane_wave)
 from geoquant import bks
-from geoquant.bks import (_LAGRANGE, _OFFSETS, _STENCILS, _Pairing, _correlate_conj,
-                          _phase_panels, schrodinger_residual)
+from geoquant.bks import (_LAGRANGE, _OFFSETS, _STENCILS, _Pairing, _default_panel,
+                          _overlap_profiles, _phase_panels, schrodinger_residual)
 from geoquant.halfform import ConfigGrid
+from geoquant.stencil import fft_apply
 
 TOL = DEFAULT_TOLERANCES
 
@@ -294,28 +295,64 @@ def test_pairing_rejects_chi_it_cannot_put_on_the_lattice():
         bks_pairing(psi, edge, 0.1)
 
 
-def sliding_correlation(vals, m_idx, s_min, coeff):
-    out = np.zeros(m_idx.size, dtype=complex)
-    for i, m in enumerate(m_idx):
-        for s, c in enumerate(coeff):
-            j = m + s_min + s
-            if 0 <= j < vals.size:
-                out[i] += c * np.conj(vals[j])
+def sliding_profiles(samples, m_lo, weights, u_lo, length):
+    """Y[i, v] = sum_r weights[i, r] conj(samples[m_lo + r + u_lo + v]), term by term."""
+    out = np.zeros((weights.shape[0], length), dtype=complex)
+    for i, row in enumerate(weights):
+        for v in range(length):
+            for r, w in enumerate(row):
+                j = m_lo + r + u_lo + v
+                if 0 <= j < samples.size:
+                    out[i, v] += w * np.conj(samples[j])
     return out
 
 
-@pytest.mark.parametrize("s_min, m_idx", [
-    (-5, np.arange(10, 40)),              # inside the samples
-    (-30, np.arange(0, 60)),              # stencil starts before the samples
-    (-3, np.array([55, 2, 17, 17, 70])),  # unsorted, repeated, past the end
+@pytest.mark.parametrize("m_lo, u_lo, length", [
+    (10, -5, 20),    # every offset inside the samples
+    (0, -30, 45),    # offsets start before the first sample
+    (20, 15, 30),    # windows run past the last sample
+    (-8, -12, 90),   # both ends outside the samples
 ])
-def test_fft_correlation_matches_sliding_window(s_min, m_idx):
+def test_overlap_profile_matches_sliding_sum(m_lo, u_lo, length):
     rng = np.random.default_rng(7)
     samples = rng.normal(size=48) + 1j * rng.normal(size=48)
-    coeff = rng.normal(size=25) + 1j * rng.normal(size=25)
-    got = _correlate_conj(samples, m_idx, s_min, coeff, {})
-    want = sliding_correlation(samples, m_idx, s_min, coeff)
+    weights = rng.normal(size=(3, 17)) + 1j * rng.normal(size=(3, 17))
+    weights[1, :5] = 0.0  # a state whose support starts inside the span
+    got = _overlap_profiles(samples, m_lo, weights, u_lo, length)
+    want = sliding_profiles(samples, m_lo, weights, u_lo, length)
+    assert got.shape == (3, length)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def direct_values(pairing, t, theta_max, h_max, k_lo, k_hi):
+    """Every pairing of one resolution as the double sum over q and the
+    stencil, in long double, from the stencil the pairing uses."""
+    s_min, coeff = _STENCILS.stencil(pairing.h, pairing.mass / (2.0 * pairing.hbar * t),
+                                     theta_max, h_max, k_lo, k_hi)
+    index = ((pairing.m_lo + np.arange(pairing.weights.shape[1]))[:, None]
+             + s_min + np.arange(coeff.size))
+    inside = (index >= 0) & (index < pairing.samples.size)
+    window = np.zeros(index.shape, dtype=np.clongdouble)
+    window[inside] = np.conj(pairing.samples[index[inside]])
+    prefactor = np.sqrt(pairing.mass / (2.0 * np.pi * pairing.hbar * t))
+    exact = pairing.weights.astype(np.clongdouble) @ window @ coeff.astype(np.clongdouble)
+    return prefactor * exact.astype(complex)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pairing_values_match_a_long_double_direct_sum(seed):
+    rng = np.random.default_rng(seed)
+    psi = gaussian_state(line(count=512, extent=16.0), center=rng.uniform(-1.5, 1.5),
+                         width=rng.uniform(0.8, 1.3), wavenumber=rng.uniform(-1.0, 1.0))
+    pairing = _Pairing(psi, _default_panel(psi), TOL)
+    h_max = 8.0 * pairing.h
+    k_lo, k_hi, u_lo, profiles = pairing._blocks(h_max)
+    for t in (0.32, 0.02):
+        for scale in (1, 2):  # coarse and fine
+            args = (t, 1.5 * np.pi / scale, h_max / scale, scale * k_lo, scale * k_hi)
+            got = pairing._values(*args, u_lo, profiles)
+            want = direct_values(pairing, *args)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_batched_pairings_equal_single_pairings_and_the_oracle():
@@ -561,42 +598,71 @@ def test_hit_after_extension_has_the_bits_of_a_fresh_build():
         assert same_bits(x, y)
 
 
-def test_each_psi_segment_is_transformed_once_per_pairing(monkeypatch):
+def counting_transforms(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def counted(x, *args, _transform=transform, **kwargs):
+            calls.append(np.shape(x))
+            return _transform(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_pairing_transforms_do_not_depend_on_the_times(monkeypatch):
     grid = line(count=512, extent=16.0)
     psi0 = gaussian_state(grid, center=0.4, width=1.1, wavenumber=0.3)
-    _STENCILS.clear()
-    schrodinger_residual(psi0, SCHRODINGER_TIMES)  # fill the tables: count FFTs only
-    segments, ffts, inside = [], [], []
-    fft, correlate = np.fft.fft, bks._correlate_conj
+    times = [0.32, 0.24, 0.16, 0.12, 0.08, 0.06, 0.04, 0.03, 0.02, 0.015]
+    for t_list in (times[:3], times):  # fill the stencil tables first
+        schrodinger_residual(psi0, t_list)
+    calls = counting_transforms(monkeypatch)
+    counts = []
+    for t_list in (times[:3], times[:5], times):
+        calls.clear()
+        schrodinger_residual(psi0, t_list)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
+    calls.clear()
+    pairing = _Pairing(psi0, _default_panel(psi0), TOL)
+    assert calls  # the profiles are built with the pairing
+    calls.clear()
+    for t in times:
+        pairing.at(t)
+    assert calls == []
+    # a caller-supplied h_max builds its profiles once, on its first time
+    pairing.at(0.3, h_max=0.3)
+    built = len(calls)
+    pairing.at(0.2, h_max=0.3)
+    assert built > 0 and len(calls) == built
 
-    def counted_fft(x, *args, **kwargs):
-        if inside:
-            ffts.append(len(x))
-        return fft(x, *args, **kwargs)
 
-    def recorded(samples, m_idx, s_min, coeff, spectra):
-        length = int(m_idx.max() - m_idx.min()) + coeff.size
-        segments.append((int(m_idx.min()) + s_min, 1 << (length - 1).bit_length()))
-        inside.append(True)
-        try:
-            return correlate(samples, m_idx, s_min, coeff, spectra)
-        finally:
-            inside.pop()
-    monkeypatch.setattr(bks.np.fft, "fft", counted_fft)
-    monkeypatch.setattr(bks, "_correlate_conj", recorded)
-    fit = schrodinger_residual(psi0, SCHRODINGER_TIMES)
-    assert len(segments) == 10  # 5 times x coarse and fine
-    # one stencil transform per correlation, one per distinct segment
-    assert len(ffts) == 10 + len(set(segments))
-    assert len(set(segments)) == 1
-    # the same fit with every segment transformed afresh has the same bits
-    monkeypatch.setattr(bks, "_correlate_conj",
-                        lambda samples, m_idx, s_min, coeff, spectra:
-                        correlate(samples, m_idx, s_min, coeff, {}))
-    bypassed = schrodinger_residual(psi0, SCHRODINGER_TIMES)
-    assert bypassed.c_fit == fit.c_fit
-    assert (bypassed.residual, bypassed.extrapolation_spread) == (
-        fit.residual, fit.extrapolation_spread)
+def free_propagated(chi, t):
+    """U_t chi with U_t = exp(-i hbar t k^2 / 2m), one FFT multiplier."""
+    n, h = chi.grid.counts[0], chi.grid.spacings[0]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    return fft_apply(chi.samples, np.exp(-0.5j * chi.hbar * t * k**2 / chi.mass), 0)
+
+
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0)])
+def test_pairing_is_the_free_propagator_at_every_time(hbar, mass):
+    """<<rho_t psi, chi>> = e^{i pi/4} <psi, U_t chi> for every t > 0, not
+    only as t -> 0: y = t p / m and the Fresnel integral turn the momentum
+    integral into the free Schroedinger propagator."""
+    grid = line(count=512, extent=16.0)
+    psi = gaussian_state(grid, center=0.3, wavenumber=0.7, hbar=hbar, mass=mass)
+    panel = _default_panel(psi)
+    pairing = _Pairing(psi, panel, TOL)
+    gap = conjugate_gap = 0.0
+    for t in (0.02, 0.04, 0.08, 0.16, 0.32, 1.0, 3.0):
+        for chi, res in zip(panel, pairing.at(t)):
+            overlap = np.vdot(psi.samples, free_propagated(chi, t)) * grid.cell_volume
+            oracle = np.exp(0.25j * np.pi) * overlap
+            gap = max(gap, abs(res.value - oracle) / abs(oracle))
+            conjugate = np.exp(-0.25j * np.pi) * overlap
+            conjugate_gap = max(conjugate_gap, abs(res.value - conjugate) / abs(conjugate))
+    assert gap < 1e-7
+    assert conjugate_gap > 1.0  # the other branch misses by |1 - i|
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
