@@ -14,15 +14,18 @@ nodes per panel; node doubling guards every evaluation.  The q nodes lie on
 psi's sample lattice (a chi whose lattice is offset by a fraction of a cell
 is first shifted onto it by the band-limited shift; any other chi is
 rejected), so psi(q + y) is the order-6 Lagrange interpolant of psi's samples
-and the y rule folds into a chirp stencil on that lattice.  The y range is
-rounded outward to multiples of the panel pitch h_max, so the stencil
-depends only on the geometry (spacing, chirp rate, panel resolution) and on
-which h_max blocks of y it spans, not on the states.  :func:`_fold_blocks`
-folds each block cell by cell, from six moments sum_j w_j e^{i a y_j^2} t_j^p
-of the nodes in each lattice cell and one 6x6 matrix of cardinal-polynomial
-coefficients, which regroups the node-by-node sum exactly; ``_STENCILS``
-keeps one table of block stencils per geometry, folds only the blocks of
-y >= 0 and mirrors them onto y < 0, and adds up the blocks of a range.
+and the y rule folds into a chirp stencil on that lattice.  The panel pitch
+h_max is a whole number of lattice cells and the y range is rounded outward
+to multiples of it, so the stencil depends only on the geometry (spacing,
+chirp rate, panel resolution) and on which lattice cells of y it spans, not
+on the states.  :func:`_fold_cells` gives each cell one row: the weights of
+its nodes on the six lattice offsets around it, from six moments
+sum_j w_j e^{i a y_j^2} t_j^p of those nodes and one 6x6 matrix of
+cardinal-polynomial coefficients, which regroups the node-by-node sum
+exactly.  ``_STENCILS`` keeps one table of rows per geometry, for the cells
+of y >= 0 only, since each cell of y < 0 is a cell of y >= 0 mirrored; the
+table grows at its far end when a range reaches past it, and a range's
+stencil is the sum of its cells' rows, shifted.
 
 Only the stencil depends on t.  So the pairing sums over q first: each test
 state's q weights against conj(psi) give its overlap profile, one value per
@@ -66,10 +69,10 @@ __all__ = [
 
 _GL_POINTS = 12
 _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
-_H_MAX_CELLS = 8.0  # default panel pitch h_max, in lattice cells of psi
+_H_MAX_CELLS = 8  # coarse panel pitch h_max in lattice cells of psi; even, so fine is 4
 _SUPPORT_CUTOFF = 1e-15
-_STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, h_max)
-_FOLD_PANELS = 4096  # panels folded into block stencils at a time, bounding temporaries
+_STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, pitch)
+_FOLD_PANELS = 4096  # panels folded into cell rows at a time, bounding temporaries
 
 
 @dataclass(frozen=True)
@@ -334,144 +337,75 @@ _LAGRANGE = np.array([
     / np.prod(o - np.delete(_OFFSETS, k)) for k, o in enumerate(_OFFSETS)])
 
 
-def _fold_blocks(h: float, a: float, theta_max: float, h_max: float, k_lo: int,
-                 k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chirp rule of each block [k h_max, (k+1) h_max], k_lo <= k < k_hi,
-    folded onto a lattice of spacing h.
+def _fold_cells(h: float, a: float, theta_max: float, pitch: int, k_lo: int,
+                k_hi: int) -> np.ndarray:
+    """The chirp rule of the blocks [k pitch h, (k+1) pitch h], k_lo <= k < k_hi,
+    folded onto a lattice of spacing h, one row per lattice cell.
 
-    Returns ``(first, last, rows)``: block k_lo + j gives
-    f(x + (first[j] + s) h) the weight rows[j, s], and its last nonzero
-    weight sits at offset last[j], such that for f sampled on any lattice of
-    spacing h and x one of its nodes
+    Row r = b - k_lo pitch holds the weights that the nodes y_j of cell
+    b = floor(y_j/h) give f(x + (b + o) h), o = -2..3, such that for f
+    sampled on any lattice of spacing h and x one of its nodes
 
-        sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_s rows[j, s] f(x + (first[j] + s) h)
+        sum_j w_j e^{i a y_j^2} f(x + y_j) = sum_b sum_o rows[r, o + 2] f(x + (b + o) h)
 
-    over the block's nodes y_j, with f(x + y_j) the order-6 Lagrange
-    interpolant.  A node y in lattice cell b = floor(y/h) at fraction
-    t = y/h - b gives f(x + (b + o) h) the weight L_o(t), a quintic in t, so
-    the nodes of one cell contribute sum_p _LAGRANGE[o, p] m_p with
+    with f(x + y_j) the order-6 Lagrange interpolant.  A node at fraction
+    t = y/h - b of its cell gives offset o the weight L_o(t), a quintic in t,
+    so the nodes of one cell contribute sum_p _LAGRANGE[o, p] m_p with
     m_p = sum_j w_j e^{i a y_j^2} t_j^p their moments.  The rule's nodes
-    ascend, so the nodes of one cell in one block are contiguous: one
-    ``reduceat`` gives all their moments, one 6x6 product their six offset
-    sums.  This regroups the node-by-node sum exactly; only the rounding
-    differs, at the level of eps * sum_j |w_j| (t^p <= 1 and the cardinal
-    coefficients are O(1)).
+    ascend, so the nodes of one cell are contiguous: one ``reduceat`` gives
+    all their moments, one 6x6 product their six offset sums.  This regroups
+    the node-by-node sum exactly; only the rounding differs, at the level of
+    eps * sum_j |w_j| (t^p <= 1 and the cardinal coefficients are O(1)).
 
-    Every multiple of h_max is an edge of :func:`_phase_panels`' rule, so a
-    block's nodes, and with them its row, do not depend on the range folded
-    with it.  The rule is symmetric in y and the kernel e^{i a y^2} is even,
-    and the offsets -2..3 are symmetric about 1/2 (L_o(1 - t) = L_{1-o}(t)),
-    so block -k-1 is block k mirrored by :func:`_mirror`: only blocks k >= 0
-    need folding.  Blocks are folded ``_FOLD_PANELS`` panels' worth at a
-    time (at least one block), so the temporaries stay small.
+    Every multiple of pitch h is an edge of :func:`_phase_panels`' rule and
+    of a cell, so a cell's nodes, and with them its row, do not depend on
+    the blocks folded with it.  Blocks are folded ``_FOLD_PANELS`` panels'
+    worth at a time (at least one block), so the temporaries stay small.
     """
+    h_max = pitch * h
     y, w = _phase_panels(k_lo * h_max, k_hi * h_max, a, theta_max, h_max)
     panels = y.reshape(-1, _GL_POINTS)
     block = np.floor((panels[:, 0] + panels[:, -1]) / (2.0 * h_max)).astype(np.int64) - k_lo
     # node index at which each block starts; every block holds a panel
     starts = np.searchsorted(block, np.arange(k_hi - k_lo + 1)) * _GL_POINTS
-    first = np.floor(y[starts[:-1]] / h).astype(np.int64) - 2
-    last = np.floor(y[starts[1:] - 1] / h).astype(np.int64) + 3
-    width = int(np.ceil(h_max / h)) + 7
-    rows = np.zeros((k_hi - k_lo, width), dtype=complex)
-    flat = rows.reshape(-1)
     step = max(1, _FOLD_PANELS * _GL_POINTS // int(np.max(np.diff(starts))))
+    rows = np.zeros(((k_hi - k_lo) * pitch, _OFFSETS.size), dtype=complex)
     for j0 in range(0, k_hi - k_lo, step):
         j1 = min(j0 + step, k_hi - k_lo)
         lo, hi = starts[j0], starts[j1]
         yb = y[lo:hi]
         posy = yb / h
         b = np.floor(posy)
-        node_block = np.repeat(block[lo // _GL_POINTS:hi // _GL_POINTS], _GL_POINTS)
-        new = np.ones(yb.size, dtype=bool)
-        new[1:] = (b[1:] != b[:-1]) | (node_block[1:] != node_block[:-1])
-        cells = np.flatnonzero(new)
+        cells = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
         moments = np.empty((_OFFSETS.size, yb.size), dtype=complex)
         moments[0] = w[lo:hi] * np.exp(1j * a * yb**2)
         t = posy - b
         for p in range(1, _OFFSETS.size):
             np.multiply(moments[p - 1], t, out=moments[p])
-        sums = _LAGRANGE @ np.add.reduceat(moments, cells, axis=1)
-        cell_block = node_block[cells]
-        at = cell_block * width + b[cells].astype(np.int64) - 2 - first[cell_block]
-        for k in range(_OFFSETS.size):
-            flat[at + k] += sums[k]  # one entry per cell: no repeated index
-    return first, last, rows
-
-
-def _mirror(first: np.ndarray, last: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_fold_blocks` rows of the mirror blocks, row by row.
-
-    Block -k-1's nodes are block k's negated, so its weight on offset s is
-    block k's on -s: its row is block k's nonzero row (``last - first + 1``
-    entries) reversed, with ``first`` and ``last`` negated and swapped.  The
-    map only moves entries, so it is exact and its own inverse.
-    """
-    cols = (last - first)[:, None] - np.arange(rows.shape[1])
-    moved = np.take_along_axis(rows, np.maximum(cols, 0), axis=1)
-    return -last, -first, np.where(cols >= 0, moved, 0.0)
-
-
-def _mirror_negative(k0: int, first: np.ndarray, last: np.ndarray,
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the rows of blocks k0, k0 + 1, ... with those of blocks k < 0
-    mirrored: block rows to fold-index rows and back."""
-    n = min(max(-k0, 0), first.size)
-    first, last, rows = first.copy(), last.copy(), rows.copy()
-    first[:n], last[:n], rows[:n] = _mirror(first[:n], last[:n], rows[:n])
-    return first, last, rows
-
-
-def _table(geometry: tuple, k_lo: int, k_hi: int, old: tuple | None) -> tuple:
-    """The table ``(k_lo, first, last, rows)`` of blocks k_lo <= k < k_hi,
-    reusing the rows of the table ``old``, which it must contain.
-
-    Block k's row comes from its fold index m (k for k >= 0, -k-1 for
-    k < 0): a block of ``old`` gives the row of its fold index (mirrored
-    back if the block is negative), and :func:`_fold_blocks` folds each
-    contiguous run of fold indices that ``old`` lacks.  Every row is thus
-    folded as a block k >= 0, and each negative block is its mirror, whatever
-    the order of the requests.
-    """
-    blocks = np.arange(k_lo, k_hi)
-    folds = np.where(blocks < 0, -blocks - 1, blocks)
-    m0 = int(folds.min())
-    slot = np.full(int(folds.max()) + 1 - m0, -1)  # row of each fold index in parts
-    parts, count = [], 0
-    if old is not None:
-        had = np.arange(old[0], old[0] + old[1].size)
-        parts.append(_mirror_negative(*old))
-        slot[np.where(had < 0, -had - 1, had) - m0] = np.arange(had.size)
-        count = had.size
-    missing = np.flatnonzero(slot < 0) + m0
-    for run in np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1):
-        if run.size:
-            parts.append(_fold_blocks(*geometry, int(run[0]), int(run[-1]) + 1))
-            slot[run - m0] = count + np.arange(run.size)
-            count += run.size
-    pick = slot[folds - m0]
-    first, last, rows = (np.concatenate(p)[pick] for p in zip(*parts))
-    return (k_lo, *_mirror_negative(k_lo, first, last, rows))
+        # a cell without nodes keeps its zero row
+        rows[b[cells].astype(np.int64) - k_lo * pitch] = (
+            _LAGRANGE @ np.add.reduceat(moments, cells, axis=1)).T
+    return rows
 
 
 class _StencilTables:
-    """Chirp stencils by geometry (h, a, theta_max, h_max): one table of
-    block rows per geometry, least recently used out first.
+    """Chirp stencils by geometry (h, a, theta_max, pitch): one table of
+    cell rows per geometry, least recently used out first.
 
-    A table is ``(k0, first, last, rows)``: the :func:`_fold_blocks` rows of
-    the blocks k0 <= k < k0 + len(first), one contiguous run that covers
-    every request made with the geometry.  Only blocks k >= 0 are folded;
-    each block -k-1 < 0 is stored as the :func:`_mirror` of block k.
-    :meth:`stencil` returns the rule on [k_lo h_max, k_hi h_max] as
-    ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h), by
-    adding the stored rows of its blocks in ascending block order; a request
-    beyond the table folds only the blocks k >= 0 that neither the table nor
-    its mirror holds.  A row depends only on its geometry and block, so a
-    stencil does not depend on the requests before it.  The rows are
-    read-only because every pairing with the geometry shares them.
-    ``builds``, ``extensions`` and ``hits`` count the requests that found no
-    table, a short one, and one that covered them.
+    A table holds the :func:`_fold_cells` rows of the cells 0 <= b < C, with
+    C a multiple of the pitch.  The rule is symmetric in y, the kernel
+    e^{i a y^2} is even and the offsets -2..3 are symmetric about 1/2
+    (L_o(1 - t) = L_{1-o}(t)), so cell -b-1 is row b reversed, and the table
+    serves every cell range [c_lo, c_hi) with -C <= c_lo and c_hi <= C.  A
+    request that reaches further folds the blocks it lacks and appends them.
+    :meth:`stencil` returns the rule of the cells [c_lo, c_hi) as
+    ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h) and
+    s_min = c_lo - 2, by six shifted slice-adds of its rows.  A row depends
+    only on its geometry and cell, so a stencil does not depend on the
+    requests before it.  The tables are read-only because every pairing
+    with the geometry shares them.  ``builds``, ``extensions`` and ``hits``
+    count the requests that found no table, a short one, and one that
+    covered them.
     """
 
     def __init__(self, size: int):
@@ -479,38 +413,34 @@ class _StencilTables:
         self.clear()
 
     def clear(self) -> None:
-        self._tables: dict[tuple, tuple] = {}  # least recently used first
+        self._tables: dict[tuple, np.ndarray] = {}  # least recently used first
         self.builds = self.extensions = self.hits = 0
 
-    def stencil(self, h: float, a: float, theta_max: float, h_max: float,
-                k_lo: int, k_hi: int) -> tuple[int, np.ndarray]:
-        key = (h, a, theta_max, h_max)
+    def stencil(self, h: float, a: float, theta_max: float, pitch: int,
+                c_lo: int, c_hi: int) -> tuple[int, np.ndarray]:
+        key = (h, a, theta_max, pitch)
         table = self._tables.pop(key, None)
+        need = max(c_hi, -c_lo)
         if table is None:
             self.builds += 1
-            table = _table(key, k_lo, k_hi, None)
+            table = _fold_cells(*key, 0, -(-need // pitch))
+        elif need > len(table):
+            self.extensions += 1
+            table = np.concatenate(
+                [table, _fold_cells(*key, len(table) // pitch, -(-need // pitch))])
         else:
-            k0, k1 = table[0], table[0] + len(table[1])
-            if k_lo < k0 or k_hi > k1:
-                self.extensions += 1
-                table = _table(key, min(k_lo, k0), max(k_hi, k1), table)
-            else:
-                self.hits += 1
-        for array in table[1:]:
-            array.flags.writeable = False
+            self.hits += 1
+        table.flags.writeable = False
         self._tables[key] = table
         if len(self._tables) > self.size:
             del self._tables[next(iter(self._tables))]
-        k0, first, last, rows = table
-        first, rows = first[k_lo - k0:k_hi - k0], rows[k_lo - k0:k_hi - k0]
-        s_min = int(first[0])
-        size = int(last[k_hi - k0 - 1]) - s_min + 1
-        # bincount adds in input order, so each offset sums its blocks in ascending order
-        idx = ((first - s_min)[:, None] + np.arange(rows.shape[1])).reshape(-1)
-        coeff = (np.bincount(idx, rows.real.reshape(-1))[:size]
-                 + 1j * np.bincount(idx, rows.imag.reshape(-1))[:size])
+        rows = np.concatenate([table[max(-c_hi, 0):max(-c_lo, 0)][::-1, ::-1],
+                               table[max(c_lo, 0):max(c_hi, 0)]])
+        coeff = np.zeros(c_hi - c_lo + _OFFSETS.size - 1, dtype=complex)
+        for k in range(_OFFSETS.size):
+            coeff[k:k + len(rows)] += rows[:, k]
         coeff.flags.writeable = False
-        return s_min, coeff
+        return c_lo - 2, coeff
 
 
 _STENCILS = _StencilTables(_STENCIL_CACHE_SIZE)
@@ -560,25 +490,27 @@ class _Pairing:
 
     It checks the states and finds, once for all times, each chi's q rule,
     the y range that covers the union of the chi supports and the scale of
-    each doubling guard.  The y range is rounded outward to multiples of
-    h_max, edges of the panel rule, so a stencil belongs to the geometry and
-    not to psi's support; widening it only adds end panels where psi is
-    below its support cutoff.
+    each doubling guard.  The y range is rounded outward to the lattice
+    cells [c_lo, c_hi), whose ends are multiples of the coarse panel pitch
+    h_max = _H_MAX_CELLS h, edges of the panel rule at both resolutions, so
+    a stencil belongs to the geometry and not to psi's support; widening it
+    only adds end panels where psi is below its support cutoff.
 
     A value is prefactor * sum_m w_m sum_s coeff_s conj(psi[m + s_min + s])
     over chi's q weights w and the chirp stencil ``(s_min, coeff)``, and
     only the stencil depends on t.  So the sum over q is taken first, once:
     it is chi's overlap profile Y[u] = sum_m w_m conj(psi[m + u])
-    (:func:`_overlap_profiles`), and a value is prefactor * sum_s coeff_s
-    Y[s_min + s].  ``profiles`` keeps every chi's profile by offset range;
-    one range serves the coarse and the fine stencils of a y range, and the
-    default resolution's range is built here, so :meth:`at` transforms
-    nothing: per resolution it takes one stencil and one matrix-vector
-    product.  Each chi keeps its own doubling guard.
+    (:func:`_overlap_profiles`) on the offsets c_lo - 2 .. c_hi + 2 of every
+    stencil of the cells, and a value is prefactor * sum_s coeff_s
+    Y[s_min + s].  :meth:`at` transforms nothing: per resolution it takes
+    one stencil and one matrix-vector product.  Each chi keeps its own
+    doubling guard.
     """
 
     def __init__(self, psi: PolarizedState, chis: list[PolarizedState],
                  tolerances: Tolerances):
+        if not chis:
+            raise ValueError("the test panel is empty")
         if any(state.polarization != "position" for state in [psi, *chis]):
             raise ValueError("bks_pairing expects position-polarized states")
         if psi.n != 1:
@@ -596,56 +528,35 @@ class _Pairing:
         x0 = float(psi.grid.axis(0)[0])
         qs = [_q_rule(chi, x0, self.h, tolerances) for chi in chis]
         x_lo, x_hi = _support_bounds(psi.grid.axis(0), self.samples, self.h)
-        self.y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
-        self.y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
+        y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
+        y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
+        h_max = _H_MAX_CELLS * self.h
+        self.c_lo = _H_MAX_CELLS * int(np.floor(y_lo / h_max))
+        self.c_hi = _H_MAX_CELLS * int(np.ceil(y_hi / h_max))
         self.m_lo = min(int(m[0]) for _, m, _ in qs)
         span = max(int(m[-1]) for _, m, _ in qs) + 1 - self.m_lo
         self.weights = np.zeros((len(chis), span), dtype=complex)
         for row, (_, m, q_weights) in zip(self.weights, qs):
             row[m - self.m_lo] = q_weights
         self.floors = [1e-3 * psi.norm() * chi.norm() for chi in chis]
-        self.profiles: dict = {}
-        self._blocks(_H_MAX_CELLS * self.h)
+        self.profiles = _overlap_profiles(self.samples, self.m_lo, self.weights,
+                                          self.c_lo - 2, self.c_hi - self.c_lo + 5)
 
-    def _blocks(self, h_max: float) -> tuple[int, int, int, np.ndarray]:
-        """The blocks k_lo <= k < k_hi of pitch h_max that cover the y range,
-        the first offset u_lo of their profiles, and the profiles.
-
-        Every node y of the rule on [k_lo h_max, k_hi h_max], at either
-        resolution, gives weight to offsets floor(y/h) - 2 .. floor(y/h) + 3;
-        one more offset at each end absorbs the rounding of a node that lies
-        on the range's edge, so the profile holds every stencil's window.
-        """
-        k_lo, k_hi = int(np.floor(self.y_lo / h_max)), int(np.ceil(self.y_hi / h_max))
-        u_lo = int(np.floor(k_lo * h_max / self.h)) - 3
-        u_hi = int(np.ceil(k_hi * h_max / self.h)) + 3
-        profiles = self.profiles.get((u_lo, u_hi))
-        if profiles is None:
-            profiles = self.profiles[u_lo, u_hi] = _overlap_profiles(
-                self.samples, self.m_lo, self.weights, u_lo, u_hi + 1 - u_lo)
-        return k_lo, k_hi, u_lo, profiles
-
-    def _values(self, t: float, theta_max: float, h_max: float, k_lo: int, k_hi: int,
-                u_lo: int, profiles: np.ndarray) -> np.ndarray:
-        """One resolution of every pairing, on the y range [k_lo h_max, k_hi h_max]."""
+    def _values(self, t: float, theta_max: float, pitch: int) -> np.ndarray:
+        """One resolution of every pairing, on the y range of the cells [c_lo, c_hi)."""
         a = self.mass / (2.0 * self.hbar * t)
         # plain floats keep the memo key hashable for 0-d array arguments
-        s_min, coeff = _STENCILS.stencil(self.h, float(a), float(theta_max),
-                                         float(h_max), k_lo, k_hi)
+        _, coeff = _STENCILS.stencil(self.h, float(a), theta_max, pitch,
+                                     self.c_lo, self.c_hi)
         prefactor = np.sqrt(self.mass / (2.0 * np.pi * self.hbar * t))
-        return prefactor * (profiles[:, s_min - u_lo:s_min - u_lo + coeff.size] @ coeff)
+        return prefactor * (self.profiles @ coeff)
 
-    def at(self, t: float, theta_max: float = _THETA_MAX,
-           h_max: float | None = None) -> list[PairingResult]:
-        """Every pairing at time t, at panel resolution (theta_max, h_max) and doubled."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        if h_max is None:
-            h_max = _H_MAX_CELLS * self.h
-        k_lo, k_hi, u_lo, profiles = self._blocks(h_max)
-        coarse = self._values(t, theta_max, h_max, k_lo, k_hi, u_lo, profiles)
-        fine = self._values(t, theta_max / 2.0, h_max / 2.0, 2 * k_lo, 2 * k_hi,
-                            u_lo, profiles)
+    def at(self, t: float) -> list[PairingResult]:
+        """Every pairing at time t, at the panel resolution and doubled."""
+        if not 0 < t < np.inf:
+            raise ValueError("t must be positive and finite")
+        coarse = self._values(t, _THETA_MAX, _H_MAX_CELLS)
+        fine = self._values(t, _THETA_MAX / 2.0, _H_MAX_CELLS // 2)
         n, results = self.n, []
         for c, f, floor in zip(coarse.tolist(), fine.tolist(), self.floors):
             delta = abs(f - c)
@@ -662,20 +573,18 @@ class _Pairing:
 
 
 def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
-                theta_max: float = _THETA_MAX, h_max: float | None = None,
                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> PairingResult:
-    """Free-particle pairing of two position-polarized states at time t > 0.
+    """Free-particle pairing of two position-polarized states at time 0 < t < inf.
 
     The flowed argument psi(q + t p / m) is evaluated by order-6 interpolation
     on a zero-padded extension of the state grid.  chi's nodes must lie on
     psi's lattice, or on a copy of it offset by a fraction of a cell, onto
     which chi is then shifted; otherwise :class:`UnsupportedObservable` is
-    raised.  Every call is computed at the requested panel resolution and at
-    doubled resolution; if the two differ beyond the ``bks`` tolerance
-    (relative to the natural scale of the pairing) a
-    :class:`QuadratureFailure` is raised.
+    raised.  Every call is computed at the panel resolution and at doubled
+    resolution; if the two differ beyond the ``bks`` tolerance (relative to
+    the natural scale of the pairing) a :class:`QuadratureFailure` is raised.
     """
-    return _Pairing(psi_q, [chi_q], tolerances).at(t, theta_max, h_max)[0]
+    return _Pairing(psi_q, [chi_q], tolerances).at(t)[0]
 
 
 # -- small-time generator extraction --------------------------------------------
@@ -690,6 +599,8 @@ def richardson_extrapolate(ts: np.ndarray, values: np.ndarray) -> tuple[complex,
     vals = np.asarray(values, dtype=complex)
     if ts.size != vals.size or ts.size < 2:
         raise ValueError("need matching t and value arrays with >= 2 entries")
+    if not np.all(np.isfinite(ts)) or _sorted_distinct(ts).size != ts.size:
+        raise ValueError("the times must be finite and distinct")
     order = np.argsort(-ts)  # largest t first; the final refinement is smallest t
     t = ts[order]
     table = vals[order].copy()
@@ -719,8 +630,8 @@ def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
     t_arr = np.asarray(sorted(t_list, reverse=True), dtype=float)
     if t_arr.size < 3 or t_arr.size > 10:
         raise ValueError("t_list should carry 3 to 10 small positive times")
-    if not np.all(t_arr > 0):
-        raise ValueError("all times must be positive")
+    if not np.all((t_arr > 0) & (t_arr < np.inf)):
+        raise ValueError("all times must be positive and finite")
     if _sorted_distinct(t_arr).size != t_arr.size:
         raise ValueError("the times must be distinct")
     overlaps = np.array([psi0.inner(chi) for chi in test_states])

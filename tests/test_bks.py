@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES, gauss_legendre
+from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import (QuadratureFailure, SupportEscapesGrid,
                              UnsupportedObservable)
 from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
@@ -14,6 +15,7 @@ from geoquant import bks
 from geoquant.bks import (_LAGRANGE, _OFFSETS, _STENCILS, _Pairing, _default_panel,
                           _overlap_profiles, _phase_panels, schrodinger_residual)
 from geoquant.halfform import ConfigGrid
+from geoquant.reporting import render_report, strip_footer
 from geoquant.stencil import fft_apply
 
 TOL = DEFAULT_TOLERANCES
@@ -253,15 +255,31 @@ def test_disjoint_supports_pair_to_nothing():
     assert abs(res.value) < TOL.bks * psi.norm() * chi.norm()
 
 
-def test_quadrature_guard_raises_on_coarse_panels():
+def coarse_panels(monkeypatch, theta_max, pitch):
+    """Make every pairing use panels of phase advance theta_max and pitch
+    ``pitch`` lattice cells (halved at the doubled resolution)."""
+    monkeypatch.setattr(bks, "_THETA_MAX", theta_max)
+    monkeypatch.setattr(bks, "_H_MAX_CELLS", pitch)
+
+
+def test_quadrature_guard_raises_on_coarse_panels(monkeypatch):
     grid = line(count=512, extent=16.0)
     psi = gaussian_state(grid, width=1.0)
     chi = gaussian_state(grid, width=1.0)
+    coarse_panels(monkeypatch, 600 * np.pi, 640)  # h_max about 40
     _STENCILS.clear()
     for _ in range(2):  # the second call finds both stencils memoised
         with pytest.raises(QuadratureFailure):
-            bks_pairing(psi, chi, 0.02, theta_max=600 * np.pi, h_max=40.0)
+            bks_pairing(psi, chi, 0.02)
     assert _STENCILS.hits == 2
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, np.inf, np.nan])
+def test_pairing_rejects_times_that_are_not_positive_and_finite(t):
+    grid = line(count=512, extent=16.0)
+    psi = gaussian_state(grid, width=1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bks_pairing(psi, psi, t)
 
 
 def test_off_lattice_pairing_matches_gaussian_oracle():
@@ -324,11 +342,11 @@ def test_overlap_profile_matches_sliding_sum(m_lo, u_lo, length):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def direct_values(pairing, t, theta_max, h_max, k_lo, k_hi):
+def direct_values(pairing, t, theta_max, pitch):
     """Every pairing of one resolution as the double sum over q and the
     stencil, in long double, from the stencil the pairing uses."""
     s_min, coeff = _STENCILS.stencil(pairing.h, pairing.mass / (2.0 * pairing.hbar * t),
-                                     theta_max, h_max, k_lo, k_hi)
+                                     theta_max, pitch, pairing.c_lo, pairing.c_hi)
     index = ((pairing.m_lo + np.arange(pairing.weights.shape[1]))[:, None]
              + s_min + np.arange(coeff.size))
     inside = (index >= 0) & (index < pairing.samples.size)
@@ -345,12 +363,10 @@ def test_pairing_values_match_a_long_double_direct_sum(seed):
     psi = gaussian_state(line(count=512, extent=16.0), center=rng.uniform(-1.5, 1.5),
                          width=rng.uniform(0.8, 1.3), wavenumber=rng.uniform(-1.0, 1.0))
     pairing = _Pairing(psi, _default_panel(psi), TOL)
-    h_max = 8.0 * pairing.h
-    k_lo, k_hi, u_lo, profiles = pairing._blocks(h_max)
     for t in (0.32, 0.02):
         for scale in (1, 2):  # coarse and fine
-            args = (t, 1.5 * np.pi / scale, h_max / scale, scale * k_lo, scale * k_hi)
-            got = pairing._values(*args, u_lo, profiles)
+            args = (t, 1.5 * np.pi / scale, 8 // scale)
+            got = pairing._values(*args)
             want = direct_values(pairing, *args)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -364,7 +380,7 @@ def test_batched_pairings_equal_single_pairings_and_the_oracle():
     chis = [PolarizedState(np.exp(-(x - b) ** 2 / (2 * r**2)), grid, "position")
             for r, b in shapes]
     for t in (0.32, 0.04):
-        batch = _Pairing(psi, chis, TOL).at(t, 1.5 * np.pi, None)
+        batch = _Pairing(psi, chis, TOL).at(t)
         for (r, b), chi, res in zip(shapes, chis, batch):
             single = bks_pairing(psi, chi, t)
             assert abs(res.value - single.value) < 1e-12 * abs(single.value)
@@ -373,19 +389,19 @@ def test_batched_pairings_equal_single_pairings_and_the_oracle():
             assert res.half_form_factor == single.half_form_factor
 
 
-def test_batch_with_one_under_resolved_state_raises():
+def test_batch_with_one_under_resolved_state_raises(monkeypatch):
     grid = line(count=512, extent=16.0)
     x = grid.axis(0)
     psi = gaussian_state(grid, width=1.0)
     good = [PolarizedState(np.exp(-(x - c) ** 2 / 2), grid, "position")
             for c in (0.0, -1.0)]
     narrow = PolarizedState(np.exp(-(x - 4.0) ** 2 / 0.18), grid, "position")
-    coarse = dict(t=0.02, theta_max=6 * np.pi, h_max=1.0)
-    assert len(_Pairing(psi, good, TOL).at(**coarse)) == 2
+    coarse_panels(monkeypatch, 6 * np.pi, 16)  # h_max about 1
+    assert len(_Pairing(psi, good, TOL).at(0.02)) == 2
     with pytest.raises(QuadratureFailure):
-        bks_pairing(psi, narrow, 0.02, theta_max=6 * np.pi, h_max=1.0)
+        bks_pairing(psi, narrow, 0.02)
     with pytest.raises(QuadratureFailure) as err:
-        _Pairing(psi, [good[0], narrow, good[1]], TOL).at(**coarse)
+        _Pairing(psi, [good[0], narrow, good[1]], TOL).at(0.02)
     assert err.value.doubling_delta > 0
 
 
@@ -434,23 +450,22 @@ def test_plane_wave_moved_by_one_cell_builds_no_table():
 
 
 def test_chirp_stencil_hit_equals_miss_and_is_read_only():
-    args = (0.0625, 12.5, 1.5 * np.pi, 0.5, -35, 34)  # y in [-17.5, 17]
+    args = (0.0625, 12.5, 1.5 * np.pi, 8, -280, 272)  # y in [-17.5, 17]
     _STENCILS.clear()
     miss = _STENCILS.stencil(*args)
     hit = _STENCILS.stencil(*args)
     assert (_STENCILS.builds, _STENCILS.hits) == (1, 1)
     _STENCILS.clear()
     fresh = _STENCILS.stencil(*args)
-    assert hit[0] == fresh[0] == miss[0]
+    assert hit[0] == fresh[0] == miss[0] == args[4] - 2
     assert hit[1].shape == fresh[1].shape
     assert np.all(hit[1] == fresh[1])
-    for array in (hit[1], *_STENCILS._tables[args[:4]][1:]):
+    for array in (hit[1], _STENCILS._tables[args[:4]]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
-    # one complex per lattice offset of the rounded y range, not per node
-    h, h_max, k_lo, k_hi = args[0], args[3], args[4], args[5]
-    assert hit[1].size <= (k_hi - k_lo) * h_max / h + 7
+    # one complex per lattice offset that the cells reach, not per node
+    assert hit[1].size == args[5] - args[4] + 5
 
 
 def test_lagrange_matrix_is_cardinal():
@@ -483,119 +498,149 @@ def per_node_fold(h, a, y_lo, y_hi, theta_max, h_max):
     return s_min, re + 1j * im
 
 
+def block_stencil(h, a, theta_max, pitch, k_lo, k_hi):
+    """The table's stencil of the blocks k_lo <= k < k_hi of ``pitch`` cells."""
+    return _STENCILS.stencil(h, a, theta_max, pitch, k_lo * pitch, k_hi * pitch)
+
+
 def assert_matches_per_node_fold(args, stencil):
-    h, a, theta_max, h_max, k_lo, k_hi = args
+    h, a, theta_max, pitch, k_lo, k_hi = args
     s_min, coeff = stencil
-    ref_min, ref = per_node_fold(h, a, k_lo * h_max, k_hi * h_max, theta_max, h_max)
-    assert s_min == ref_min
-    assert coeff.size == ref.size
-    assert np.max(np.abs(coeff - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert s_min == k_lo * pitch - 2
+    assert coeff.size == (k_hi - k_lo) * pitch + 5
+    # the oracle spans the offsets its nodes reach, which may leave out an
+    # end cell without nodes
+    ref_min, ref = per_node_fold(h, a, k_lo * pitch * h, k_hi * pitch * h, theta_max,
+                                 pitch * h)
+    at = ref_min - s_min
+    assert 0 <= at and at + ref.size <= coeff.size
+    want = np.zeros_like(coeff)
+    want[at:at + ref.size] = ref
+    assert np.max(np.abs(coeff - want)) <= 1e-14 * np.max(np.abs(ref))
 
 
-# (h, a, theta_max, h_max, k_lo, k_hi): the stencil of [k_lo h_max, k_hi h_max]
+# (h, a, theta_max, pitch, k_lo, k_hi): the stencil of the blocks
+# [k_lo pitch h, k_hi pitch h], pitch lattice cells each
 @pytest.mark.parametrize("args, fold_panels", [
-    ((0.0625, 25.0, 1.5 * np.pi, 0.5, -35, 35), None),     # Schroedinger panel
-    ((0.0625, 25.0, 0.75 * np.pi, 0.25, -70, 70), None),   # its fine resolution
-    ((0.0625, 12.5, 1.5 * np.pi, 0.5, -19, 25), None),     # asymmetric range
-    ((0.0625, 12.5, 1.5 * np.pi, 0.3, -30, 41), None),     # h_max not a whole cell count
-    ((0.0625, 25.0, 1.5 * np.pi, 0.3, -30, 41), 3),        # folded a few blocks at a time
-    ((0.0625, 12.5, 1.5 * np.pi, 0.5, -40, -5), None),     # wholly mirrored blocks
-    ((0.0625, 12.5, 1.5 * np.pi, 0.5, 5, 40), None),       # wholly folded blocks
-    ((0.0625, 25.0, 1.5 * np.pi, 0.3, -12, 31), None),     # straddles 0, |k_lo| != k_hi
+    ((0.0625, 25.0, 1.5 * np.pi, 8, -35, 35), None),    # Schroedinger panel
+    ((0.0625, 25.0, 0.75 * np.pi, 4, -70, 70), None),   # its fine resolution
+    ((0.0625, 12.5, 1.5 * np.pi, 8, -19, 25), None),    # asymmetric range
+    ((0.0625, 12.5, 1.5 * np.pi, 5, -48, 66), None),    # odd pitch
+    ((0.0625, 25.0, 1.5 * np.pi, 5, -48, 66), 3),       # folded a few blocks at a time
+    ((0.0625, 12.5, 1.5 * np.pi, 5, -64, -8), None),    # wholly mirrored cells
+    ((0.0625, 12.5, 1.5 * np.pi, 8, 5, 40), None),      # wholly folded cells
+    ((0.0625, 25.0, 1.5 * np.pi, 5, -19, 50), None),    # straddles 0, |k_lo| != k_hi
 ])
 def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
     _STENCILS.clear()
-    stencil = _STENCILS.stencil(*args)
+    stencil = block_stencil(*args)
     assert_matches_per_node_fold(args, stencil)
     if fold_panels is not None:
-        rows = _STENCILS._tables[args[:4]][3]
+        table = _STENCILS._tables[args[:4]]
         monkeypatch.setattr(bks, "_FOLD_PANELS", fold_panels)
         _STENCILS.clear()
-        assert np.all(_STENCILS.stencil(*args)[1] == stencil[1])
-        assert np.all(_STENCILS._tables[args[:4]][3] == rows)
+        assert same_bits(block_stencil(*args)[1], stencil[1])
+        assert same_bits(_STENCILS._tables[args[:4]], table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pitch=st.integers(3, 9), a=st.floats(2.0, 40.0),
+       k_lo=st.integers(-30, 30), blocks=st.integers(1, 30))
+def test_cell_table_matches_per_node_fold_for_any_geometry(pitch, a, k_lo, blocks):
+    args = (0.0625, a, 1.5 * np.pi, pitch, k_lo, k_lo + blocks)
+    assert_matches_per_node_fold(args, block_stencil(*args))
 
 
 def test_table_extended_on_both_sides_matches_per_node_fold():
-    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.5)
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 8)
     _STENCILS.clear()
-    inner = _STENCILS.stencil(*geometry, -10, 10)
-    wide = _STENCILS.stencil(*geometry, -35, 37)
+    inner = block_stencil(*geometry, -10, 10)
+    wide = block_stencil(*geometry, -35, 37)
     assert (_STENCILS.builds, _STENCILS.extensions) == (1, 1)
     assert_matches_per_node_fold((*geometry, -35, 37), wide)
     # the inner range still assembles the same bits from the extended table
-    again = _STENCILS.stencil(*geometry, -10, 10)
+    again = block_stencil(*geometry, -10, 10)
     assert _STENCILS.hits == 1
-    assert again[0] == inner[0] and np.all(again[1] == inner[1])
+    assert again[0] == inner[0] and same_bits(again[1], inner[1])
     _STENCILS.clear()
-    assert np.all(_STENCILS.stencil(*geometry, -35, 37)[1] == wide[1])
+    assert same_bits(block_stencil(*geometry, -35, 37)[1], wide[1])
 
 
 def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def test_negative_blocks_store_the_mirrored_rows():
-    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.3)
+def test_negative_cells_are_the_reversed_rows():
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 5)
     _STENCILS.clear()
-    _STENCILS.stencil(*geometry, -41, 30)
-    k0, first, last, rows = _STENCILS._tables[geometry]
-    assert k0 == -41
-    for k in range(30):  # block k and its mirror -k-1 are both in the table
-        pos, neg = k - k0, -k - 1 - k0
-        assert (first[neg], last[neg]) == (-last[pos], -first[pos])
-        size = last[pos] - first[pos] + 1
-        assert same_bits(rows[neg, :size], rows[pos, :size][::-1].copy())
-        assert not np.any(rows[neg, size:])
+    block_stencil(*geometry, -30, 20)
+    table = _STENCILS._tables[geometry]
+    assert table.shape == (150, 6)  # cells 0 <= b < 150 only
+    for b in range(150):  # the stencil of cell -b-1 alone is row b reversed
+        s_min, coeff = _STENCILS.stencil(*geometry, -b - 1, -b)
+        assert s_min == -b - 3
+        assert np.array_equal(coeff, table[b, ::-1])
+    # and it is the rule of the negative blocks, folded directly
+    folded = bks._fold_cells(*geometry, -30, 0)
+    assert np.max(np.abs(folded - table[::-1, ::-1])) <= 1e-14 * np.max(np.abs(table))
 
 
 def recording_folds(monkeypatch):
-    ranges, fold = [], bks._fold_blocks
+    ranges, fold = [], bks._fold_cells
 
-    def recorded(h, a, theta_max, h_max, k_lo, k_hi):
+    def recorded(h, a, theta_max, pitch, k_lo, k_hi):
         ranges.append((k_lo, k_hi))
-        return fold(h, a, theta_max, h_max, k_lo, k_hi)
-    monkeypatch.setattr(bks, "_fold_blocks", recorded)
+        return fold(h, a, theta_max, pitch, k_lo, k_hi)
+    monkeypatch.setattr(bks, "_fold_cells", recorded)
     return ranges
 
 
-def test_stencil_tables_fold_only_the_fold_indices_they_lack(monkeypatch):
+def test_stencil_tables_grow_only_at_their_far_end(monkeypatch):
     ranges = recording_folds(monkeypatch)
-    geometry = (0.0625, 25.0, 1.5 * np.pi, 0.5)
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 8)
     _STENCILS.clear()
-    _STENCILS.stencil(*geometry, -35, 35)
+    block_stencil(*geometry, -35, 35)
     assert ranges == [(0, 35)]  # a cold symmetric request folds blocks k >= 0 only
-    _STENCILS.stencil(*geometry, -35, 35)
-    _STENCILS.stencil(*geometry, -20, 3)
+    block_stencil(*geometry, -35, 35)
+    block_stencil(*geometry, -20, 3)
     assert ranges == [(0, 35)]  # hits fold nothing
-    # a range on one side of 0 folds the fold indices of its own blocks
-    other = (0.0625, 12.5, 1.5 * np.pi, 0.5)
-    _STENCILS.stencil(*other, -40, -5)
-    assert ranges[1:] == [(5, 40)]  # blocks -40..-6
-    _STENCILS.stencil(*other, -40, 10)  # lacks fold indices 0..4
-    _STENCILS.stencil(*other, 5, 40)    # its mirror already holds them
-    _STENCILS.stencil(*other, -45, 0)   # lacks 40..44
-    assert ranges[2:] == [(0, 5), (40, 45)]
-    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (2, 3, 2)
+    # a range on one side of 0 folds every block from 0 to its far end
+    other = (0.0625, 12.5, 1.5 * np.pi, 8)
+    block_stencil(*other, -40, -5)
+    assert ranges[1:] == [(0, 40)]
+    block_stencil(*other, -40, 10)
+    block_stencil(*other, 5, 40)
+    block_stencil(*other, -45, 0)   # lacks blocks 40..44 only
+    assert ranges[2:] == [(40, 45)]
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (2, 1, 4)
 
 
 def test_hit_after_extension_has_the_bits_of_a_fresh_build():
-    geometry = (0.0625, 12.5, 1.5 * np.pi, 0.3)
+    geometry = (0.0625, 12.5, 1.5 * np.pi, 5)
     _STENCILS.clear()
     for k_lo, k_hi in [(-40, -5), (-12, 31), (3, 50)]:
-        _STENCILS.stencil(*geometry, k_lo, k_hi)
-    assert (_STENCILS.builds, _STENCILS.extensions) == (1, 2)
+        block_stencil(*geometry, k_lo, k_hi)
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (1, 1, 1)
     extended = _STENCILS._tables[geometry]
-    hit = _STENCILS.stencil(*geometry, -30, 20)
-    assert _STENCILS.hits == 1
+    hit = block_stencil(*geometry, -30, 20)
+    assert _STENCILS.hits == 2
     _STENCILS.clear()
-    fresh = _STENCILS.stencil(*geometry, -30, 20)
+    fresh = block_stencil(*geometry, -30, 20)
     assert hit[0] == fresh[0] and same_bits(hit[1], fresh[1])
     _STENCILS.clear()
-    _STENCILS.stencil(*geometry, -40, 50)
-    built = _STENCILS._tables[geometry]
-    assert extended[0] == built[0]
-    for x, y in zip(extended[1:], built[1:]):
-        assert same_bits(x, y)
+    block_stencil(*geometry, -50, 40)  # one fold of the 50 blocks
+    assert same_bits(extended, _STENCILS._tables[geometry])
+
+
+def test_bks_demo_body_does_not_depend_on_what_ran_before():
+    cfg = RunConfig(demo="bks")
+    _STENCILS.clear()
+    cold = strip_footer(render_report(run_demo(cfg)))
+    # a wider state on the demo's grid extends every table the demo uses
+    grid = ConfigGrid.line(-2.0 * cfg.extent, 2.0 * cfg.extent, 2 * cfg.grid_points)
+    schrodinger_residual(gaussian_state(grid, width=1.6), list(cfg.t_list))
+    assert _STENCILS.extensions == 2 * len(cfg.t_list)
+    assert strip_footer(render_report(run_demo(cfg))) == cold
 
 
 def counting_transforms(monkeypatch):
@@ -630,11 +675,6 @@ def test_pairing_transforms_do_not_depend_on_the_times(monkeypatch):
     for t in times:
         pairing.at(t)
     assert calls == []
-    # a caller-supplied h_max builds its profiles once, on its first time
-    pairing.at(0.3, h_max=0.3)
-    built = len(calls)
-    pairing.at(0.2, h_max=0.3)
-    assert built > 0 and len(calls) == built
 
 
 def free_propagated(chi, t):
@@ -678,7 +718,7 @@ def test_pairing_accepts_zero_dimensional_arrays():
     grid = line(count=512, extent=16.0)
     psi = gaussian_state(grid, width=1.0)
     chi = gaussian_state(grid, width=1.2, center=0.5)
-    as_arrays = bks_pairing(psi, chi, np.array(0.1), theta_max=np.array(1.5 * np.pi))
+    as_arrays = bks_pairing(psi, chi, np.array(0.1))
     assert as_arrays.value == bks_pairing(psi, chi, 0.1).value
 
 
@@ -721,6 +761,13 @@ def test_richardson_recovers_polynomials_exactly():
     value, spread = richardson_extrapolate(ts, vals)
     assert value == pytest.approx(3.0, abs=1e-12)
     assert spread < 1e-10
+
+
+@pytest.mark.parametrize("ts", [[0.1, 0.1, 0.05], [0.1, np.inf, 0.05], [0.1, np.nan, 0.05]])
+def test_richardson_rejects_repeated_or_non_finite_times(ts):
+    # each made the Neville table divide by zero or by infinity and return NaN
+    with pytest.raises(ValueError, match="finite and distinct"):
+        richardson_extrapolate(ts, [1.0, 2.0, 3.0])
 
 
 def test_richardson_on_analytic_function():

@@ -64,12 +64,19 @@ def test_time_list_validation():
         schrodinger_residual(psi0, [0.1, 0.05])
     with pytest.raises(ValueError):
         schrodinger_residual(psi0, [0.1, 0.05, -0.02])
-    with pytest.raises(ValueError, match="positive"):
-        schrodinger_residual(psi0, [0.1, 0.05, float("nan")])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            schrodinger_residual(psi0, [0.1, 0.05, bad])
     # a repeated time made the Neville table divide by zero and return NaN
     for extract in (schrodinger_residual, state_projected_rate):
         with pytest.raises(ValueError, match="distinct"):
             extract(psi0, [0.16, 0.08, 0.08, 0.04])
+
+
+def test_empty_test_panel_is_rejected():
+    psi0 = gaussian_state(ConfigGrid.line(-16.0, 16.0, 256), width=1.0)
+    with pytest.raises(ValueError, match="test panel is empty"):
+        schrodinger_residual(psi0, [0.3, 0.2, 0.1], test_states=[])
 
 
 def test_nan_richardson_spread_fails_the_fit(monkeypatch):
