@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from .errors import PolarizationViolation
-from .linalg import GramMatrix, OperatorMatrix, polar_gram_oracle
+from .linalg import GramMatrix, OperatorMatrix, monomial_gram, polar_gram_oracle
 
 __all__ = [
     "FockBasis",
@@ -34,13 +34,6 @@ __all__ = [
 ]
 
 _RADIAL_POINTS = 128  # Gauss-Legendre nodes of the oracle's radial rule, doubled as a guard
-
-
-def _multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |m| <= max_degree, graded then lexicographic."""
-    out = [m for m in product(range(max_degree + 1), repeat=n) if sum(m) <= max_degree]
-    out.sort(key=lambda m: (sum(m), m))
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,14 +51,18 @@ class FockBasis:
             raise ValueError("max_degree must be >= 0")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        idx = _multi_indices(self.n, self.max_degree)
-        object.__setattr__(self, "_indices", tuple(idx))
+        n, d = self.n, self.max_degree
+        idx = sorted((m for m in product(range(d + 1), repeat=n) if sum(m) <= d),
+                     key=lambda m: (sum(m), m))
+        assert len(idx) == math.comb(n + d, n), "stars-and-bars count mismatch"
+        indices = np.array(idx)
+        indices.flags.writeable = False
+        object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_position", {m: i for i, m in enumerate(idx)})
-        expected = math.comb(self.n + self.max_degree, self.n)
-        assert len(idx) == expected, "stars-and-bars count mismatch"
 
     @property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
+    def indices(self) -> np.ndarray:
+        """Multi-indices |m| <= max_degree, one row each, graded then lexicographic; read-only."""
         return self._indices
 
     @property
@@ -77,14 +74,11 @@ class FockBasis:
 
     def top_shell(self) -> np.ndarray:
         """Positions of the monomials at maximal total degree."""
-        return np.array([i for i, m in enumerate(self._indices)
-                         if sum(m) == self.max_degree])
+        return np.flatnonzero(self._indices.sum(axis=1) == self.max_degree)
 
     def below_top_projector(self) -> np.ndarray:
         """Dense projector onto the degree < max_degree subspace."""
-        diag = np.array([1.0 if sum(m) < self.max_degree else 0.0
-                         for m in self._indices])
-        return np.diag(diag).astype(complex)
+        return np.diag(self._indices.sum(axis=1) < self.max_degree).astype(complex)
 
     @property
     def basis_id(self) -> str:
@@ -92,13 +86,13 @@ class FockBasis:
 
 
 def fock_gram(basis: FockBasis) -> GramMatrix:
-    """Diagonal Gram with <z^m, z^m> = prod_a (2*hbar)^(m_a) m_a!."""
-    diag = [float(np.prod([(2.0 * basis.hbar) ** ma * math.factorial(ma) for ma in m]))
-            for m in basis.indices]
-    return GramMatrix(np.array(diag, dtype=complex), basis.basis_id)
+    """Diagonal Gram with <z^m, z^m> = prod_a (2*hbar)^(m_a) m_a!; see linalg.monomial_gram."""
+    # Python floats: numpy's array power rounds (2*hbar)^k differently at some hbar, e.g. 0.7
+    return monomial_gram(((2.0 * basis.hbar) ** k * math.factorial(k)
+                          for k in range(basis.max_degree + 1)), basis.indices, basis.basis_id)
 
 
-def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
+def fock_gram_quadrature(basis: FockBasis,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram matrix by numerical quadrature; cross-check mode.
 
@@ -109,14 +103,9 @@ def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
     e^-46; all k = 0..2D are evaluated at once by 128 and by 256 Gauss-Legendre
     nodes, the 256-node table is kept, and QuadratureFailure is raised when the
     two differ by more than ``tolerances.quadrature_goal`` relative.  The angular
-    trapezoid rule is exact while ``n_angular`` exceeds the maximal degree;
-    see :func:`~geoquant.linalg.polar_gram_oracle`.
+    trapezoid rule has 2^j > D points; see :func:`~geoquant.linalg.polar_gram_oracle`.
     """
-    hbar = basis.hbar
-    max_m = basis.max_degree
-    if n_angular <= max_m:
-        raise ValueError(f"n_angular={n_angular} aliases degree {max_m}; "
-                         "need n_angular > max_degree")
+    hbar, max_m = basis.hbar, basis.max_degree
     k = np.arange(2 * max_m + 1)[:, None]
     reach = np.sqrt(2.0 * hbar * (k / 2.0 + 46.0 + 6.0 * np.sqrt(k + 1.0)))
 
@@ -125,8 +114,7 @@ def fock_gram_quadrature(basis: FockBasis, n_angular: int = 64,
         r = 0.5 * reach * (x + 1.0)  # [-1, 1] onto [0, R_k], one row per k
         return 0.5 * reach[:, 0] / hbar * (np.exp((k + 1) * np.log(r) - r * r / (2 * hbar)) @ w)
 
-    return polar_gram_oracle(np.array(basis.indices), radial, _RADIAL_POINTS,
-                             n_angular, basis.basis_id, tolerances)
+    return polar_gram_oracle(basis.indices, radial, _RADIAL_POINTS, basis.basis_id, tolerances)
 
 
 def _monomial_map(basis: FockBasis, up: int | None, down: int | None) -> np.ndarray:
@@ -140,7 +128,7 @@ def _monomial_map(basis: FockBasis, up: int | None, down: int | None) -> np.ndar
         if axis is not None and not 0 <= axis < basis.n:
             raise ValueError(f"axis {axis} out of range for n={basis.n}")
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for j, m in enumerate(basis.indices):
+    for j, m in enumerate(basis.indices.tolist()):
         target, coeff = list(m), 1
         if down is not None:
             coeff = m[down]
@@ -169,7 +157,7 @@ def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
     The n/2 shift is the metaplectic trace correction for the isotropic
     quadratic generator; without it the monomial z^m would carry hbar*|m|.
     """
-    diag = [basis.hbar * (sum(m) + basis.n / 2.0) for m in basis.indices]
+    diag = basis.hbar * (basis.indices.sum(axis=1) + basis.n / 2.0)
     return OperatorMatrix(np.diag(diag).astype(complex), basis.basis_id)
 
 

@@ -16,6 +16,7 @@ which for a diagonal Gram is the square root of its diagonal.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "gram_inner",
     "gram_norm",
     "prune_offdiagonal",
+    "monomial_gram",
     "polar_gram_oracle",
 ]
 
@@ -231,24 +233,44 @@ def prune_offdiagonal(entries: np.ndarray, rel: float) -> np.ndarray:
     return entries
 
 
-def polar_gram_oracle(indices: np.ndarray, radial, points: int, n_angular: int,
+def monomial_gram(factors, indices: np.ndarray, basis_id: str) -> GramMatrix:
+    """Diagonal Gram prod_a factors[m_a] of the monomials z^m, one row of ``indices`` per m.
+
+    ``factors`` yields Python floats for the powers 0, 1, ...; one that overflows float64 reads
+    as inf.  :class:`DegenerateGram` names the first m whose entry is not finite and positive.
+    """
+    table = np.full(int(indices.max()) + 1, np.inf)
+    with suppress(OverflowError):
+        for k, factor in enumerate(factors):
+            table[k] = factor
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        diag = table[indices].prod(axis=1)
+    bad = np.flatnonzero(~((diag > 0) & (diag < np.inf)))
+    if bad.size:
+        raise DegenerateGram(f"{basis_id}: <z^m, z^m> = {diag[bad[0]]:.6g} at m = "
+                             f"{tuple(indices[bad[0]].tolist())} is not finite and positive")
+    return GramMatrix(diag.astype(complex), basis_id)
+
+
+def polar_gram_oracle(indices: np.ndarray, radial, points: int,
                       basis_id: str, tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram of the monomials z^m, one row of ``indices`` per m, by polar quadrature.
 
-    Per axis an entry is radial[m + m'] times the trapezoid mean of exp(i (m' - m) theta)
-    over ``n_angular`` points.  ``radial(p)`` tabulates k = 0..2 max(m) by a p-node rule; the
-    ``2 * points`` table is kept, and :class:`QuadratureFailure` is raised when it differs
-    from the ``points`` table by more than ``tolerances.quadrature_goal`` relative.
+    Per axis an entry is radial[m + m'] times the trapezoid mean of exp(i (m' - m) theta).
+    ``radial(p)`` tabulates k = 0..2 max(m) by a p-node rule; the ``2 * points`` table is
+    kept, and :class:`QuadratureFailure` is raised when it differs from the ``points`` table
+    by more than ``tolerances.quadrature_goal`` relative.  The angular rule is sized from the
+    basis, 2^j > max(m) points, exact for every m' - m and a power of two: its d = 0 mean is 1.
     """
     coarse, table = radial(points), radial(2 * points)
     delta = float(np.max(np.abs(table - coarse) / table))
     if not delta <= tolerances.quadrature_goal:
         raise QuadratureFailure(f"radial rule moved {delta:.3g} on doubling", doubling_delta=delta)
     top = (table.size - 1) // 2
+    n_angular = 1 << top.bit_length()
     theta = np.arange(n_angular) * (2.0 * np.pi / n_angular)
     angular = np.exp(1j * np.multiply.outer(np.arange(-top, top + 1), theta)).mean(axis=1)
     entries = np.ones((len(indices), len(indices)), dtype=complex)
     for m in indices.T:  # one complex axis at a time
         entries *= table[np.add.outer(m, m)] * angular[top - np.subtract.outer(m, m)]
-    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero),
-                      basis_id, tolerances)
+    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero), basis_id, tolerances)

@@ -6,13 +6,13 @@ are orthogonal with
 
     <z^m, z^m> = Gamma(1+m) Gamma(1+n-m) / Gamma(n+2) = 1 / ((n+1) C(n, m)).
 
-The operator matrices act on monomial coefficients as the first-order forms
-
-    J3 = hbar*(z d/dz - n/2),  Jplus = hbar*(z^2 d/dz - n z),  Jminus = -hbar*d/dz,
-
-fixed by the sympy reduction in the tests' ``spin_derivation`` (the
-orientation makes z^0 the lowest weight).  No metaplectic correction is
-applied in this sector; reports record that choice.
+The operators are the first-order forms J3 = hbar*(z d/dz - n/2),
+Jplus = hbar*(z^2 d/dz - n z) and Jminus = -hbar*d/dz, fixed by the sympy
+reduction in the tests' ``spin_derivation`` (z^0 is the lowest weight).  On the
+coefficients of z^0..z^n each is one diagonal, with column m holding: for J3
+on the main diagonal hbar*(m - n/2), for Jplus below it hbar*(m - n), for Jminus
+above it -hbar*m.  Jplus sends z^n to hbar*(n - n) z^(n+1) = 0, so all three keep
+the span.  No metaplectic correction is applied in this sector; reports record that choice.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
-from .linalg import GramMatrix, OperatorMatrix, polar_gram_oracle
+from .linalg import GramMatrix, OperatorMatrix, monomial_gram, polar_gram_oracle
 
 __all__ = [
     "SpinBasis",
@@ -64,13 +64,13 @@ class SpinBasis:
 
 
 def spin_gram(basis: SpinBasis) -> GramMatrix:
-    """Diagonal Gram from the exact Beta-integral closed form."""
+    """Diagonal Gram from the exact Beta-integral closed form; see linalg.monomial_gram."""
     n = basis.n_sector
-    diag = [1.0 / ((n + 1) * math.comb(n, m)) for m in range(n + 1)]
-    return GramMatrix(np.array(diag, dtype=complex), basis.basis_id)
+    return monomial_gram((1.0 / ((n + 1) * math.comb(n, m)) for m in range(n + 1)),
+                         np.arange(n + 1)[:, None], basis.basis_id)
 
 
-def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,
+def spin_gram_quadrature(basis: SpinBasis,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> GramMatrix:
     """Gram by numerical quadrature of the sector weight; cross-check mode.
 
@@ -80,12 +80,10 @@ def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,
     evaluated at once by 64 and by 128 Gauss-Legendre nodes, the 128-node
     table is kept, and QuadratureFailure is raised when the two differ by more
     than ``tolerances.quadrature_goal`` relative (no absolute floor: entries
-    reach 1e-16 at n=48).  Angular part: trapezoid mean of exp(i (m'-m) Theta) over
-    ``n_angular > n`` points; see :func:`~geoquant.linalg.polar_gram_oracle`.
+    reach 1e-16 at n=48; from n=120 on the two differ).  Angular part: trapezoid mean of
+    exp(i (m'-m) Theta) over 2^j > n points; see :func:`~geoquant.linalg.polar_gram_oracle`.
     """
     n = basis.n_sector
-    if n_angular <= n:
-        raise ValueError(f"n_angular={n_angular} aliases sector {n}; need n_angular > n")
     k = np.arange(2 * n + 1)[:, None]
 
     def radial(points: int) -> np.ndarray:
@@ -94,7 +92,7 @@ def spin_gram_quadrature(basis: SpinBasis, n_angular: int = 64,
         return 0.5 * np.pi * (np.sin(t) ** (k + 1) * np.cos(t) ** (2 * n + 1 - k)) @ w
 
     return polar_gram_oracle(np.arange(n + 1)[:, None], radial, _RADIAL_POINTS,
-                             n_angular, basis.basis_id, tolerances)
+                             basis.basis_id, tolerances)
 
 
 def orthonormal_basis(basis: SpinBasis) -> np.ndarray:
@@ -103,40 +101,14 @@ def orthonormal_basis(basis: SpinBasis) -> np.ndarray:
     return np.array([math.sqrt((n + 1) * math.comb(n, m)) for m in range(n + 1)])
 
 
-def _first_order_matrix(basis: SpinBasis, dcoeffs: tuple, scalars: tuple) -> np.ndarray:
-    """Matrix of sum_j d_j z^j d/dz + sum_j s_j z^j on monomials z^0..z^n.
-
-    Asserts that nothing maps outside the retained span, which is the
-    integrability statement for the sector.
-    """
-    n = basis.n_sector
-    mat = np.zeros((n + 1, n + 1), dtype=complex)
-    for m in range(n + 1):
-        contrib: dict[int, complex] = {}
-        for j, d in enumerate(dcoeffs):
-            if d != 0 and m > 0:
-                contrib[m - 1 + j] = contrib.get(m - 1 + j, 0.0) + d * m
-        for j, s in enumerate(scalars):
-            if s != 0:
-                contrib[m + j] = contrib.get(m + j, 0.0) + s
-        for target, value in contrib.items():
-            if 0 <= target <= n:
-                mat[target, m] += value
-            elif abs(value) > 0:
-                raise ArithmeticError("operator leaves the sector span")
-    return mat
-
-
 def spin_operators(basis: SpinBasis) -> dict[str, OperatorMatrix]:
-    """The three spin operator matrices on monomial coefficients."""
+    """The three spin operator matrices on monomial coefficients, each one diagonal."""
     n, hb = basis.n_sector, basis.hbar
-    forms = {
-        "J3": ((0.0, hb), (-n * hb / 2.0,)),
-        "Jplus": ((0.0, 0.0, hb), (0.0, -n * hb)),
-        "Jminus": ((-hb,), (0.0,)),
-    }
-    return {name: OperatorMatrix(_first_order_matrix(basis, dc, sc), basis.basis_id)
-            for name, (dc, sc) in forms.items()}
+    m = np.arange(n + 1)
+    mats = {"J3": np.diag(hb * m + (-n * hb / 2.0)),
+            "Jplus": np.diag(hb * m[:-1] + (-n * hb), -1),
+            "Jminus": np.diag(-hb * m[1:], 1)}
+    return {name: OperatorMatrix(mat, basis.basis_id) for name, mat in mats.items()}
 
 
 @dataclass(frozen=True)
@@ -156,8 +128,7 @@ def check_su2(basis: SpinBasis) -> Su2Report:
     """Verify the commutation relations and the Casimir value by matrix algebra."""
     ops = spin_operators(basis)
     j3, jp, jm = (ops[k].entries for k in ("J3", "Jplus", "Jminus"))
-    hb = basis.hbar
-    n = basis.n_sector
+    n, hb = basis.n_sector, basis.hbar
 
     def comm(a, b):
         return a @ b - b @ a
@@ -166,15 +137,13 @@ def check_su2(basis: SpinBasis) -> Su2Report:
         return float(np.linalg.norm(m))
 
     casimir = j3 @ j3 + 0.5 * (jp @ jm + jm @ jp)
-    offdiag = casimir - np.diag(np.diag(casimir))
-    scalar = complex(np.mean(np.diag(casimir)))
     expected = hb**2 * (n / 2.0) * (n / 2.0 + 1.0)
     scale = max(1.0, abs(expected))
     return Su2Report(
         ladder_plus=norm(comm(j3, jp) - hb * jp),
         ladder_minus=norm(comm(j3, jm) + hb * jm),
         pair=norm(comm(jp, jm) - 2.0 * hb * j3),
-        casimir_offdiag=norm(offdiag),
-        casimir_scalar=scalar,
+        casimir_offdiag=norm(casimir - np.diag(np.diag(casimir))),
+        casimir_scalar=complex(np.mean(np.diag(casimir))),
         casimir_residual=float(np.linalg.norm(casimir - expected * np.eye(n + 1))) / scale,
     )

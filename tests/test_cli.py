@@ -20,6 +20,23 @@ def test_every_demo_passes_with_defaults(demo, capsys):
     assert "PASS" in out
 
 
+def test_spin_sector_64_passes():
+    # the first sector past a 64-point angular rule; a fixed rule of that size stopped here
+    assert main(["spin", "--n", "64"]) == 0
+
+
+@pytest.mark.parametrize("argv, basis_id", [
+    (["fock", "--degree", "171"], "fock/n1/D171/hbar1"),
+    (["spin", "--n", "1100"], "spin/n1100/hbar1"),
+    (["fock", "--degree", "150", "--hbar", "4"], "fock/n1/D150/hbar4")])
+def test_gram_past_float64_exits_one_with_one_typed_line(argv, basis_id, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"DegenerateGram: {basis_id}: <z^m, z^m> = ")
+
+
 def test_reports_are_deterministic():
     cfg = RunConfig(demo="cylinder", lam=0.25, seed=3)
     first = strip_footer(render_report(run_demo(cfg)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from geoquant import fock
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import PolarizationViolation, QuadratureFailure
+from geoquant.errors import DegenerateGram, PolarizationViolation, QuadratureFailure
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
@@ -234,6 +234,30 @@ def test_gram_quadrature_matches_gamma_closed_form(degree, hbar):
     assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
 
 
-def test_gram_quadrature_rejects_aliasing_angular_rule():
-    with pytest.raises(ValueError, match="n_angular"):
-        fock_gram_quadrature(FockBasis(1, 4), n_angular=4)
+def test_indices_are_one_read_only_int_array():
+    basis = FockBasis(2, 3)
+    assert basis.indices.shape == (basis.dim, 2) and basis.indices.dtype.kind == "i"
+    assert not basis.indices.flags.writeable
+    assert basis.indices[:4].tolist() == [[0, 0], [0, 1], [1, 0], [0, 2]]
+    assert basis.index_of(tuple(basis.indices[5])) == 5
+
+
+@pytest.mark.parametrize("n, degree", [(1, 40), (2, 24), (3, 12)])
+@pytest.mark.parametrize("hbar", [0.5, 0.7, 1.0, 2.0])
+def test_gram_is_the_python_float_product_bit_for_bit(n, degree, hbar):
+    # each factor (2*hbar)^k k! is a Python float; numpy's array power rounds some otherwise
+    basis = FockBasis(n, degree, hbar)
+    expected = [math.prod((2.0 * hbar) ** k * math.factorial(k) for k in m)
+                for m in basis.indices.tolist()]
+    assert fock_gram(basis).diagonal().real.tolist() == expected
+
+
+@pytest.mark.parametrize("n, degree, hbar, first", [
+    (1, 171, 1.0, r"inf at m = \(151,\)"),        # 171! no longer converts to a float
+    (1, 150, 4.0, r"inf at m = \(121,\)"),        # a finite factor times a finite factor
+    (2, 171, 1.0, r"inf at m = \(0, 151\)"),      # the first of the graded order
+    (1, 200, 1e-3, r"0 at m = \(120,\)")])        # (2*hbar)^k underflows first
+def test_gram_names_the_first_entry_that_is_not_finite_and_positive(n, degree, hbar, first):
+    with pytest.raises(DegenerateGram, match=rf"^{FockBasis(n, degree, hbar).basis_id}: "
+                                             rf"<z\^m, z\^m> = {first} is not finite"):
+        fock_gram(FockBasis(n, degree, hbar))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geoquant import spin
 from geoquant.config import DEFAULT_TOLERANCES
-from geoquant.errors import QuadratureFailure
+from geoquant.errors import DegenerateGram, QuadratureFailure
 from geoquant.linalg import adjoint_wrt, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
                            check_su2, orthonormal_basis, spin_gram,
@@ -109,16 +109,24 @@ def test_symbolic_derivation_pins_hardcoded_forms():
         assert derived[name][1] == pytest.approx(sc)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
 def test_derivation_matches_matrices(n):
-    from geoquant.spin import _first_order_matrix
+    """sympy applies each derived first-order form to z^m; its coefficients are column m."""
+    import sympy
 
-    basis = SpinBasis(n, hbar=0.5)
-    symbols = derive_operator_symbols(n, hbar=0.5)
-    ops = spin_operators(basis)
-    for name in ("J3", "Jplus", "Jminus"):
-        rebuilt = _first_order_matrix(basis, *symbols[name])
-        assert np.allclose(rebuilt, ops[name].entries, atol=1e-12)
+    z = sympy.Symbol("z")
+    ops = spin_operators(SpinBasis(n, hbar=0.5))
+    for name, (dcoeffs, scalars) in derive_operator_symbols(n, hbar=0.5).items():
+        # hbar = 1/2 makes every coefficient a binary fraction, so Rational is exact
+        d_part = sum(sympy.Rational(c) * z**j for j, c in enumerate(dcoeffs))
+        s_part = sum(sympy.Rational(c) * z**j for j, c in enumerate(scalars))
+        rebuilt = np.zeros((n + 1, n + 1), dtype=complex)
+        for m in range(n + 1):
+            image = sympy.Poly(sympy.expand(d_part * sympy.diff(z**m, z) + s_part * z**m), z)
+            assert image.degree() <= n, f"{name} sends z^{m} out of the sector span"
+            for (power,), coeff in image.terms():
+                rebuilt[power, m] = complex(coeff)
+        np.testing.assert_array_equal(rebuilt, ops[name].entries)
 
 
 def test_sector_one_is_unitarily_the_standard_half_spin():
@@ -191,16 +199,35 @@ def test_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=0, max_value=64))
+@given(n=st.integers(min_value=0, max_value=119))
 def test_quadrature_matches_beta_closed_form(n):
     basis = SpinBasis(n)
     closed = spin_gram(basis).diagonal().real
-    quad = spin_gram_quadrature(basis, n_angular=max(64, n + 1))
+    quad = spin_gram_quadrature(basis)
     assert quad.is_diagonal
     assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
 
 
-def test_quadrature_rejects_aliasing_angular_rule():
-    with pytest.raises(ValueError, match="n_angular"):
-        spin_gram_quadrature(SpinBasis(8), n_angular=8)
-    assert spin_gram_quadrature(SpinBasis(8), n_angular=9).is_diagonal
+def test_quadrature_fails_loudly_past_its_radial_rule():
+    # the angular rule grows with the sector; the 64/128-node radial rule does not
+    with pytest.raises(QuadratureFailure) as err:
+        spin_gram_quadrature(SpinBasis(120))
+    assert err.value.doubling_delta > DEFAULT_TOLERANCES.quadrature_goal
+
+
+@pytest.mark.parametrize("n", [63, 64, 119])
+def test_angular_rule_grows_past_each_power_of_two(n):
+    # a 64-point rule aliases d = 64 onto d = 0, so sector 64 is the first to need 128
+    basis = SpinBasis(n)
+    quad = spin_gram_quadrature(basis)
+    assert quad.is_diagonal
+    closed = spin_gram(basis).diagonal().real
+    assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
+
+
+def test_gram_names_the_first_entry_past_float64():
+    # (n + 1) C(1100, m) passes float64 first at m = 376; the CLI used to stop on OverflowError
+    with pytest.raises(DegenerateGram,
+                       match=r"spin/n1100/hbar1: <z\^m, z\^m> = inf at m = \(376,\)"):
+        spin_gram(SpinBasis(1100))
+    assert spin_gram(SpinBasis(1000)).is_diagonal
