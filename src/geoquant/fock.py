@@ -76,9 +76,12 @@ class FockBasis:
         """Positions of the monomials at maximal total degree."""
         return np.flatnonzero(self._indices.sum(axis=1) == self.max_degree)
 
-    def below_top_projector(self) -> np.ndarray:
-        """Dense projector onto the degree < max_degree subspace."""
-        return np.diag(self._indices.sum(axis=1) < self.max_degree).astype(complex)
+    def below_top_mask(self) -> np.ndarray:
+        """True at the monomials of degree < max_degree.
+
+        ``x * mask`` zeroes the columns of x at the top degree shell.
+        """
+        return self._indices.sum(axis=1) < self.max_degree
 
     @property
     def basis_id(self) -> str:

@@ -11,7 +11,13 @@ A :class:`GramMatrix` holds a diagonal Gram as its 1-D diagonal and any
 other as a dense matrix, and is validated once, at construction.  Spectra
 in a Gram-weighted space reduce the Hermitian-definite pencil by the
 Cholesky factor of the Gram (Golub & Van Loan, *Matrix Computations*, 8.7),
-which for a diagonal Gram is the square root of its diagonal.
+which for a diagonal Gram is the square root of its diagonal.  The pencil
+is first split into the contiguous diagonal blocks that neither the
+operator nor the Gram couples (a Fock degree shell under a degree-keeping
+operator, one state under a diagonal one), and each group of equal-size
+blocks is solved by one stacked eigensolver call.  The split leaves the
+choice of solver as it would be for the whole matrix: that choice reads
+maxima of ``G A`` and of its Hermitian defect, and off-block entries are zero.
 """
 
 from __future__ import annotations
@@ -152,6 +158,22 @@ def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
         raise DegenerateGram(f"Gram solve failed: {exc}") from exc
 
 
+def _diagonal_blocks(nonzero: np.ndarray) -> list[np.ndarray]:
+    """Contiguous diagonal blocks of the pattern ``nonzero | nonzero^T``, grouped by size.
+
+    Returns one (k, b) array of indices per block size b, one row per block.  A block ends
+    at row i when no row or column up to i has a nonzero past i.  Sets the diagonal of
+    ``nonzero``, so that each row reaches at least itself.
+    """
+    n = nonzero.shape[0]
+    nonzero.flat[::n + 1] = True
+    # n - 1 - the last nonzero of each row or of each column, whichever is later
+    from_end = np.minimum(nonzero[:, ::-1].argmax(axis=1), nonzero[::-1].argmax(axis=0))
+    ends = np.flatnonzero(np.maximum.accumulate(n - 1 - from_end) == np.arange(n))
+    sizes = ends - np.concatenate(([-1], ends[:-1]))
+    return [ends[sizes == b, np.newaxis] + np.arange(1 - b, 1) for b in set(sizes.tolist())]
+
+
 def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
     """Eigenvalues of the operator ``a`` in the Gram-weighted space.
 
@@ -161,31 +183,53 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
     Hermitian-definite: with ``G = L L^H`` it reduces to the Hermitian
     ``C = L^H A L^-H``, whose real eigenvalues ``eigvalsh`` returns.
     Otherwise the values are those of ``A`` itself, by ``eigvals``.
+
+    The pencil is split into the contiguous diagonal blocks that neither
+    ``A`` nor ``G`` couples, and the blocks of each size are solved as one
+    stack.  The split does not change the routing: off-block entries are
+    zero, so the largest entry of ``G A`` and of its Hermitian defect are
+    the largest over the blocks, and a NaN anywhere still selects
+    ``eigvals``.  A matrix that couples everything is one block.
+
     Returned sorted by real part, ties broken by imaginary part.  Values are
     complex; use :func:`real_spectrum` to strip a certified-small imaginary
     residue.  :class:`EigenFailure` names the solver that failed.
     """
     _require_same_basis(a, gram)
-    adense = a.dense()
+    adense, g = a.dense(), gram.entries
     diagonal = gram.is_diagonal
-    weak = gram.entries[:, np.newaxis] * adense if diagonal else gram.entries @ adense
+    nonzero = adense != 0
+    if not diagonal:
+        nonzero |= g != 0
+    stacks, defect, scale = [], 0.0, 0.0
+    for idx in _diagonal_blocks(nonzero):
+        rows, cols = idx[:, :, np.newaxis], idx[:, np.newaxis, :]
+        ab, gb = adense[rows, cols], (g[idx] if diagonal else g[rows, cols])
+        weak = gb[:, :, np.newaxis] * ab if diagonal else gb @ ab
+        # np.maximum, not max(): a NaN must survive into the routing test
+        defect = np.maximum(defect, np.abs(weak - weak.conj().mT).max())
+        scale = np.maximum(scale, np.abs(weak).max())
+        stacks.append((ab, gb))
     # relative to G A alone, so a Gram of any scale routes the same operator alike
-    hermitian = np.max(np.abs(weak - weak.conj().T)) <= 1e-12 * np.max(np.abs(weak))
+    hermitian = defect <= 1e-12 * scale
     solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
+    parts = []
     try:
-        if hermitian:
+        for ab, gb in stacks:
+            if not hermitian:
+                parts.append(np.linalg.eigvals(ab).ravel())
+                continue
             if diagonal:
-                root = np.sqrt(gram.entries.real)
-                c = root[:, np.newaxis] * adense / root
+                root = np.sqrt(gb.real)
+                c = root[:, :, np.newaxis] * ab / root[:, np.newaxis, :]
             else:
-                lh = np.linalg.cholesky(gram.entries).conj().T
-                c = lh @ np.linalg.solve(lh.T, adense.T).T
-            vals = np.linalg.eigvalsh(c if np.any(c.imag) else c.real).astype(complex)
-        else:
-            vals = np.linalg.eigvals(adense)
+                lh = np.linalg.cholesky(gb).conj().mT
+                c = lh @ np.linalg.solve(lh.mT, ab.mT).mT
+            parts.append(np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel())
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigensolver failed: {exc}", dim=a.dim, solver=solver) from exc
-    if not np.all(np.isfinite(vals)):
+    vals = np.concatenate(parts).astype(complex)
+    if not np.isfinite(vals).all():
         raise EigenFailure("eigensolver produced non-finite eigenvalues",
                            dim=a.dim, solver=solver)
     order = np.lexsort((vals.imag, vals.real))

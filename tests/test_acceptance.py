@@ -104,11 +104,11 @@ def test_criterion_4_fock_oscillator():
     mults = [int(np.sum(np.isclose(vals, k + 1.0, atol=1e-12)))
              for k in range(5)]
 
-    below = basis.below_top_projector()
+    below = basis.below_top_mask()
     up = fock.op_raise(basis)
     ladder = commutator(fock.oscillator_hamiltonian(basis), up).entries \
         - 1.0 * up.entries
-    ladder_err = float(np.linalg.norm(ladder @ below))
+    ladder_err = float(np.linalg.norm(ladder * below))
     elapsed = time.perf_counter() - start
 
     ok = (spec_err < TOL_EXACT and mults == [1, 2, 3, 4, 5]

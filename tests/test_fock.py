@@ -122,21 +122,21 @@ def test_ladder_commutators_below_top_shell():
     ham = oscillator_hamiltonian(basis)
     up = op_raise(basis)
     down = op_lower(basis)
-    below = basis.below_top_projector()
+    below = basis.below_top_mask()
     raise_rel = commutator(ham, up).entries - 0.5 * up.entries
     lower_rel = commutator(ham, down).entries + 0.5 * down.entries
     pair_rel = commutator(down, up).entries - 2 * 0.5 * np.eye(basis.dim)
-    assert np.linalg.norm(raise_rel @ below) < 1e-12
-    assert np.linalg.norm(lower_rel @ below) < 1e-12
-    assert np.linalg.norm(pair_rel @ below) < 1e-12
+    assert np.linalg.norm(raise_rel * below) < 1e-12
+    assert np.linalg.norm(lower_rel * below) < 1e-12
+    assert np.linalg.norm(pair_rel * below) < 1e-12
 
 
 def test_ladder_adjointness_below_top_shell():
     basis = FockBasis(1, 6)
     gram = fock_gram(basis)
-    below = basis.below_top_projector()
+    below = basis.below_top_mask()
     diff = adjoint_wrt(op_raise(basis), gram).entries - op_lower(basis).entries
-    assert np.linalg.norm(diff @ below) < 1e-10
+    assert np.linalg.norm(diff * below) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,12 +144,12 @@ def test_ladder_adjointness_below_top_shell():
 def test_ladder_algebra_below_top_shell_for_every_axis(n, degree, hbar, data):
     a, c = (data.draw(st.integers(0, n - 1)) for _ in range(2))
     basis = FockBasis(n, degree, hbar)
-    below = basis.below_top_projector()
+    below = basis.below_top_mask()
     up, down_a, down_c = op_raise(basis, a), op_lower(basis, a), op_lower(basis, c)
     adj = adjoint_wrt(up, fock_gram(basis)).entries - down_a.entries
-    assert np.linalg.norm(adj @ below) < 1e-13 * np.linalg.norm(down_a.entries)
+    assert np.linalg.norm(adj * below) < 1e-13 * np.linalg.norm(down_a.entries)
     pair = commutator(down_c, up).entries - 2.0 * hbar * (a == c) * np.eye(basis.dim)
-    assert np.linalg.norm(pair @ below) < 1e-13 * np.linalg.norm(down_c.entries)
+    assert np.linalg.norm(pair * below) < 1e-13 * np.linalg.norm(down_c.entries)
 
 
 def test_constant_observable_quantizes_to_identity():
@@ -170,9 +170,9 @@ def test_linear_part_is_gram_hermitian():
     basis = FockBasis(1, 5)
     gram = fock_gram(basis)
     out = polarization_preserving(basis, w=np.array([1.0 + 0.5j]))
-    below = basis.below_top_projector()
+    below = basis.below_top_mask()
     diff = adjoint_wrt(out, gram).entries - out.entries
-    assert np.linalg.norm(below @ diff @ below) < 1e-10
+    assert np.linalg.norm(below[:, np.newaxis] * diff * below) < 1e-10
 
 
 def test_polarization_violations():

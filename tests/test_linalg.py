@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 import scipy.sparse as sp
 
-from geoquant import linalg
+from geoquant import fock, linalg
 from geoquant.errors import BasisMismatch, DegenerateGram, EigenFailure
 from geoquant.linalg import (GramMatrix, OperatorMatrix, adjoint_wrt,
                              commutator, gram_inner, gram_norm,
@@ -149,6 +149,12 @@ def _complex_matrix(dim: int):
     return st.tuples(part, part).map(lambda ri: ri[0] + 1j * ri[1])
 
 
+def _matched(vals, oracle):
+    """Largest distance from a value to the nearest of the other set, both ways."""
+    distance = np.abs(vals[:, np.newaxis] - oracle[np.newaxis, :])
+    return max(distance.min(axis=0).max(), distance.min(axis=1).max())
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=8))
 def test_selfadjoint_spectrum_matches_scipy_eigh_oracle(data, dim):
@@ -172,8 +178,7 @@ def test_nonhermitian_pencil_matches_scipy_eig_oracle():
     vals = spectrum(op(a), GramMatrix(gram, "b"))
     oracle = scipy.linalg.eig(gram @ a, gram, right=False)
     assert np.max(np.abs(vals.imag)) > 0.1  # genuinely complex
-    distance = np.abs(vals[:, np.newaxis] - oracle[np.newaxis, :])
-    assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) < 1e-10
+    assert _matched(vals, oracle) < 1e-10
     assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(dim))
 
 
@@ -273,15 +278,15 @@ def test_diagonal_gram_with_nonpositive_entry_raises(no_eigvalsh, bad):
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    """Count the calls of ``numpy.linalg.eigvalsh`` made through geoquant.linalg."""
+    """Record the shape of each matrix (stack) passed to ``numpy.linalg.eigvalsh``."""
     calls = []
     original = linalg.np.linalg.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", recording)
     return calls
 
 
@@ -331,3 +336,107 @@ def test_prune_offdiagonal_is_relative_to_the_diagonal():
     assert np.array_equal(np.diag(pruned), np.diag(g))  # 1e-20 survives
     assert pruned[0, 2] == pruned[2, 0] == 0.0  # below 1e-14 * sqrt(1 * 1e-20)
     assert pruned[1, 2] == 1e-23 and pruned[0, 1] == 0.5
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    return scipy.linalg.block_diag(*blocks).astype(complex)
+
+
+def _random_blocks(rng, sizes) -> list[np.ndarray]:
+    return [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)) for b in sizes]
+
+
+def _random_gram(rng, sizes, gram_kind) -> np.ndarray:
+    """A diagonal Gram, or one block-diagonal with the given block sizes."""
+    if gram_kind == "diagonal":
+        return np.diag(rng.uniform(0.1, 10.0, sum(sizes))).astype(complex)
+    return _block_diagonal([_hermitian_pd(m) for m in _random_blocks(rng, sizes)])
+
+
+_block_pencils = given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+                       seed=st.integers(0, 2**32 - 1),
+                       gram_kind=st.sampled_from(["diagonal", "blocks"]))
+
+
+@settings(max_examples=40, deadline=None)
+@_block_pencils
+def test_block_diagonal_selfadjoint_spectrum_matches_scipy_eigh(sizes, seed, gram_kind):
+    """A = G^-1 H with H and G block-diagonal: each block solved alone, the pencil whole."""
+    rng = np.random.default_rng(seed)
+    h = _block_diagonal([m + m.conj().T for m in _random_blocks(rng, sizes)])
+    gram = _random_gram(rng, sizes, gram_kind)
+    g = GramMatrix(gram, "b")
+    assert g.is_diagonal == (gram_kind == "diagonal" or max(sizes) == 1)
+    vals = spectrum(op(np.linalg.solve(gram, h)), g)
+    assert np.all(vals.imag == 0.0)  # the Hermitian route ran
+    oracle = scipy.linalg.eigh(h, gram, eigvals_only=True)
+    assert np.max(np.abs(vals.real - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
+
+
+@settings(max_examples=40, deadline=None)
+@_block_pencils
+def test_block_diagonal_general_spectrum_matches_scipy_eig(sizes, seed, gram_kind):
+    rng = np.random.default_rng(seed)
+    a = _block_diagonal(_random_blocks(rng, sizes))
+    gram = _random_gram(rng, sizes, gram_kind)
+    vals = spectrum(op(a), GramMatrix(gram, "b"))
+    oracle = scipy.linalg.eig(gram @ a, gram, right=False)
+    assert _matched(vals, oracle) < 1e-10 * max(1.0, np.max(np.abs(oracle)))
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(a.shape[0]))
+
+
+def test_interleaved_blocks_are_solved_as_one_block(eigvalsh_calls):
+    """Blocks permuted out of contiguous order couple every row range: one 6 x 6 solve."""
+    h = _block_diagonal([m + m.conj().T for m in _random_blocks(np.random.default_rng(29), [3, 3])])
+    riffle = [0, 3, 1, 4, 2, 5]
+    h = h[np.ix_(riffle, riffle)]
+    gram = np.diag([1.0, 2.0, 0.5, 4.0, 3.0, 0.25]).astype(complex)
+    vals = real_spectrum(op(np.linalg.solve(gram, h)), GramMatrix(gram, "b"))
+    assert eigvalsh_calls == [(1, 6, 6)]
+    assert np.max(np.abs(vals - scipy.linalg.eigh(h, gram, eigvals_only=True))) < 1e-12
+
+
+@pytest.mark.parametrize("pairs, groups", [
+    ([], {1: [[0], [1], [2], [3], [4]]}),
+    ([(3, 0)], {4: [[0, 1, 2, 3]], 1: [[4]]}),  # lower triangle only
+    ([(0, 3)], {4: [[0, 1, 2, 3]], 1: [[4]]}),  # upper triangle only
+    ([(1, 0), (3, 4)], {2: [[0, 1], [3, 4]], 1: [[2]]}),
+    ([(0, 1), (1, 4)], {5: [[0, 1, 2, 3, 4]]}),
+])
+def test_diagonal_blocks_end_where_no_row_or_column_reaches_past(pairs, groups):
+    nonzero = np.zeros((5, 5), dtype=bool)
+    for i, j in pairs:
+        nonzero[i, j] = True
+    found = {idx.shape[1]: idx.tolist() for idx in linalg._diagonal_blocks(nonzero)}
+    assert found == groups
+
+
+def test_hermitian_c_fock_spectrum_is_solved_shell_by_shell(eigvalsh_calls):
+    """f = f0 + c_ab z^a zbar^b at n = 2, D = 48: 2 hbar (m1 l1 + m2 l2) + hbar tr c + f0."""
+    hbar, f0 = 0.7, 0.25
+    c = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]])
+    basis = fock.FockBasis(2, 48, hbar)
+    a = fock.polarization_preserving(basis, f0=f0, c=c)
+    lam = np.linalg.eigvalsh(c)
+    eigvalsh_calls.clear()  # the call just above
+    vals = real_spectrum(a, fock.fock_gram(basis))
+    expected = np.sort(2.0 * hbar * basis.indices @ lam + hbar * np.trace(c).real + f0)
+    assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert max(shape[-1] for shape in eigvalsh_calls) == 49  # the largest degree shell
+
+
+def test_nan_in_a_one_by_one_block_raises_from_the_general_solver():
+    a = _block_diagonal([[[np.nan]], [[2.0, 1.0], [1.0, 2.0]]])
+    with pytest.raises(EigenFailure) as err:
+        spectrum(op(a), GramMatrix.identity(3, "b"))
+    assert err.value.solver == "numpy.linalg.eigvals" and err.value.dim == 3
+
+
+def test_one_skew_block_sends_every_block_to_the_general_solver(eigvalsh_calls):
+    a = _block_diagonal([[[0.0, 1.0], [-1.0, 0.0]], [[5.0]]])  # +-i next to a Hermitian 5
+    vals = spectrum(op(a), GramMatrix.identity(3, "b"))
+    assert eigvalsh_calls == []
+    assert _matched(vals, np.array([-1j, 1j, 5.0])) < 1e-14
+    with pytest.raises(EigenFailure) as err:
+        real_spectrum(op(a), GramMatrix.identity(3, "b"))
+    assert err.value.solver == "numpy.linalg.eigvals"
