@@ -22,10 +22,16 @@ on the states.  :func:`_fold_cells` gives each cell one row: the weights of
 its nodes on the six lattice offsets around it, from six moments
 sum_j w_j e^{i a y_j^2} t_j^p of those nodes and one 6x6 matrix of
 cardinal-polynomial coefficients, which regroups the node-by-node sum
-exactly.  ``_STENCILS`` keeps one table of rows per geometry, for the cells
-of y >= 0 only, since each cell of y < 0 is a cell of y >= 0 mirrored; the
-table grows at its far end when a range reaches past it, and a range's
-stencil is the sum of its cells' rows, shifted.
+exactly.  It streams the rule: it walks the cells in windows of whole
+h_max blocks, about ``_FOLD_PANELS`` panels each, builds only the window's
+part of the panel rule, folds it into the window's rows and drops it, so a
+build holds one window's nodes however many cells it folds.  Every multiple
+of h_max is an edge of the whole rule, so the rows are those of a single
+fold of the range, bit for bit.  ``_STENCILS`` keeps one table of rows per
+geometry, for the cells of y >= 0 only, since each cell of y < 0 is a cell
+of y >= 0 mirrored; the table grows at its far end when a range reaches
+past it, a new table being an empty one grown, and a range's stencil is the
+sum of its cells' rows, shifted.
 
 Only the stencil depends on t.  So the pairing sums over q first: each test
 state's q weights against conj(psi) give its overlap profile, one value per
@@ -72,7 +78,7 @@ _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _H_MAX_CELLS = 8  # coarse panel pitch h_max in lattice cells of psi; even, so fine is 4
 _SUPPORT_CUTOFF = 1e-15
 _STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, pitch)
-_FOLD_PANELS = 4096  # panels folded into cell rows at a time, bounding temporaries
+_FOLD_PANELS = 1024  # panels per fold window: about 12k nodes and 3 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -305,15 +311,20 @@ def _phase_panels(y_lo: float, y_hi: float, a: float, theta_max: float,
     No edge depends on the range but by clipping to it (a panel is dropped
     only when it is too thin for its place on the line), so on a range whose
     ends are multiples of h_max the rule is the union of the rules of its
-    h_max blocks.  Returns flat node and weight arrays; the weights do not
-    include the oscillatory kernel.
+    h_max blocks.  Only the edges at distances from 0 that the range spans
+    are formed, so the work and memory grow with the range's own panels,
+    not with its distance from 0.  Returns flat node and weight arrays; the
+    weights do not include the oscillatory kernel.
     """
-    span = max(abs(y_lo), abs(y_hi))
-    k_max = int(np.ceil(a * span**2 / theta_max)) + 1
-    phase_edges = np.sqrt(np.arange(1, k_max + 1) * theta_max / a)
-    uniform_edges = h_max * np.arange(1, np.ceil(span / h_max) + 1)
+    near = 0.0 if y_lo < 0.0 < y_hi else min(abs(y_lo), abs(y_hi))
+    far = max(abs(y_lo), abs(y_hi))
+    # one edge more at each end of [near, far]; clipping merges it into the end
+    k_near = max(1, int(a * near**2 / theta_max) - 1)
+    k_far = int(np.ceil(a * far**2 / theta_max)) + 1
+    phase_edges = np.sqrt(np.arange(k_near, k_far + 1) * theta_max / a)
+    uniform_edges = h_max * np.arange(max(1, int(near / h_max) - 1),
+                                      int(np.ceil(far / h_max)) + 2)
     pos = _sorted_distinct(np.concatenate([[0.0], phase_edges, uniform_edges]))
-    pos = pos[pos <= span + h_max]
     edges = _sorted_distinct(np.clip(np.concatenate([-pos[::-1], pos]), y_lo, y_hi))
     widths = np.diff(edges)
     scale = np.maximum(np.abs(edges), 1.0)
@@ -337,6 +348,25 @@ _LAGRANGE = np.array([
     / np.prod(o - np.delete(_OFFSETS, k)) for k, o in enumerate(_OFFSETS)])
 
 
+def _fold_windows(c: float, k_lo: int, k_hi: int):
+    """Windows [j0, j1) of whole blocks that tile k_lo <= k < k_hi, each of
+    about ``_FOLD_PANELS`` panels (at least one block).
+
+    With c = a h_max^2 / theta_max, the blocks 0 <= k < j hold about
+    c j^2 + j panels: the phase edges below j h_max and one uniform edge per
+    block.  Block -k-1 holds the panels of block k, so the blocks below 0
+    are tiled as their mirror images, both sides from 0 outward.
+    """
+    for lo, hi, sign in ((max(k_lo, 0), k_hi, 1), (max(-k_hi, 0), -k_lo, -1)):
+        j0 = lo
+        while j0 < hi:
+            budget = _FOLD_PANELS + c * j0 * j0 + j0
+            j1 = int((np.sqrt(1.0 + 4.0 * c * budget) - 1.0) / (2.0 * c))
+            j1 = min(max(j1, j0 + 1), hi)
+            yield (j0, j1) if sign > 0 else (-j1, -j0)
+            j0 = j1
+
+
 def _fold_cells(h: float, a: float, theta_max: float, pitch: int, k_lo: int,
                 k_hi: int) -> np.ndarray:
     """The chirp rule of the blocks [k pitch h, (k+1) pitch h], k_lo <= k < k_hi,
@@ -357,28 +387,24 @@ def _fold_cells(h: float, a: float, theta_max: float, pitch: int, k_lo: int,
     the node-by-node sum exactly; only the rounding differs, at the level of
     eps * sum_j |w_j| (t^p <= 1 and the cardinal coefficients are O(1)).
 
-    Every multiple of pitch h is an edge of :func:`_phase_panels`' rule and
-    of a cell, so a cell's nodes, and with them its row, do not depend on
-    the blocks folded with it.  Blocks are folded ``_FOLD_PANELS`` panels'
-    worth at a time (at least one block), so the temporaries stay small.
+    The rule is never formed over the whole range.  The blocks are walked
+    in windows of about ``_FOLD_PANELS`` panels (:func:`_fold_windows`); each
+    window builds :func:`_phase_panels`' rule of its own blocks, folds it into
+    its rows and drops it, so the temporaries stay the size of one window
+    whatever the range.  Every multiple of pitch h is an edge of that rule
+    and of a cell, so a window's nodes and weights are those of the whole
+    range's rule on its blocks, bit for bit, and a cell's row does not depend
+    on the blocks folded with it.
     """
     h_max = pitch * h
-    y, w = _phase_panels(k_lo * h_max, k_hi * h_max, a, theta_max, h_max)
-    panels = y.reshape(-1, _GL_POINTS)
-    block = np.floor((panels[:, 0] + panels[:, -1]) / (2.0 * h_max)).astype(np.int64) - k_lo
-    # node index at which each block starts; every block holds a panel
-    starts = np.searchsorted(block, np.arange(k_hi - k_lo + 1)) * _GL_POINTS
-    step = max(1, _FOLD_PANELS * _GL_POINTS // int(np.max(np.diff(starts))))
     rows = np.zeros(((k_hi - k_lo) * pitch, _OFFSETS.size), dtype=complex)
-    for j0 in range(0, k_hi - k_lo, step):
-        j1 = min(j0 + step, k_hi - k_lo)
-        lo, hi = starts[j0], starts[j1]
-        yb = y[lo:hi]
-        posy = yb / h
+    for j0, j1 in _fold_windows(a * h_max**2 / theta_max, k_lo, k_hi):
+        y, w = _phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)
+        posy = y / h
         b = np.floor(posy)
         cells = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-        moments = np.empty((_OFFSETS.size, yb.size), dtype=complex)
-        moments[0] = w[lo:hi] * np.exp(1j * a * yb**2)
+        moments = np.empty((_OFFSETS.size, y.size), dtype=complex)
+        moments[0] = w * np.exp(1j * a * y**2)
         t = posy - b
         for p in range(1, _OFFSETS.size):
             np.multiply(moments[p - 1], t, out=moments[p])
@@ -397,15 +423,18 @@ class _StencilTables:
     e^{i a y^2} is even and the offsets -2..3 are symmetric about 1/2
     (L_o(1 - t) = L_{1-o}(t)), so cell -b-1 is row b reversed, and the table
     serves every cell range [c_lo, c_hi) with -C <= c_lo and c_hi <= C.  A
-    request that reaches further folds the blocks it lacks and appends them.
+    new table starts empty, so a request that finds none and a request that
+    reaches past C take one path: the blocks it lacks are folded window by
+    window and appended at the table's far end.  No build holds more than
+    one window's panel rule, however far the table reaches.
     :meth:`stencil` returns the rule of the cells [c_lo, c_hi) as
     ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h) and
-    s_min = c_lo - 2, by six shifted slice-adds of its rows.  A row depends
-    only on its geometry and cell, so a stencil does not depend on the
-    requests before it.  The tables are read-only because every pairing
-    with the geometry shares them.  ``builds``, ``extensions`` and ``hits``
-    count the requests that found no table, a short one, and one that
-    covered them.
+    s_min = c_lo - 2, by six shifted slice-adds of its rows; an empty or
+    reversed range raises ``ValueError``.  A row depends only on its
+    geometry and cell, so a stencil does not depend on the requests before
+    it.  The tables are read-only because every pairing with the geometry
+    shares them.  ``builds``, ``extensions`` and ``hits`` count the requests
+    that found no table, a short one, and one that covered them.
     """
 
     def __init__(self, size: int):
@@ -418,19 +447,22 @@ class _StencilTables:
 
     def stencil(self, h: float, a: float, theta_max: float, pitch: int,
                 c_lo: int, c_hi: int) -> tuple[int, np.ndarray]:
+        if c_hi <= c_lo:
+            raise ValueError(f"cell range [{c_lo}, {c_hi}) is empty or reversed")
         key = (h, a, theta_max, pitch)
         table = self._tables.pop(key, None)
-        need = max(c_hi, -c_lo)
+        need = max(c_hi, -c_lo)  # at least 1
         if table is None:
             self.builds += 1
-            table = _fold_cells(*key, 0, -(-need // pitch))
+            table = np.empty((0, _OFFSETS.size), dtype=complex)
         elif need > len(table):
             self.extensions += 1
-            table = np.concatenate(
-                [table, _fold_cells(*key, len(table) // pitch, -(-need // pitch))])
         else:
             self.hits += 1
-        table.flags.writeable = False
+        if need > len(table):
+            table = np.concatenate(
+                [table, _fold_cells(*key, len(table) // pitch, -(-need // pitch))])
+            table.flags.writeable = False
         self._tables[key] = table
         if len(self._tables) > self.size:
             del self._tables[next(iter(self._tables))]

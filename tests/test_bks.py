@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -526,7 +528,7 @@ def assert_matches_per_node_fold(args, stencil):
     ((0.0625, 25.0, 0.75 * np.pi, 4, -70, 70), None),   # its fine resolution
     ((0.0625, 12.5, 1.5 * np.pi, 8, -19, 25), None),    # asymmetric range
     ((0.0625, 12.5, 1.5 * np.pi, 5, -48, 66), None),    # odd pitch
-    ((0.0625, 25.0, 1.5 * np.pi, 5, -48, 66), 3),       # folded a few blocks at a time
+    ((0.0625, 25.0, 1.5 * np.pi, 5, -48, 66), 1),       # folded one block per window
     ((0.0625, 12.5, 1.5 * np.pi, 5, -64, -8), None),    # wholly mirrored cells
     ((0.0625, 12.5, 1.5 * np.pi, 8, 5, 40), None),      # wholly folded cells
     ((0.0625, 25.0, 1.5 * np.pi, 5, -19, 50), None),    # straddles 0, |k_lo| != k_hi
@@ -541,6 +543,65 @@ def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
         _STENCILS.clear()
         assert same_bits(block_stencil(*args)[1], stencil[1])
         assert same_bits(_STENCILS._tables[args[:4]], table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 60.0), theta_max=st.floats(0.5, 2.0 * np.pi),
+       pitch=st.integers(1, 9), k_lo=st.integers(-60, 60),
+       blocks=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+def test_window_rules_concatenate_to_the_whole_rule(a, theta_max, pitch, k_lo, blocks):
+    h_max = pitch * 0.0625
+    ends = [k_lo]
+    for count in blocks:
+        ends.append(ends[-1] + count)
+    whole = _phase_panels(ends[0] * h_max, ends[-1] * h_max, a, theta_max, h_max)
+    windows = [_phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)
+               for j0, j1 in zip(ends[:-1], ends[1:])]
+    for k in range(2):  # nodes, then weights
+        assert same_bits(np.concatenate([window[k] for window in windows]), whole[k])
+
+
+@pytest.mark.parametrize("args", [
+    (0.125, 12.5, 0.75 * np.pi, 4, 0, 292),     # the fine plane-wave table, doubled
+    (0.0625, 25.0, 1.5 * np.pi, 8, -70, 35),    # straddles 0
+    (0.0625, 40.0, 1.5 * np.pi, 3, -90, -20),   # wholly mirrored blocks
+])
+def test_fold_windows_tile_the_range_within_the_budget(args):
+    h, a, theta_max, pitch, k_lo, k_hi = args
+    h_max = pitch * h
+    windows = sorted(bks._fold_windows(a * h_max**2 / theta_max, k_lo, k_hi))
+    assert windows[0][0] == k_lo and windows[-1][1] == k_hi
+    assert all(j1 == next_j0 for (_, j1), (next_j0, _) in zip(windows, windows[1:]))
+    assert len(windows) > 1
+    for j0, j1 in windows:
+        assert j0 < j1
+        nodes, _ = _phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)
+        # only a window of one block may pass the budget
+        assert j1 - j0 == 1 or nodes.size <= (bks._FOLD_PANELS + 1) * bks._GL_POINTS
+
+
+def test_fold_memory_does_not_grow_with_its_range():
+    """The fine plane-wave table (584 cells, about 340k nodes) and the same
+    geometry over twice the cells: a fold holds one window's rule at a time.
+    Folding either range as one rule peaks at 14.7 and 32.6 MB."""
+    for k_hi in (146, 292):
+        tracemalloc.start()
+        try:
+            rows = bks._fold_cells(0.125, 12.5, 0.75 * np.pi, 4, 0, k_hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (4 * k_hi, _OFFSETS.size)
+        assert peak < 5e6
+
+
+@pytest.mark.parametrize("c_lo, c_hi", [(0, 0), (5, 3), (-8, -8)])
+def test_stencil_rejects_an_empty_or_reversed_cell_range(c_lo, c_hi):
+    _STENCILS.clear()
+    with pytest.raises(ValueError, match=rf"\[{c_lo}, {c_hi}\)"):
+        _STENCILS.stencil(0.0625, 25.0, 1.5 * np.pi, 8, c_lo, c_hi)
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (0, 0, 0)
+    assert not _STENCILS._tables
 
 
 @settings(max_examples=30, deadline=None)
