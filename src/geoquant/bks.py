@@ -25,7 +25,9 @@ cardinal-polynomial coefficients, which regroups the node-by-node sum
 exactly.  It streams the rule: it walks the cells in windows of whole
 h_max blocks, about ``_FOLD_PANELS`` panels each, builds only the window's
 part of the panel rule, folds it into the window's rows and drops it, so a
-build holds one window's nodes however many cells it folds.  Every multiple
+build holds one window's nodes however many cells it folds; its windows
+share one moment array, grown to the largest of them, so a build does not
+allocate and fault in a fresh one per window.  Every multiple
 of h_max is an edge of the whole rule, so the rows are those of a single
 fold of the range, bit for bit.  ``_STENCILS`` keeps one table of rows per
 geometry, for the cells of y >= 0 only, since each cell of y < 0 is a cell
@@ -78,7 +80,7 @@ _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _H_MAX_CELLS = 8  # coarse panel pitch h_max in lattice cells of psi; even, so fine is 4
 _SUPPORT_CUTOFF = 1e-15
 _STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, pitch)
-_FOLD_PANELS = 1024  # panels per fold window: about 12k nodes and 3 MB of temporaries
+_FOLD_PANELS = 1024  # panels per fold window: about 12k nodes, a 1.2 MB work array, 2 MB in all
 
 
 @dataclass(frozen=True)
@@ -383,34 +385,55 @@ def _fold_cells(h: float, a: float, theta_max: float, pitch: int, k_lo: int,
     so the nodes of one cell contribute sum_p _LAGRANGE[o, p] m_p with
     m_p = sum_j w_j e^{i a y_j^2} t_j^p their moments.  The rule's nodes
     ascend, so the nodes of one cell are contiguous: one ``reduceat`` gives
-    all their moments, one 6x6 product their six offset sums.  This regroups
-    the node-by-node sum exactly; only the rounding differs, at the level of
+    all their moments, one 6x6 product their six offset sums.  A window of
+    one cell is multiplied as two equal columns, since numpy would take its
+    matrix-vector product, which rounds otherwise, and a row would then
+    depend on how many cells share its window.  This regroups the
+    node-by-node sum exactly; only the rounding differs, at the level of
     eps * sum_j |w_j| (t^p <= 1 and the cardinal coefficients are O(1)).
 
     The rule is never formed over the whole range.  The blocks are walked
     in windows of about ``_FOLD_PANELS`` panels (:func:`_fold_windows`); each
     window builds :func:`_phase_panels`' rule of its own blocks, folds it into
     its rows and drops it, so the temporaries stay the size of one window
-    whatever the range.  Every multiple of pitch h is an edge of that rule
-    and of a cell, so a window's nodes and weights are those of the whole
-    range's rule on its blocks, bit for bit, and a cell's row does not depend
-    on the blocks folded with it.
+    whatever the range.  The windows share one work array of six moment
+    rows, grown to the largest window so far: the chirp w e^{i a y^2} is
+    formed in place in its first row, with the bits of
+    ``w * np.exp(1j * a * y**2)``, and the higher moments below it.  So a
+    fold allocates its biggest temporary a few times, not once per window,
+    and the allocator does not hand those pages back to the system and fault
+    them in again window after window.  Every multiple of pitch h is an edge
+    of that rule and of a cell, so a window's nodes and weights are those of
+    the whole range's rule on its blocks, bit for bit, and a cell's row does
+    not depend on the blocks folded with it.
     """
     h_max = pitch * h
     rows = np.zeros(((k_hi - k_lo) * pitch, _OFFSETS.size), dtype=complex)
+    work = np.empty(0, dtype=complex)
     for j0, j1 in _fold_windows(a * h_max**2 / theta_max, k_lo, k_hi):
         y, w = _phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)
         posy = y / h
         b = np.floor(posy)
         cells = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-        moments = np.empty((_OFFSETS.size, y.size), dtype=complex)
-        moments[0] = w * np.exp(1j * a * y**2)
+        size = _OFFSETS.size * y.size
+        if work.size < size:
+            # drop the smaller array and its one view first, so the new one can reuse its pages
+            work = moments = None
+            work = np.empty(size, dtype=complex)
+        moments = work[:size].reshape(_OFFSETS.size, y.size)
+        moments[0].real = 0.0
+        np.square(y, out=moments[0].imag)
+        np.multiply(moments[0].imag, a, out=moments[0].imag)
+        np.exp(moments[0], out=moments[0])
+        moments[0] *= w
         t = posy - b
         for p in range(1, _OFFSETS.size):
             np.multiply(moments[p - 1], t, out=moments[p])
+        sums = np.add.reduceat(moments, cells, axis=1)
+        if cells.size == 1:
+            sums = np.repeat(sums, 2, axis=1)
         # a cell without nodes keeps its zero row
-        rows[b[cells].astype(np.int64) - k_lo * pitch] = (
-            _LAGRANGE @ np.add.reduceat(moments, cells, axis=1)).T
+        rows[b[cells].astype(np.int64) - k_lo * pitch] = (_LAGRANGE @ sums).T[:cells.size]
     return rows
 
 

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES, gauss_legendre
@@ -532,6 +533,7 @@ def assert_matches_per_node_fold(args, stencil):
     ((0.0625, 12.5, 1.5 * np.pi, 5, -64, -8), None),    # wholly mirrored cells
     ((0.0625, 12.5, 1.5 * np.pi, 8, 5, 40), None),      # wholly folded cells
     ((0.0625, 25.0, 1.5 * np.pi, 5, -19, 50), None),    # straddles 0, |k_lo| != k_hi
+    ((0.0625, 25.0, 1.5 * np.pi, 1, -40, 60), 1),       # pitch 1: every window one cell
 ])
 def test_cell_moment_fold_matches_per_node_fold(args, fold_panels, monkeypatch):
     _STENCILS.clear()
@@ -580,10 +582,69 @@ def test_fold_windows_tile_the_range_within_the_budget(args):
         assert j1 - j0 == 1 or nodes.size <= (bks._FOLD_PANELS + 1) * bks._GL_POINTS
 
 
+def fresh_window_fold(h, a, theta_max, pitch, k_lo, k_hi):
+    """``_fold_cells`` with fresh arrays in every window, the chirp formed as
+    ``w * np.exp(1j * a * y**2)``: the reference for its reused work array."""
+    h_max = pitch * h
+    rows = np.zeros(((k_hi - k_lo) * pitch, _OFFSETS.size), dtype=complex)
+    for j0, j1 in bks._fold_windows(a * h_max**2 / theta_max, k_lo, k_hi):
+        y, w = _phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)
+        posy = y / h
+        b = np.floor(posy)
+        cells = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+        moments = np.empty((_OFFSETS.size, y.size), dtype=complex)
+        moments[0] = w * np.exp(1j * a * y**2)
+        t = posy - b
+        for p in range(1, _OFFSETS.size):
+            np.multiply(moments[p - 1], t, out=moments[p])
+        sums = np.add.reduceat(moments, cells, axis=1)
+        # zero columns keep every window, one cell or more, on numpy's matrix product
+        padded = np.concatenate([sums, np.zeros_like(sums)], axis=1)
+        rows[b[cells].astype(np.int64) - k_lo * pitch] = (_LAGRANGE @ padded).T[:cells.size]
+    return rows
+
+
+# folds whose windows grow past the first one's size and include a one-block
+# window over the panel budget: explicit examples of the fresh-array property
+GROWING_FOLDS = [
+    dict(a=25.0, theta_max=1.5 * np.pi, pitch=4, k_lo=-10, blocks=40, fold_panels=8),
+    dict(a=40.0, theta_max=1.5 * np.pi, pitch=3, k_lo=-30, blocks=42, fold_panels=16),
+    dict(a=60.0, theta_max=2.0, pitch=5, k_lo=10, blocks=20, fold_panels=32),
+]
+
+
+@pytest.mark.parametrize("fold", GROWING_FOLDS)
+def test_growing_folds_outgrow_their_first_window_and_pass_the_budget(fold, monkeypatch):
+    monkeypatch.setattr(bks, "_FOLD_PANELS", fold["fold_panels"])
+    a, theta_max, k_lo = fold["a"], fold["theta_max"], fold["k_lo"]
+    h_max = fold["pitch"] * 0.0625
+    windows = list(bks._fold_windows(a * h_max**2 / theta_max, k_lo, k_lo + fold["blocks"]))
+    sizes = [_phase_panels(j0 * h_max, j1 * h_max, a, theta_max, h_max)[0].size
+             for j0, j1 in windows]
+    assert max(sizes[1:]) > sizes[0]
+    assert any(j1 - j0 == 1 and size > (fold["fold_panels"] + 1) * bks._GL_POINTS
+               for (j0, j1), size in zip(windows, sizes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 40.0), theta_max=st.floats(0.5, 2.0 * np.pi),
+       pitch=st.integers(1, 9), k_lo=st.integers(-30, 30), blocks=st.integers(1, 20),
+       fold_panels=st.integers(1, 64))
+@example(**GROWING_FOLDS[0])
+@example(**GROWING_FOLDS[1])
+@example(**GROWING_FOLDS[2])
+def test_fold_has_the_bits_of_a_fold_with_fresh_window_arrays(a, theta_max, pitch, k_lo,
+                                                               blocks, fold_panels):
+    args = (0.0625, a, theta_max, pitch, k_lo, k_lo + blocks)
+    with mock.patch.object(bks, "_FOLD_PANELS", fold_panels):
+        assert same_bits(bks._fold_cells(*args), fresh_window_fold(*args))
+
+
 def test_fold_memory_does_not_grow_with_its_range():
     """The fine plane-wave table (584 cells, about 340k nodes) and the same
     geometry over twice the cells: a fold holds one window's rule at a time.
-    Folding either range as one rule peaks at 14.7 and 32.6 MB."""
+    Folding either range as one rule peaks at 14.7 and 32.6 MB; holding the
+    smaller work array while a later window grows it, at 2.9 MB."""
     for k_hi in (146, 292):
         tracemalloc.start()
         try:
@@ -592,7 +653,7 @@ def test_fold_memory_does_not_grow_with_its_range():
         finally:
             tracemalloc.stop()
         assert rows.shape == (4 * k_hi, _OFFSETS.size)
-        assert peak < 5e6
+        assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("c_lo, c_hi", [(0, 0), (5, 3), (-8, -8)])
