@@ -56,9 +56,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                values.update(json.load(handle))
+                values = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}", field="config")
+        if not isinstance(values, dict):
+            raise ConfigError("config file must hold a JSON object", field="config")
     for name in ("hbar", "n_sector", "lam", "degree", "grid_points",
                  "mass", "seed"):
         arg = getattr(args, name)

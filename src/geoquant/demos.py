@@ -19,9 +19,9 @@ from .config import DEFAULT_TOLERANCES
 from .errors import ConfigError
 from .grid import interior_states
 from .linalg import GramMatrix, adjoint_wrt, commutator, real_spectrum
-from .prequant import (Observable, PhaseSpaceGrid, SectorSpec, check_dirac,
-                       cylinder_momentum_operator, cylinder_spectrum, prequantum_evolve,
-                       selfadjoint_residual, weil_admissible)
+from .prequant import (Observable, PhaseSpaceGrid, check_dirac, cylinder_momentum_operator,
+                       cylinder_spectrum, prequantum_evolve, selfadjoint_residual,
+                       weil_admissible)
 from .reporting import QuantReport
 
 __all__ = ["RunConfig", "run_demo", "DEMOS"]
@@ -73,7 +73,7 @@ class RunConfig:
                   ("grid_points", _is(self.grid_points, integer) and self.grid_points >= 16),
                   ("k_max", _is(self.k_max, integer) and self.k_max >= 0),
                   ("n_pairs", _is(self.n_pairs, integer) and self.n_pairs >= 1),
-                  ("seed", _is(self.seed, integer)),
+                  ("seed", _is(self.seed, integer) and self.seed >= 0),
                   ("t_list", _positive_reals(self.t_list) and 3 <= len(self.t_list) <= 10
                    and len(set(self.t_list)) == len(self.t_list)),
                   ("s_values", _positive_reals(self.s_values) and len(self.s_values) >= 1),
@@ -150,11 +150,11 @@ def demo_weil_sphere(cfg: RunConfig) -> QuantReport:
     report = QuantReport("weil-sphere", cfg.echo())
     verdicts, integrals, quad_errors = [], [], []
     for s_over_hbar in cfg.s_values:
-        sector = SectorSpec("sphere", hbar=cfg.hbar, s=s_over_hbar * cfg.hbar)
-        result = weil_admissible(sector, tolerances=tol)
+        s = s_over_hbar * cfg.hbar
+        result = weil_admissible(s, cfg.hbar, tolerances=tol)
         verdicts.append(result.admissible)
         integrals.append(result.integral)
-        exact = 4.0 * np.pi * sector.s
+        exact = 4.0 * np.pi * s
         quad_errors.append(abs(result.integral - exact) / exact)
         expected = abs(2.0 * s_over_hbar - round(2.0 * s_over_hbar)) < tol.integer_window
         report.add_check(
@@ -171,11 +171,10 @@ def demo_weil_sphere(cfg: RunConfig) -> QuantReport:
 def demo_cylinder(cfg: RunConfig) -> QuantReport:
     tol = cfg.tolerances
     report = QuantReport("cylinder", cfg.echo())
-    sector = SectorSpec("cylinder", hbar=cfg.hbar, lam=cfg.lam)
-    spec = cylinder_spectrum(sector, cfg.k_max)
+    spec = cylinder_spectrum(cfg.lam, cfg.hbar, cfg.k_max)
     report.tables["spectrum"] = spec
 
-    op = cylinder_momentum_operator(sector, cfg.k_max)
+    op = cylinder_momentum_operator(cfg.lam, cfg.hbar, cfg.k_max)
     gram = GramMatrix.identity(op.dim, op.basis_id)
     diag = real_spectrum(op, gram)
     report.add_check("diagonal-construction",
@@ -189,8 +188,8 @@ def demo_cylinder(cfg: RunConfig) -> QuantReport:
                      "spec(lambda) = {(k + lambda + 1) * hbar : k -> k+1}",
                      float(np.max(np.abs(spec - relabeled))), tol.exact)
     # negative control: the lambda + 1/2 sector is no relabeling of lambda
-    half = SectorSpec("cylinder", hbar=cfg.hbar, lam=(cfg.lam + 0.5) % 1.0)
-    control = float(np.max(np.abs(cylinder_spectrum(half, cfg.k_max) - relabeled)))
+    half = cylinder_spectrum((cfg.lam + 0.5) % 1.0, cfg.hbar, cfg.k_max)
+    control = float(np.max(np.abs(half - relabeled)))
     report.add_check("sector-relabeling-control",
                      "spec(lambda + 1/2) != {(k + lambda + 1) * hbar : k -> k+1}",
                      control, tol.exact, passed=control > tol.exact,

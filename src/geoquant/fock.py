@@ -85,7 +85,7 @@ class FockBasis:
 
     @property
     def basis_id(self) -> str:
-        return f"fock/n{self.n}/D{self.max_degree}/hbar{self.hbar:g}"
+        return f"fock/n{self.n}/D{self.max_degree}/hbar{float(self.hbar)!r}"
 
 
 def fock_gram(basis: FockBasis) -> GramMatrix:

@@ -70,7 +70,7 @@ class ConfigGrid(UniformGrid):
 
     @property
     def basis_id(self) -> str:
-        spans = "x".join(f"[{lo:g},{hi:g}]{c}"
+        spans = "x".join(f"[{lo!r},{hi!r}]{c}"
                          for lo, hi, c in zip(self.mins, self.maxs, self.counts))
         return f"cfggrid/n{self.n}/{spans}"
 

@@ -6,8 +6,8 @@ from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac,
                       selfadjoint_residual)
 from .observables import (DEGREE_CAP, HamiltonianField, Observable,
                           hamiltonian_vector_field, lie_bracket, poisson_bracket)
-from .sectors import (SectorSpec, WeilResult, cylinder_momentum_operator,
-                      cylinder_spectrum, weil_admissible)
+from .sectors import (WeilResult, cylinder_momentum_operator, cylinder_spectrum,
+                      weil_admissible)
 
 __all__ = [
     "DEGREE_CAP",
@@ -15,7 +15,6 @@ __all__ = [
     "Observable",
     "PhaseSpaceGrid",
     "PrequantApplier",
-    "SectorSpec",
     "WeilResult",
     "check_dirac",
     "cylinder_momentum_operator",

@@ -93,8 +93,8 @@ class PhaseSpaceGrid(UniformGrid):
 
     @property
     def basis_id(self) -> str:
-        return (f"psgrid/n{self.n}/q[{self.q_min:g},{self.q_max:g}]x{self.n_q}"
-                f"/p[{self.p_min:g},{self.p_max:g}]x{self.n_p}")
+        return (f"psgrid/n{self.n}/q[{float(self.q_min)!r},{float(self.q_max)!r}]x{self.n_q}"
+                f"/p[{float(self.p_min)!r},{float(self.p_max)!r}]x{self.n_p}")
 
 
 def _prequant_parts(f: Observable, hbar: float) -> tuple[list, Polynomial]:

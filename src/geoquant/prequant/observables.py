@@ -33,8 +33,8 @@ DEGREE_CAP = 4
 class Observable:
     """Real polynomial ``poly`` in (q_1..q_n, p_1..p_n) of degree <= DEGREE_CAP.
 
-    The sphere and cylinder models enter through
-    :class:`~geoquant.prequant.sectors.SectorSpec` and :mod:`geoquant.spin`.
+    The sphere and cylinder models enter through the functions of
+    :mod:`geoquant.prequant.sectors` and :mod:`geoquant.spin`.
     """
 
     n: int

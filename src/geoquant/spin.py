@@ -60,7 +60,7 @@ class SpinBasis:
 
     @property
     def basis_id(self) -> str:
-        return f"spin/n{self.n_sector}/hbar{self.hbar:g}"
+        return f"spin/n{self.n_sector}/hbar{float(self.hbar)!r}"
 
 
 def spin_gram(basis: SpinBasis) -> GramMatrix:

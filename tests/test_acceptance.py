@@ -17,10 +17,9 @@ import numpy as np
 from geoquant import bks, fock, halfform, spin
 from geoquant.grid import interior_states
 from geoquant.linalg import GramMatrix, commutator, real_spectrum
-from geoquant.prequant import (Observable, PhaseSpaceGrid, SectorSpec,
-                               check_dirac, cylinder_spectrum,
-                               interior_test_states, prequantum_evolve,
-                               weil_admissible)
+from geoquant.prequant import (Observable, PhaseSpaceGrid, check_dirac,
+                               cylinder_spectrum, interior_test_states,
+                               prequantum_evolve, weil_admissible)
 
 from cylinder_relabeling import lambda_blind, relabeling_residual
 
@@ -64,7 +63,7 @@ def test_criterion_2_weil_integrality_of_spin():
     verdicts_ok = True
     quad_worst = 0.0
     for s, expected in cases.items():
-        result = weil_admissible(SectorSpec("sphere", hbar=1.0, s=s))
+        result = weil_admissible(s, 1.0)
         verdicts_ok = verdicts_ok and (result.admissible == expected)
         quad_worst = max(quad_worst,
                          abs(result.integral - 4 * np.pi * s) / (4 * np.pi * s))
@@ -79,8 +78,7 @@ def test_criterion_3_cylinder_sectors():
     k_max = 6
     exact = True
     for lam in (0.0, 0.25, 0.5):
-        sector = SectorSpec("cylinder", hbar=1.0, lam=lam)
-        spec = cylinder_spectrum(sector, k_max)
+        spec = cylinder_spectrum(lam, 1.0, k_max)
         expected = np.sort(np.arange(-k_max, k_max + 1) + lam)
         exact = exact and np.array_equal(spec, expected)
         # lambda + 1 relabels k -> k + 1 on the shared modes

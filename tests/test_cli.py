@@ -26,9 +26,9 @@ def test_spin_sector_64_passes():
 
 
 @pytest.mark.parametrize("argv, basis_id", [
-    (["fock", "--degree", "171"], "fock/n1/D171/hbar1"),
-    (["spin", "--n", "1100"], "spin/n1100/hbar1"),
-    (["fock", "--degree", "150", "--hbar", "4"], "fock/n1/D150/hbar4")])
+    (["fock", "--degree", "171"], "fock/n1/D171/hbar1.0"),
+    (["spin", "--n", "1100"], "spin/n1100/hbar1.0"),
+    (["fock", "--degree", "150", "--hbar", "4"], "fock/n1/D150/hbar4.0")])
 def test_gram_past_float64_exits_one_with_one_typed_line(argv, basis_id, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -97,6 +97,7 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ("fock", {"degree": True}, "degree"),
             ("spin", {"n_sector": 2.5}, "n_sector"),
             ("spin", {"seed": 1.5}, "seed"),
+            ("bks", {"seed": -1}, "seed"),
             # real fields take ints or floats, bool excluded
             ("fock", {"hbar": "1"}, "hbar"),
             ("bks", {"mass": [1.0]}, "mass"),
@@ -112,7 +113,11 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ("fock", {"tolerance_overrides": {"exact": "x"}}, "tolerance_overrides"),
             ("fock", {"tolerance_overrides": {"exact": float("nan")}}, "tolerance_overrides"),
             ("fock", {"tolerance_overrides": {"no_such_tolerance": 1.0}},
-             "tolerance_overrides")]:
+             "tolerance_overrides"),
+            # the file's top level must be a JSON object
+            ("fock", [1, 2], "config"),
+            ("fock", "x", "config"),
+            ("fock", [["hbar", 2.0]], "config")]:
         cfg_file.write_text(json.dumps(entries))
         assert main([demo, "--config", str(cfg_file)]) == 2, entries
         assert f"[{name}]" in capsys.readouterr().err

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from geoquant import fock
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import DegenerateGram, PolarizationViolation, QuadratureFailure
+from geoquant.errors import (BasisMismatch, DegenerateGram, PolarizationViolation,
+                             QuadratureFailure)
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
@@ -261,3 +262,10 @@ def test_gram_names_the_first_entry_that_is_not_finite_and_positive(n, degree, h
     with pytest.raises(DegenerateGram, match=rf"^{FockBasis(n, degree, hbar).basis_id}: "
                                              rf"<z\^m, z\^m> = {first} is not finite"):
         fock_gram(FockBasis(n, degree, hbar))
+
+
+def test_basis_id_tells_hbar_apart_past_six_digits():
+    # the two values agree to six significant digits
+    with pytest.raises(BasisMismatch):
+        commutator(op_lower(FockBasis(1, 3, 1.0)), op_raise(FockBasis(1, 3, 1.0000001)))
+    assert FockBasis(1, 3, 1).basis_id == FockBasis(1, 3, 1.0).basis_id

@@ -7,8 +7,9 @@ from spectral_oracle import periodic_derivative_matrix, reference_apply
 from geoquant.bks import gaussian_state, schrodinger_residual
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import PolarizationViolation, UnsupportedObservable
+from geoquant.errors import BasisMismatch, PolarizationViolation, UnsupportedObservable
 from geoquant.grid import interior_states
+from geoquant.linalg import adjoint_wrt
 from geoquant.halfform import (ConfigGrid, _halfform_operator, check_canonical_commutator,
                                check_selfadjoint, config_gram, quantize_halfform)
 from geoquant.prequant import Observable, PhaseSpaceGrid, PrequantApplier, poisson_bracket
@@ -336,3 +337,9 @@ def test_config_gram_is_diagonal_with_the_cell_volume():
     assert gram.is_diagonal and gram.entries.shape == (grid.size,)
     assert gram.basis_id == grid.basis_id
     assert np.all(gram.diagonal() == grid.cell_volume)
+
+
+def test_basis_id_tells_grid_extents_apart_past_six_digits():
+    with pytest.raises(BasisMismatch):
+        adjoint_wrt(quantize_halfform(Observable.coordinate(), ConfigGrid.line(-8.0, 8.0, 16), 1.0),
+                    config_gram(ConfigGrid.line(-8.0, 8.0000001, 16)))

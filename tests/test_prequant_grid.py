@@ -13,9 +13,9 @@ from spectral_oracle import lifted_derivative, periodic_derivative_matrix, refer
 import geoquant.grid
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import UnsupportedObservable
+from geoquant.errors import BasisMismatch, UnsupportedObservable
 from geoquant.halfform import ConfigGrid, quantize_halfform
-from geoquant.linalg import commutator
+from geoquant.linalg import adjoint_wrt, commutator
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
                                check_dirac, interior_test_states,
@@ -583,3 +583,10 @@ def test_grid_validation():
 def test_spectral_momentum_is_antisymmetric_to_roundoff():
     grid = PhaseSpaceGrid(-8, 8, -8, 8, 32, 32)
     assert selfadjoint_residual(Observable.momentum(), grid, 1.0) < 1e-13
+
+
+def test_basis_id_tells_grid_extents_apart_past_six_digits():
+    near = PhaseSpaceGrid(-6.0, 6.0000001, -6.0, 6.0, 8, 8)
+    with pytest.raises(BasisMismatch):
+        adjoint_wrt(prequantize(Observable.coordinate(), small_grid(8), 1.0),
+                    liouville_gram(near, 1.0))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from geoquant import spin
 from geoquant.config import DEFAULT_TOLERANCES
-from geoquant.errors import DegenerateGram, QuadratureFailure
-from geoquant.linalg import adjoint_wrt, real_spectrum
+from geoquant.errors import BasisMismatch, DegenerateGram, QuadratureFailure
+from geoquant.linalg import adjoint_wrt, commutator, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
                            check_su2, orthonormal_basis, spin_gram,
                            spin_gram_quadrature, spin_operators)
@@ -228,6 +228,12 @@ def test_angular_rule_grows_past_each_power_of_two(n):
 def test_gram_names_the_first_entry_past_float64():
     # (n + 1) C(1100, m) passes float64 first at m = 376; the CLI used to stop on OverflowError
     with pytest.raises(DegenerateGram,
-                       match=r"spin/n1100/hbar1: <z\^m, z\^m> = inf at m = \(376,\)"):
+                       match=r"spin/n1100/hbar1\.0: <z\^m, z\^m> = inf at m = \(376,\)"):
         spin_gram(SpinBasis(1100))
     assert spin_gram(SpinBasis(1000)).is_diagonal
+
+
+def test_basis_id_tells_hbar_apart_past_six_digits():
+    with pytest.raises(BasisMismatch):
+        commutator(spin_operators(SpinBasis(2, 1.0))["J3"],
+                   spin_operators(SpinBasis(2, 1.0000001))["J3"])
