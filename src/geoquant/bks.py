@@ -11,12 +11,10 @@ t is the 2n-dimensional oscillatory integral
 The momentum integral is evaluated after the substitution y = t p / m as a
 quadratic-phase integral with panels uniform in phase and Gauss-Legendre
 nodes per panel; node doubling guards every evaluation.  The q nodes lie on
-psi's sample lattice (a chi whose lattice is offset by a fraction of a cell
-is first shifted onto it by the band-limited shift; any other chi is
-rejected), so psi(q + y) is the order-6 Lagrange interpolant of psi's samples
-and the y rule folds into a chirp stencil on that lattice.  The panel pitch
-h_max is a whole number of lattice cells and the y range is rounded outward
-to multiples of it, so the stencil depends only on the geometry (spacing,
+psi's sample lattice (any other chi is rejected), so psi(q + y) is the
+order-6 Lagrange interpolant of psi's samples and the y rule folds into a
+chirp stencil on that lattice.  The panel pitch h_max is a whole number of
+lattice cells and the y range is rounded outward to multiples of it, so the stencil depends only on the geometry (spacing,
 chirp rate, panel resolution) and on which lattice cells of y it spans, not
 on the states.  :func:`_fold_cells` gives each cell one row: the weights of
 its nodes on the six lattice offsets around it, from six moments
@@ -59,7 +57,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
 from .errors import QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
 from .halfform import ConfigGrid
-from .stencil import fft_apply, spectral_first_symbol, spectral_shift_symbol
+from .stencil import fft_apply, spectral_first_symbol
 
 __all__ = [
     "PolarizedState",
@@ -172,7 +170,7 @@ def windowed_plane_wave(grid: ConfigGrid, k: float, flat_halfwidth: float,
 def _guard_tail(samples: np.ndarray, tolerances: Tolerances) -> None:
     """Raise :class:`SupportEscapesGrid` when the two samples at each edge of
     each axis carry more than ``tolerances.tail_mass`` of the squared norm:
-    a transform or shift of the periodic extension would wrap them round."""
+    a transform of the periodic extension would wrap them round."""
     total = float(np.sum(np.abs(samples) ** 2))
     if total == 0:
         return
@@ -512,29 +510,19 @@ class PairingResult:
     doubling_delta: float = 0.0
 
 
-def _q_rule(chi: PolarizedState, x0: float, h: float,
-            tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _q_rule(chi: PolarizedState, x0: float,
+            h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """chi's nodes on its support, their indices on psi's lattice ``x0 + h k``,
     and their weights: the chi samples times the grid measure.
 
-    A chi whose nodes sit off the lattice by one common sub-cell offset is
-    shifted onto it by the band-limited shift of its own grid, which needs
-    chi to vanish at its edges (the tail-mass guard of the Fourier
-    projection).  Any other chi raises :class:`UnsupportedObservable`.
+    A chi whose nodes are not all on the lattice raises
+    :class:`UnsupportedObservable`.
     """
     q_axis, samples = chi.grid.axis(0), chi.samples.reshape(-1)
     h_chi = chi.grid.spacings[0]
     m_idx = _lattice_offsets(q_axis, x0, h)
     if m_idx is None:
-        rel = (q_axis[0] - x0) / h
-        shift = (np.rint(rel) - rel) * h
-        q_axis = q_axis + shift
-        m_idx = _lattice_offsets(q_axis, x0, h)
-        if m_idx is None:
-            raise UnsupportedObservable(
-                "the pairing needs chi's nodes on psi's lattice up to one shift")
-        _guard_tail(samples, tolerances)
-        samples = fft_apply(samples, spectral_shift_symbol(q_axis.size, h_chi, shift), 0)
+        raise UnsupportedObservable("the pairing needs chi's nodes on psi's lattice")
     q_lo, q_hi = _support_bounds(q_axis, samples, h_chi)
     q_mask = (q_axis >= q_lo) & (q_axis <= q_hi)
     return q_axis[q_mask], m_idx[q_mask], samples[q_mask] * h_chi
@@ -581,7 +569,7 @@ class _Pairing:
         # restrict each q integral to the support of its chi and the y
         # integral to wherever psi can still be reached from any of them
         x0 = float(psi.grid.axis(0)[0])
-        qs = [_q_rule(chi, x0, self.h, tolerances) for chi in chis]
+        qs = [_q_rule(chi, x0, self.h) for chi in chis]
         x_lo, x_hi = _support_bounds(psi.grid.axis(0), self.samples, self.h)
         y_lo = float(x_lo - max(q[-1] for q, _, _ in qs))
         y_hi = float(x_hi - min(q[0] for q, _, _ in qs))
@@ -633,11 +621,10 @@ def bks_pairing(psi_q: PolarizedState, chi_q: PolarizedState, t: float,
 
     The flowed argument psi(q + t p / m) is evaluated by order-6 interpolation
     on a zero-padded extension of the state grid.  chi's nodes must lie on
-    psi's lattice, or on a copy of it offset by a fraction of a cell, onto
-    which chi is then shifted; otherwise :class:`UnsupportedObservable` is
-    raised.  Every call is computed at the panel resolution and at doubled
-    resolution; if the two differ beyond the ``bks`` tolerance (relative to
-    the natural scale of the pairing) a :class:`QuadratureFailure` is raised.
+    psi's lattice; otherwise :class:`UnsupportedObservable` is raised.  Every
+    call is computed at the panel resolution and at doubled resolution; if
+    the two differ beyond the ``bks`` tolerance (relative to the natural
+    scale of the pairing) a :class:`QuadratureFailure` is raised.
     """
     return _Pairing(psi_q, [chi_q], tolerances).at(t)[0]
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolarizationViolation, UnsupportedObservable
-from .grid import (FirstOrderOperator, UniformGrid, diagonal_gram, interior_states,
-                   worst_residual, worst_symmetry_defect)
-from .linalg import GramMatrix, OperatorMatrix
+from .grid import (FirstOrderOperator, UniformGrid, interior_states, worst_residual,
+                   worst_symmetry_defect)
+from .linalg import OperatorMatrix
 from .polynomials import Polynomial
 from .prequant.gridops import _prequant_parts
 from .prequant.observables import Observable
@@ -36,7 +36,6 @@ from .prequant.observables import Observable
 __all__ = [
     "ConfigGrid",
     "quantize_halfform",
-    "config_gram",
     "check_canonical_commutator",
     "check_selfadjoint",
 ]
@@ -115,11 +114,6 @@ def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
     """
     return OperatorMatrix(_halfform_operator(f, grid, hbar, include_divergence_term),
                           grid.basis_id)
-
-
-def config_gram(grid: ConfigGrid) -> GramMatrix:
-    """Diagonal Gram of the grid quadrature (measure d^n q)."""
-    return diagonal_gram(grid, grid.cell_volume)
 
 
 def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int = 0,

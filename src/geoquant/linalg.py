@@ -39,7 +39,6 @@ __all__ = [
     "real_spectrum",
     "gram_inner",
     "gram_norm",
-    "prune_offdiagonal",
     "monomial_gram",
     "polar_gram_oracle",
 ]
@@ -178,22 +177,26 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
     """Eigenvalues of the operator ``a`` in the Gram-weighted space.
 
     ``a.entries`` is the action matrix on basis coefficients, so the weak
-    form of the eigenproblem is the pencil ``(G A) v = mu G v``.  When ``a``
-    is Gram-self-adjoint, ``G A`` is Hermitian and the pencil is
-    Hermitian-definite: with ``G = L L^H`` it reduces to the Hermitian
-    ``C = L^H A L^-H``, whose real eigenvalues ``eigvalsh`` returns.
-    Otherwise the values are those of ``A`` itself, by ``eigvals``.
+    form of the eigenproblem is the pencil ``(G A) v = mu G v``.  With
+    ``G = L L^H`` it reduces to the Gram-root similarity
+    ``C = L^H A L^-H = L^-1 (G A) L^-H``, Hermitian iff ``a`` is
+    Gram-self-adjoint; then ``eigvalsh`` returns its real eigenvalues.
+    Otherwise the values are those of ``A`` itself, by ``eigvals``.  The
+    route is read from C's Hermitian defect relative to its largest entry:
+    C has A's scale whatever the Gram's, and stays finite where ``G A``
+    overflows.
 
     The pencil is split into the contiguous diagonal blocks that neither
     ``A`` nor ``G`` couples, and the blocks of each size are solved as one
     stack.  The split does not change the routing: off-block entries are
-    zero, so the largest entry of ``G A`` and of its Hermitian defect are
-    the largest over the blocks, and a NaN anywhere still selects
-    ``eigvals``.  A matrix that couples everything is one block.
+    zero, so the largest entry of C and of its Hermitian defect are the
+    largest over the blocks, and a NaN anywhere still selects ``eigvals``.
+    A matrix that couples everything is one block.
 
     Returned sorted by real part, ties broken by imaginary part.  Values are
     complex; use :func:`real_spectrum` to strip a certified-small imaginary
-    residue.  :class:`EigenFailure` names the solver that failed.
+    residue.  :class:`EigenFailure` names the solver of the route taken
+    (``eigvalsh`` when the Cholesky factor fails).
     """
     _require_same_basis(a, gram)
     adense, g = a.dense(), gram.entries
@@ -202,30 +205,26 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
     if not diagonal:
         nonzero |= g != 0
     stacks, defect, scale = [], 0.0, 0.0
-    for idx in _diagonal_blocks(nonzero):
-        rows, cols = idx[:, :, np.newaxis], idx[:, np.newaxis, :]
-        ab, gb = adense[rows, cols], (g[idx] if diagonal else g[rows, cols])
-        weak = gb[:, :, np.newaxis] * ab if diagonal else gb @ ab
-        # np.maximum, not max(): a NaN must survive into the routing test
-        defect = np.maximum(defect, np.abs(weak - weak.conj().mT).max())
-        scale = np.maximum(scale, np.abs(weak).max())
-        stacks.append((ab, gb))
-    # relative to G A alone, so a Gram of any scale routes the same operator alike
-    hermitian = defect <= 1e-12 * scale
-    solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
-    parts = []
+    solver = _HERMITIAN_SOLVER
     try:
-        for ab, gb in stacks:
-            if not hermitian:
-                parts.append(np.linalg.eigvals(ab).ravel())
-                continue
+        for idx in _diagonal_blocks(nonzero):
+            rows, cols = idx[:, :, np.newaxis], idx[:, np.newaxis, :]
+            ab = adense[rows, cols]
             if diagonal:
-                root = np.sqrt(gb.real)
+                root = np.sqrt(g[idx].real)
                 c = root[:, :, np.newaxis] * ab / root[:, np.newaxis, :]
             else:
-                lh = np.linalg.cholesky(gb).conj().mT
+                lh = np.linalg.cholesky(g[rows, cols]).conj().mT
                 c = lh @ np.linalg.solve(lh.mT, ab.mT).mT
-            parts.append(np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel())
+            # np.maximum, not max(): a NaN must survive into the routing test
+            defect = np.maximum(defect, np.abs(c - c.conj().mT).max())
+            scale = np.maximum(scale, np.abs(c).max())
+            stacks.append((ab, c))
+        hermitian = defect <= 1e-12 * scale
+        if not hermitian:
+            solver = _GENERAL_SOLVER
+        parts = [np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel() if hermitian
+                 else np.linalg.eigvals(ab).ravel() for ab, c in stacks]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigensolver failed: {exc}", dim=a.dim, solver=solver) from exc
     vals = np.concatenate(parts).astype(complex)

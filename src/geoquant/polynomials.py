@@ -126,11 +126,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.coeffs)
 
-    def degree_in(self, index: int) -> int:
-        if not self.coeffs:
-            return 0
-        return max(e[index] for e in self.coeffs)
-
     def is_real(self) -> bool:
         return all(not isinstance(c, complex) or c.imag == 0 for c in self.coeffs.values())
 

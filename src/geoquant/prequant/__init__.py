@@ -4,14 +4,12 @@ from .evolution import prequantum_evolve
 from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac,
                       interior_test_states, liouville_gram, prequantize,
                       selfadjoint_residual)
-from .observables import (DEGREE_CAP, HamiltonianField, Observable,
-                          hamiltonian_vector_field, lie_bracket, poisson_bracket)
+from .observables import DEGREE_CAP, Observable, poisson_bracket
 from .sectors import (WeilResult, cylinder_momentum_operator, cylinder_spectrum,
                       weil_admissible)
 
 __all__ = [
     "DEGREE_CAP",
-    "HamiltonianField",
     "Observable",
     "PhaseSpaceGrid",
     "PrequantApplier",
@@ -19,9 +17,7 @@ __all__ = [
     "check_dirac",
     "cylinder_momentum_operator",
     "cylinder_spectrum",
-    "hamiltonian_vector_field",
     "interior_test_states",
-    "lie_bracket",
     "liouville_gram",
     "poisson_bracket",
     "prequantize",

@@ -18,10 +18,7 @@ from ..polynomials import Polynomial
 
 __all__ = [
     "Observable",
-    "HamiltonianField",
-    "hamiltonian_vector_field",
     "poisson_bracket",
-    "lie_bracket",
     "DEGREE_CAP",
 ]
 
@@ -91,49 +88,16 @@ class Observable:
         return self.poly.differentiate(self.n + axis)
 
 
-@dataclass(frozen=True)
-class HamiltonianField:
-    """Components of X_f: ``dq[a] = df/dp_a`` and ``dp[a] = -df/dq^a``."""
-
-    n: int
-    dq: tuple
-    dp: tuple
-
-    def apply(self, g: Polynomial) -> Polynomial:
-        """Directional derivative X_f[g] of a phase-space polynomial."""
-        out = Polynomial.zero(2 * self.n)
-        for a in range(self.n):
-            out = out + self.dq[a] * g.differentiate(a)
-            out = out + self.dp[a] * g.differentiate(self.n + a)
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.dq) and all(c.is_zero for c in self.dp)
-
-
-def hamiltonian_vector_field(f: Observable) -> HamiltonianField:
-    """Hamiltonian vector field of a polynomial observable, by exact differentiation."""
-    dq = tuple(f.dp(a) for a in range(f.n))
-    dp = tuple(-f.dq(a) for a in range(f.n))
-    return HamiltonianField(f.n, dq, dp)
-
-
 def poisson_bracket(f: Observable, g: Observable) -> Observable:
     """{f, g} = X_f[g]; antisymmetric, with {q, p} = -1 in these conventions."""
     if f.n != g.n:
         raise UnsupportedObservable("observables live on different phase spaces")
-    out = hamiltonian_vector_field(f).apply(g.poly)
+    out = Polynomial.zero(2 * f.n)
+    for a in range(f.n):
+        out = out + f.dp(a) * g.poly.differentiate(a)
+        out = out + (-f.dq(a)) * g.poly.differentiate(f.n + a)
     if out.total_degree() > DEGREE_CAP:
         raise DegreeOverflow(
             f"bracket degree {out.total_degree()} exceeds cap {DEGREE_CAP}")
     return Observable.from_poly(out, f.n)
 
-
-def lie_bracket(x: HamiltonianField, y: HamiltonianField) -> HamiltonianField:
-    """Lie bracket [X, Y] of two polynomial vector fields, componentwise."""
-    if x.n != y.n:
-        raise ValueError("vector fields live on different phase spaces")
-    dq = tuple(x.apply(y.dq[a]) - y.apply(x.dq[a]) for a in range(x.n))
-    dp = tuple(x.apply(y.dp[a]) - y.apply(x.dp[a]) for a in range(x.n))
-    return HamiltonianField(x.n, dq, dp)

@@ -29,7 +29,6 @@ __all__ = [
     "SpinBasis",
     "spin_gram",
     "spin_gram_quadrature",
-    "orthonormal_basis",
     "spin_operators",
     "check_su2",
     "Su2Report",
@@ -93,12 +92,6 @@ def spin_gram_quadrature(basis: SpinBasis,
 
     return polar_gram_oracle(np.arange(n + 1)[:, None], radial, _RADIAL_POINTS,
                              basis.basis_id, tolerances)
-
-
-def orthonormal_basis(basis: SpinBasis) -> np.ndarray:
-    """Normalization constants C_m = sqrt((n+1) n! / (m! (n-m)!))."""
-    n = basis.n_sector
-    return np.array([math.sqrt((n + 1) * math.comb(n, m)) for m in range(n + 1)])
 
 
 def spin_operators(basis: SpinBasis) -> dict[str, OperatorMatrix]:

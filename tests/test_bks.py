@@ -285,35 +285,34 @@ def test_pairing_rejects_times_that_are_not_positive_and_finite(t):
         bks_pairing(psi, psi, t)
 
 
-def test_off_lattice_pairing_matches_gaussian_oracle():
-    # chi's nodes sit 0.368 cells off psi's lattice on the same spacing, so chi
-    # is shifted onto that lattice by the band-limited shift
+def test_chi_on_psis_lattice_with_another_extent_pairs():
+    # chi's 480 cell centres are nodes 16..495 of psi's 512, so they index psi's lattice
     psi_grid = line(count=512, extent=16.0)
-    chi_grid = ConfigGrid.line(-15.0 + 0.023, 15.0 + 0.023, 480)
-    assert chi_grid.spacings == psi_grid.spacings
+    axis = psi_grid.axis(0)
+    chi_grid = ConfigGrid.line(-15.0, 15.0, 480)
+    assert np.array_equal(chi_grid.axis(0), axis[16:496])
     s, r, b = 1.0, 1.3, 0.8
     phase = np.exp(1j * np.pi / 3)  # the pairing is conjugate-linear in psi
-    psi = PolarizedState(phase * np.exp(-psi_grid.axis(0) ** 2 / (2 * s**2)),
-                         psi_grid, "position")
+    psi = PolarizedState(phase * np.exp(-axis ** 2 / (2 * s**2)), psi_grid, "position")
     chi = PolarizedState(np.exp(-(chi_grid.axis(0) - b) ** 2 / (2 * r**2)),
                          chi_grid, "position")
-    _STENCILS.clear()
     for t in (0.4, 0.2):
         oracle = np.conj(phase) * gaussian_pairing_oracle(s, r, b, t)
         assert abs(bks_pairing(psi, chi, t).value - oracle) / abs(oracle) < 1e-8
-    assert _STENCILS.builds == 4  # 2 times x coarse and fine
 
 
 def test_pairing_rejects_chi_it_cannot_put_on_the_lattice():
-    psi = gaussian_state(line(count=512, extent=16.0))
+    psi_grid = line(count=512, extent=16.0)
+    psi = gaussian_state(psi_grid)
     other_spacing = ConfigGrid.line(-15.0, 15.0, 400)
-    with pytest.raises(UnsupportedObservable):
-        bks_pairing(psi, gaussian_state(other_spacing), 0.1)
-    # a shifted chi with mass at its edges would wrap round in the shift
-    shifted = ConfigGrid.line(-15.0 + 0.023, 15.0 + 0.023, 480)
-    edge = PolarizedState(np.ones(shifted.size), shifted, "position")
-    with pytest.raises(SupportEscapesGrid):
-        bks_pairing(psi, edge, 0.1)
+    # psi's spacing, but every node 0.368 cells off psi's lattice
+    offset = ConfigGrid.line(-15.0 + 0.023, 15.0 + 0.023, 480)
+    assert offset.spacings == psi_grid.spacings
+    smooth = gaussian_state(offset)
+    edge = PolarizedState(np.ones(offset.size), offset, "position")
+    for chi in (gaussian_state(other_spacing), smooth, edge):
+        with pytest.raises(UnsupportedObservable, match="psi's lattice"):
+            bks_pairing(psi, chi, 0.1)
 
 
 def sliding_profiles(samples, m_lo, weights, u_lo, length):

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geoquant
@@ -23,6 +25,17 @@ def test_every_demo_passes_with_defaults(demo, capsys):
 def test_spin_sector_64_passes():
     # the first sector past a 64-point angular rule; a fixed rule of that size stopped here
     assert main(["spin", "--n", "64"]) == 0
+
+
+def test_fock_degree_150_solves_by_eigvalsh_without_a_warning(monkeypatch):
+    """G A overflows float64 at degree 150; the route is read from the Gram-root similarity."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonal oscillator Hamiltonian must not reach eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fock", "--degree", "150"]) == 0
 
 
 @pytest.mark.parametrize("argv, basis_id", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -195,6 +197,19 @@ def test_selfadjoint_route_reduces_to_eigvalsh(eigvalsh_calls, gram):
     assert len(eigvalsh_calls) == 1
     assert np.allclose(vals, scipy.linalg.eigh(h, g.dense(), eigvals_only=True),
                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gram", [np.full(2, 1e300), 1e300 * np.array([[2.0, 1.0], [1.0, 2.0]])],
+                         ids=["diagonal", "cholesky"])
+def test_selfadjoint_pencil_whose_weak_form_overflows_takes_eigvalsh(eigvalsh_calls, gram):
+    """G A reaches 1e310 here; C = L^H A L^-H does not, so A stays on the Hermitian route."""
+    g = GramMatrix(gram.astype(complex), "b")
+    eigvalsh_calls.clear()  # the one taken by the validation of a non-diagonal Gram
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = real_spectrum(op([[2e10, 1e10], [1e10, 2e10]]), g)
+    assert len(eigvalsh_calls) == 1
+    assert np.allclose(vals, [1e10, 3e10], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("failure", ["raise", "nan"])

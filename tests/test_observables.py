@@ -1,42 +1,14 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoquant.errors import DegreeOverflow
 from geoquant.polynomials import Polynomial
-from geoquant.prequant import (Observable, hamiltonian_vector_field, lie_bracket,
-                               poisson_bracket)
+from geoquant.prequant import Observable, poisson_bracket
 
 
 def obs(n, terms):
     return Observable.from_terms(n, terms)
-
-
-def test_field_of_coordinate_is_minus_dp():
-    # X_q = -d/dp
-    field = hamiltonian_vector_field(Observable.coordinate())
-    assert field.dq[0].is_zero
-    assert field.dp[0] == Polynomial.constant(2, -1)
-
-
-def test_field_of_momentum_is_dq():
-    field = hamiltonian_vector_field(Observable.momentum())
-    assert field.dq[0] == Polynomial.constant(2, 1)
-    assert field.dp[0].is_zero
-
-
-def test_field_of_constant_vanishes():
-    field = hamiltonian_vector_field(Observable.constant(1, 5))
-    assert field.is_zero
-
-
-def test_field_of_kinetic_term():
-    # f = p^2/2 generates X = p d/dq
-    field = hamiltonian_vector_field(obs(1, {(0, 2): Fraction(1, 2)}))
-    assert field.dq[0] == Polynomial.variable(2, 1)
-    assert field.dp[0].is_zero
 
 
 def test_bracket_of_q_and_p_is_minus_one():
@@ -88,15 +60,6 @@ def test_jacobi_identity_exact(f, g, h):
              + poisson_bracket(g, poisson_bracket(h, f)).poly
              + poisson_bracket(h, poisson_bracket(f, g)).poly)
     assert total.is_zero
-
-
-@settings(max_examples=25, deadline=None)
-@given(_quadratic(), _quadratic())
-def test_lie_bracket_matches_bracket_field(f, g):
-    # [X_f, X_g] = X_{f, g}
-    lhs = lie_bracket(hamiltonian_vector_field(f), hamiltonian_vector_field(g))
-    rhs = hamiltonian_vector_field(poisson_bracket(f, g))
-    assert lhs.dq == rhs.dq and lhs.dp == rhs.dp
 
 
 def test_degree_cap_on_construction():

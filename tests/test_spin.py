@@ -11,7 +11,7 @@ from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import BasisMismatch, DegenerateGram, QuadratureFailure
 from geoquant.linalg import adjoint_wrt, commutator, real_spectrum
 from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
-                           check_su2, orthonormal_basis, spin_gram,
+                           check_su2, spin_gram,
                            spin_gram_quadrature, spin_operators)
 from spin_derivation import derive_operator_symbols
 
@@ -39,20 +39,6 @@ def test_gram_positive_and_quadrature_matches():
         assert np.max(np.abs(offdiag)) < 1e-12
         rel = np.max(np.abs(quad.diagonal().real - closed) / closed)
         assert rel < 1e-8
-
-
-def test_orthonormal_constants():
-    assert orthonormal_basis(SpinBasis(0))[0] == pytest.approx(1.0)
-    assert orthonormal_basis(SpinBasis(2))[1] == pytest.approx(math.sqrt(6.0))
-    assert orthonormal_basis(SpinBasis(1))[0] == pytest.approx(math.sqrt(2.0))
-
-
-def test_orthonormal_constants_normalize_the_gram():
-    for n in range(8):
-        basis = SpinBasis(n)
-        c = orthonormal_basis(basis)
-        g = spin_gram(basis).diagonal().real
-        assert np.allclose(c**2 * g, 1.0)
 
 
 def test_sector_zero_operators_vanish():
@@ -133,7 +119,8 @@ def test_sector_one_is_unitarily_the_standard_half_spin():
     """Brute-force intertwiner search after Gram orthonormalization."""
     basis = SpinBasis(1)
     ops = spin_operators(basis)
-    c = orthonormal_basis(basis)
+    # C_m = sqrt((n + 1) C(n, m)) makes C_m^2 <z^m, z^m> = 1
+    c = np.array([math.sqrt(2 * math.comb(1, m)) for m in range(2)])
     d = np.diag(c)
     d_inv = np.diag(1.0 / c)
     j3, jp, jm = (d_inv @ ops[k].entries @ d for k in ("J3", "Jplus", "Jminus"))
