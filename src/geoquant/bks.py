@@ -98,8 +98,8 @@ class PolarizedState:
         object.__setattr__(self, "samples", arr)
         if self.polarization not in ("position", "momentum"):
             raise ValueError(f"unknown polarization {self.polarization!r}")
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
+        if not (0 < self.hbar < np.inf and 0 < self.mass < np.inf):
+            raise ValueError("hbar and mass must be positive and finite")
 
     @property
     def n(self) -> int:

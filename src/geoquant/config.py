@@ -27,7 +27,7 @@ class Tolerances:
     quadrature_match: float = 1e-8
     #: largest relative change of the Fock and spin Gram oracles under node doubling
     quadrature_goal: float = 1e-12
-    #: oracle Gram off-diagonals below this fraction of sqrt(G_ii G_jj) are zeroed
+    #: largest oracle Gram off-diagonal, as a fraction of sqrt(G_ii G_jj), before it refuses
     quadrature_zero: float = 1e-14
     #: distance to the nearest integer accepted by integrality checks
     integer_window: float = 1e-6

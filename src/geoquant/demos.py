@@ -176,7 +176,7 @@ def demo_cylinder(cfg: RunConfig) -> QuantReport:
 
     op = cylinder_momentum_operator(cfg.lam, cfg.hbar, cfg.k_max)
     gram = GramMatrix.identity(op.dim, op.basis_id)
-    diag = real_spectrum(op, gram)
+    diag = real_spectrum(op, gram, tol)
     report.add_check("diagonal-construction",
                      "spec(P_p^lambda) = {(k + lambda) * hbar}",
                      float(np.max(np.abs(diag - spec))), tol.exact)
@@ -203,7 +203,7 @@ def demo_fock(cfg: RunConfig) -> QuantReport:
     basis = fock.FockBasis(1, cfg.degree, cfg.hbar)
     gram = fock.fock_gram(basis)
     ham = fock.oscillator_hamiltonian(basis)
-    spec = real_spectrum(ham, gram)
+    spec = real_spectrum(ham, gram, tol)
     report.tables["spectrum"] = spec
     expected = cfg.hbar * (np.arange(cfg.degree + 1) + 0.5)
     report.add_check("oscillator-spectrum", "spec(h^) = {hbar*(k + n/2)}",
@@ -243,7 +243,7 @@ def demo_spin(cfg: RunConfig) -> QuantReport:
     su2 = spin.check_su2(basis)
 
     report.tables["dimension"] = basis.dim
-    report.tables["j3_spectrum"] = real_spectrum(ops["J3"], gram)
+    report.tables["j3_spectrum"] = real_spectrum(ops["J3"], gram, tol)
     report.tables["casimir"] = su2.casimir_scalar.real
     scale = max(1.0, cfg.hbar**2 * basis.dim)
     report.add_check("su2-ladders", "[J3, J+-] = +-hbar*J+-",
@@ -306,7 +306,7 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
     # Fourier projection: Gaussian to Gaussian and norm preservation
     phi = bks.gaussian_state(grid, width=np.sqrt(cfg.hbar),
                              polarization="momentum", hbar=cfg.hbar)
-    projected = bks.fourier_project(phi)
+    projected = bks.fourier_project(phi, tolerances=tol)
     target = bks.gaussian_state(projected.grid, width=np.sqrt(cfg.hbar),
                                 hbar=cfg.hbar)
     err = np.sqrt(np.sum(np.abs(projected.samples - target.samples) ** 2)
@@ -322,7 +322,7 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
                                     polarization="momentum", hbar=cfg.hbar,
                                     normalize=False).samples for _ in range(3)]
         state = bks.PolarizedState(sum(comps), grid, "momentum", cfg.hbar).normalized()
-        parseval = max(parseval, abs(bks.fourier_project(state).norm() - 1.0))
+        parseval = max(parseval, abs(bks.fourier_project(state, tolerances=tol).norm() - 1.0))
     report.add_check("parseval", "||Pi phi|| = ||phi||", parseval,
                      tol.quadrature_match)
 

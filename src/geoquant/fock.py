@@ -49,8 +49,8 @@ class FockBasis:
             raise ValueError("need at least one complex dimension")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         n, d = self.n, self.max_degree
         idx = sorted((m for m in product(range(d + 1), repeat=n) if sum(m) <= d),
                      key=lambda m: (sum(m), m))

@@ -265,8 +265,10 @@ def _map_states(fn: Callable[[np.ndarray], object], states: list[np.ndarray]) ->
 
 
 def _worst(values: list[float]) -> float:
-    """Largest value, 0 for none; a NaN anywhere makes the result NaN."""
-    return float(np.max(values, initial=0.0))
+    """Largest value; a NaN anywhere makes the result NaN.  An empty panel is a ``ValueError``."""
+    if not values:
+        raise ValueError("the test panel is empty")
+    return float(np.max(values))
 
 
 def worst_residual(residual: Callable[[np.ndarray], np.ndarray],
@@ -277,7 +279,7 @@ def worst_residual(residual: Callable[[np.ndarray], np.ndarray],
     there are several cores and states of at least ``_PARALLEL_MIN_SIZE``
     samples; a panel started on a pool worker runs inline.  The ratios are
     gathered in state order, so the result has the same bits either way.
-    An error raised by ``residual`` comes out with its own type.
+    An error raised by ``residual`` keeps its type; an empty panel raises ``ValueError``.
     """
     return _worst(_map_states(lambda v: np.linalg.norm(residual(v)) / np.linalg.norm(v),
                               states))

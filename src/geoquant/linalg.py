@@ -7,17 +7,16 @@ sectors); the grid modules give a matrix-free
 :class:`~geoquant.grid.FirstOrderOperator`, which is kept as it is and
 densified by its ``toarray()`` where a dense result is needed.
 
-A :class:`GramMatrix` holds a diagonal Gram as its 1-D diagonal and any
-other as a dense matrix, and is validated once, at construction.  Spectra
-in a Gram-weighted space reduce the Hermitian-definite pencil by the
-Cholesky factor of the Gram (Golub & Van Loan, *Matrix Computations*, 8.7),
-which for a diagonal Gram is the square root of its diagonal.  The pencil
-is first split into the contiguous diagonal blocks that neither the
-operator nor the Gram couples (a Fock degree shell under a degree-keeping
-operator, one state under a diagonal one), and each group of equal-size
-blocks is solved by one stacked eigensolver call.  The split leaves the
-choice of solver as it would be for the whole matrix: that choice reads
-maxima of ``G A`` and of its Hermitian defect, and off-block entries are zero.
+Every basis the toolkit builds is orthogonal (monomials under a
+rotation-invariant weight, cylinder modes, grid nodes), so a
+:class:`GramMatrix` is its positive diagonal, validated at construction.
+Spectra in a Gram-weighted space reduce the Hermitian-definite pencil by
+the square root of that diagonal (Golub & Van Loan, *Matrix Computations*,
+8.7).  The operator is split into its contiguous diagonal blocks (a Fock
+degree shell under a degree-keeping operator, one state under a diagonal
+one), and each group of equal-size blocks is solved by one stacked
+eigensolver call.  The choice of solver reads maxima over the blocks,
+which are the maxima over the whole matrix, since off-block entries are zero.
 """
 
 from __future__ import annotations
@@ -82,14 +81,14 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian positive-definite matrix of basis inner products.
+    """Positive diagonal of the Gram matrix of an orthogonal basis.
 
-    ``entries`` is 1-D for a diagonal Gram, else a dense square matrix: a
-    square input with all off-diagonal entries zero is stored as its
-    diagonal, and a sparse matrix is refused (``TypeError``).  Construction
-    checks Hermiticity entrywise against ``tolerances.gram_hermiticity``,
-    then positivity: of the diagonal's real parts, which are the eigenvalues
-    of a diagonal Gram, or of the least eigenvalue from ``eigvalsh``.
+    ``entries`` is the 1-D diagonal.  A square input whose off-diagonal
+    entries are all zero is stored as its diagonal; one with a nonzero
+    off-diagonal entry raises ``ValueError``, and a sparse matrix
+    ``TypeError``.  Construction checks Hermiticity, that is real entries,
+    against ``tolerances.gram_hermiticity``, then that the real parts, the
+    Gram's eigenvalues, are positive.
     """
 
     entries: np.ndarray
@@ -100,14 +99,16 @@ class GramMatrix:
         if _has_toarray(self.entries):
             raise TypeError("Gram entries must be a numpy array, not a sparse matrix")
         g = np.asarray(self.entries, dtype=complex)
-        if g.ndim != 1 and not _is_square(g):
-            raise ValueError("Gram entries must be a diagonal or a square matrix")
-        if g.ndim == 2 and np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
+        if _is_square(g):
+            if np.count_nonzero(g) != np.count_nonzero(g.diagonal()):
+                raise ValueError("Gram matrix has a nonzero off-diagonal entry")
             g = g.diagonal().copy()
+        if g.ndim != 1:
+            raise ValueError("Gram entries must be a diagonal or a square matrix")
         object.__setattr__(self, "entries", g)
-        if not np.max(np.abs(g - g.conj().T)) <= self.tolerances.gram_hermiticity:
+        if not np.max(np.abs(g - g.conj())) <= self.tolerances.gram_hermiticity:
             raise DegenerateGram("Gram matrix is not Hermitian")
-        eigmin = np.min(g.real) if self.is_diagonal else np.linalg.eigvalsh(g)[0]
+        eigmin = np.min(g.real)
         if not eigmin > 0:
             raise DegenerateGram(f"Gram matrix not positive definite (min eig {eigmin:.3e})")
 
@@ -115,15 +116,11 @@ class GramMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.entries.ndim == 1
-
     def diagonal(self) -> np.ndarray:
-        return self.entries if self.is_diagonal else self.entries.diagonal()
+        return self.entries
 
     def dense(self) -> np.ndarray:
-        return np.diag(self.entries) if self.is_diagonal else self.entries
+        return np.diag(self.entries)
 
     @classmethod
     def identity(cls, dim: int, basis_id: str) -> "GramMatrix":
@@ -148,13 +145,8 @@ def adjoint_wrt(a: OperatorMatrix, gram: GramMatrix) -> OperatorMatrix:
     ``a`` is self-adjoint for that inner product iff the result equals ``a``.
     """
     _require_same_basis(a, gram)
-    ah, g = a.dense().conj().T, gram.entries
-    if gram.is_diagonal:
-        return OperatorMatrix(ah * g / g[:, np.newaxis], a.basis_id)
-    try:
-        return OperatorMatrix(np.linalg.solve(g, ah @ g), a.basis_id)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGram(f"Gram solve failed: {exc}") from exc
+    g = gram.entries
+    return OperatorMatrix(a.dense().conj().T * g / g[:, np.newaxis], a.basis_id)
 
 
 def _diagonal_blocks(nonzero: np.ndarray) -> list[np.ndarray]:
@@ -178,51 +170,38 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
 
     ``a.entries`` is the action matrix on basis coefficients, so the weak
     form of the eigenproblem is the pencil ``(G A) v = mu G v``.  With
-    ``G = L L^H`` it reduces to the Gram-root similarity
-    ``C = L^H A L^-H = L^-1 (G A) L^-H``, Hermitian iff ``a`` is
+    ``root = sqrt(diag G)`` it reduces to the Gram-root similarity
+    ``C = root A / root = root^-1 (G A) root^-1``, Hermitian iff ``a`` is
     Gram-self-adjoint; then ``eigvalsh`` returns its real eigenvalues.
     Otherwise the values are those of ``A`` itself, by ``eigvals``.  The
     route is read from C's Hermitian defect relative to its largest entry:
     C has A's scale whatever the Gram's, and stays finite where ``G A``
     overflows.
 
-    The pencil is split into the contiguous diagonal blocks that neither
-    ``A`` nor ``G`` couples, and the blocks of each size are solved as one
-    stack.  The split does not change the routing: off-block entries are
-    zero, so the largest entry of C and of its Hermitian defect are the
-    largest over the blocks, and a NaN anywhere still selects ``eigvals``.
-    A matrix that couples everything is one block.
+    ``A`` is split into its contiguous diagonal blocks, and the blocks of
+    each size are solved as one stack.  The split does not change the
+    routing: off-block entries are zero, so the largest entry of C and of
+    its Hermitian defect are the largest over the blocks, and a NaN anywhere
+    still selects ``eigvals``.  A matrix that couples everything is one block.
 
     Returned sorted by real part, ties broken by imaginary part.  Values are
     complex; use :func:`real_spectrum` to strip a certified-small imaginary
-    residue.  :class:`EigenFailure` names the solver of the route taken
-    (``eigvalsh`` when the Cholesky factor fails).
+    residue.  :class:`EigenFailure` names the solver of the route taken.
     """
     _require_same_basis(a, gram)
     adense, g = a.dense(), gram.entries
-    diagonal = gram.is_diagonal
-    nonzero = adense != 0
-    if not diagonal:
-        nonzero |= g != 0
     stacks, defect, scale = [], 0.0, 0.0
-    solver = _HERMITIAN_SOLVER
+    for idx in _diagonal_blocks(adense != 0):
+        ab = adense[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+        root = np.sqrt(g[idx].real)
+        c = root[:, :, np.newaxis] * ab / root[:, np.newaxis, :]
+        # np.maximum, not max(): a NaN must survive into the routing test
+        defect = np.maximum(defect, np.abs(c - c.conj().mT).max())
+        scale = np.maximum(scale, np.abs(c).max())
+        stacks.append((ab, c))
+    hermitian = defect <= 1e-12 * scale
+    solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
     try:
-        for idx in _diagonal_blocks(nonzero):
-            rows, cols = idx[:, :, np.newaxis], idx[:, np.newaxis, :]
-            ab = adense[rows, cols]
-            if diagonal:
-                root = np.sqrt(g[idx].real)
-                c = root[:, :, np.newaxis] * ab / root[:, np.newaxis, :]
-            else:
-                lh = np.linalg.cholesky(g[rows, cols]).conj().mT
-                c = lh @ np.linalg.solve(lh.mT, ab.mT).mT
-            # np.maximum, not max(): a NaN must survive into the routing test
-            defect = np.maximum(defect, np.abs(c - c.conj().mT).max())
-            scale = np.maximum(scale, np.abs(c).max())
-            stacks.append((ab, c))
-        hermitian = defect <= 1e-12 * scale
-        if not hermitian:
-            solver = _GENERAL_SOLVER
         parts = [np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel() if hermitian
                  else np.linalg.eigvals(ab).ravel() for ab, c in stacks]
     except np.linalg.LinAlgError as exc:
@@ -253,27 +232,12 @@ def real_spectrum(a: OperatorMatrix, gram: GramMatrix,
 
 def gram_inner(u: np.ndarray, v: np.ndarray, gram: GramMatrix) -> complex:
     """Inner product <u, v> = u^H G v (conjugate-linear in the first slot)."""
-    gv = gram.entries * v if gram.is_diagonal else gram.entries @ v
-    return complex(np.vdot(u, gv))
+    return complex(np.vdot(u, gram.entries * v))
 
 
 def gram_norm(v: np.ndarray, gram: GramMatrix) -> float:
     val = gram_inner(v, v, gram)
     return float(np.sqrt(max(val.real, 0.0)))
-
-
-def prune_offdiagonal(entries: np.ndarray, rel: float) -> np.ndarray:
-    """Zero off-diagonal entries below ``rel * sqrt(|G_ii G_jj|)``, in place.
-
-    Cauchy-Schwarz bounds a Gram entry |G_ij| by sqrt(G_ii G_jj), so this
-    clears quadrature roundoff at every scale of the diagonal, however small
-    its entries, and never touches the diagonal itself.
-    """
-    scale = np.sqrt(np.abs(np.diag(entries)))
-    small = np.abs(entries) < rel * np.outer(scale, scale)
-    np.fill_diagonal(small, False)
-    entries[small] = 0.0
-    return entries
 
 
 def monomial_gram(factors, indices: np.ndarray, basis_id: str) -> GramMatrix:
@@ -304,6 +268,9 @@ def polar_gram_oracle(indices: np.ndarray, radial, points: int,
     kept, and :class:`QuadratureFailure` is raised when it differs from the ``points`` table
     by more than ``tolerances.quadrature_goal`` relative.  The angular rule is sized from the
     basis, 2^j > max(m) points, exact for every m' - m and a power of two: its d = 0 mean is 1.
+    The whole matrix is formed; :class:`QuadratureFailure` is raised when an off-diagonal
+    |G_mm'| exceeds ``tolerances.quadrature_zero`` sqrt(G_mm G_m'm') (the rule is not
+    orthogonal), and otherwise the diagonal is returned.
     """
     coarse, table = radial(points), radial(2 * points)
     delta = float(np.max(np.abs(table - coarse) / table))
@@ -316,4 +283,9 @@ def polar_gram_oracle(indices: np.ndarray, radial, points: int,
     entries = np.ones((len(indices), len(indices)), dtype=complex)
     for m in indices.T:  # one complex axis at a time
         entries *= table[np.add.outer(m, m)] * angular[top - np.subtract.outer(m, m)]
-    return GramMatrix(prune_offdiagonal(entries, tolerances.quadrature_zero), basis_id, tolerances)
+    diag = entries.diagonal().copy()
+    scale = np.sqrt(np.abs(diag))
+    worst = float(np.max(np.abs(entries - np.diag(diag)) / np.outer(scale, scale)))
+    if not worst <= tolerances.quadrature_zero:
+        raise QuadratureFailure(f"{basis_id}: |G_mm'| / sqrt(G_mm G_m'm') reaches {worst:.3g}")
+    return GramMatrix(diag, basis_id, tolerances)

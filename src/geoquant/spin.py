@@ -50,8 +50,8 @@ class SpinBasis:
     def __post_init__(self):
         if self.n_sector < 0:
             raise ValueError("sector n must be >= 0")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def dim(self) -> int:

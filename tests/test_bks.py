@@ -94,6 +94,15 @@ def test_projection_rejects_boundary_support():
         fourier_project(wide)
 
 
+@pytest.mark.parametrize("name", ["hbar", "mass"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_state_rejects_hbar_and_mass_that_are_not_positive_and_finite(name, value):
+    grid = line(count=32)
+    kwargs = {"hbar": 1.0, "mass": 1.0, name: value}
+    with pytest.raises(ValueError, match="hbar and mass must be positive and finite"):
+        PolarizedState(np.ones(grid.size), grid, "position", **kwargs)
+
+
 def test_projection_rejects_wrong_polarization():
     grid = line()
     psi = raw_gaussian(grid, polarization="position")

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import geoquant
+from geoquant import demos
 from geoquant.cli import main
 from geoquant.demos import DEMOS, RunConfig, run_demo
-from geoquant.errors import ConfigError
+from geoquant.errors import ConfigError, SupportEscapesGrid
+from geoquant.linalg import real_spectrum
 from geoquant.reporting import SCHEMA, render_report, strip_footer
 
 
@@ -148,6 +150,39 @@ def test_failing_check_exits_one(tmp_path, capsys):
         {"tolerance_overrides": {"exact": 1e-300}}))
     assert main(["fock", "--config", str(cfg_file)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("demo, basis_id", [("spin", "spin/n2/hbar1.0"),
+                                             ("fock", "fock/n1/D5/hbar1.0")])
+def test_gram_oracle_refusal_exits_one_with_one_typed_line(demo, basis_id, tmp_path, capsys):
+    # a bound of 0 is below the quadrature's own off-diagonal round-off, about 1e-16
+    cfg_file = tmp_path / "strict.json"
+    cfg_file.write_text(json.dumps({"tolerance_overrides": {"quadrature_zero": 0.0}}))
+    assert main([demo, "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"QuadratureFailure: {basis_id}: |G_mm'| / sqrt")
+
+
+def test_tail_mass_override_reaches_the_fourier_projection():
+    # the projected Gaussian carries about 1e-111 of its mass on the boundary band
+    with pytest.raises(SupportEscapesGrid):
+        run_demo(RunConfig(demo="bks", tolerance_overrides={"tail_mass": 0.0}))
+
+
+@pytest.mark.parametrize("demo", ["cylinder", "fock", "spin"])
+def test_tolerance_overrides_reach_real_spectrum(demo, monkeypatch):
+    seen = []
+
+    def recording(a, gram, tolerances):
+        seen.append(tolerances)
+        return real_spectrum(a, gram, tolerances)
+
+    monkeypatch.setattr(demos, "real_spectrum", recording)
+    cfg = RunConfig(demo=demo, tolerance_overrides={"exact": 0.5})
+    run_demo(cfg)
+    assert seen == [cfg.tolerances] and seen[0].exact == 0.5
 
 
 def test_runconfig_rejects_unknown_demo():

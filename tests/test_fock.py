@@ -38,11 +38,9 @@ def test_gram_quadrature_oracle_matches_closed_form():
     for hbar in (1.0, 0.5):
         basis = FockBasis(1, 4, hbar=hbar)
         closed = fock_gram(basis).diagonal().real
-        quad = fock_gram_quadrature(basis).dense()
-        offdiag = quad - np.diag(np.diag(quad))
-        assert np.max(np.abs(offdiag)) < 1e-12 * closed.max()
-        assert np.max(np.abs(np.diag(quad).real - closed) / closed) < 1e-10
-        assert np.diag(quad).real[0] == pytest.approx(1.0, abs=1e-10)
+        quad = fock_gram_quadrature(basis).diagonal().real
+        assert np.max(np.abs(quad - closed) / closed) < 1e-10
+        assert quad[0] == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("hbar", [0.01, 0.001])
@@ -217,6 +215,22 @@ def test_gram_quadrature_tabulates_one_radial_integral_per_k(monkeypatch, n, deg
     assert np.max(np.abs(quad - closed) / closed) < 1e-8
 
 
+@pytest.mark.parametrize("n, degree", [(1, 5), (1, 40), (2, 4)])
+def test_gram_quadrature_refuses_off_diagonal_entries_past_quadrature_zero(n, degree):
+    """Off-diagonal round-off is about 1e-16 of sqrt(G_mm G_m'm'); a bound of 0 refuses it."""
+    strict = DEFAULT_TOLERANCES.override(quadrature_zero=0.0)
+    basis = FockBasis(n, degree)
+    with pytest.raises(QuadratureFailure, match=rf"^fock/n{n}/D{degree}/hbar1\.0: \|G_mm'\|"):
+        fock_gram_quadrature(basis, tolerances=strict)
+    assert fock_gram_quadrature(basis).entries.shape == (basis.dim,)
+
+
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0])
+def test_basis_rejects_hbar_that_is_not_positive_and_finite(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        FockBasis(1, 3, hbar)
+
+
 def test_gram_quadrature_doubling_guard_fires_on_too_few_nodes(monkeypatch):
     monkeypatch.setattr(fock, "_RADIAL_POINTS", 16)
     with pytest.raises(QuadratureFailure) as err:
@@ -231,7 +245,6 @@ def test_gram_quadrature_matches_gamma_closed_form(degree, hbar):
     basis = FockBasis(1, degree, hbar=hbar)
     closed = fock_gram(basis).diagonal().real
     quad = fock_gram_quadrature(basis)
-    assert quad.is_diagonal
     assert np.max(np.abs(quad.diagonal().real - closed) / closed) <= 1e-12
 
 

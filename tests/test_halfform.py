@@ -336,3 +336,12 @@ def test_basis_id_tells_grid_extents_apart_past_six_digits():
     with pytest.raises(BasisMismatch):
         adjoint_wrt(quantize_halfform(Observable.coordinate(), ConfigGrid.line(-8.0, 8.0, 16), 1.0),
                     diagonal_gram(other, other.cell_volume))
+
+
+@pytest.mark.parametrize("check", [
+    lambda grid: check_canonical_commutator(grid, 1.0, states=[]),
+    lambda grid: check_selfadjoint(Observable.momentum(), grid, 1.0, states=[])],
+    ids=["check_canonical_commutator", "check_selfadjoint"])
+def test_an_empty_test_panel_is_refused(check):
+    with pytest.raises(ValueError, match="the test panel is empty"):
+        check(line())

@@ -590,3 +590,12 @@ def test_basis_id_tells_grid_extents_apart_past_six_digits():
     with pytest.raises(BasisMismatch):
         adjoint_wrt(prequantize(Observable.coordinate(), small_grid(8), 1.0),
                     liouville_gram(near, 1.0))
+
+
+@pytest.mark.parametrize("check", [
+    lambda grid: check_dirac(Observable.coordinate(), Observable.momentum(), grid, 1.0, states=[]),
+    lambda grid: selfadjoint_residual(Observable.momentum(), grid, 1.0, states=[])],
+    ids=["check_dirac", "selfadjoint_residual"])
+def test_an_empty_test_panel_is_refused(check):
+    with pytest.raises(ValueError, match="the test panel is empty"):
+        check(small_grid())
