@@ -109,8 +109,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     document = render_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            print(f"config error [out]: cannot write report: {exc}", file=sys.stderr)
+            return 2
     if args.report_format == "structured":
         print(document, end="")
     else:

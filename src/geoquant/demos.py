@@ -223,9 +223,8 @@ def demo_fock(cfg: RunConfig) -> QuantReport:
     report.add_check("ladder-adjoint", "adjoint(z^) = zbar^ (below top shell)",
                      float(np.linalg.norm(adj * below)), tol.exact)
 
-    small = fock.FockBasis(1, min(cfg.degree, 5), cfg.hbar)
-    closed = fock.fock_gram(small).diagonal().real
-    quad = fock.fock_gram_quadrature(small, tolerances=tol).diagonal().real
+    closed = gram.diagonal().real
+    quad = fock.fock_gram_quadrature(basis, tolerances=tol).diagonal().real
     report.add_check("gram-quadrature", "<z^m, z^m> = (2*hbar)^m * m!",
                      float(np.max(np.abs(quad - closed) / closed)),
                      tol.quadrature_match)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -52,8 +51,10 @@ class FockBasis:
         if not 0 < self.hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
         n, d = self.n, self.max_degree
-        idx = sorted((m for m in product(range(d + 1), repeat=n) if sum(m) <= d),
-                     key=lambda m: (sum(m), m))
+        idx = [()]
+        for _ in range(n):  # each axis takes at most the degree the earlier ones leave
+            idx = [m + (k,) for m in idx for k in range(d - sum(m) + 1)]
+        idx.sort(key=lambda m: (sum(m), m))
         assert len(idx) == math.comb(n + d, n), "stars-and-bars count mismatch"
         indices = np.array(idx)
         indices.flags.writeable = False

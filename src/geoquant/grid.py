@@ -14,17 +14,16 @@ Operators applied to the same field can share its derivatives through a
 ``grads`` dict, so each axis of that field is transformed once however many
 operators act on it.
 
-The residual checks evaluate a panel of test states.  On large states the
-panel runs on a thread pool with one worker per core the process may run
-on: numpy's FFTs and ufuncs release the interpreter lock.  Results are
-gathered in state order, so the checks give the same bits on any number of
-cores.
+The residual checks evaluate a panel of test states.  On large states each
+panel opens a thread pool with up to one worker per core the process may
+run on, and shuts it before it returns: numpy's FFTs and ufuncs release the
+interpreter lock.  Results are gathered in state order, so the checks give
+the same bits on any number of cores.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from typing import Callable
 
 import numpy as np
@@ -222,10 +221,6 @@ def diagonal_gram(grid: UniformGrid, weight: float) -> GramMatrix:
 #: than the whole check of a small state
 _PARALLEL_MIN_SIZE = 1 << 14
 
-_pool = None
-_pool_lock = threading.Lock()
-_worker = threading.local()
-
 
 def _worker_count() -> int:
     """Cores this process may run on."""
@@ -235,33 +230,21 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _worker.active = True
-
-
-def _executor(workers: int):
-    """The panel pool, created on first use with ``workers`` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="geoquant-panel",
-                                       initializer=_mark_worker)
-        return _pool
-
-
 def _map_states(fn: Callable[[np.ndarray], object], states: list[np.ndarray]) -> list:
     """``[fn(v) for v in states]``, with the states run concurrently where it pays.
 
     Serial with one worker, one state, or a state under
-    ``_PARALLEL_MIN_SIZE`` samples, and on a pool worker, which must never
-    wait on its own pool.  Results come back in state order either way.
+    ``_PARALLEL_MIN_SIZE`` samples.  Otherwise the call opens its own pool,
+    one thread per state up to the core count, and shuts it on return, so
+    no thread outlives the call and a nested panel never waits on the pool
+    running it.  Results come back in state order either way.
     """
-    workers = _worker_count()
-    if (workers < 2 or len(states) < 2 or getattr(_worker, "active", False)
-            or min(np.size(v) for v in states) < _PARALLEL_MIN_SIZE):
+    workers = min(_worker_count(), len(states))
+    if workers < 2 or min(np.size(v) for v in states) < _PARALLEL_MIN_SIZE:
         return [fn(v) for v in states]
-    return list(_executor(workers).map(fn, states))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers, thread_name_prefix="geoquant-panel") as pool:
+        return list(pool.map(fn, states))
 
 
 def _worst(values: list[float]) -> float:
@@ -277,8 +260,8 @@ def worst_residual(residual: Callable[[np.ndarray], np.ndarray],
 
     The states run concurrently, one per core the process may run on, when
     there are several cores and states of at least ``_PARALLEL_MIN_SIZE``
-    samples; a panel started on a pool worker runs inline.  The ratios are
-    gathered in state order, so the result has the same bits either way.
+    samples.  The ratios are gathered in state order, so the result has the
+    same bits either way.
     An error raised by ``residual`` keeps its type; an empty panel raises ``ValueError``.
     """
     return _worst(_map_states(lambda v: np.linalg.norm(residual(v)) / np.linalg.norm(v),
@@ -290,11 +273,10 @@ def worst_symmetry_defect(op: Callable[[np.ndarray], np.ndarray],
     """Largest normalized ``|<u, op v> - <op u, v>|`` over state pairs.
 
     The pairs include each state with itself, so a genuine asymmetry cannot
-    hide behind small overlaps.  ``op`` is applied once per state and the
-    images are reused across pairs; a NaN defect makes the result NaN.  The
-    images are formed concurrently and kept in state order, under the same
-    rules as in :func:`worst_residual`, so the result has the same bits on
-    any number of cores.
+    hide behind small overlaps.  ``op`` is applied once per state, with the
+    states run as in :func:`worst_residual`, and the images are reused
+    across pairs in state order, so the result has the same bits on any
+    number of cores.  A NaN defect makes the result NaN.
     """
     images = _map_states(op, states)
     norms = [np.linalg.norm(v) for v in states]

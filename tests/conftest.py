@@ -30,14 +30,10 @@ def panel_workers(monkeypatch):
     """Set how many workers run residual panels, for states of any size.
 
     ``panel_workers(1)`` runs every panel serially; ``panel_workers(2)``
-    hands even small states to a pool of two threads.  Each test starts
-    without a pool and its own pool is shut down afterwards.
+    hands even small states to a pool of two threads.
     """
     monkeypatch.setattr(geoquant.grid, "_PARALLEL_MIN_SIZE", 0)
-    monkeypatch.setattr(geoquant.grid, "_pool", None)
 
     def use(workers: int) -> None:
         monkeypatch.setattr(geoquant.grid, "_worker_count", lambda: workers)
-    yield use
-    if geoquant.grid._pool is not None:
-        geoquant.grid._pool.shutdown(wait=False, cancel_futures=True)
+    return use

@@ -80,6 +80,13 @@ def test_structured_output_and_file(tmp_path, capsys):
     assert "- -0.5\n" in body and "- 0.5\n" in body and "- 1.5\n" in body
 
 
+@pytest.mark.parametrize("out", ["", "missing/report.txt"], ids=["directory", "missing-dir"])
+def test_unwritable_out_exits_two_with_one_line(out, tmp_path, capsys):
+    assert main(["cylinder", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [out]: ")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"lam": 0.25, "k_max": 1}))
@@ -153,7 +160,7 @@ def test_failing_check_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("demo, basis_id", [("spin", "spin/n2/hbar1.0"),
-                                             ("fock", "fock/n1/D5/hbar1.0")])
+                                             ("fock", "fock/n1/D8/hbar1.0")])
 def test_gram_oracle_refusal_exits_one_with_one_typed_line(demo, basis_id, tmp_path, capsys):
     # a bound of 0 is below the quadrature's own off-diagonal round-off, about 1e-16
     cfg_file = tmp_path / "strict.json"

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,12 +14,27 @@ from geoquant.errors import (BasisMismatch, DegenerateGram, PolarizationViolatio
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
-from geoquant.linalg import adjoint_wrt, commutator, real_spectrum
+from geoquant.linalg import GramMatrix, adjoint_wrt, commutator, real_spectrum
 
 
 def test_dimension_is_stars_and_bars():
     for n, d in [(1, 8), (2, 4), (3, 3)]:
         assert FockBasis(n, d).dim == math.comb(n + d, n)
+
+
+def test_indices_are_the_filtered_product_in_graded_order():
+    for n in range(1, 5):
+        for d in range(7):
+            expected = sorted((m for m in product(range(d + 1), repeat=n) if sum(m) <= d),
+                              key=lambda m: (sum(m), m))
+            assert [tuple(m) for m in FockBasis(n, d).indices.tolist()] == expected
+
+
+def test_many_axes_build_without_walking_the_product():
+    """n = 12, D = 6 keeps 18,564 of the product's 7^12, about 1.4e10, tuples."""
+    basis = FockBasis(12, 6)
+    assert basis.dim == math.comb(18, 6)
+    assert basis.index_of((6,) + (0,) * 11) == basis.dim - 1
 
 
 def test_gram_monomial_norms():
@@ -52,6 +68,20 @@ def test_gram_quadrature_holds_at_small_hbar(hbar):
     assert np.max(np.abs(quad - closed) / closed) < 1e-12
     report = run_demo(RunConfig(demo="fock", hbar=hbar))
     assert {c.name: c.passed for c in report.checks}["gram-quadrature"]
+
+
+def test_demo_gram_quadrature_check_covers_the_whole_basis(monkeypatch):
+    """A closed-form entry off by 1e-6 at m = 8, the default top degree, fails the check."""
+    closed_form = fock.fock_gram
+
+    def perturbed(basis):
+        entries = closed_form(basis).diagonal().copy()
+        if basis.max_degree >= 8:
+            entries[basis.index_of((8,))] *= 1 + 1e-6
+        return GramMatrix(entries, basis.basis_id)
+    monkeypatch.setattr(fock, "fock_gram", perturbed)
+    report = run_demo(RunConfig(demo="fock", degree=8))
+    assert not {c.name: c.passed for c in report.checks}["gram-quadrature"]
 
 
 def test_gram_quadrature_two_axes():

@@ -1,7 +1,5 @@
-import concurrent.futures
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +12,7 @@ import geoquant.grid
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import BasisMismatch, UnsupportedObservable
-from geoquant.halfform import ConfigGrid, quantize_halfform
+from geoquant.halfform import ConfigGrid, check_canonical_commutator, quantize_halfform
 from geoquant.linalg import adjoint_wrt, commutator
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
@@ -28,6 +26,30 @@ TOL = DEFAULT_TOLERANCES
 
 def small_grid(n_pts=24, extent=6.0):
     return PhaseSpaceGrid(-extent, extent, -extent, extent, n_pts, n_pts)
+
+
+def pooled(names):
+    """Whether any of the thread names is a panel pool worker's."""
+    return any(name.startswith("geoquant-panel") for name in names)
+
+
+def live_panel_threads():
+    return [t.name for t in threading.enumerate() if pooled([t.name])]
+
+
+@pytest.fixture
+def panel_threads(monkeypatch):
+    """Names of the threads that run each panel state, appended as they run."""
+    names = []
+    original = geoquant.grid._map_states
+
+    def recording(fn, states):
+        def named(v):
+            names.append(threading.current_thread().name)
+            return fn(v)
+        return original(named, states)
+    monkeypatch.setattr(geoquant.grid, "_map_states", recording)
+    return names
 
 
 def test_momentum_prequantizes_to_gradient():
@@ -376,16 +398,18 @@ def test_symmetry_defect_applies_the_operator_once_per_state():
     (PhaseSpaceGrid(-6, 6, -6, 6, 12, 12, n=2), _QUAD2_F, _QUAD2_G),
     (PhaseSpaceGrid(-8, 8, -8, 8, 128, 128), _QUAD_F, _QUAD_G),
 ], ids=["24^2", "64^2", "n2-12^4", "128^2"])
-def test_pool_and_serial_panels_give_the_same_bits(panel_workers, grid, f, g):
+def test_pool_and_serial_panels_give_the_same_bits(panel_workers, panel_threads, grid, f, g):
     values = {}
     for workers in (2, 1):
         panel_workers(workers)
+        panel_threads.clear()
         values[workers] = (check_dirac(f, g, grid, 0.7), selfadjoint_residual(f, grid, 0.7))
-    assert geoquant.grid._pool is not None
+        assert pooled(panel_threads) == (workers == 2)
     assert values[1] == values[2]
 
 
-def test_an_error_in_one_state_comes_out_of_the_pool_with_its_type(panel_workers):
+def test_an_error_in_one_state_comes_out_of_the_pool_with_its_type(panel_workers,
+                                                                   panel_threads):
     panel_workers(2)
     states = [np.full(8, float(k)) for k in range(1, 5)]
 
@@ -395,14 +419,35 @@ def test_an_error_in_one_state_comes_out_of_the_pool_with_its_type(panel_workers
         return v
     with pytest.raises(UnsupportedObservable, match="state 2"):
         geoquant.grid.worst_residual(residual, states)
-    assert geoquant.grid._pool is not None
+    assert pooled(panel_threads)
 
 
-def test_a_panel_inside_a_pooled_panel_runs_inline(panel_workers):
+def test_no_panel_thread_outlives_a_pooled_check(panel_workers, panel_threads):
+    """Each pooled panel shuts its pool before it returns, or before its error does."""
+    panel_workers(2)
+    phase = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    assert check_dirac(_QUAD_F, _QUAD_G, phase, 0.7) < TOL.grid
+    assert live_panel_threads() == []
+    assert selfadjoint_residual(_QUAD_F, phase, 0.7) < TOL.grid
+    assert live_panel_threads() == []
+    assert check_canonical_commutator(ConfigGrid.line(-8.0, 8.0, 256), 0.7) < TOL.grid
+    assert live_panel_threads() == []
+
+    def residual(v):
+        if v[0] == 1.0:
+            raise UnsupportedObservable("state 1")
+        return v
+    with pytest.raises(UnsupportedObservable, match="state 1"):
+        geoquant.grid.worst_residual(residual, [np.full(8, float(k)) for k in range(1, 5)])
+    assert live_panel_threads() == []
+    assert pooled(panel_threads)
+
+
+def test_a_panel_inside_a_pooled_panel_returns(panel_workers, panel_threads):
     """Both workers run an outer state whose residual runs its own panel.
 
-    Were the inner panel handed to the pool, each worker would wait on the
-    other and the check would never return.
+    The inner panel opens a pool of its own, so no worker waits on the pool
+    it runs on.
     """
     panel_workers(2)
     inner = [np.full(1 << 14, 2.0)] * 4
@@ -418,23 +463,11 @@ def test_a_panel_inside_a_pooled_panel_runs_inline(panel_workers):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert results == [1.0]
-    assert geoquant.grid._pool is not None
+    assert pooled(panel_threads)
 
 
-def test_concurrent_callers_share_one_pool_and_get_the_serial_bits(panel_workers, monkeypatch):
-    """Eight threads start panels at once, with a short switch interval.
-
-    The pool is slow to build, so callers that found no pool would each
-    build one were its creation not locked.
-    """
-    created = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(1)
-            time.sleep(0.05)
-            super().__init__(*args, **kwargs)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+def test_concurrent_callers_get_the_serial_bits(panel_workers):
+    """Eight threads start pooled panels at once, with a short switch interval."""
     grid = small_grid()
     panel_workers(1)
     expected = check_dirac(_QUAD_F, _QUAD_G, grid, 0.7)
@@ -457,15 +490,14 @@ def test_concurrent_callers_share_one_pool_and_get_the_serial_bits(panel_workers
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 8
-    assert created == [1]
 
 
-def test_one_worker_creates_no_pool(panel_workers):
+def test_one_worker_creates_no_pool(panel_workers, panel_threads):
     panel_workers(1)
     grid = PhaseSpaceGrid(-8, 8, -8, 8, 128, 128)
     assert check_dirac(_QUAD_F, _QUAD_G, grid, 1.0) < TOL.grid
     assert selfadjoint_residual(_QUAD_F, grid, 1.0) < TOL.grid
-    assert geoquant.grid._pool is None
+    assert panel_threads and not pooled(panel_threads)
 
 
 def test_grid_samples_are_real_for_real_polynomials():
@@ -499,7 +531,7 @@ def test_two_states_in_flight_use_no_more_memory_than_a_serial_panel(panel_worke
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     f, g = (Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps}) for _ in range(2))
     states = interior_test_states(grid, count=4)
-    check_dirac(f, g, grid, 1.0, states=states)  # start the pool outside the trace
+    check_dirac(f, g, grid, 1.0, states=states)  # import the pool outside the trace
     tracemalloc.start()
     try:
         check_dirac(f, g, grid, 1.0, states=states)
