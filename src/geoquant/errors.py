@@ -16,9 +16,12 @@ class DegenerateGram(GeoquantError):
 
 
 class EigenFailure(GeoquantError):
-    """The generalized eigensolver did not converge.
+    """A Gram-weighted spectrum could not be taken.
 
-    Carries the solver name and matrix dimension for diagnosis.
+    Raised when the operator is refused as not Gram-self-adjoint, before any
+    solve (``solver`` is then empty), and when the eigensolver fails or
+    returns non-finite values (``solver`` names it).  ``dim`` is the matrix
+    dimension.
     """
 
     def __init__(self, message: str, *, dim: int | None = None, solver: str = ""):

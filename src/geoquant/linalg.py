@@ -10,13 +10,16 @@ densified by its ``toarray()`` where a dense result is needed.
 Every basis the toolkit builds is orthogonal (monomials under a
 rotation-invariant weight, cylinder modes, grid nodes), so a
 :class:`GramMatrix` is its positive diagonal, validated at construction.
-Spectra in a Gram-weighted space reduce the Hermitian-definite pencil by
+Every spectrum the toolkit takes is that of a Gram-self-adjoint operator,
+and there is one route to it: the Hermitian-definite pencil is reduced by
 the square root of that diagonal (Golub & Van Loan, *Matrix Computations*,
-8.7).  The operator is split into its contiguous diagonal blocks (a Fock
-degree shell under a degree-keeping operator, one state under a diagonal
-one), and each group of equal-size blocks is solved by one stacked
-eigensolver call.  The choice of solver reads maxima over the blocks,
-which are the maxima over the whole matrix, since off-block entries are zero.
+8.7) and solved by ``eigvalsh``.  An operator whose reduction is not
+Hermitian to ``Tolerances.exact`` is refused before any solve.  The
+operator is split into its contiguous diagonal blocks (a Fock degree shell
+under a degree-keeping operator, one state under a diagonal one), and each
+group of equal-size blocks is solved by one stacked eigensolver call.  The
+refusal reads maxima over the blocks, which are the maxima over the whole
+matrix, since off-block entries are zero.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ __all__ = [
     "polar_gram_oracle",
 ]
 
-_HERMITIAN_SOLVER = "numpy.linalg.eigvalsh"
-_GENERAL_SOLVER = "numpy.linalg.eigvals"
+_SOLVER = "numpy.linalg.eigvalsh"
 
 
 def _is_square(m) -> bool:
@@ -83,12 +85,10 @@ class OperatorMatrix:
 class GramMatrix:
     """Positive diagonal of the Gram matrix of an orthogonal basis.
 
-    ``entries`` is the 1-D diagonal.  A square input whose off-diagonal
-    entries are all zero is stored as its diagonal; one with a nonzero
-    off-diagonal entry raises ``ValueError``, and a sparse matrix
-    ``TypeError``.  Construction checks Hermiticity, that is real entries,
-    against ``tolerances.gram_hermiticity``, then that the real parts, the
-    Gram's eigenvalues, are positive.
+    ``entries`` is the 1-D diagonal; any other shape raises ``ValueError``,
+    and a sparse matrix ``TypeError``.  Construction checks Hermiticity,
+    that is real entries, against ``tolerances.gram_hermiticity``, then that
+    the real parts, the Gram's eigenvalues, are positive.
     """
 
     entries: np.ndarray
@@ -99,12 +99,8 @@ class GramMatrix:
         if _has_toarray(self.entries):
             raise TypeError("Gram entries must be a numpy array, not a sparse matrix")
         g = np.asarray(self.entries, dtype=complex)
-        if _is_square(g):
-            if np.count_nonzero(g) != np.count_nonzero(g.diagonal()):
-                raise ValueError("Gram matrix has a nonzero off-diagonal entry")
-            g = g.diagonal().copy()
         if g.ndim != 1:
-            raise ValueError("Gram entries must be a diagonal or a square matrix")
+            raise ValueError("Gram entries must be the 1-D diagonal")
         object.__setattr__(self, "entries", g)
         if not np.max(np.abs(g - g.conj())) <= self.tolerances.gram_hermiticity:
             raise DegenerateGram("Gram matrix is not Hermitian")
@@ -118,9 +114,6 @@ class GramMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self.entries
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.entries)
 
     @classmethod
     def identity(cls, dim: int, basis_id: str) -> "GramMatrix":
@@ -165,69 +158,52 @@ def _diagonal_blocks(nonzero: np.ndarray) -> list[np.ndarray]:
     return [ends[sizes == b, np.newaxis] + np.arange(1 - b, 1) for b in set(sizes.tolist())]
 
 
-def spectrum(a: OperatorMatrix, gram: GramMatrix) -> np.ndarray:
-    """Eigenvalues of the operator ``a`` in the Gram-weighted space.
+def spectrum(a: OperatorMatrix, gram: GramMatrix,
+             tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Real eigenvalues, ascending, of the Gram-self-adjoint operator ``a``.
 
     ``a.entries`` is the action matrix on basis coefficients, so the weak
     form of the eigenproblem is the pencil ``(G A) v = mu G v``.  With
     ``root = sqrt(diag G)`` it reduces to the Gram-root similarity
     ``C = root A / root = root^-1 (G A) root^-1``, Hermitian iff ``a`` is
-    Gram-self-adjoint; then ``eigvalsh`` returns its real eigenvalues.
-    Otherwise the values are those of ``A`` itself, by ``eigvals``.  The
-    route is read from C's Hermitian defect relative to its largest entry:
-    C has A's scale whatever the Gram's, and stays finite where ``G A``
-    overflows.
+    Gram-self-adjoint, and ``eigvalsh`` returns its eigenvalues.  C has A's
+    scale whatever the Gram's, and stays finite where ``G A`` overflows.
 
-    ``A`` is split into its contiguous diagonal blocks, and the blocks of
-    each size are solved as one stack.  The split does not change the
-    routing: off-block entries are zero, so the largest entry of C and of
-    its Hermitian defect are the largest over the blocks, and a NaN anywhere
-    still selects ``eigvals``.  A matrix that couples everything is one block.
-
-    Returned sorted by real part, ties broken by imaginary part.  Values are
-    complex; use :func:`real_spectrum` to strip a certified-small imaginary
-    residue.  :class:`EigenFailure` names the solver of the route taken.
+    When C's Hermitian defect exceeds ``tolerances.exact`` times its largest
+    entry, or is NaN, :class:`EigenFailure` is raised before any solve,
+    naming the defect and the scale.  ``A`` is split into its contiguous
+    diagonal blocks, and the blocks of each size are solved as one stack;
+    off-block entries are zero, so the largest entry of C and of its
+    Hermitian defect are the largest over the blocks.  A matrix that couples
+    everything is one block.
     """
     _require_same_basis(a, gram)
     adense, g = a.dense(), gram.entries
     stacks, defect, scale = [], 0.0, 0.0
     for idx in _diagonal_blocks(adense != 0):
-        ab = adense[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
         root = np.sqrt(g[idx].real)
+        ab = adense[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
         c = root[:, :, np.newaxis] * ab / root[:, np.newaxis, :]
-        # np.maximum, not max(): a NaN must survive into the routing test
+        # np.maximum, not max(): a NaN must survive into the test
         defect = np.maximum(defect, np.abs(c - c.conj().mT).max())
         scale = np.maximum(scale, np.abs(c).max())
-        stacks.append((ab, c))
-    hermitian = defect <= 1e-12 * scale
-    solver = _HERMITIAN_SOLVER if hermitian else _GENERAL_SOLVER
+        stacks.append(c)
+    if not defect <= tolerances.exact * scale:
+        raise EigenFailure(f"Hermitian defect {defect:.3e} of the Gram-root similarity exceeds "
+                           f"{tolerances.exact:.3g} times its largest entry {scale:.3e}; "
+                           "the operator is not Gram-self-adjoint", dim=a.dim)
     try:
-        parts = [np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel() if hermitian
-                 else np.linalg.eigvals(ab).ravel() for ab, c in stacks]
+        vals = np.concatenate([np.linalg.eigvalsh(c if c.imag.any() else c.real).ravel()
+                               for c in stacks])
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigensolver failed: {exc}", dim=a.dim, solver=solver) from exc
-    vals = np.concatenate(parts).astype(complex)
+        raise EigenFailure(f"eigensolver failed: {exc}", dim=a.dim, solver=_SOLVER) from exc
     if not np.isfinite(vals).all():
         raise EigenFailure("eigensolver produced non-finite eigenvalues",
-                           dim=a.dim, solver=solver)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+                           dim=a.dim, solver=_SOLVER)
+    return np.sort(vals)
 
 
-def real_spectrum(a: OperatorMatrix, gram: GramMatrix,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Spectrum with the imaginary residue checked against ``exact`` and zeroed.
-
-    Only the general solver can leave a residue: the Hermitian route's values are real.
-    """
-    vals = spectrum(a, gram)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    residue = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if residue > tolerances.exact * scale:
-        raise EigenFailure(
-            f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "operator is not Gram-self-adjoint", dim=a.dim, solver=_GENERAL_SOLVER)
-    return np.sort(vals.real)
+real_spectrum = spectrum
 
 
 def gram_inner(u: np.ndarray, v: np.ndarray, gram: GramMatrix) -> complex:

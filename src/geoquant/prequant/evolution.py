@@ -148,7 +148,8 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
     input layout.  The pullback is a sequence of band-limited FFT shears and
     the phase is the action X^T W X of the module docstring, both exact for
     states resolved by the grid.  ``steps`` must be at least 1 and does not
-    change the result.
+    change the result.  ``hbar`` must be positive and finite and ``t`` finite;
+    a negative ``t`` is the backward flow.
 
     If some shear carries more than ``tolerances.tail_mass`` of the squared
     norm across the box edge, the evolution raises :class:`FlowEscapesGrid`
@@ -159,6 +160,10 @@ def prequantum_evolve(f: Observable, psi0: np.ndarray, t: float, steps: int,
         raise UnsupportedObservable("evolution is implemented for n = 1 grids")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0 < hbar < np.inf:
+        raise ValueError("hbar must be positive and finite")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     g, lagrangian = _generator(f)
 
     flat_input = psi0.ndim == 1

@@ -101,8 +101,12 @@ def _prequant_parts(f: Observable, hbar: float) -> tuple[list, Polynomial]:
     """First-order parts of P_f = -i*hbar*X_f - p.(df/dp) + f, symbolically.
 
     Returns the ``(factor, coefficient polynomial, axis)`` terms, one per
-    nonzero partial derivative of f, and the scalar f - p.(df/dp).
+    nonzero partial derivative of f, and the scalar f - p.(df/dp).  Raises
+    ``ValueError`` unless ``hbar`` is positive and finite; prequantization and
+    the half-form quantization both build through here.
     """
+    if not 0 < hbar < np.inf:
+        raise ValueError("hbar must be positive and finite")
     n = f.n
     parts = []
     scalar = Polynomial(2 * n, dict(f.poly.coeffs))
@@ -155,6 +159,8 @@ def prequantize(f: Observable, grid: PhaseSpaceGrid, hbar: float) -> OperatorMat
 
 def liouville_gram(grid: PhaseSpaceGrid, hbar: float) -> GramMatrix:
     """Diagonal Gram of the grid quadrature with Liouville normalization."""
+    if not 0 < hbar < np.inf:
+        raise ValueError("hbar must be positive and finite")
     return diagonal_gram(grid, (grid.h_q * grid.h_p / (2.0 * np.pi * hbar)) ** grid.n)
 
 

@@ -64,7 +64,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def render_report(report: QuantReport, include_footer: bool = True) -> str:
+def render_report(report: QuantReport) -> str:
     """Serialize with stable key order; see module docstring for the schema."""
     lines = [f"schema: {SCHEMA}", f"demo: {report.demo}", "config:"]
     for key in sorted(report.config):
@@ -91,10 +91,8 @@ def render_report(report: QuantReport, include_footer: bool = True) -> str:
     for n in report.notes:
         lines.append(f"  - {n}")
     lines.append(f"passed: {_fmt(report.passed)}")
-    body = "\n".join(lines) + "\n"
-    if include_footer:
-        body += f"# wall_time_s: {report.wall_time_s:.3f}\n"
-    return body
+    lines.append(f"# wall_time_s: {report.wall_time_s:.3f}")
+    return "\n".join(lines) + "\n"
 
 
 def strip_footer(text: str) -> str:

@@ -490,3 +490,27 @@ def test_momentum_translation_returns_its_shear_output():
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     still = prequantum_evolve(Observable.constant(1, 0), psi, 1.5, 1, grid, 0.7)
     assert np.array_equal(still, psi) and not np.shares_memory(still, psi)
+
+
+_QUADRATIC = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): 0.3, (0, 2): 0.5})
+
+
+@pytest.mark.parametrize("t, hbar, message", [
+    (1.0, 0.0, "hbar must be positive and finite"),
+    (1.0, -1.0, "hbar must be positive and finite"),
+    (1.0, np.nan, "hbar must be positive and finite"),
+    (1.0, np.inf, "hbar must be positive and finite"),
+    (np.nan, 1.0, "t must be finite"),
+    (np.inf, 1.0, "t must be finite"),
+    (-np.inf, 1.0, "t must be finite")])
+def test_a_bad_hbar_or_time_is_refused(t, hbar, message):
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    with pytest.raises(ValueError, match=message):
+        prequantum_evolve(_QUADRATIC, gaussian(grid), t, 1, grid, hbar)
+
+
+def test_a_negative_time_is_the_backward_flow():
+    grid = PhaseSpaceGrid(-8, 8, -8, 8, 64, 64)
+    psi = gaussian(grid)
+    out = prequantum_evolve(_QUADRATIC, psi, 0.5, 1, grid, 1.0)
+    assert np.max(np.abs(prequantum_evolve(_QUADRATIC, out, -0.5, 1, grid, 1.0) - psi)) < 1e-10

@@ -345,3 +345,15 @@ def test_basis_id_tells_grid_extents_apart_past_six_digits():
 def test_an_empty_test_panel_is_refused(check):
     with pytest.raises(ValueError, match="the test panel is empty"):
         check(line())
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda grid, hbar: quantize_halfform(Q, grid, hbar),
+    lambda grid, hbar: check_canonical_commutator(grid, hbar),
+    lambda grid, hbar: check_selfadjoint(QP, grid, hbar)],
+    ids=["quantize_halfform", "check_canonical_commutator", "check_selfadjoint"])
+def test_a_hbar_that_is_not_positive_and_finite_is_refused(entry, hbar):
+    """At hbar = 0 the canonical commutator residual reads exactly 0."""
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        entry(line(16), hbar)

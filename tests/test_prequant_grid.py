@@ -631,3 +631,21 @@ def test_basis_id_tells_grid_extents_apart_past_six_digits():
 def test_an_empty_test_panel_is_refused(check):
     with pytest.raises(ValueError, match="the test panel is empty"):
         check(small_grid())
+
+
+_QUADRATIC = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): 0.3, (0, 2): 0.5})
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda grid, hbar: prequantize(_QUADRATIC, grid, hbar),
+    lambda grid, hbar: PrequantApplier(_QUADRATIC, grid, hbar),
+    lambda grid, hbar: check_dirac(_QUADRATIC, Observable.momentum(), grid, hbar),
+    lambda grid, hbar: selfadjoint_residual(_QUADRATIC, grid, hbar),
+    lambda grid, hbar: liouville_gram(grid, hbar)],
+    ids=["prequantize", "PrequantApplier", "check_dirac", "selfadjoint_residual",
+         "liouville_gram"])
+def test_a_hbar_that_is_not_positive_and_finite_is_refused(entry, hbar):
+    """At hbar = 0 the Dirac residual reads exactly 0, a pass that checks nothing."""
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        entry(small_grid(16), hbar)
