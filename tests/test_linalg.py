@@ -202,6 +202,18 @@ def test_eigen_failure_names_the_hermitian_solver(monkeypatch, failure):
     assert err.value.solver == "numpy.linalg.eigvalsh" and err.value.dim == 2
 
 
+def test_eigen_failure_names_the_general_solver(eigvalsh_calls):
+    """No general solver is left to name: both inputs are refused before any solve."""
+    g = GramMatrix.identity(2, "b")
+    with pytest.raises(EigenFailure) as err:
+        real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
+    assert err.value.solver == ""
+    with pytest.raises(EigenFailure) as err:
+        spectrum(op([[np.nan, 0], [0, 1]]), g)
+    assert err.value.solver == ""
+    assert eigvalsh_calls == []
+
+
 @pytest.mark.parametrize("tolerances",
                          [DEFAULT_TOLERANCES, DEFAULT_TOLERANCES.override(exact=1e-6)],
                          ids=["default", "override"])
