@@ -6,9 +6,10 @@ product makes the monomials orthogonal with
 
     <z^m, z^m> = prod_a (2*hbar)^(m_a) * m_a!
 
-normalized so the constant monomial has unit norm.  Multiplication by z^a is
-unbounded, so the top degree shell is truncated to zero; checks that rely on
-the ladder algebra exclude that shell.
+normalized so the constant monomial has unit norm.  The ladders and the
+quantizer are scatters of one raise map, z^m -> z^(m + e_a) as basis positions,
+into one matrix.  Multiplication by z^a is unbounded, so the top degree shell
+is truncated to zero; checks that rely on the ladder algebra exclude that shell.
 """
 
 from __future__ import annotations
@@ -121,38 +122,30 @@ def fock_gram_quadrature(basis: FockBasis,
     return polar_gram_oracle(basis.indices, radial, _RADIAL_POINTS, basis.basis_id, tolerances)
 
 
-def _monomial_map(basis: FockBasis, up: int | None, down: int | None) -> np.ndarray:
-    """Matrix of z^up d/dz^down on the monomials; None leaves that factor out.
-
-    z^m maps to m_down * z^(m - e_down + e_up) (coefficient 1 without a
-    derivative).  An image beyond the top degree shell is truncated to zero,
-    which only multiplication without a derivative can produce.
-    """
-    for axis in (up, down):
-        if axis is not None and not 0 <= axis < basis.n:
-            raise ValueError(f"axis {axis} out of range for n={basis.n}")
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for j, m in enumerate(basis.indices.tolist()):
-        target, coeff = list(m), 1
-        if down is not None:
-            coeff = m[down]
-            target[down] -= 1
-        if up is not None:
-            target[up] += 1
-        if coeff and sum(target) <= basis.max_degree:
-            mat[basis.index_of(tuple(target)), j] = coeff
-    return mat
+def _raised(basis: FockBasis, axis: int) -> np.ndarray:
+    """Position of z^(m + e_axis) for each monomial z^m; -1 past the top degree shell."""
+    if not 0 <= axis < basis.n:
+        raise ValueError(f"axis {axis} out of range for n={basis.n}")
+    raised = (basis.indices + np.eye(basis.n, dtype=int)[axis]).tolist()
+    return np.array([basis._position.get(tuple(m), -1) for m in raised])
 
 
 def op_raise(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
     """Multiplication by z^axis; the top degree shell truncates to zero."""
-    return OperatorMatrix(_monomial_map(basis, axis, None), basis.basis_id)
+    up = _raised(basis, axis)
+    j = np.flatnonzero(up >= 0)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    mat[up[j], j] = 1.0
+    return OperatorMatrix(mat, basis.basis_id)
 
 
 def op_lower(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
     """2*hbar * d/dz^axis: sends z^m to 2*hbar*m_axis*z^(m - e_axis)."""
-    return OperatorMatrix(2.0 * basis.hbar * _monomial_map(basis, None, axis),
-                          basis.basis_id)
+    up = _raised(basis, axis)
+    j = np.flatnonzero(up >= 0)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    mat[j, up[j]] = 2.0 * basis.hbar * (basis.indices[j, axis] + 1)
+    return OperatorMatrix(mat, basis.basis_id)
 
 
 def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
@@ -173,35 +166,41 @@ def polarization_preserving(basis: FockBasis, f0: float = 0.0,
     """Quantize f = f0 + w.z + conj(w).zbar + c_ab z^a zbar^b.
 
     This is the full class of real observables preserving the antiholomorphic
-    polarization: f0 must be real and c Hermitian; any quadratic-in-z or
-    quadratic-in-zbar block (``zz`` / ``zbarzbar``) is rejected.  The c-part
-    quantizes to 2*hbar*c_ab z^a d/dz^b plus the metaplectic trace term
-    hbar*tr(c).
+    polarization: f0, w and c must be finite, f0 real and c Hermitian; any
+    quadratic-in-z or quadratic-in-zbar block (``zz`` / ``zbarzbar``) is
+    rejected.  The c-part quantizes to 2*hbar*c_ab z^a d/dz^b plus the
+    metaplectic trace term hbar*tr(c).
     """
-    n = basis.n
     if zz is not None and np.any(np.asarray(zz) != 0):
         raise PolarizationViolation("quadratic-in-z term does not preserve the polarization")
     if zbarzbar is not None and np.any(np.asarray(zbarzbar) != 0):
         raise PolarizationViolation("quadratic-in-zbar term does not preserve the polarization")
-    if abs(complex(f0).imag) > 0:
+    f0 = complex(f0)
+    w = None if w is None else np.asarray(w, dtype=complex).reshape(basis.n)
+    c = None if c is None else np.asarray(c, dtype=complex).reshape(basis.n, basis.n)
+    for name, value in (("f0", f0), ("w", w), ("c", c)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    if f0.imag != 0:
         raise PolarizationViolation("constant part must be real")
-    f0 = float(np.real(f0))
+    if c is not None and np.max(np.abs(c - c.conj().T)) > (
+            DEFAULT_TOLERANCES.gram_hermiticity * max(1.0, np.max(np.abs(c)))):
+        raise PolarizationViolation("coefficient matrix c must be Hermitian")
 
-    total = f0 * np.eye(basis.dim, dtype=complex)
+    # j runs over the monomials z^m below the top shell; up[a] holds z^(m + e_a)
+    j = np.flatnonzero(basis.below_top_mask())
+    up = [_raised(basis, a)[j] for a in range(basis.n)]
+    m1 = basis.indices[j] + 1  # d/dz^b takes z^(m + e_b) to (m_b + 1) z^m
+    total = np.zeros((basis.dim, basis.dim), dtype=complex)
+    diagonal = total.reshape(-1)[::basis.dim + 1]  # a writable view
+    diagonal[:] = f0.real
     if w is not None:
-        w = np.asarray(w, dtype=complex).reshape(n)
-        for a in range(n):
-            if w[a] != 0:
-                total += w[a] * op_raise(basis, a).entries
-                total += np.conj(w[a]) * op_lower(basis, a).entries
+        for a in range(basis.n):
+            total[up[a], j] = w[a]
+            total[j, up[a]] = np.conj(w[a]) * (2.0 * basis.hbar * m1[:, a])
     if c is not None:
-        c = np.asarray(c, dtype=complex).reshape(n, n)
-        herm_tol = DEFAULT_TOLERANCES.gram_hermiticity
-        if np.max(np.abs(c - c.conj().T)) > herm_tol * max(1.0, np.max(np.abs(c))):
-            raise PolarizationViolation("coefficient matrix c must be Hermitian")
-        for a in range(n):
-            for b in range(n):
-                if c[a, b] != 0:
-                    total += 2.0 * basis.hbar * c[a, b] * _monomial_map(basis, a, b)
-        total += basis.hbar * np.trace(c).real * np.eye(basis.dim)
+        for a in range(basis.n):
+            for b in range(basis.n):
+                total[up[a], up[b]] += 2.0 * basis.hbar * c[a, b] * m1[:, b]
+        diagonal += basis.hbar * np.trace(c).real
     return OperatorMatrix(total, basis.basis_id)

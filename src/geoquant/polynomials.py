@@ -126,9 +126,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.coeffs)
 
-    def is_real(self) -> bool:
-        return all(not isinstance(c, complex) or c.imag == 0 for c in self.coeffs.values())
-
     def evaluate(self, *values) -> np.ndarray | float:
         """Evaluate on scalars or broadcastable arrays, one per variable."""
         if len(values) != self.nvars:

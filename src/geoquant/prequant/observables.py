@@ -11,6 +11,7 @@ canonical commutator ``[q^, p^] = +i*hbar``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from ..errors import DegreeOverflow, UnsupportedObservable
@@ -42,7 +43,7 @@ class Observable:
             raise ValueError("half-dimension n must be >= 1")
         if self.poly.nvars != 2 * self.n:
             raise ValueError("observable needs a polynomial in 2n variables")
-        if not self.poly.is_real():
+        if not all(isinstance(c, numbers.Real) for c in self.poly.coeffs.values()):
             raise ValueError("classical observables are real-valued")
         if not all(math.isfinite(float(c)) for c in self.poly.coeffs.values()):
             raise ValueError("coefficients must be finite")

@@ -111,10 +111,8 @@ class Su2Report:
     ladder_plus: float     # ||[J3, J+] - hbar*J+||
     ladder_minus: float    # ||[J3, J-] + hbar*J-||
     pair: float            # ||[J+, J-] - 2*hbar*J3||
-    casimir_offdiag: float
     casimir_scalar: complex
     casimir_residual: float
-    metaplectic_correction_applied: bool = METAPLECTIC_CORRECTION_APPLIED
 
 
 def check_su2(basis: SpinBasis) -> Su2Report:
@@ -136,7 +134,6 @@ def check_su2(basis: SpinBasis) -> Su2Report:
         ladder_plus=norm(comm(j3, jp) - hb * jp),
         ladder_minus=norm(comm(j3, jm) + hb * jm),
         pair=norm(comm(jp, jm) - 2.0 * hb * j3),
-        casimir_offdiag=norm(casimir - np.diag(np.diag(casimir))),
         casimir_scalar=complex(np.mean(np.diag(casimir))),
         casimir_residual=float(np.linalg.norm(casimir - expected * np.eye(n + 1))) / scale,
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -223,6 +224,110 @@ def test_hermitian_c_two_axes():
     gram = fock_gram(basis)
     diff = adjoint_wrt(out, gram).entries - out.entries
     assert np.linalg.norm(diff) < 1e-10  # number-type block never truncates
+
+
+def monomial_map(basis, up, down):
+    """Reference: z^up d/dz^down by a loop over the monomials; None leaves a factor out.
+
+    z^m maps to m_down * z^(m - e_down + e_up) (coefficient 1 without a
+    derivative); an image beyond the top degree shell is truncated to zero.
+    """
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for j, m in enumerate(basis.indices.tolist()):
+        target, coeff = list(m), 1
+        if down is not None:
+            coeff = m[down]
+            target[down] -= 1
+        if up is not None:
+            target[up] += 1
+        if coeff and sum(target) <= basis.max_degree:
+            mat[basis.index_of(tuple(target)), j] = coeff
+    return mat
+
+
+def reference_polarization_preserving(basis, f0, w, c):
+    """f0 + w.z + conj(w).zbar + c_ab z^a zbar^b term by term, one dense matrix per term."""
+    total = f0 * np.eye(basis.dim, dtype=complex)
+    for a in range(basis.n):
+        total += w[a] * monomial_map(basis, a, None)
+        total += np.conj(w[a]) * (2.0 * basis.hbar * monomial_map(basis, None, a))
+    for a, b in product(range(basis.n), repeat=2):
+        total += 2.0 * basis.hbar * c[a, b] * monomial_map(basis, a, b)
+    return total + basis.hbar * np.trace(c).real * np.eye(basis.dim)
+
+
+def assert_scatters_match_the_reference(basis, rng):
+    for a in range(basis.n):
+        assert np.array_equal(op_raise(basis, a).entries, monomial_map(basis, a, None))
+        assert np.array_equal(op_lower(basis, a).entries,
+                              2.0 * basis.hbar * monomial_map(basis, None, a))
+    f0 = rng.normal()
+    w = rng.normal(size=basis.n) + 1j * rng.normal(size=basis.n)
+    x = rng.normal(size=(basis.n, basis.n)) + 1j * rng.normal(size=(basis.n, basis.n))
+    c = x + x.conj().T
+    assert np.array_equal(polarization_preserving(basis, f0, w, c).entries,
+                          reference_polarization_preserving(basis, f0, w, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+def test_scatters_match_the_per_monomial_loop(n, degree, hbar, seed):
+    assert_scatters_match_the_reference(FockBasis(n, degree, hbar),
+                                        np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 40), (2, 12), (3, 6)])
+def test_scatters_match_the_per_monomial_loop_at_larger_degrees(n, degree):
+    assert_scatters_match_the_reference(FockBasis(n, degree, 0.7), np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_ladder_axis_out_of_range_is_refused(axis):
+    basis = FockBasis(2, 3)
+    for op in (op_raise, op_lower):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for n=2"):
+            op(basis, axis)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_polarization_preserving_allocates_about_its_result():
+    """n = 2, D = 48 (dim 1,225): the build holds no dense matrix but its result."""
+    basis = FockBasis(2, 48)
+    c = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 2.0]])
+    peak = traced_peak(lambda: polarization_preserving(basis, 0.5, np.array([1.0, -0.5j]), c))
+    assert peak < 1.25 * basis.dim**2 * 16
+
+
+def assert_refused_before_allocating(name, **coefficients):
+    basis = FockBasis(2, 48)
+
+    def refused():
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            polarization_preserving(basis, **coefficients)
+    assert traced_peak(refused) < 0.01 * basis.dim**2 * 16
+
+
+@pytest.mark.parametrize("f0", [np.nan, np.inf, complex(np.nan, 0.0), complex(0.0, np.nan)])
+def test_non_finite_f0_is_refused(f0):
+    assert_refused_before_allocating("f0", f0=f0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_non_finite_w_is_refused(entry):
+    assert_refused_before_allocating("w", w=np.array([1.0, entry]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_c_is_refused(entry):
+    assert_refused_before_allocating("c", c=np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("n, degree", [(1, 6), (2, 4)])

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,8 +78,15 @@ def test_degree_cap_on_bracket():
 
 
 def test_complex_coefficients_rejected():
-    with pytest.raises(ValueError):
-        obs(1, {(1, 0): 1j})
+    """A complex-typed coefficient is refused even when its imaginary part is 0."""
+    for value in (1j, 1 + 0j, np.complex128(2)):
+        with pytest.raises(ValueError, match="classical observables are real-valued"):
+            obs(1, {(1, 0): value})
+
+
+@pytest.mark.parametrize("value", [2, 2.5, Fraction(1, 3), np.float64(2)])
+def test_real_coefficient_types_accepted(value):
+    assert obs(1, {(1, 0): value}).poly.coeffs == {(1, 0): value}
 
 
 @pytest.mark.parametrize("n, axis", [(1, 1), (1, -1), (2, 2), (2, -1)])
