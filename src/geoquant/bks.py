@@ -187,62 +187,58 @@ def _guard_tail(samples: np.ndarray, tolerances: Tolerances) -> None:
             f"boundary band carries {tail:.3e} of the squared norm", tail_mass=tail)
 
 
-def _chirp_z(values: np.ndarray, axis: int, src: ConfigGrid, dst: ConfigGrid,
-             c: float) -> np.ndarray:
-    """``sum_k exp(i c x_j y_k) values_k`` along ``axis``, x on dst, y on src.
+def _chirp_z(values: np.ndarray, axis: int, grid: ConfigGrid, c: float) -> np.ndarray:
+    """``sum_k exp(i c x_j x_k) values_k`` along ``axis`` of ``grid``.
 
-    With u_j, v_k the offsets from the middle indices and xc, yc the grid
-    centres, x_j y_k = x_j yc + xc (y_k - yc) + g h u_j v_k, and
-    u v = (u^2 + v^2 - (v - u)^2) / 2 turns the sum into one FFT convolution
-    with a chirp between two chirp multiplications (Bluestein).  Centring
-    keeps every phase at the scale of the grids' half-widths, so rounding
-    does not grow with the index range.
+    With u_j the offsets from the middle index, h the spacing and xc the
+    grid centre, x_j x_k = x_j xc + xc (x_k - xc) + h^2 u_j u_k, and
+    u_j u_k = (u_j^2 + u_k^2 - (u_k - u_j)^2) / 2 turns the sum into one FFT
+    convolution with a chirp between two chirp multiplications (Bluestein).
+    Centring keeps every phase at the scale of the grid's half-width, so
+    rounding does not grow with the index range.
     """
     vals = np.moveaxis(values, axis, -1)
-    n, m = src.counts[axis], dst.counts[axis]
-    h, g = src.spacings[axis], dst.spacings[axis]
-    y, x = src.axis(axis), dst.axis(axis)
-    yc, xc = 0.5 * (y[0] + y[-1]), 0.5 * (x[0] + x[-1])
-    v = np.arange(n) - 0.5 * (n - 1)
-    u = np.arange(m) - 0.5 * (m - 1)
-    alpha = 0.5 * c * g * h
-    size = 1 << (n + m - 2).bit_length()
-    lags = np.concatenate([np.arange(m), np.arange(1 - n, 0)])  # j - k
+    n, h, x = grid.counts[axis], grid.spacings[axis], grid.axis(axis)
+    xc = 0.5 * (x[0] + x[-1])
+    u = np.arange(n) - 0.5 * (n - 1)
+    alpha = 0.5 * c * h * h
+    size = 1 << (2 * n - 2).bit_length()
+    lags = np.concatenate([np.arange(n), np.arange(1 - n, 0)])  # j - k
     chirp = np.zeros(size, dtype=complex)
-    chirp[lags] = np.exp(-1j * alpha * (lags + 0.5 * (n - m)) ** 2)
-    pre = np.exp(1j * (c * xc * h * v + alpha * v**2))
+    chirp[lags] = np.exp(-1j * alpha * lags**2)
+    pre = np.exp(1j * (c * xc * h * u + alpha * u**2))
     conv = np.fft.ifft(np.fft.fft(vals * pre, size) * np.fft.fft(chirp), axis=-1)
-    out = conv[..., :m] * np.exp(1j * (c * yc * x + alpha * u**2))
+    out = conv[..., :n] * np.exp(1j * (c * xc * x + alpha * u**2))
     return np.moveaxis(out, -1, axis)
 
 
-def _fourier_apply(state: PolarizedState, target: ConfigGrid, sign: float,
-                   out_polarization: str,
+def _fourier_apply(state: PolarizedState, sign: float, out_polarization: str,
                    tolerances: Tolerances) -> PolarizedState:
     _guard_tail(state.samples, tolerances)
     hbar, out = state.hbar, state.samples
     for axis in range(state.n):
-        out = _chirp_z(out, axis, state.grid, target, sign / hbar) * (
+        out = _chirp_z(out, axis, state.grid, sign / hbar) * (
             state.grid.spacings[axis] / np.sqrt(2.0 * np.pi * hbar))
-    return PolarizedState(out, target, out_polarization, hbar, state.mass)
+    return PolarizedState(out, state.grid, out_polarization, hbar, state.mass)
 
 
-def fourier_project(phi_p: PolarizedState, target: ConfigGrid | None = None,
+def fourier_project(phi_p: PolarizedState, *,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> PolarizedState:
-    """Momentum to position: (2 pi hbar)^(-n/2) Integral phi(p) e^{+i p.q/hbar} d^n p."""
+    """Momentum to position: (2 pi hbar)^(-n/2) Integral phi(p) e^{+i p.q/hbar} d^n p.
+
+    The result lives on the input's grid.
+    """
     if phi_p.polarization != "momentum":
         raise ValueError("fourier_project expects a momentum-polarized state")
-    return _fourier_apply(phi_p, target or phi_p.grid, +1.0,
-                          "position", tolerances)
+    return _fourier_apply(phi_p, +1.0, "position", tolerances)
 
 
-def fourier_project_back(psi_q: PolarizedState, target: ConfigGrid | None = None,
+def fourier_project_back(psi_q: PolarizedState, *,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> PolarizedState:
     """Position to momentum with the opposite kernel sign; inverse of the above."""
     if psi_q.polarization != "position":
         raise ValueError("fourier_project_back expects a position-polarized state")
-    return _fourier_apply(psi_q, target or psi_q.grid, -1.0,
-                          "momentum", tolerances)
+    return _fourier_apply(psi_q, -1.0, "momentum", tolerances)
 
 
 # -- quadratic-phase quadrature -----------------------------------------------
@@ -552,8 +548,6 @@ class _Pairing:
 
     def __init__(self, psi: PolarizedState, chis: list[PolarizedState],
                  tolerances: Tolerances):
-        if not chis:
-            raise ValueError("the test panel is empty")
         if any(state.polarization != "position" for state in [psi, *chis]):
             raise ValueError("bks_pairing expects position-polarized states")
         if psi.n != 1:
@@ -690,7 +684,6 @@ def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
 
 
 def schrodinger_residual(psi0: PolarizedState, t_list,
-                         test_states: list[PolarizedState] | None = None,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> SchrodingerFit:
     """Fit the small-time pairing generator against the discrete Laplacian.
 
@@ -708,8 +701,7 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
     """
     if psi0.polarization != "position" or psi0.n != 1:
         raise UnsupportedObservable("the generator fit runs on 1D position states")
-    if test_states is None:
-        test_states = _default_panel(psi0)
+    test_states = _default_panel(psi0)
     derivs, spread_rel, _ = _panel_derivatives(psi0, t_list, test_states, tolerances)
 
     grid = psi0.grid

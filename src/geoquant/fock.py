@@ -149,13 +149,12 @@ def op_lower(basis: FockBasis, axis: int = 0) -> OperatorMatrix:
 
 
 def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
-    """hbar*(z.d/dz + n/2): diagonal hbar*(|m| + n/2) on monomials.
+    """The quantized |z|^2 / 2, that is c = I/2 in :func:`polarization_preserving`.
 
-    The n/2 shift is the metaplectic trace correction for the isotropic
-    quadratic generator; without it the monomial z^m would carry hbar*|m|.
+    Its trace term hbar*tr(c) = hbar*n/2 is the half-form shift of the
+    spectrum hbar*(|m| + n/2); without it z^m would carry hbar*|m|.
     """
-    diag = basis.hbar * (basis.indices.sum(axis=1) + basis.n / 2.0)
-    return OperatorMatrix(np.diag(diag).astype(complex), basis.basis_id)
+    return polarization_preserving(basis, c=np.eye(basis.n) / 2)
 
 
 def polarization_preserving(basis: FockBasis, f0: float = 0.0,

@@ -177,15 +177,14 @@ class FirstOrderOperator:
         return self.apply(np.eye(self.grid.size)).T
 
 
-def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,
-                    modulated: bool = True) -> list[np.ndarray]:
+def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7) -> list[np.ndarray]:
     """Normalized smooth bumps centred in the inner 40 percent of each axis.
 
     Gaussian envelopes with width about 0.1 of the half-extent and centers
     within 0.2 of it.  A width is capped at the distance to the nearer edge
     over ``_EDGE_SIGMAS``, so every envelope has fallen to machine epsilon
     of its peak at the box edge and residual checks see no edge artifacts.
-    Optional gentle plane-wave modulation exercises complex data.
+    A gentle plane-wave modulation on each axis exercises complex data.
     """
     rng = np.random.default_rng(seed)
     ndim = len(grid.counts)
@@ -203,9 +202,8 @@ def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7,
             center = mid + half * rng.uniform(-0.2, 0.2)
             sigma = min(sigma, (half - abs(center - mid)) / _EDGE_SIGMAS)
             psi = psi * spread(i, np.exp(-((x - center) ** 2) / (2.0 * sigma**2)))
-            if modulated:
-                k = rng.uniform(-2.0, 2.0) * np.pi / half
-                psi = psi * spread(i, np.exp(1j * k * (x - mid)))
+            k = rng.uniform(-2.0, 2.0) * np.pi / half
+            psi = psi * spread(i, np.exp(1j * k * (x - mid)))
         flat = psi.reshape(-1)
         states.append(flat / np.linalg.norm(flat))
     return states

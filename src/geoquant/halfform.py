@@ -100,25 +100,20 @@ def _halfform_operator(f: Observable, grid: ConfigGrid, hbar: float,
     return FirstOrderOperator(grid, terms, scalar_field)
 
 
-def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float,
-                      include_divergence_term: bool = True) -> OperatorMatrix:
+def quantize_halfform(f: Observable, grid: ConfigGrid, hbar: float) -> OperatorMatrix:
     """-i*hbar v.d/dq + u - (i*hbar/2) div(v) on the grid, as an operator matrix.
 
-    ``include_divergence_term=False`` drops the half-form correction; it
-    exists as a negative control for the self-adjointness checks and is not
-    a physically meaningful operator.  Entries are the matrix-free
+    Entries are the matrix-free
     :class:`~geoquant.grid.FirstOrderOperator`; ``.dense()`` materializes
     them for small grids.  Raises :class:`PolarizationViolation` for any
     p-degree >= 2 and :class:`UnsupportedObservable` when the observable's
     n is not the grid's.
     """
-    return OperatorMatrix(_halfform_operator(f, grid, hbar, include_divergence_term),
-                          grid.basis_id)
+    return OperatorMatrix(_halfform_operator(f, grid, hbar), grid.basis_id)
 
 
 def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int = 0,
-                               states: list[np.ndarray] | None = None,
-                               seed: int = 5) -> float:
+                               states: list[np.ndarray] | None = None) -> float:
     """Residual of [q^a, p^b] - i*hbar*delta_ab on interior test vectors.
 
     Both operators act matrix-free, so the check runs at full grid sizes.
@@ -126,20 +121,22 @@ def check_canonical_commutator(grid: ConfigGrid, hbar: float, a: int = 0, b: int
     q_op = _halfform_operator(Observable.coordinate(grid.n, a), grid, hbar).apply
     p_op = _halfform_operator(Observable.momentum(grid.n, b), grid, hbar).apply
     if states is None:
-        states = interior_states(grid, seed=seed)
+        states = interior_states(grid, seed=5)
     delta = 1.0 if a == b else 0.0
     return worst_residual(
         lambda v: q_op(p_op(v)) - p_op(q_op(v)) - 1j * hbar * delta * v, states)
 
 
 def check_selfadjoint(f: Observable, grid: ConfigGrid, hbar: float,
-                      states: list[np.ndarray] | None = None, seed: int = 5,
+                      states: list[np.ndarray] | None = None,
                       include_divergence_term: bool = True) -> float:
     """Normalized symmetry defect max |<u, Q v> - <Q u, v>| over a test panel.
 
     The operator acts matrix-free, as in :func:`check_canonical_commutator`.
+    ``include_divergence_term=False`` drops the half-form correction; it is a
+    negative control, not a physically meaningful operator.
     """
     op = _halfform_operator(f, grid, hbar, include_divergence_term)
     if states is None:
-        states = interior_states(grid, seed=seed)
+        states = interior_states(grid, seed=5)
     return worst_symmetry_defect(op.apply, states)

@@ -170,12 +170,12 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix,
     scale whatever the Gram's, and stays finite where ``G A`` overflows.
 
     When C's Hermitian defect exceeds ``tolerances.exact`` times its largest
-    entry, or is NaN, :class:`EigenFailure` is raised before any solve,
-    naming the defect and the scale.  ``A`` is split into its contiguous
-    diagonal blocks, and the blocks of each size are solved as one stack;
-    off-block entries are zero, so the largest entry of C and of its
-    Hermitian defect are the largest over the blocks.  A matrix that couples
-    everything is one block.
+    entry plus the smallest normal float, or is NaN, :class:`EigenFailure`
+    is raised before any solve, naming the defect and the scale.  ``A`` is
+    split into its contiguous diagonal blocks, and the blocks of each size
+    are solved as one stack; off-block entries are zero, so the largest
+    entry of C and of its Hermitian defect are the largest over the blocks.
+    A matrix that couples everything is one block.
     """
     _require_same_basis(a, gram)
     adense, g = a.dense(), gram.entries
@@ -188,7 +188,8 @@ def spectrum(a: OperatorMatrix, gram: GramMatrix,
         defect = np.maximum(defect, np.abs(c - c.conj().mT).max())
         scale = np.maximum(scale, np.abs(c).max())
         stacks.append(c)
-    if not defect <= tolerances.exact * scale:
+    # below the smallest normal float round-off is absolute, so a relative bound fails
+    if not defect <= tolerances.exact * scale + np.finfo(float).tiny:
         raise EigenFailure(f"Hermitian defect {defect:.3e} of the Gram-root similarity exceeds "
                            f"{tolerances.exact:.3g} times its largest entry {scale:.3e}; "
                            "the operator is not Gram-self-adjoint", dim=a.dim)

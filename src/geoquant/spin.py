@@ -12,7 +12,8 @@ reduction in the tests' ``spin_derivation`` (z^0 is the lowest weight).  On the
 coefficients of z^0..z^n each is one diagonal, with column m holding: for J3
 on the main diagonal hbar*(m - n/2), for Jplus below it hbar*(m - n), for Jminus
 above it -hbar*m.  Jplus sends z^n to hbar*(n - n) z^(n+1) = 0, so all three keep
-the span.  No metaplectic correction is applied in this sector; reports record that choice.
+the span.  No metaplectic correction is applied in this sector; the spin demo's
+report notes it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ __all__ = [
     "spin_operators",
     "check_su2",
     "Su2Report",
-    "METAPLECTIC_CORRECTION_APPLIED",
 ]
 
-#: the sector operators are built without a metaplectic trace term
-METAPLECTIC_CORRECTION_APPLIED = False
 _RADIAL_POINTS = 64  # Gauss-Legendre nodes of the oracle's radial rule, doubled as a guard
 
 

@@ -110,13 +110,13 @@ def test_projection_rejects_wrong_polarization():
         fourier_project(psi)
 
 
-def dense_projection(state, target, sign=1.0):
+def dense_projection(state, sign=1.0):
     """The uniform-grid kernel h (2 pi hbar)^(-1/2) e^{i sign p q / hbar} as
     dense matrices, one per axis: the oracle for the chirp-z transform."""
     out = state.samples
     for axis in range(state.n):
-        src, dst = state.grid.axis(axis), target.axis(axis)
-        kernel = (np.exp(sign * 1j * np.outer(dst, src) / state.hbar)
+        x = state.grid.axis(axis)
+        kernel = (np.exp(sign * 1j * np.outer(x, x) / state.hbar)
                   * state.grid.spacings[axis] / np.sqrt(2 * np.pi * state.hbar))
         out = np.moveaxis(np.tensordot(kernel, out, axes=(1, axis)), 0, axis)
     return out
@@ -131,33 +131,37 @@ def random_momentum_state(grid, rng, hbar=1.0):
     return PolarizedState(sum(comps), grid, "momentum", hbar).normalized()
 
 
-@pytest.mark.parametrize("target, hbar", [
-    (None, 1.0),                                   # target equal to source
-    (ConfigGrid.line(-20.0, 25.0, 700), 1.0),      # other count and extent
-    (ConfigGrid.line(-20.0, 25.0, 700), 0.5),
-    (ConfigGrid.line(-3.0, 9.0, 97), 2.0),
-])
-def test_chirp_z_projection_matches_dense_kernel(target, hbar):
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 2.0])
+def test_chirp_z_projection_matches_dense_kernel(hbar):
     grid = line(count=256, extent=12.0)
     phi = random_momentum_state(grid, np.random.default_rng(3), hbar)
-    psi = fourier_project(phi, target)
-    oracle = dense_projection(phi, target or grid)
-    assert np.max(np.abs(psi.samples - oracle)) < 1e-12
+    psi = fourier_project(phi)
+    assert np.max(np.abs(psi.samples - dense_projection(phi))) < 1e-12
     psi_q = PolarizedState(phi.samples, grid, "position", hbar)
-    back = fourier_project_back(psi_q, target)
-    assert np.max(np.abs(back.samples
-                         - dense_projection(psi_q, target or grid, -1.0))) < 1e-12
+    back = fourier_project_back(psi_q)
+    assert np.max(np.abs(back.samples - dense_projection(psi_q, -1.0))) < 1e-12
 
 
 def test_chirp_z_projection_matches_dense_kernel_in_two_dimensions():
     grid = ConfigGrid((-10.0, -8.0), (10.0, 12.0), (96, 80))
-    target = ConfigGrid((-6.0, -7.0), (9.0, 5.0), (70, 90))
     p1, p2 = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
     samples = np.exp(-(p1**2 + 1.3 * (p2 - 1) ** 2) / 2 + 0.7j * p1 - 0.4j * p2)
     phi = PolarizedState(samples, grid, "momentum").normalized()
-    for tgt in (grid, target):
-        psi = fourier_project(phi, tgt)
-        assert np.max(np.abs(psi.samples - dense_projection(phi, tgt))) < 1e-12
+    psi = fourier_project(phi)
+    assert np.max(np.abs(psi.samples - dense_projection(phi))) < 1e-12
+
+
+@pytest.mark.parametrize("project, polarization",
+                         [(fourier_project, "momentum"), (fourier_project_back, "position")])
+def test_projection_takes_its_tolerances_by_keyword_only(project, polarization):
+    """A second positional argument was once the target grid; it is refused, not misread."""
+    grid = line(count=64, extent=8.0)
+    state = gaussian_state(grid, polarization=polarization)
+    with pytest.raises(TypeError):
+        project(state, grid)
+    with pytest.raises(TypeError):
+        project(state, TOL)
+    assert project(state, tolerances=TOL).grid == grid
 
 
 @settings(max_examples=25, deadline=None)

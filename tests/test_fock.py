@@ -15,7 +15,7 @@ from geoquant.errors import (BasisMismatch, DegenerateGram, PolarizationViolatio
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
-from geoquant.linalg import GramMatrix, adjoint_wrt, commutator, real_spectrum
+from geoquant.linalg import GramMatrix, OperatorMatrix, adjoint_wrt, commutator, real_spectrum
 
 
 def test_dimension_is_stars_and_bars():
@@ -136,6 +136,39 @@ def test_oscillator_eigenvalues():
     two = FockBasis(2, 3, hbar=1.0)
     h2 = oscillator_hamiltonian(two).entries
     assert h2[two.index_of((1, 1)), two.index_of((1, 1))] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 40), (1, 150), (2, 24), (3, 10)])
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 0.7])
+def test_quantized_oscillator_is_the_closed_form(n, degree, hbar):
+    """The quantizer's hbar*(|m| + n/2): bit for bit when hbar is a power of two, where
+    every partial sum is exact, and within 2 ulps at hbar = 0.7."""
+    basis = FockBasis(n, degree, hbar)
+    closed = hbar * (basis.indices.sum(axis=1) + n / 2.0)
+    ham = oscillator_hamiltonian(basis).entries
+    assert ham.dtype == complex
+    diag = np.diag(ham)
+    assert not np.any(ham - np.diag(diag)) and not np.any(diag.imag)
+    if hbar == 0.7:
+        assert np.all(np.abs(diag.real - closed) <= 2 * np.spacing(closed))
+    else:
+        assert diag.real.tolist() == closed.tolist()
+
+
+def test_fock_demo_fails_without_the_half_form_trace_term(monkeypatch):
+    """The demo's oscillator is the quantizer's: without hbar*tr(c) its spectrum check fails."""
+    quantize = fock.polarization_preserving
+
+    def without_trace_term(basis, f0=0.0, w=None, c=None, **rest):
+        out = quantize(basis, f0, w, c, **rest)
+        if c is None:
+            return out
+        return OperatorMatrix(out.entries - basis.hbar * np.trace(c).real * np.eye(basis.dim),
+                              out.basis_id)
+    monkeypatch.setattr(fock, "polarization_preserving", without_trace_term)
+    checks = {c.name: c.passed for c in run_demo(RunConfig("fock")).checks}
+    assert not checks["oscillator-spectrum"]
+    assert checks["ladder-raise"]  # a constant shift commutes with everything
 
 
 def test_oscillator_spectrum_and_multiplicities():

@@ -169,6 +169,14 @@ def test_selfadjoint_spectrum_matches_scipy_eigh_oracle(data, dim):
     assert np.max(np.abs(vals - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
 
 
+def test_hermitian_pencil_of_subnormal_entries_is_solved():
+    """C's entries are 1-4 subnormal units, so its round-off defect is one unit, 25% of them."""
+    diag = np.array([0.5, 2.0])
+    h = np.full((2, 2), 2 * 5e-324, dtype=complex)
+    vals = spectrum(op(np.linalg.solve(np.diag(diag), h)), GramMatrix(diag, "b"))
+    assert np.max(np.abs(vals - scipy.linalg.eigh(h, np.diag(diag), eigvals_only=True))) < 1e-322
+
+
 def test_selfadjoint_route_reduces_to_eigvalsh(eigvalsh_calls):
     diag = np.array([1.0, 2.0, 0.5])
     h = np.array([[1.0, 2.0 - 1j, 0.0], [2.0 + 1j, -1.0, 0.5], [0.0, 0.5, 3.0]])

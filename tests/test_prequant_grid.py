@@ -273,7 +273,7 @@ def test_interior_states_vanish_at_the_box_edge():
         assert check_dirac(f, g, grid, 1.0, states=states) < 1e-11
 
 
-def meshgrid_interior_states(grid, count, seed, modulated):
+def meshgrid_interior_states(grid, count, seed):
     """``interior_states`` with each factor exponentiated on a coordinate mesh."""
     rng = np.random.default_rng(seed)
     states = []
@@ -285,9 +285,8 @@ def meshgrid_interior_states(grid, count, seed, modulated):
             center = mid + half * rng.uniform(-0.2, 0.2)
             sigma = min(sigma, (half - abs(center - mid)) / geoquant.grid._EDGE_SIGMAS)
             psi = psi * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-            if modulated:
-                k = rng.uniform(-2.0, 2.0) * np.pi / half
-                psi = psi * np.exp(1j * k * (x - mid))
+            k = rng.uniform(-2.0, 2.0) * np.pi / half
+            psi = psi * np.exp(1j * k * (x - mid))
         flat = psi.reshape(-1)
         states.append(flat / np.linalg.norm(flat))
     return states
@@ -298,11 +297,10 @@ def meshgrid_interior_states(grid, count, seed, modulated):
                                   PhaseSpaceGrid(-3, 3, -4, 4, 12, 12, n=2),
                                   ConfigGrid.line(-16, 16, 512)],
                          ids=["256^2", "64x48", "12^4", "line"])
-@pytest.mark.parametrize("modulated", [True, False])
-def test_interior_states_have_the_bits_of_the_meshgrid_formula(grid, modulated):
+def test_interior_states_have_the_bits_of_the_meshgrid_formula(grid):
     for seed in range(5):
-        states = interior_test_states(grid, count=3, seed=seed, modulated=modulated)
-        oracle = meshgrid_interior_states(grid, 3, seed, modulated)
+        states = interior_test_states(grid, count=3, seed=seed)
+        oracle = meshgrid_interior_states(grid, 3, seed)
         assert all(np.array_equal(v.view(np.uint64), w.view(np.uint64))
                    for v, w in zip(states, oracle))
 
@@ -591,11 +589,10 @@ def test_spectral_convergence_of_dirac_residual():
     """32^2 -> 48^2 points shrinks the residual by 1e4 or more; 4th order gives about 5."""
     f = Observable.from_terms(1, {(2, 0): 1.0, (0, 1): 0.3})
     g = Observable.from_terms(1, {(1, 1): 1.0})
-    states = None
     residuals = {}
     for n_pts in (32, 48):
         grid = PhaseSpaceGrid(-8, 8, -8, 8, n_pts, n_pts)
-        states = interior_test_states(grid, count=3, seed=12, modulated=False)
+        states = interior_test_states(grid, count=3, seed=12)
         residuals[n_pts] = check_dirac(f, g, grid, 1.0, states=states)
     assert residuals[48] * 1e4 <= residuals[32]
 

@@ -73,12 +73,6 @@ def test_time_list_validation():
             extract(psi0, [0.16, 0.08, 0.08, 0.04])
 
 
-def test_empty_test_panel_is_rejected():
-    psi0 = gaussian_state(ConfigGrid.line(-16.0, 16.0, 256), width=1.0)
-    with pytest.raises(ValueError, match="test panel is empty"):
-        schrodinger_residual(psi0, [0.3, 0.2, 0.1], test_states=[])
-
-
 def test_nan_richardson_spread_fails_the_fit(monkeypatch):
     grid = ConfigGrid.line(-16.0, 16.0, 512)
     psi0 = gaussian_state(grid, width=1.0)

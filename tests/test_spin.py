@@ -10,9 +10,8 @@ from geoquant import spin
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import BasisMismatch, DegenerateGram, QuadratureFailure
 from geoquant.linalg import adjoint_wrt, commutator, real_spectrum
-from geoquant.spin import (METAPLECTIC_CORRECTION_APPLIED, SpinBasis,
-                           check_su2, spin_gram,
-                           spin_gram_quadrature, spin_operators)
+from geoquant.spin import (SpinBasis, check_su2, spin_gram, spin_gram_quadrature,
+                           spin_operators)
 from spin_derivation import derive_operator_symbols
 
 
@@ -138,10 +137,6 @@ def test_sector_one_is_unitarily_the_standard_half_spin():
             if close:
                 found = True
     assert found
-
-
-def test_metaplectic_choice_is_recorded():
-    assert METAPLECTIC_CORRECTION_APPLIED is False
 
 
 @pytest.mark.parametrize("n", [28, 32, 48, 63])
