@@ -9,8 +9,7 @@ free-particle evolution.
 """
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import (GramMatrix, OperatorMatrix, adjoint_wrt, commutator,
-                     real_spectrum, spectrum)
+from .linalg import GramMatrix, OperatorMatrix, adjoint_wrt, commutator, spectrum
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,6 @@ __all__ = [
     "Tolerances",
     "adjoint_wrt",
     "commutator",
-    "real_spectrum",
     "spectrum",
     "__version__",
 ]

@@ -50,12 +50,12 @@ measures as ``c_fit``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, gauss_legendre
-from .errors import QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
+from .errors import DegenerateGram, QuadratureFailure, SupportEscapesGrid, UnsupportedObservable
 from .halfform import ConfigGrid
 from .stencil import fft_apply, spectral_first_symbol
 
@@ -118,7 +118,7 @@ class PolarizedState:
     def normalized(self) -> "PolarizedState":
         n = self.norm()
         if n == 0:
-            raise ValueError("cannot normalize the zero state")
+            raise DegenerateGram("<psi, psi> = 0: the samples are zero or their squares underflow")
         return PolarizedState(self.samples / n, self.grid, self.polarization,
                               self.hbar, self.mass)
 
@@ -497,12 +497,9 @@ _STENCILS = _StencilTables(_STENCIL_CACHE_SIZE)
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Value of the pairing with its half-form prefactor and convergence data."""
+    """Value of the pairing and how far node doubling moved it."""
 
     value: complex
-    t: float
-    half_form_factor: float     # (t / 2 pi hbar m)^(n/2), principal branch
-    fresnel_phase: complex      # exp(i pi n / 4), the t->0 branch factor
     doubling_delta: float = 0.0
 
 
@@ -556,7 +553,7 @@ class _Pairing:
         close = lambda a, b: abs(a - b) <= 1e-8 + 1e-5 * abs(b)
         if not all(close(psi.hbar, c.hbar) and close(psi.mass, c.mass) for c in chis):
             raise ValueError("states disagree on hbar or mass")
-        self.n, self.hbar, self.mass = psi.n, psi.hbar, psi.mass
+        self.hbar, self.mass = psi.hbar, psi.mass
         self.tolerances = tolerances
         self.h = float(psi.grid.spacings[0])
         self.samples = psi.samples.reshape(-1)
@@ -594,7 +591,7 @@ class _Pairing:
             raise ValueError("t must be positive and finite")
         coarse = self._values(t, _THETA_MAX, _H_MAX_CELLS)
         fine = self._values(t, _THETA_MAX / 2.0, _H_MAX_CELLS // 2)
-        n, results = self.n, []
+        results = []
         for c, f, floor in zip(coarse.tolist(), fine.tolist(), self.floors):
             delta = abs(f - c)
             scale = max(abs(f), floor)
@@ -602,10 +599,7 @@ class _Pairing:
                 raise QuadratureFailure(
                     f"node doubling moved the pairing by {delta:.3e} (scale {scale:.3e})",
                     doubling_delta=delta)
-            results.append(PairingResult(
-                value=f, t=t,
-                half_form_factor=float((t / (2.0 * np.pi * self.hbar * self.mass)) ** (n / 2.0)),
-                fresnel_phase=np.exp(1j * np.pi * n / 4.0), doubling_delta=delta))
+            results.append(PairingResult(value=f, doubling_delta=delta))
         return results
 
 
@@ -655,8 +649,6 @@ class SchrodingerFit:
     c_fit: complex
     residual: float               # relative misfit of D_j against the Laplacian column
     extrapolation_spread: float   # worst relative Neville correction over the panel
-    ok: bool
-    notes: dict = field(default_factory=dict)
 
 
 def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
@@ -696,8 +688,8 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
     modulus should be hbar^2 / 2m and whose phase retains the principal
     Fresnel branch factor exp(-i pi n / 4).
 
-    An unstable extrapolation or a poor fit is reported through ``ok`` and
-    the diagnostics; no silent pass.
+    An unstable extrapolation or a poor fit shows in ``extrapolation_spread``
+    and ``residual``; the ``bks`` demo's report checks both.
     """
     if psi0.polarization != "position" or psi0.n != 1:
         raise UnsupportedObservable("the generator fit runs on 1D position states")
@@ -715,11 +707,8 @@ def schrodinger_residual(psi0: PolarizedState, t_list,
         raise ValueError("test panel is orthogonal to the Laplacian column")
     alpha = complex(np.vdot(beta, derivs) / denom)
     residual = float(np.linalg.norm(derivs - alpha * beta) / np.linalg.norm(derivs))
-    c_fit = 1j * psi0.hbar * np.conj(alpha)
-    ok = spread_rel <= tolerances.bks and residual <= 10.0 * tolerances.bks
-    return SchrodingerFit(
-        c_fit=c_fit, residual=residual, extrapolation_spread=spread_rel, ok=ok,
-        notes={"panel_size": len(test_states), "t_list": sorted(float(t) for t in t_list)})
+    return SchrodingerFit(c_fit=1j * psi0.hbar * np.conj(alpha), residual=residual,
+                          extrapolation_spread=spread_rel)
 
 
 def _default_panel(psi0: PolarizedState) -> list[PolarizedState]:

@@ -1,7 +1,8 @@
 """End-to-end demo runs behind the command line interface.
 
-Each demo builds its operators, evaluates the quantitative checks with the
-central tolerances, and returns a :class:`~geoquant.reporting.QuantReport`.
+Each demo builds its operators and evaluates the quantitative checks with the
+central tolerances into the :class:`~geoquant.reporting.QuantReport` that
+:func:`run_demo` makes for it under its registry name.
 Randomness is seeded from the configuration, so identical configurations
 produce byte-identical report bodies.
 """
@@ -18,7 +19,7 @@ from . import bks, fock, halfform, spin
 from .config import DEFAULT_TOLERANCES
 from .errors import ConfigError
 from .grid import interior_states
-from .linalg import GramMatrix, adjoint_wrt, commutator, real_spectrum
+from .linalg import GramMatrix, adjoint_wrt, commutator, spectrum
 from .prequant import (Observable, PhaseSpaceGrid, check_dirac, cylinder_momentum_operator,
                        cylinder_spectrum, prequantum_evolve, selfadjoint_residual,
                        weil_admissible)
@@ -102,9 +103,8 @@ def _random_quadratic(n: int, rng: np.random.Generator) -> Observable:
     return Observable.from_terms(n, {e: rng.uniform(-1.0, 1.0) for e in exps})
 
 
-def demo_prequant_flat(cfg: RunConfig) -> QuantReport:
+def demo_prequant_flat(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("prequant-flat", cfg.echo())
     grid = PhaseSpaceGrid(-cfg.extent, cfg.extent, -cfg.extent, cfg.extent,
                           cfg.grid_q, cfg.grid_p)
     rng = np.random.default_rng(cfg.seed)
@@ -142,12 +142,10 @@ def demo_prequant_flat(cfg: RunConfig) -> QuantReport:
     report.add_check("flow-closed-form",
                      "rho_t psi = exp(-i t p^2/(2m hbar)) psi(q + t p/m, p)", err, tol.grid)
     report.notes.append("commutation residuals evaluated on interior test vectors")
-    return report
 
 
-def demo_weil_sphere(cfg: RunConfig) -> QuantReport:
+def demo_weil_sphere(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("weil-sphere", cfg.echo())
     verdicts, integrals, quad_errors = [], [], []
     for s_over_hbar in cfg.s_values:
         s = s_over_hbar * cfg.hbar
@@ -165,18 +163,16 @@ def demo_weil_sphere(cfg: RunConfig) -> QuantReport:
     report.tables["admissible"] = [int(v) for v in verdicts]
     report.add_check("area-quadrature", "Integral(omega) = 4*pi*s",
                      max(quad_errors), tol.quadrature_match)
-    return report
 
 
-def demo_cylinder(cfg: RunConfig) -> QuantReport:
+def demo_cylinder(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("cylinder", cfg.echo())
     spec = cylinder_spectrum(cfg.lam, cfg.hbar, cfg.k_max)
     report.tables["spectrum"] = spec
 
     op = cylinder_momentum_operator(cfg.lam, cfg.hbar, cfg.k_max)
     gram = GramMatrix.identity(op.dim, op.basis_id)
-    diag = real_spectrum(op, gram, tol)
+    diag = spectrum(op, gram, tol)
     report.add_check("diagonal-construction",
                      "spec(P_p^lambda) = {(k + lambda) * hbar}",
                      float(np.max(np.abs(diag - spec))), tol.exact)
@@ -194,16 +190,14 @@ def demo_cylinder(cfg: RunConfig) -> QuantReport:
                      "spec(lambda + 1/2) != {(k + lambda + 1) * hbar : k -> k+1}",
                      control, tol.exact, passed=control > tol.exact,
                      note="residual must EXCEED the threshold")
-    return report
 
 
-def demo_fock(cfg: RunConfig) -> QuantReport:
+def demo_fock(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("fock", cfg.echo())
     basis = fock.FockBasis(1, cfg.degree, cfg.hbar)
     gram = fock.fock_gram(basis)
     ham = fock.oscillator_hamiltonian(basis)
-    spec = real_spectrum(ham, gram, tol)
+    spec = spectrum(ham, gram, tol)
     report.tables["spectrum"] = spec
     expected = cfg.hbar * (np.arange(cfg.degree + 1) + 0.5)
     report.add_check("oscillator-spectrum", "spec(h^) = {hbar*(k + n/2)}",
@@ -223,26 +217,24 @@ def demo_fock(cfg: RunConfig) -> QuantReport:
     report.add_check("ladder-adjoint", "adjoint(z^) = zbar^ (below top shell)",
                      float(np.linalg.norm(adj * below)), tol.exact)
 
-    closed = gram.diagonal().real
-    quad = fock.fock_gram_quadrature(basis, tolerances=tol).diagonal().real
+    closed = gram.diagonal()
+    quad = fock.fock_gram_quadrature(basis, tolerances=tol).diagonal()
     report.add_check("gram-quadrature", "<z^m, z^m> = (2*hbar)^m * m!",
                      float(np.max(np.abs(quad - closed) / closed)),
                      tol.quadrature_match)
     report.tables["top_shell_dim"] = len(basis.top_shell())
     report.notes.append("top degree shell is truncated; ladder checks exclude it")
-    return report
 
 
-def demo_spin(cfg: RunConfig) -> QuantReport:
+def demo_spin(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("spin", cfg.echo())
     basis = spin.SpinBasis(cfg.n_sector, cfg.hbar)
     gram = spin.spin_gram(basis)
     ops = spin.spin_operators(basis)
     su2 = spin.check_su2(basis)
 
     report.tables["dimension"] = basis.dim
-    report.tables["j3_spectrum"] = real_spectrum(ops["J3"], gram, tol)
+    report.tables["j3_spectrum"] = spectrum(ops["J3"], gram, tol)
     report.tables["casimir"] = su2.casimir_scalar.real
     scale = max(1.0, cfg.hbar**2 * basis.dim)
     report.add_check("su2-ladders", "[J3, J+-] = +-hbar*J+-",
@@ -254,19 +246,17 @@ def demo_spin(cfg: RunConfig) -> QuantReport:
     report.add_check("ladder-adjoint", "adjoint(J+) = J-",
                      float(np.linalg.norm(adj)) / scale, tol.exact)
 
-    closed = gram.diagonal().real
-    quad = spin.spin_gram_quadrature(basis, tolerances=tol).diagonal().real
+    closed = gram.diagonal()
+    quad = spin.spin_gram_quadrature(basis, tolerances=tol).diagonal()
     report.add_check("gram-quadrature",
                      "<z^m, z^m> = Gamma(1+m)Gamma(1+n-m)/Gamma(n+2)",
                      float(np.max(np.abs(quad - closed) / closed)),
                      tol.quadrature_match)
     report.notes.append("no metaplectic correction is applied in the sphere sector")
-    return report
 
 
-def demo_canonical(cfg: RunConfig) -> QuantReport:
+def demo_canonical(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("canonical", cfg.echo())
     grid = halfform.ConfigGrid.line(-cfg.extent, cfg.extent, cfg.grid_points)
     states = interior_states(grid, seed=cfg.seed)
     comm = halfform.check_canonical_commutator(grid, cfg.hbar, states=states)
@@ -292,12 +282,10 @@ def demo_canonical(cfg: RunConfig) -> QuantReport:
                      control, 0.4 * cfg.hbar, passed=control > 0.4 * cfg.hbar,
                      note="residual must EXCEED the threshold")
     report.notes.append("divergence evaluated by the analytic path")
-    return report
 
 
-def demo_bks(cfg: RunConfig) -> QuantReport:
+def demo_bks(cfg: RunConfig, report: QuantReport) -> None:
     tol = cfg.tolerances
-    report = QuantReport("bks", cfg.echo())
     rng = np.random.default_rng(cfg.seed)
     grid = halfform.ConfigGrid.line(-2.0 * cfg.extent, 2.0 * cfg.extent,
                                     2 * cfg.grid_points)
@@ -337,11 +325,11 @@ def demo_bks(cfg: RunConfig) -> QuantReport:
     report.add_check("schrodinger-phase", "arg(c) = -pi*n/4",
                      abs(float(np.angle(fit.c_fit)) + np.pi * psi0.n / 4.0), 1e-2)
     report.add_check("fit-stability", "Richardson corrections settle",
-                     fit.extrapolation_spread, 10 * tol.bks,
-                     note=f"fit residual {fit.residual:.2e}")
+                     fit.extrapolation_spread, 10 * tol.bks)
+    report.add_check("fit-residual", "D_j = alpha <lap psi0, chi_j> over the panel",
+                     fit.residual, 10 * tol.bks)
     report.notes.append(
         "pairing evaluated with phase-adapted panels and node-doubling guard")
-    return report
 
 
 #: each demo's runner and the configuration fields its report echoes
@@ -360,6 +348,7 @@ DEMOS = tuple(_DEMOS)
 
 def run_demo(cfg: RunConfig) -> QuantReport:
     start = time.perf_counter()
-    report = _DEMOS[cfg.demo][0](cfg)
+    report = QuantReport(cfg.demo, cfg.echo())
+    _DEMOS[cfg.demo][0](cfg, report)
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -211,7 +211,7 @@ def interior_states(grid: UniformGrid, count: int = 4, seed: int = 7) -> list[np
 
 def diagonal_gram(grid: UniformGrid, weight: float) -> GramMatrix:
     """Diagonal Gram of the grid quadrature with a constant weight."""
-    return GramMatrix(np.full(grid.size, weight, dtype=complex), grid.basis_id)
+    return GramMatrix(np.full(grid.size, weight), grid.basis_id)
 
 
 #: samples per state below which a panel runs serially: a 4-state map of

@@ -1,9 +1,8 @@
 """Classical symbolic layer and prequantization on model phase spaces."""
 
 from .evolution import prequantum_evolve
-from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac,
-                      interior_test_states, liouville_gram, prequantize,
-                      selfadjoint_residual)
+from .gridops import (PhaseSpaceGrid, PrequantApplier, check_dirac, liouville_gram,
+                      prequantize, selfadjoint_residual)
 from .observables import DEGREE_CAP, Observable, poisson_bracket
 from .sectors import (WeilResult, cylinder_momentum_operator, cylinder_spectrum,
                       weil_admissible)
@@ -17,7 +16,6 @@ __all__ = [
     "check_dirac",
     "cylinder_momentum_operator",
     "cylinder_spectrum",
-    "interior_test_states",
     "liouville_gram",
     "poisson_bracket",
     "prequantize",

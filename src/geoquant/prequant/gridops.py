@@ -33,7 +33,6 @@ __all__ = [
     "liouville_gram",
     "check_dirac",
     "selfadjoint_residual",
-    "interior_test_states",
 ]
 
 
@@ -164,7 +163,7 @@ def liouville_gram(grid: PhaseSpaceGrid, hbar: float) -> GramMatrix:
     return diagonal_gram(grid, (grid.h_q * grid.h_p / (2.0 * np.pi * hbar)) ** grid.n)
 
 
-interior_test_states = interior_states
+interior_test_states = interior_states  # kept while perfbench/workloads.py calls it
 
 
 def check_dirac(f: Observable, g: Observable, grid: PhaseSpaceGrid, hbar: float,
@@ -195,7 +194,7 @@ def check_dirac(f: Observable, g: Observable, grid: PhaseSpaceGrid, hbar: float,
     pg = PrequantApplier(g, grid, hbar)
     pfg = PrequantApplier(poisson_bracket(f, g), grid, hbar)
     if states is None:
-        states = interior_test_states(grid, seed=7)
+        states = interior_states(grid, seed=7)
 
     def residual(v: np.ndarray) -> np.ndarray:
         grads = {}
@@ -218,5 +217,5 @@ def selfadjoint_residual(f: Observable, grid: PhaseSpaceGrid, hbar: float,
     normalized defect and the plain Euclidean inner product is used.
     """
     if states is None:
-        states = interior_test_states(grid, count=4, seed=11)
+        states = interior_states(grid, count=4, seed=11)
     return worst_symmetry_defect(PrequantApplier(f, grid, hbar), states)

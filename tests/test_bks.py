@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geoquant.config import DEFAULT_TOLERANCES, gauss_legendre
 from geoquant.demos import RunConfig, run_demo
-from geoquant.errors import (QuadratureFailure, SupportEscapesGrid,
+from geoquant.errors import (DegenerateGram, QuadratureFailure, SupportEscapesGrid,
                              UnsupportedObservable)
 from geoquant.bks import (PolarizedState, bks_pairing, fourier_project,
                           fourier_project_back, gaussian_state,
@@ -33,6 +33,14 @@ def raw_gaussian(grid, width=1.0, center=0.0, k=0.0, polarization="momentum",
     x = grid.axis(0)
     samples = np.exp(-((x - center) ** 2) / (2 * width**2) + 1j * k * x)
     return PolarizedState(samples, grid, polarization, hbar)
+
+
+def test_normalizing_a_state_whose_squares_underflow_is_refused():
+    # a typed refusal, as the CLI reports it, and not a bare ValueError
+    grid = line()
+    for samples in (np.zeros(grid.size), np.full(grid.size, 1e-200)):
+        with pytest.raises(DegenerateGram, match=r"^<psi, psi> = 0"):
+            PolarizedState(samples, grid, "momentum").normalized()
 
 
 # -- Fourier projection ---------------------------------------------------------
@@ -206,8 +214,6 @@ def test_pairing_matches_gaussian_oracle():
         res = bks_pairing(psi, chi, t)
         oracle = gaussian_pairing_oracle(s, r, b, t)
         assert abs(res.value - oracle) / abs(oracle) < 1e-8
-        assert res.half_form_factor == pytest.approx(
-            np.sqrt(t / (2 * np.pi)), rel=1e-12)
 
 
 def test_pairing_oracle_with_mass_and_hbar():
@@ -223,15 +229,14 @@ def test_pairing_oracle_with_mass_and_hbar():
 
 
 def test_pairing_small_time_limit_carries_fresnel_branch():
-    """P(t) -> e^{i pi/4} <psi, chi> + O(t); the branch factor is reported."""
+    """P(t) -> e^{i pi/4} <psi, chi> + O(t), with the principal Fresnel branch."""
     grid = line(count=512, extent=16.0)
     psi = gaussian_state(grid, width=1.0)
     chi = gaussian_state(grid, width=1.2, center=0.5)
     inner = psi.inner(chi)
     ts = np.array([0.16, 0.08, 0.04, 0.02])
     values = np.array([bks_pairing(psi, chi, float(t)).value for t in ts])
-    branch = bks_pairing(psi, chi, 0.1).fresnel_phase
-    assert branch == pytest.approx(np.exp(1j * np.pi / 4))
+    branch = np.exp(1j * np.pi / 4)
     limit, _ = richardson_extrapolate(ts, values)
     assert abs(limit / branch - inner) < 1e-6
     # first-order (odd in p) term is absent: deviations shrink linearly
@@ -401,7 +406,6 @@ def test_batched_pairings_equal_single_pairings_and_the_oracle():
             assert abs(res.value - single.value) < 1e-12 * abs(single.value)
             oracle = gaussian_pairing_oracle(s, r, b, t)
             assert abs(res.value - oracle) < 1e-8 * abs(oracle)
-            assert res.half_form_factor == single.half_form_factor
 
 
 def test_batch_with_one_under_resolved_state_raises(monkeypatch):
@@ -428,11 +432,12 @@ def test_schrodinger_panel_builds_one_stencil_per_time_and_resolution():
     psi0 = gaussian_state(grid, center=0.4, width=1.1, wavenumber=0.3)
     _STENCILS.clear()
     fit = schrodinger_residual(psi0, SCHRODINGER_TIMES)
-    assert fit.ok
+    assert fit.extrapolation_spread <= TOL.bks and fit.residual <= 10 * TOL.bks
     assert _STENCILS.builds == 10  # 5 times x coarse and fine
     # another state on the same grid and times reuses every table
     other = gaussian_state(grid, center=-1.3, width=0.8, wavenumber=-0.7)
-    assert schrodinger_residual(other, SCHRODINGER_TIMES).ok
+    fit = schrodinger_residual(other, SCHRODINGER_TIMES)
+    assert fit.extrapolation_spread <= TOL.bks and fit.residual <= 10 * TOL.bks
     assert _STENCILS.builds == 10
 
 

@@ -12,7 +12,7 @@ from geoquant import demos
 from geoquant.cli import main
 from geoquant.demos import DEMOS, RunConfig, run_demo
 from geoquant.errors import ConfigError, SupportEscapesGrid
-from geoquant.linalg import real_spectrum
+from geoquant.linalg import spectrum
 from geoquant.reporting import SCHEMA, render_report, strip_footer
 
 
@@ -45,6 +45,16 @@ def test_gram_past_float64_exits_one_with_one_typed_line(argv, basis_id, capsys)
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"DegenerateGram: {basis_id}: <z^m, z^m> = ")
+
+
+def test_underflowing_momentum_gaussian_exits_one_with_one_typed_line(capsys):
+    # width sqrt(1e-6): the samples near the edge of the 1024-node grid are about 1e-213,
+    # and their squares underflow to 0
+    assert main(["bks", "--hbar", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("DegenerateGram: <psi, psi> = 0")
 
 
 def test_reports_are_deterministic():
@@ -179,9 +189,9 @@ def test_tolerance_overrides_reach_real_spectrum(demo, monkeypatch):
 
     def recording(a, gram, tolerances):
         seen.append(tolerances)
-        return real_spectrum(a, gram, tolerances)
+        return spectrum(a, gram, tolerances)
 
-    monkeypatch.setattr(demos, "real_spectrum", recording)
+    monkeypatch.setattr(demos, "spectrum", recording)
     cfg = RunConfig(demo=demo, tolerance_overrides={"exact": 0.5})
     run_demo(cfg)
     assert seen == [cfg.tolerances] and seen[0].exact == 0.5

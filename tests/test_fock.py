@@ -15,7 +15,7 @@ from geoquant.errors import (BasisMismatch, DegenerateGram, PolarizationViolatio
 from geoquant.fock import (FockBasis, fock_gram, fock_gram_quadrature,
                            op_lower, op_raise, oscillator_hamiltonian,
                            polarization_preserving)
-from geoquant.linalg import GramMatrix, OperatorMatrix, adjoint_wrt, commutator, real_spectrum
+from geoquant.linalg import GramMatrix, OperatorMatrix, adjoint_wrt, commutator, spectrum
 
 
 def test_dimension_is_stars_and_bars():
@@ -173,7 +173,7 @@ def test_fock_demo_fails_without_the_half_form_trace_term(monkeypatch):
 
 def test_oscillator_spectrum_and_multiplicities():
     basis = FockBasis(2, 4)
-    vals = real_spectrum(oscillator_hamiltonian(basis), fock_gram(basis))
+    vals = spectrum(oscillator_hamiltonian(basis), fock_gram(basis))
     expected = sorted(sum(m) + 1.0 for m in basis.indices)
     assert np.allclose(vals, expected, atol=1e-12)
     counts = [int(np.sum(np.isclose(vals, k + 1.0))) for k in range(5)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 import scipy.sparse as sp
 
-from geoquant import fock, linalg
+from geoquant import fock, linalg, spin
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import BasisMismatch, DegenerateGram, EigenFailure
 from geoquant.linalg import (GramMatrix, OperatorMatrix, adjoint_wrt,
@@ -97,7 +97,7 @@ def test_spectrum_zero_matrix():
 def test_spectrum_two_by_two_frozen_value():
     # characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 = 1 -> {1, 3}
     g = GramMatrix.identity(2, "b")
-    assert np.allclose(real_spectrum(op([[2, 1], [1, 2]]), g), [1, 3])
+    assert np.allclose(spectrum(op([[2, 1], [1, 2]]), g), [1, 3])
 
 
 def test_spectrum_invariant_under_gram_unitary_change_of_basis():
@@ -126,7 +126,7 @@ def test_real_spectrum_rejects_complex_eigenvalues(eigvalsh_calls):
     g = GramMatrix.identity(2, "b")
     with pytest.raises(EigenFailure, match=r"Hermitian defect 2\.000e\+00 .* 1e-10 times "
                        r"its largest entry 1\.000e\+00") as err:
-        real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
+        spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
     assert err.value.solver == "" and err.value.dim == 2
     assert eigvalsh_calls == []
 
@@ -139,7 +139,7 @@ def test_hermitian_routing_does_not_depend_on_the_gram_scale(eigvalsh_calls, sca
         spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
     assert eigvalsh_calls == []
     # a Hermitian A is solved at the same scales
-    vals = real_spectrum(op([[2, 1], [1, 2]]), g)
+    vals = spectrum(op([[2, 1], [1, 2]]), g)
     assert vals.dtype == np.float64
     assert np.allclose(vals, [1.0, 3.0], rtol=0, atol=1e-14)
 
@@ -181,7 +181,7 @@ def test_selfadjoint_route_reduces_to_eigvalsh(eigvalsh_calls):
     diag = np.array([1.0, 2.0, 0.5])
     h = np.array([[1.0, 2.0 - 1j, 0.0], [2.0 + 1j, -1.0, 0.5], [0.0, 0.5, 3.0]])
     a = op(np.linalg.solve(np.diag(diag), h))
-    vals = real_spectrum(a, GramMatrix(diag, "b"))
+    vals = spectrum(a, GramMatrix(diag, "b"))
     assert len(eigvalsh_calls) == 1
     assert np.allclose(vals, scipy.linalg.eigh(h, np.diag(diag), eigvals_only=True),
                        rtol=0, atol=1e-12)
@@ -192,7 +192,7 @@ def test_selfadjoint_pencil_whose_weak_form_overflows_takes_eigvalsh(eigvalsh_ca
     g = GramMatrix(np.full(2, 1e300), "b")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = real_spectrum(op([[2e10, 1e10], [1e10, 2e10]]), g)
+        vals = spectrum(op([[2e10, 1e10], [1e10, 2e10]]), g)
     assert len(eigvalsh_calls) == 1
     assert np.allclose(vals, [1e10, 3e10], rtol=1e-14, atol=0)
 
@@ -206,7 +206,7 @@ def test_eigen_failure_names_the_hermitian_solver(monkeypatch, failure):
 
     monkeypatch.setattr(linalg.np.linalg, "eigvalsh", broken)
     with pytest.raises(EigenFailure) as err:
-        real_spectrum(op([[2, 1], [1, 2]]), GramMatrix.identity(2, "b"))
+        spectrum(op([[2, 1], [1, 2]]), GramMatrix.identity(2, "b"))
     assert err.value.solver == "numpy.linalg.eigvalsh" and err.value.dim == 2
 
 
@@ -214,7 +214,7 @@ def test_eigen_failure_names_the_general_solver(eigvalsh_calls):
     """No general solver is left to name: both inputs are refused before any solve."""
     g = GramMatrix.identity(2, "b")
     with pytest.raises(EigenFailure) as err:
-        real_spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
+        spectrum(op([[0, 1], [-1, 0]]), g)  # eigenvalues +-i
     assert err.value.solver == ""
     with pytest.raises(EigenFailure) as err:
         spectrum(op([[np.nan, 0], [0, 1]]), g)
@@ -249,6 +249,19 @@ def test_refusal_bound_is_exact_times_the_largest_entry(eigvalsh_calls, toleranc
 def test_gram_rejects_non_hermitian():
     with pytest.raises(DegenerateGram, match="not Hermitian"):
         GramMatrix(np.array([1.0, 1.0 + 1e-9j]), "b")
+
+
+def test_every_gram_producer_stores_a_float64_diagonal():
+    """The closed forms, both quadrature oracles, the grid Gram and the identity are real."""
+    fb, sb = fock.FockBasis(2, 4), spin.SpinBasis(3, 1.0)
+    grams = [fock.fock_gram(fb), fock.fock_gram_quadrature(fb), spin.spin_gram(sb),
+             spin.spin_gram_quadrature(sb), GramMatrix.identity(3, "b"),
+             liouville_gram(PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 16, 16), 1.0)]
+    for gram in grams:
+        assert gram.entries.dtype == np.float64 and gram.diagonal() is gram.entries
+    # a complex diagonal within the Hermiticity bound keeps its real parts
+    kept = GramMatrix(np.array([2.0 + 0j, 3.0 + 1e-16j]), "b").entries
+    assert kept.dtype == np.float64 and np.array_equal(kept, [2.0, 3.0])
 
 
 @pytest.mark.parametrize("offdiag", [0.5, 1e-300, np.nan, 0.0])
@@ -366,7 +379,7 @@ def test_interleaved_blocks_are_solved_as_one_block(eigvalsh_calls):
     riffle = [0, 3, 1, 4, 2, 5]
     h = h[np.ix_(riffle, riffle)]
     diag = np.array([1.0, 2.0, 0.5, 4.0, 3.0, 0.25])
-    vals = real_spectrum(op(np.linalg.solve(np.diag(diag), h)), GramMatrix(diag, "b"))
+    vals = spectrum(op(np.linalg.solve(np.diag(diag), h)), GramMatrix(diag, "b"))
     assert eigvalsh_calls == [(1, 6, 6)]
     assert np.max(np.abs(vals - scipy.linalg.eigh(h, np.diag(diag), eigvals_only=True))) < 1e-12
 
@@ -394,7 +407,7 @@ def test_hermitian_c_fock_spectrum_is_solved_shell_by_shell(eigvalsh_calls):
     a = fock.polarization_preserving(basis, f0=f0, c=c)
     lam = np.linalg.eigvalsh(c)
     eigvalsh_calls.clear()  # the call just above
-    vals = real_spectrum(a, fock.fock_gram(basis))
+    vals = spectrum(a, fock.fock_gram(basis))
     expected = np.sort(2.0 * hbar * basis.indices @ lam + hbar * np.trace(c).real + f0)
     assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert max(shape[-1] for shape in eigvalsh_calls) == 49  # the largest degree shell

@@ -12,12 +12,12 @@ import geoquant.grid
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import BasisMismatch, UnsupportedObservable
+from geoquant.grid import interior_states
 from geoquant.halfform import ConfigGrid, check_canonical_commutator, quantize_halfform
 from geoquant.linalg import adjoint_wrt, commutator
 from geoquant.polynomials import Polynomial
 from geoquant.prequant import (Observable, PhaseSpaceGrid, PrequantApplier,
-                               check_dirac, interior_test_states,
-                               liouville_gram, poisson_bracket, prequantize,
+                               check_dirac, liouville_gram, poisson_bracket, prequantize,
                                selfadjoint_residual)
 from geoquant.stencil import derivative_matrix_1d
 
@@ -149,7 +149,7 @@ def test_sign_conventions_locked_together():
     assert poisson_bracket(q, p).poly.coeffs == {(0, 0): -1}
     pq = PrequantApplier(q, grid, hbar)
     pp = PrequantApplier(p, grid, hbar)
-    for v in interior_test_states(grid, count=3, seed=1):
+    for v in interior_states(grid, count=3, seed=1):
         canon = pq(pp(v)) - pp(pq(v))
         # commutation rule with the minus sign turns {q,p} = -1 into +i*hbar
         assert np.linalg.norm(canon - 1j * hbar * v) < TOL.grid
@@ -208,7 +208,7 @@ def test_shared_derivatives_give_the_unshared_residual_bitwise(grid, f, g):
     """P_g v, P_f v and P_{f,g} v share v's derivatives; the bits do not move."""
     hbar = 0.7
     pf, pg, pfg = (PrequantApplier(h, grid, hbar) for h in (f, g, poisson_bracket(f, g)))
-    states = interior_test_states(grid, count=3, seed=5)
+    states = interior_states(grid, count=3, seed=5)
     unshared = geoquant.grid.worst_residual(
         lambda v: pf(pg(v)) - pg(pf(v)) + 1j * hbar * pfg(v), states)
     assert check_dirac(f, g, grid, hbar, states=states) == unshared
@@ -231,7 +231,7 @@ def test_check_dirac_transforms_each_state_six_times(monkeypatch, panel_workers,
     f = Observable.from_terms(1, {(2, 0): 1.0, (0, 2): 1.0})
     g = Observable.from_terms(1, {(1, 1): 1.0})
     for k in (1, 3):
-        states = interior_test_states(grid, count=k)
+        states = interior_states(grid, count=k)
         calls.clear()
         check_dirac(f, g, grid, 1.0, states=states)
         assert sorted(calls) == ["fft"] * 6 * k + ["ifft"] * 6 * k
@@ -265,7 +265,7 @@ def test_interior_states_vanish_at_the_box_edge():
     f = Observable.from_terms(1, {(2, 0): 0.5, (1, 1): -0.8, (0, 2): 0.3, (1, 0): 0.4})
     g = Observable.from_terms(1, {(2, 0): -0.6, (1, 1): 0.7, (0, 2): 0.9, (0, 1): -0.2})
     for seed in range(4):
-        states = interior_test_states(grid, count=16, seed=seed)
+        states = interior_states(grid, count=16, seed=seed)
         for v in states:
             s = np.abs(v.reshape(grid.shape))
             edge = max(s[[0, -1], :].max(), s[:, [0, -1]].max())
@@ -299,7 +299,7 @@ def meshgrid_interior_states(grid, count, seed):
                          ids=["256^2", "64x48", "12^4", "line"])
 def test_interior_states_have_the_bits_of_the_meshgrid_formula(grid):
     for seed in range(5):
-        states = interior_test_states(grid, count=3, seed=seed)
+        states = interior_states(grid, count=3, seed=seed)
         oracle = meshgrid_interior_states(grid, 3, seed)
         assert all(np.array_equal(v.view(np.uint64), w.view(np.uint64))
                    for v, w in zip(states, oracle))
@@ -345,7 +345,7 @@ def test_spectral_apply_builds_no_dense_matrix(no_derivative_matrix):
     qp = Observable.from_terms(1, {(1, 1): 1.0})
     for op, grid in ((prequantize(qp, phase, 1.0), phase),
                      (quantize_halfform(qp, line, 1.0), line)):
-        v = interior_test_states(grid, count=1)[0]
+        v = interior_states(grid, count=1)[0]
         assert np.all(np.isfinite(op.entries @ v))
     assert run_demo(RunConfig(demo="prequant-flat")).passed
 
@@ -367,7 +367,7 @@ def test_nan_state_fails_the_checks(panel_workers, workers):
     assert np.isnan(check_dirac(q, p, grid, 1.0, states=nan_state))
     assert np.isnan(selfadjoint_residual(p, grid, 1.0, states=nan_state))
     # one NaN among finite states still poisons the worst value
-    mixed = interior_test_states(grid, count=2) + nan_state
+    mixed = interior_states(grid, count=2) + nan_state
     assert np.isnan(check_dirac(q, p, grid, 1.0, states=mixed))
     assert np.isnan(selfadjoint_residual(p, grid, 1.0, states=mixed))
 
@@ -380,7 +380,7 @@ def test_symmetry_defect_applies_the_operator_once_per_state():
     def counted(v):
         calls.append(1)
         return applier(v)
-    states = interior_test_states(grid, count=4)
+    states = interior_states(grid, count=4)
     worst = geoquant.grid.worst_symmetry_defect(counted, states)
     assert len(calls) == 4
     # the pairwise loop that applies the operator twice per pair gives the same bits
@@ -528,7 +528,7 @@ def test_two_states_in_flight_use_no_more_memory_than_a_serial_panel(panel_worke
     rng = np.random.default_rng(0)
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     f, g = (Observable.from_terms(1, {e: rng.uniform(-1, 1) for e in exps}) for _ in range(2))
-    states = interior_test_states(grid, count=4)
+    states = interior_states(grid, count=4)
     check_dirac(f, g, grid, 1.0, states=states)  # import the pool outside the trace
     tracemalloc.start()
     try:
@@ -592,7 +592,7 @@ def test_spectral_convergence_of_dirac_residual():
     residuals = {}
     for n_pts in (32, 48):
         grid = PhaseSpaceGrid(-8, 8, -8, 8, n_pts, n_pts)
-        states = interior_test_states(grid, count=3, seed=12)
+        states = interior_states(grid, count=3, seed=12)
         residuals[n_pts] = check_dirac(f, g, grid, 1.0, states=states)
     assert residuals[48] * 1e4 <= residuals[32]
 

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geoquant import bks
 from geoquant.bks import (gaussian_state, schrodinger_residual,
                           state_projected_rate, windowed_plane_wave)
+from geoquant.config import DEFAULT_TOLERANCES
+from geoquant.demos import RunConfig, run_demo
 from geoquant.halfform import ConfigGrid
 
 T_LIST = [0.32, 0.16, 0.08, 0.04, 0.02]
@@ -13,7 +17,8 @@ def test_gaussian_recovers_free_generator():
     grid = ConfigGrid.line(-16.0, 16.0, 512)
     psi0 = gaussian_state(grid, width=1.0)
     fit = schrodinger_residual(psi0, T_LIST)
-    assert fit.ok, fit.notes
+    assert fit.extrapolation_spread <= DEFAULT_TOLERANCES.bks
+    assert fit.residual <= 10 * DEFAULT_TOLERANCES.bks
     assert abs(abs(fit.c_fit) - 0.5) / 0.5 < 1e-3
     assert abs(np.angle(fit.c_fit) + np.pi / 4.0) < 1e-2
     assert fit.residual < 1e-2
@@ -88,4 +93,14 @@ def test_nan_richardson_spread_fails_the_fit(monkeypatch):
     fit = schrodinger_residual(psi0, T_LIST)
     assert len(calls) == 4
     assert np.isnan(fit.extrapolation_spread)
-    assert not fit.ok
+    assert not fit.extrapolation_spread <= DEFAULT_TOLERANCES.bks
+
+
+def test_a_poor_generator_fit_fails_the_bks_report(monkeypatch):
+    """The report, not the fit, holds the verdict: a residual of 1 fails fit-residual alone."""
+    fit_generator = bks.schrodinger_residual
+    monkeypatch.setattr(bks, "schrodinger_residual", lambda *args, **kwargs: dataclasses.replace(
+        fit_generator(*args, **kwargs), residual=1.0))
+    report = run_demo(RunConfig(demo="bks"))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["fit-residual"] and not report.passed

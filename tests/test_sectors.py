@@ -5,7 +5,7 @@ from geoquant import demos
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.demos import RunConfig, run_demo
 from geoquant.errors import BasisMismatch, ConfigError
-from geoquant.linalg import GramMatrix, commutator, real_spectrum
+from geoquant.linalg import GramMatrix, commutator, spectrum
 from geoquant.prequant import cylinder_momentum_operator, cylinder_spectrum, weil_admissible
 
 from cylinder_relabeling import lambda_blind, relabeling_residual
@@ -68,7 +68,7 @@ def test_lambda_shift_relabels_modes():
 def test_operator_is_diagonal_and_matches_spectrum():
     op = cylinder_momentum_operator(0.25, 1.0, 3)
     assert not np.any(op.entries - np.diag(np.diag(op.entries)))
-    vals = real_spectrum(op, GramMatrix.identity(op.dim, op.basis_id))
+    vals = spectrum(op, GramMatrix.identity(op.dim, op.basis_id))
     assert np.array_equal(vals, cylinder_spectrum(0.25, 1.0, 3))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from geoquant import spin
 from geoquant.config import DEFAULT_TOLERANCES
 from geoquant.errors import BasisMismatch, DegenerateGram, QuadratureFailure
-from geoquant.linalg import adjoint_wrt, commutator, real_spectrum
+from geoquant.linalg import adjoint_wrt, commutator, spectrum
 from geoquant.spin import (SpinBasis, check_su2, spin_gram, spin_gram_quadrature,
                            spin_operators)
 from spin_derivation import derive_operator_symbols
@@ -47,7 +47,7 @@ def test_sector_zero_operators_vanish():
 def test_j3_spectrum_spacing_and_range():
     for n in range(1, 8):
         basis = SpinBasis(n, hbar=0.5)
-        vals = real_spectrum(spin_operators(basis)["J3"], spin_gram(basis))
+        vals = spectrum(spin_operators(basis)["J3"], spin_gram(basis))
         expected = 0.5 * (np.arange(n + 1) - n / 2.0)
         assert np.allclose(vals, expected, atol=1e-12)
 
