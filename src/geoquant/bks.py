@@ -31,7 +31,7 @@ fold of the range, bit for bit.  ``_STENCILS`` keeps one table of rows per
 geometry, for the cells of y >= 0 only, since each cell of y < 0 is a cell
 of y >= 0 mirrored; the table grows at its far end when a range reaches
 past it, a new table being an empty one grown, and a range's stencil is the
-sum of its cells' rows, shifted.
+sum of its cells' rows, shifted, kept by range for repeats.
 
 Only the stencil depends on t.  So the pairing sums over q first: each test
 state's q weights against conj(psi) give its overlap profile, one value per
@@ -78,7 +78,11 @@ _THETA_MAX = 1.5 * np.pi  # phase advance per quadrature panel
 _H_MAX_CELLS = 8  # coarse panel pitch h_max in lattice cells of psi; even, so fine is 4
 _SUPPORT_CUTOFF = 1e-15
 _STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_max, pitch)
+_STENCIL_STORE_SIZE = 256  # assembled stencils held: at most 1,173 coefficients seen, so <= 5 MB
 _FOLD_PANELS = 1024  # panels per fold window: about 12k nodes, a 1.2 MB work array, 2 MB in all
+# panels c j^2 + j a table of j blocks may hold: 126x the largest fold of a demo, workload or
+# test (63,331), under the bks demo's first table at hbar = 1e-5 (1.0e7); about 0.7 us a panel
+_TABLE_PANELS_MAX = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -447,11 +451,16 @@ class _StencilTables:
     :meth:`stencil` returns the rule of the cells [c_lo, c_hi) as
     ``(s_min, coeff)``, with weight coeff_s on f(x + (s_min + s) h) and
     s_min = c_lo - 2, by six shifted slice-adds of its rows; an empty or
-    reversed range raises ``ValueError``.  A row depends only on its
-    geometry and cell, so a stencil does not depend on the requests before
-    it.  The tables are read-only because every pairing with the geometry
-    shares them.  ``builds``, ``extensions`` and ``hits`` count the requests
-    that found no table, a short one, and one that covered them.
+    reversed range raises ``ValueError``, and a range whose table would hold
+    more than ``_TABLE_PANELS_MAX`` panels raises :class:`QuadratureFailure`
+    before anything is folded.  Each stencil served is kept by geometry and
+    cell range, the last ``_STENCIL_STORE_SIZE`` of them, so a repeated
+    request is one lookup.  A row depends only on its geometry and cell, so
+    a stencil does not depend on the requests before it, and a kept one has
+    the bits of a fresh assembly after its table is extended or evicted.
+    Tables and stencils are read-only because every pairing with the
+    geometry shares them.  ``builds``, ``extensions`` and ``hits`` count the
+    requests that found no table, a short one, and one that needed no fold.
     """
 
     def __init__(self, size: int):
@@ -460,6 +469,7 @@ class _StencilTables:
 
     def clear(self) -> None:
         self._tables: dict[tuple, np.ndarray] = {}  # least recently used first
+        self._stencils: dict[tuple, tuple[int, np.ndarray]] = {}  # likewise
         self.builds = self.extensions = self.hits = 0
 
     def stencil(self, h: float, a: float, theta_max: float, pitch: int,
@@ -467,8 +477,18 @@ class _StencilTables:
         if c_hi <= c_lo:
             raise ValueError(f"cell range [{c_lo}, {c_hi}) is empty or reversed")
         key = (h, a, theta_max, pitch)
-        table = self._tables.pop(key, None)
+        stored = self._stencils.pop((key, c_lo, c_hi), None)
+        if stored is not None:
+            self.hits += 1
+            self._stencils[key, c_lo, c_hi] = stored
+            return stored
         need = max(c_hi, -c_lo)  # at least 1
+        blocks = -(-need // pitch)
+        panels = a * (pitch * h) ** 2 / theta_max * blocks**2 + blocks
+        if panels > _TABLE_PANELS_MAX:
+            raise QuadratureFailure(f"a chirp stencil of {blocks} blocks at a = {a:.4g} needs "
+                                    f"{panels:.3g} panels, over {_TABLE_PANELS_MAX}")
+        table = self._tables.pop(key, None)
         if table is None:
             self.builds += 1
             table = np.empty((0, _OFFSETS.size), dtype=complex)
@@ -477,8 +497,7 @@ class _StencilTables:
         else:
             self.hits += 1
         if need > len(table):
-            table = np.concatenate(
-                [table, _fold_cells(*key, len(table) // pitch, -(-need // pitch))])
+            table = np.concatenate([table, _fold_cells(*key, len(table) // pitch, blocks)])
             table.flags.writeable = False
         self._tables[key] = table
         if len(self._tables) > self.size:
@@ -489,6 +508,9 @@ class _StencilTables:
         for k in range(_OFFSETS.size):
             coeff[k:k + len(rows)] += rows[:, k]
         coeff.flags.writeable = False
+        self._stencils[key, c_lo, c_hi] = c_lo - 2, coeff
+        if len(self._stencils) > _STENCIL_STORE_SIZE:
+            del self._stencils[next(iter(self._stencils))]
         return c_lo - 2, coeff
 
 

@@ -63,7 +63,7 @@ class SupportEscapesGrid(GeoquantError):
 
 
 class QuadratureFailure(GeoquantError):
-    """Node doubling changed an oscillatory integral beyond tolerance."""
+    """An oscillatory integral could not be formed or did not converge."""
 
     def __init__(self, message: str, *, doubling_delta: float = 0.0):
         super().__init__(message)

@@ -771,6 +771,89 @@ def test_hit_after_extension_has_the_bits_of_a_fresh_build():
     assert same_bits(extended, _STENCILS._tables[geometry])
 
 
+def test_a_repeated_stencil_request_returns_the_stored_array_as_a_hit():
+    args = (0.0625, 12.5, 1.5 * np.pi, 8, -280, 272)
+    _STENCILS.clear()
+    first = _STENCILS.stencil(*args)
+    again = _STENCILS.stencil(*args)
+    assert again[0] == first[0] and again[1] is first[1]
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (1, 0, 1)
+
+
+def assembled_again(geometry, k_lo, k_hi):
+    """The stencil of the blocks assembled from the current table, not taken from the store."""
+    del _STENCILS._stencils[geometry, k_lo * geometry[3], k_hi * geometry[3]]
+    return block_stencil(*geometry, k_lo, k_hi)
+
+
+def test_a_stored_stencil_keeps_the_bits_of_a_fresh_assembly(monkeypatch):
+    geometry = (0.0625, 12.5, 1.5 * np.pi, 5)
+    ranges = [(-12, 31), (-30, 20)]
+    _STENCILS.clear()
+    stored = [block_stencil(*geometry, *blocks)[1] for blocks in ranges]
+    block_stencil(*geometry, 3, 50)  # extends the table
+    assert block_stencil(*geometry, *ranges[0])[1] is stored[0]
+    assert same_bits(assembled_again(geometry, *ranges[0])[1], stored[0])
+    monkeypatch.setattr(_STENCILS, "size", 1)
+    block_stencil(0.0625, 25.0, 1.5 * np.pi, 5, 0, 2)  # evicts the table
+    assert geometry not in _STENCILS._tables
+    block_stencil(*geometry, -40, -5)  # and builds it again
+    assert (_STENCILS.builds, _STENCILS.extensions) == (3, 1)
+    assert block_stencil(*geometry, *ranges[1])[1] is stored[1]
+    assert same_bits(assembled_again(geometry, *ranges[1])[1], stored[1])
+
+
+def test_the_stencil_store_keeps_the_most_recently_used_ranges():
+    geometry = (0.0625, 25.0, 1.5 * np.pi, 5)
+    bound = bks._STENCIL_STORE_SIZE
+    _STENCILS.clear()
+    kept = [_STENCILS.stencil(*geometry, -b - 1, -b)[1] for b in range(bound + 10)]
+    assert len(_STENCILS._stencils) == bound
+    # the first ten ranges went out; using the oldest kept one makes it the newest
+    assert _STENCILS.stencil(*geometry, -1, 0)[1] is not kept[0]
+    assert _STENCILS.stencil(*geometry, -12, -11)[1] is kept[11]
+    _STENCILS.stencil(*geometry, 0, 1)
+    assert len(_STENCILS._stencils) == bound
+    assert _STENCILS.stencil(*geometry, -12, -11)[1] is kept[11]
+    assert _STENCILS.stencil(*geometry, -13, -12)[1] is not kept[12]
+    _STENCILS.clear()
+    assert not _STENCILS._stencils and not _STENCILS._tables
+
+
+def test_plane_waves_with_one_centre_share_their_stored_stencils(monkeypatch):
+    # the bks-pairing workload's three waves: 24 requests, 8 distinct stencils
+    served, stencil = [], _STENCILS.stencil
+
+    def recorded(*args):
+        served.append(stencil(*args))
+        return served[-1]
+    monkeypatch.setattr(_STENCILS, "stencil", recorded)
+    grid = line(count=640, extent=40.0)
+    _STENCILS.clear()
+    for k in (1, 2, 3):
+        wave = windowed_plane_wave(grid, k=k, flat_halfwidth=20.0, taper_width=16.0,
+                                   center=0.7)
+        state_projected_rate(wave, [0.32, 0.16, 0.08, 0.04])
+    assert len(served) == 24
+    assert len({id(coeff) for _, coeff in served}) == 8
+
+
+def test_a_stencil_table_past_the_panel_bound_is_refused_before_any_fold(monkeypatch):
+    # the bks demo's Gaussian at hbar = 1e-5: its first table alone holds about 1e7
+    # panels, and its outer block about 1e6 (1.7e7 at t = 0.02)
+    def no_fold(*args):
+        raise AssertionError("a table past the panel bound was folded")
+    monkeypatch.setattr(bks, "_fold_cells", no_fold)
+    cfg = RunConfig(demo="bks", hbar=1e-5)
+    grid = ConfigGrid.line(-2.0 * cfg.extent, 2.0 * cfg.extent, 2 * cfg.grid_points)
+    psi0 = gaussian_state(grid, width=1.0, hbar=cfg.hbar)
+    _STENCILS.clear()
+    with pytest.raises(QuadratureFailure, match=r"needs 1\.02e\+07 panels"):
+        schrodinger_residual(psi0, list(cfg.t_list))
+    assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (0, 0, 0)
+    assert not _STENCILS._tables
+
+
 def test_bks_demo_body_does_not_depend_on_what_ran_before():
     cfg = RunConfig(demo="bks")
     _STENCILS.clear()
