@@ -39,6 +39,11 @@ lattice offset, built once for all times by one FFT correlation
 (:func:`_overlap_profiles`).  The test states of a panel share one y range
 (the union of their reaches) and so one offset range, and each time costs
 one stencil per resolution and one dot product per state with its profile.
+A panel asks for its largest stencil first: smallest t first, since the
+chirp rate a = m / 2 hbar t grows as t falls, and the fine resolution before
+the coarse, whose table at the same cells holds about half the panels.  So
+a panel with any table past ``_TABLE_PANELS_MAX`` is refused at its first
+request, before anything is folded.
 
 The Fourier projection on uniform grids is a chirp-z transform, one FFT
 convolution per axis.  The t -> 0+ limit of the pairing carries the
@@ -81,7 +86,8 @@ _STENCIL_CACHE_SIZE = 64  # stencil tables held, one per geometry (h, a, theta_m
 _STENCIL_STORE_SIZE = 256  # assembled stencils held: at most 1,173 coefficients seen, so <= 5 MB
 _FOLD_PANELS = 1024  # panels per fold window: about 12k nodes, a 1.2 MB work array, 2 MB in all
 # panels c j^2 + j a table of j blocks may hold: 126x the largest fold of a demo, workload or
-# test (63,331), under the bks demo's first table at hbar = 1e-5 (1.0e7); about 0.7 us a panel
+# test (63,331), under the smallest table of the bks demo at hbar = 1e-5 (1.02e7), so every
+# request of that panel is refused; about 0.7 us a panel
 _TABLE_PANELS_MAX = 8_000_000
 
 
@@ -281,15 +287,15 @@ def _overlap_profiles(samples: np.ndarray, m_lo: int, weights: np.ndarray, u_lo:
                      for row in weights])
 
 
-def _support_bounds(axis: np.ndarray, samples: np.ndarray, spacing: float,
-                    pad_cells: int = 4) -> tuple[float, float]:
+def _support_bounds(axis: np.ndarray, samples: np.ndarray,
+                    spacing: float) -> tuple[float, float]:
+    """The span of samples above the support cutoff, padded by four cells."""
     amp = np.abs(samples)
     peak = amp.max()
     if peak == 0:
         return axis[0], axis[-1]
     idx = np.nonzero(amp > _SUPPORT_CUTOFF * peak)[0]
-    return (axis[idx[0]] - pad_cells * spacing,
-            axis[idx[-1]] + pad_cells * spacing)
+    return axis[idx[0]] - 4 * spacing, axis[idx[-1]] + 4 * spacing
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -437,7 +443,8 @@ def _fold_cells(h: float, a: float, theta_max: float, pitch: int, k_lo: int,
 
 class _StencilTables:
     """Chirp stencils by geometry (h, a, theta_max, pitch): one table of
-    cell rows per geometry, least recently used out first.
+    cell rows for each of the ``_STENCIL_CACHE_SIZE`` most recently used
+    geometries.
 
     A table holds the :func:`_fold_cells` rows of the cells 0 <= b < C, with
     C a multiple of the pitch.  The rule is symmetric in y, the kernel
@@ -463,8 +470,7 @@ class _StencilTables:
     requests that found no table, a short one, and one that needed no fold.
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
@@ -500,7 +506,7 @@ class _StencilTables:
             table = np.concatenate([table, _fold_cells(*key, len(table) // pitch, blocks)])
             table.flags.writeable = False
         self._tables[key] = table
-        if len(self._tables) > self.size:
+        if len(self._tables) > _STENCIL_CACHE_SIZE:
             del self._tables[next(iter(self._tables))]
         rows = np.concatenate([table[max(-c_hi, 0):max(-c_lo, 0)][::-1, ::-1],
                                table[max(c_lo, 0):max(c_hi, 0)]])
@@ -514,7 +520,7 @@ class _StencilTables:
         return c_lo - 2, coeff
 
 
-_STENCILS = _StencilTables(_STENCIL_CACHE_SIZE)
+_STENCILS = _StencilTables()
 
 
 @dataclass(frozen=True)
@@ -611,8 +617,8 @@ class _Pairing:
         """Every pairing at time t, at the panel resolution and doubled."""
         if not 0 < t < np.inf:
             raise ValueError("t must be positive and finite")
-        coarse = self._values(t, _THETA_MAX, _H_MAX_CELLS)
         fine = self._values(t, _THETA_MAX / 2.0, _H_MAX_CELLS // 2)
+        coarse = self._values(t, _THETA_MAX, _H_MAX_CELLS)
         results = []
         for c, f, floor in zip(coarse.tolist(), fine.tolist(), self.floors):
             delta = abs(f - c)
@@ -677,7 +683,7 @@ def _panel_derivatives(psi0: PolarizedState, t_list, test_states,
                        tolerances: Tolerances) -> tuple[np.ndarray, float, np.ndarray]:
     """Extrapolated weak derivatives D_j and overlaps <psi0, chi_j>."""
     branch = np.exp(1j * np.pi * psi0.n / 4.0)
-    t_arr = np.asarray(sorted(t_list, reverse=True), dtype=float)
+    t_arr = np.asarray(sorted(t_list), dtype=float)
     if t_arr.size < 3 or t_arr.size > 10:
         raise ValueError("t_list should carry 3 to 10 small positive times")
     if not np.all((t_arr > 0) & (t_arr < np.inf)):

@@ -61,19 +61,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}", field="config")
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object", field="config")
-    for name in ("hbar", "n_sector", "lam", "degree", "grid_points",
-                 "mass", "seed"):
-        arg = getattr(args, name)
-        if arg is not None:
-            values[name] = arg
+    known = {f.name for f in fields(RunConfig)}
+    values.update((name, arg) for name, arg in vars(args).items()
+                  if name in known and arg is not None)
     if args.grid is not None:
         try:
             nq, _, np_ = args.grid.partition("x")
             values["grid_q"], values["grid_p"] = int(nq), int(np_)
         except ValueError as exc:
             raise ConfigError("grid must look like 128x128", field="grid") from exc
-    values["demo"] = args.demo
-    known = {f.name for f in fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config entries: {sorted(unknown)}",

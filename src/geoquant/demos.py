@@ -188,8 +188,7 @@ def demo_cylinder(cfg: RunConfig, report: QuantReport) -> None:
     control = float(np.max(np.abs(half - relabeled)))
     report.add_check("sector-relabeling-control",
                      "spec(lambda + 1/2) != {(k + lambda + 1) * hbar : k -> k+1}",
-                     control, tol.exact, passed=control > tol.exact,
-                     note="residual must EXCEED the threshold")
+                     control, tol.exact, exceed=True)
 
 
 def demo_fock(cfg: RunConfig, report: QuantReport) -> None:
@@ -279,8 +278,7 @@ def demo_canonical(cfg: RunConfig, report: QuantReport) -> None:
     report.tables["negative_control"] = control
     report.add_check("divergence-term-load-bearing",
                      "dropping (i*hbar/2)div(v) breaks symmetry by O(hbar)",
-                     control, 0.4 * cfg.hbar, passed=control > 0.4 * cfg.hbar,
-                     note="residual must EXCEED the threshold")
+                     control, 0.4 * cfg.hbar, exceed=True)
     report.notes.append("divergence evaluated by the analytic path")
 
 

@@ -159,21 +159,15 @@ def oscillator_hamiltonian(basis: FockBasis) -> OperatorMatrix:
 
 def polarization_preserving(basis: FockBasis, f0: float = 0.0,
                             w: np.ndarray | None = None,
-                            c: np.ndarray | None = None,
-                            zz: np.ndarray | None = None,
-                            zbarzbar: np.ndarray | None = None) -> OperatorMatrix:
+                            c: np.ndarray | None = None) -> OperatorMatrix:
     """Quantize f = f0 + w.z + conj(w).zbar + c_ab z^a zbar^b.
 
     This is the full class of real observables preserving the antiholomorphic
-    polarization: f0, w and c must be finite, f0 real and c Hermitian; any
-    quadratic-in-z or quadratic-in-zbar block (``zz`` / ``zbarzbar``) is
-    rejected.  The c-part quantizes to 2*hbar*c_ab z^a d/dz^b plus the
-    metaplectic trace term hbar*tr(c).
+    polarization: f0, w and c must be finite, f0 real and c Hermitian.  A
+    quadratic-in-z or quadratic-in-zbar block (z^a z^b, zbar^a zbar^b) lies
+    outside the class and has no argument here.  The c-part quantizes to
+    2*hbar*c_ab z^a d/dz^b plus the metaplectic trace term hbar*tr(c).
     """
-    if zz is not None and np.any(np.asarray(zz) != 0):
-        raise PolarizationViolation("quadratic-in-z term does not preserve the polarization")
-    if zbarzbar is not None and np.any(np.asarray(zbarzbar) != 0):
-        raise PolarizationViolation("quadratic-in-zbar term does not preserve the polarization")
     f0 = complex(f0)
     w = None if w is None else np.asarray(w, dtype=complex).reshape(basis.n)
     c = None if c is None else np.asarray(c, dtype=complex).reshape(basis.n, basis.n)

@@ -54,29 +54,24 @@ class Observable:
     # -- convenience constructors -------------------------------------------
 
     @classmethod
-    def from_poly(cls, poly: Polynomial, n: int | None = None) -> "Observable":
-        n = poly.nvars // 2 if n is None else n
-        return cls(n, poly)
-
-    @classmethod
     def from_terms(cls, n: int, terms: dict[tuple, object]) -> "Observable":
-        return cls.from_poly(Polynomial(2 * n, terms), n)
+        return cls(n, Polynomial(2 * n, terms))
 
     @classmethod
     def coordinate(cls, n: int = 1, axis: int = 0) -> "Observable":
         if not 0 <= axis < n:
             raise ValueError(f"axis {axis} out of range for n={n}")
-        return cls.from_poly(Polynomial.variable(2 * n, axis), n)
+        return cls(n, Polynomial.variable(2 * n, axis))
 
     @classmethod
     def momentum(cls, n: int = 1, axis: int = 0) -> "Observable":
         if not 0 <= axis < n:
             raise ValueError(f"axis {axis} out of range for n={n}")
-        return cls.from_poly(Polynomial.variable(2 * n, n + axis), n)
+        return cls(n, Polynomial.variable(2 * n, n + axis))
 
     @classmethod
     def constant(cls, n: int, value) -> "Observable":
-        return cls.from_poly(Polynomial.constant(2 * n, value), n)
+        return cls(n, Polynomial.constant(2 * n, value))
 
     # -- polynomial views ----------------------------------------------------
 
@@ -100,5 +95,5 @@ def poisson_bracket(f: Observable, g: Observable) -> Observable:
     if out.total_degree() > DEGREE_CAP:
         raise DegreeOverflow(
             f"bracket degree {out.total_degree()} exceeds cap {DEGREE_CAP}")
-    return Observable.from_poly(out, f.n)
+    return Observable(f.n, out)
 

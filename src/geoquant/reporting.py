@@ -44,10 +44,18 @@ class QuantReport:
         return all(c.passed for c in self.checks)
 
     def add_check(self, name: str, law: str, value: float, tol: float,
-                  passed: bool | None = None, note: str = "") -> CheckResult:
-        if passed is None:
-            passed = bool(value < tol)
-        check = CheckResult(name, law, float(value), float(tol), bool(passed), note)
+                  exceed: bool = False, note: str = "") -> CheckResult:
+        """Record a check that passes when ``value < tol``.
+
+        A negative control (``exceed=True``) passes when ``value > tol``
+        instead, and its note is "residual must EXCEED the threshold" in
+        place of ``note``.  A NaN value fails either way.
+        """
+        value, tol = float(value), float(tol)
+        passed = value > tol if exceed else value < tol
+        if exceed:
+            note = "residual must EXCEED the threshold"
+        check = CheckResult(name, law, value, tol, passed, note)
         self.checks.append(check)
         return check
 

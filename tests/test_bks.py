@@ -794,7 +794,7 @@ def test_a_stored_stencil_keeps_the_bits_of_a_fresh_assembly(monkeypatch):
     block_stencil(*geometry, 3, 50)  # extends the table
     assert block_stencil(*geometry, *ranges[0])[1] is stored[0]
     assert same_bits(assembled_again(geometry, *ranges[0])[1], stored[0])
-    monkeypatch.setattr(_STENCILS, "size", 1)
+    monkeypatch.setattr(bks, "_STENCIL_CACHE_SIZE", 1)
     block_stencil(0.0625, 25.0, 1.5 * np.pi, 5, 0, 2)  # evicts the table
     assert geometry not in _STENCILS._tables
     block_stencil(*geometry, -40, -5)  # and builds it again
@@ -838,20 +838,32 @@ def test_plane_waves_with_one_centre_share_their_stored_stencils(monkeypatch):
     assert len({id(coeff) for _, coeff in served}) == 8
 
 
-def test_a_stencil_table_past_the_panel_bound_is_refused_before_any_fold(monkeypatch):
-    # the bks demo's Gaussian at hbar = 1e-5: its first table alone holds about 1e7
-    # panels, and its outer block about 1e6 (1.7e7 at t = 0.02)
+def assert_refused_before_any_fold(monkeypatch, hbar, panels):
+    """The bks demo's Gaussian at ``hbar`` is refused at its first stencil request,
+    the fine one at the smallest t, which names ``panels``."""
     def no_fold(*args):
-        raise AssertionError("a table past the panel bound was folded")
+        raise AssertionError("a table of a refused panel was folded")
     monkeypatch.setattr(bks, "_fold_cells", no_fold)
-    cfg = RunConfig(demo="bks", hbar=1e-5)
+    cfg = RunConfig(demo="bks", hbar=hbar)
     grid = ConfigGrid.line(-2.0 * cfg.extent, 2.0 * cfg.extent, 2 * cfg.grid_points)
     psi0 = gaussian_state(grid, width=1.0, hbar=cfg.hbar)
     _STENCILS.clear()
-    with pytest.raises(QuadratureFailure, match=r"needs 1\.02e\+07 panels"):
+    with pytest.raises(QuadratureFailure, match=rf"needs {panels} panels"):
         schrodinger_residual(psi0, list(cfg.t_list))
     assert (_STENCILS.builds, _STENCILS.extensions, _STENCILS.hits) == (0, 0, 0)
     assert not _STENCILS._tables
+
+
+def test_a_stencil_table_past_the_panel_bound_is_refused_before_any_fold(monkeypatch):
+    # at hbar = 1e-5 even the smallest table, coarse at t = 0.32, holds about 1e7 panels
+    assert_refused_before_any_fold(monkeypatch, 1e-5, r"3\.25e\+08")
+
+
+def test_a_panel_with_one_table_past_the_bound_folds_none_of_them(monkeypatch):
+    # at hbar = 1.3e-5 the coarse table at t = 0.32 (about 7.9e6 panels) is under the
+    # bound and the fine one at t = 0.02 is far past it: asking for the smallest
+    # first would fold the one and then refuse the other
+    assert_refused_before_any_fold(monkeypatch, 1.3e-5, r"2\.5e\+08")
 
 
 def test_bks_demo_body_does_not_depend_on_what_ran_before():

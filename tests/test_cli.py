@@ -13,7 +13,7 @@ from geoquant.cli import main
 from geoquant.demos import DEMOS, RunConfig, run_demo
 from geoquant.errors import ConfigError, SupportEscapesGrid
 from geoquant.linalg import spectrum
-from geoquant.reporting import SCHEMA, render_report, strip_footer
+from geoquant.reporting import SCHEMA, QuantReport, render_report, strip_footer
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -206,6 +206,18 @@ def test_float_formatting_is_twelve_digits():
     report = run_demo(RunConfig(demo="cylinder", lam=1.0 / 3.0))
     body = render_report(report)
     assert "0.333333333333" in body
+
+
+def test_a_verdict_is_the_value_against_its_tolerance():
+    report = QuantReport("cylinder", {})
+    controls = [report.add_check("control", "law", value, 1e-10, exceed=True)
+                for value in (1e-10, 2e-10, float("nan"))]
+    assert [c.passed for c in controls] == [False, True, False]
+    assert {c.note for c in controls} == {"residual must EXCEED the threshold"}
+    checks = [report.add_check("check", "law", value, 1e-10)
+              for value in (0.5e-10, 1e-10, float("nan"))]
+    assert [c.passed for c in checks] == [True, False, False]
+    assert {c.note for c in checks} == {""}
 
 
 def _loaded_by(code: str, prefixes: tuple[str, ...]) -> list[str]:

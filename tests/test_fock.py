@@ -241,10 +241,6 @@ def test_linear_part_is_gram_hermitian():
 def test_polarization_violations():
     basis = FockBasis(1, 3)
     with pytest.raises(PolarizationViolation):
-        polarization_preserving(basis, zz=np.array([[1.0]]))
-    with pytest.raises(PolarizationViolation):
-        polarization_preserving(basis, zbarzbar=np.array([[0.5]]))
-    with pytest.raises(PolarizationViolation):
         polarization_preserving(basis, c=np.array([[1j]]))
     with pytest.raises(PolarizationViolation):
         polarization_preserving(basis, f0=1j)

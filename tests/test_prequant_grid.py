@@ -80,7 +80,7 @@ def test_prequantize_is_linear():
     rng = np.random.default_rng(2)
     f = Observable.from_terms(1, {(2, 0): 0.3, (0, 1): -1.2})
     g = Observable.from_terms(1, {(1, 1): 0.8, (0, 2): 0.5})
-    combo = Observable.from_poly(2.0 * f.poly + (-0.5) * g.poly)
+    combo = Observable(1, 2.0 * f.poly + (-0.5) * g.poly)
     lhs = prequantize(combo, grid, 1.0).dense()
     rhs = 2.0 * prequantize(f, grid, 1.0).dense() \
         - 0.5 * prequantize(g, grid, 1.0).dense()
